@@ -9,7 +9,12 @@ arithmetic is exact; every regularized value is cross-validated against
 an independent route before it is reported.
 """
 
-from .choose_construction import CellSketch, choose_cells, ordered_distinct_measure
+from .choose_construction import (
+    CellSketch,
+    PlacementDescriptor,
+    choose_cells,
+    ordered_distinct_measure,
+)
 from .errors import (
     EulerMeasureError,
     InputError,
@@ -29,10 +34,10 @@ from .exact_series import (
     continue_series,
     eval_at_one,
     min_recurrence,
+    series_window,
     to_rational_function,
 )
 from .fibonacci_subsets import (
-    PlacementDescriptor,
     extended_fibonacci,
     fibonacci_measure,
     parity_strata_coefficient,

@@ -47,13 +47,30 @@ class CellSketch:
         return counts
 
 
-def _count_vectors(pieces, k: int) -> Iterator[tuple[int, ...]]:
+@dataclass(frozen=True)
+class PlacementDescriptor:
+    """Per-piece point counts of one k-point selection.
+
+    Point pieces carry 0 or 1 (whether that point is selected); open
+    intervals carry how many selected points lie inside.
+    """
+
+    counts: tuple[int, ...]
+
+    def interval_points(self, pieces) -> int:
+        return sum(
+            c for c, piece in zip(self.counts, pieces) if isinstance(piece, OpenInterval)
+        )
+
+
+def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescriptor]:
     """All ways to split k points over the pieces, 0/1 on point pieces."""
+    pieces = P.pieces
 
     def descend(i: int, remaining: int, acc: list[int]):
         if i == len(pieces):
             if remaining == 0:
-                yield tuple(acc)
+                yield PlacementDescriptor(tuple(acc))
             return
         limit = 1 if isinstance(pieces[i], Point) else remaining
         for c in range(min(limit, remaining) + 1):
@@ -68,14 +85,10 @@ def choose_cells(A: PolyhedralSet1D, k: int, cap: int = DEFAULT_CHOOSE_CAP) -> C
     """Stratify the k-element selections from A into open cells."""
     if k > cap:
         raise ResourceLimitError(f"cell enumeration capped at k <= {cap} (requested {k})")
-    pieces = A.pieces
-    cells: list[tuple[int, tuple[int, ...]]] = []
-    for counts in _count_vectors(pieces, k):
-        dim = sum(
-            c for c, piece in zip(counts, pieces) if isinstance(piece, OpenInterval)
-        )
-        cells.append((dim, counts))
-    cells.sort()
+    cells = sorted(
+        (placement.interval_points(A.pieces), placement.counts)
+        for placement in enumerate_placements(A, k)
+    )
     return CellSketch(
         tuple(dim for dim, _ in cells), tuple(counts for _, counts in cells)
     )

@@ -19,18 +19,11 @@ from dataclasses import dataclass, field
 
 from .choose_construction import DEFAULT_CHOOSE_CAP, choose_cells
 from .errors import EulerMeasureError, InputError, RegularizationError, UnsupportedDomainError
-from .exact_series import (
-    DEFAULT_MAX_ORDER,
-    DEFAULT_TERMS,
-    EulerSeries,
-    RationalFunction,
-    continue_series,
-)
-from .fibonacci_subsets import DEFAULT_TERMS as FIB_TERMS, fibonacci_measure
+from .exact_series import EulerSeries, RationalFunction, continue_series
+from .fibonacci_subsets import fibonacci_measure
 from .interval_sets import OpenInterval, PolyhedralSet1D
 from .limits import ENUM_CAP_ENV_VAR
 from .map_spaces import (
-    DEFAULT_PAIR_TERMS,
     affine_pair_space,
     hedral_map_measure,
     map_pair_measure,
@@ -220,24 +213,20 @@ def _cmd_choose(options: dict) -> Report:
 
 def _cmd_powerset(options: dict) -> Report:
     a = _parse_input_set(options)
-    terms = options.get("terms")
-    ps = powerset_series(a, terms if terms is not None else DEFAULT_TERMS)
+    ps = powerset_series(a, options.get("terms"))
     checks = []
     warnings = []
     series_dict = _series_dict(ps.series)
-    refit_order = min(DEFAULT_MAX_ORDER, (len(ps.series.prefix) - 2) // 2)
-    if refit_order >= 1:
-        try:
-            refit = continue_series(ps.series.prefix, refit_order)
-            agree = refit.closed_form == ps.series.closed_form
-            checks.append(_check_entry("continuation-agreement", agree))
-            series_dict = _series_dict(
-                EulerSeries(ps.series.prefix, ps.series.closed_form, refit.recurrence)
-            )
-        except RegularizationError as exc:
-            warnings.append(f"independent refit skipped: {exc}")
+    try:
+        refit = continue_series(ps.series.prefix, options.get("max_order"))
+    except (InputError, RegularizationError) as exc:
+        warnings.append(f"independent refit skipped: {exc}")
     else:
-        warnings.append("independent refit skipped: too few terms")
+        agree = refit.closed_form == ps.series.closed_form
+        checks.append(_check_entry("continuation-agreement", agree))
+        series_dict = _series_dict(
+            EulerSeries(ps.series.prefix, ps.series.closed_form, refit.recurrence)
+        )
     results = {
         "canonical": str(a),
         "euler_measure": _labeled(ps.chi, "piece-count"),
@@ -254,11 +243,7 @@ def _cmd_gizmo(options: dict) -> Report:
     if not ks:
         raise InputError("gizmo needs --ks with at least one selection size")
     spec = GizmoSpec(tuple(ks))
-    terms = options.get("terms")
-    terms = terms if terms is not None else DEFAULT_TERMS
-    max_order = options.get("max_order")
-    max_order = max_order if max_order is not None else DEFAULT_MAX_ORDER
-    res = gizmo_measure(a, spec, terms=terms, max_order=max_order)
+    res = gizmo_measure(a, spec, options.get("terms"), options.get("max_order"))
     results = {
         "canonical": str(a),
         "ks": list(spec.ks),
@@ -277,12 +262,12 @@ def _cmd_gizmo(options: dict) -> Report:
             "bases": list(res.fit.bases),
             "weights": [str(w) for w in res.fit.weights],
         }
-    checks = [_check_entry("route-agreement", True)]
+    agree = res.route_exponential == res.route_series == res.expected_iterated
     return Report(
         "gizmo",
         {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)},
         results,
-        checks,
+        [_check_entry("route-agreement", agree)],
     )
 
 
@@ -292,7 +277,6 @@ def _cmd_mapspace(options: dict) -> Report:
     if len(modes) != 1:
         raise InputError("choose exactly one of --finite N, --b SET, --chib N")
     terms = options.get("terms")
-    terms = terms if terms is not None else DEFAULT_PAIR_TERMS
     inputs = {"set": options["set"], "mode": modes[0]}
 
     if options.get("pairs"):
@@ -349,9 +333,7 @@ def _cmd_mapspace(options: dict) -> Report:
 
 def _cmd_fib(options: dict) -> Report:
     p = _parse_input_set(options)
-    terms = options.get("terms")
-    terms = terms if terms is not None else FIB_TERMS
-    res = fibonacci_measure(p, terms, options.get("max_order"))
+    res = fibonacci_measure(p, options.get("terms"), options.get("max_order"))
     results = {
         "canonical": str(p),
         "euler_measure": _labeled(res.chi, "piece-count"),
@@ -425,10 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     series_opts.add_argument(
         "--terms",
         type=int,
-        help="series prefix length (defaults: 24 for powerset/gizmo, 7 for mapspace, 16 for fib)",
+        help="last series coefficient index (default: sized from the construction's order bound)",
     )
     series_opts.add_argument(
-        "--max-order", type=int, dest="max_order", help="max fitted recurrence order (default 8)"
+        "--max-order",
+        type=int,
+        dest="max_order",
+        help="max fitted recurrence order (default: the construction's order bound)",
     )
 
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -20,9 +20,6 @@ from typing import Iterable, Sequence, Union
 from .errors import InputError, InternalCheckError, RegularizationError
 from .rationals import as_fraction
 
-DEFAULT_TERMS = 24
-DEFAULT_MAX_ORDER = 8
-
 
 def _coerce_coeffs(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_fraction(v) for v in values)
@@ -362,9 +359,29 @@ def solve_linear_system(
     return x
 
 
-def min_recurrence(
-    prefix: SeriesPrefix, max_order: int = DEFAULT_MAX_ORDER
-) -> Recurrence | None:
+def series_window(
+    order_bound: int, terms: int | None = None, max_order: int | None = None
+) -> tuple[int, int]:
+    """Prefix size (terms) and deepest fitted order (max_order) of one series.
+
+    ``order_bound`` is an order the construction proves its series never
+    exceeds; a prefix holds c_0..c_terms and min_recurrence fits on the
+    first ceil((terms+1)/2) of them.  A fit window of 2*d coefficients
+    fixes a recurrence of order <= d uniquely (Massey 1969), so by default
+    max_order = order_bound and terms is the smallest value whose fit
+    window holds 2*order_bound coefficients and that meets min_recurrence's
+    length contract.  max_order is capped at what the prefix can verify.
+    """
+    if max_order is not None and max_order < 0:
+        raise InputError(f"max_order must be at least 0, got {max_order}")
+    if terms is None:
+        terms = max(4 * order_bound - 2, 2 * order_bound + 1)
+    elif terms < 1:
+        raise InputError(f"terms must be at least 1 to fit a recurrence, got {terms}")
+    return terms, min(order_bound if max_order is None else max_order, (terms - 1) // 2)
+
+
+def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     """Minimal-order recurrence fitted on the first half of the prefix.
 
     The candidate is solved from coefficients c_0..c_{ceil(L/2)-1} and
@@ -372,8 +389,6 @@ def min_recurrence(
     otherwise the next order is tried.  Returns None when no recurrence
     of order <= max_order verifies.
     """
-    if max_order < 0:
-        raise InputError("max_order must be non-negative")
     coeffs = list(prefix.coefficients)
     n = len(coeffs)
     if n < 2 * max_order + 2:
@@ -440,20 +455,34 @@ class EulerSeries:
             raise RegularizationError("series has no closed form to evaluate")
         return eval_at_one(self.closed_form)
 
+    def check_fit(self, expected, order_bound: int) -> None:
+        """Refuse a fitted value that differs from an independently known one
+        when the prefix is too short to tell the fit from the series: two
+        rational functions of orders e and d that agree on e + d
+        coefficients are equal.  Any other disagreement is a library bug,
+        which the caller reports."""
+        value = self.regularized_value()
+        order = self.recurrence.order
+        if value != expected and len(self.prefix) < order + order_bound:
+            raise RegularizationError(
+                f"the order-{order} fit gives {value}, but {len(self.prefix)} coefficients "
+                f"cannot verify it against order bound {order_bound}; raise terms"
+            )
+
 
 def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> EulerSeries:
     """Fit a recurrence and attach the rational continuation.
 
-    With max_order=None the largest order allowed by the prefix length
-    is used, capped at DEFAULT_MAX_ORDER.
+    max_order is capped at the deepest order the prefix can verify; with
+    max_order=None every such order is tried.
     """
-    if max_order is None:
-        max_order = min(DEFAULT_MAX_ORDER, (len(prefix) - 2) // 2)
+    # No order bound is known here; the prefix length is the only limit.
+    _, max_order = series_window(len(prefix), len(prefix) - 1, max_order)
     rec = min_recurrence(prefix, max_order)
     if rec is None:
         raise RegularizationError(
             f"no linear recurrence of order <= {max_order} verifies on the "
-            f"{len(prefix)} supplied coefficients"
+            f"{len(prefix)} supplied coefficients; raise terms or max_order"
         )
     return EulerSeries(prefix, to_rational_function(prefix, rec), rec)
 

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
+from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import InternalCheckError, ResourceLimitError
-from .exact_series import EulerSeries, SeriesPrefix, continue_series
-from .interval_sets import OpenInterval, Point, PolyhedralSet1D
+from .exact_series import EulerSeries, SeriesPrefix, continue_series, series_window
+from .interval_sets import Point, PolyhedralSet1D
 
 GRADING = "rank"
 DEFAULT_STRATA_CAP = 10
-DEFAULT_TERMS = 16
 
 
 def extended_fibonacci(n: int) -> int:
@@ -42,43 +41,6 @@ def extended_fibonacci(n: int) -> int:
     for _ in range(-n):
         a, b = b - a, a
     return a
-
-
-@dataclass(frozen=True)
-class PlacementDescriptor:
-    """Per-piece point counts of one k-point selection.
-
-    Point pieces carry 0 or 1 (whether that point is selected); open
-    intervals carry how many selected points lie inside.
-    """
-
-    counts: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(self.counts)
-
-    def interval_points(self, pieces) -> int:
-        return sum(
-            c for c, piece in zip(self.counts, pieces) if isinstance(piece, OpenInterval)
-        )
-
-
-def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescriptor]:
-    pieces = P.pieces
-
-    def descend(i: int, remaining: int, acc: list[int]):
-        if i == len(pieces):
-            if remaining == 0:
-                yield PlacementDescriptor(tuple(acc))
-            return
-        limit = 1 if isinstance(pieces[i], Point) else remaining
-        for c in range(min(limit, remaining) + 1):
-            acc.append(c)
-            yield from descend(i + 1, remaining - c, acc)
-            acc.pop()
-
-    yield from descend(0, k, [])
 
 
 def placement_gap_measures(P: PolyhedralSet1D, placement: PlacementDescriptor) -> list[int]:
@@ -111,11 +73,17 @@ def placement_gap_measures(P: PolyhedralSet1D, placement: PlacementDescriptor) -
 def parity_strata_coefficient(
     P: PolyhedralSet1D, k: int, cap: int = DEFAULT_STRATA_CAP
 ) -> int:
-    """Signed count of the k-point strata whose gap measures are all even."""
+    """Signed count of the k-point strata whose gap measures are all even.
+
+    Two points in one open interval leave an odd gap between them, so
+    no valid placement has more points than P has pieces.
+    """
     if k > cap:
         raise ResourceLimitError(
             f"stratum enumeration capped at k <= {cap} (requested {k})"
         )
+    if k > len(P.pieces):
+        return 0
     total = 0
     for placement in enumerate_placements(P, k):
         if all(g % 2 == 0 for g in placement_gap_measures(P, placement)):
@@ -133,10 +101,17 @@ class FibonacciResult:
     series: EulerSeries
 
 
+def _order_bound(P: PolyhedralSet1D) -> int:
+    """The series is a polynomial of degree <= pieces (see parity_strata_coefficient)."""
+    return len(P.pieces) + 1
+
+
 def fibonacci_measure(
-    P: PolyhedralSet1D, terms: int = DEFAULT_TERMS, max_order: int | None = None
+    P: PolyhedralSet1D, terms: int | None = None, max_order: int | None = None
 ) -> FibonacciResult:
     """Regularized measure of the parity-constrained subset family of P."""
+    order_bound = _order_bound(P)
+    terms, max_order = series_window(order_bound, terms, max_order)
     prefix = SeriesPrefix(
         tuple(
             Fraction(parity_strata_coefficient(P, k, cap=max(terms, DEFAULT_STRATA_CAP)))
@@ -147,6 +122,7 @@ def fibonacci_measure(
     series = continue_series(prefix, max_order)
     value = series.regularized_value()
     expected = extended_fibonacci(P.euler_measure() + 1)
+    series.check_fit(expected, order_bound)
     if value != expected:
         raise InternalCheckError(
             f"parity-subset measure {value} differs from Fibonacci number {expected}"

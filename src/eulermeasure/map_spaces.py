@@ -31,6 +31,7 @@ from .exact_series import (
     SeriesPrefix,
     continue_series,
     eval_at_one,
+    series_window,
 )
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
@@ -38,7 +39,9 @@ from .limits import enumeration_cap
 from .partition_combinatorics import gen_binomial
 
 GRADING = "breakpoints"
-DEFAULT_PAIR_TERMS = 7
+# Ordered pairs over a full k-mask number b^2 (b^4-1)^k and equal pairs
+# b (b^2-1)^k, so the pair series is a sum of two geometric series.
+PAIR_ORDER_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None 
     """Maps from one open interval to a bsize-point set with k given breakpoints.
 
     formula mode returns bsize * (bsize^2 - 1)^k; brute mode enumerates
-    all value sequences and rejects those where some nominal breakpoint
-    has both values equal to the previous stretch value.
+    all value sequences and keeps those whose every nominal breakpoint is
+    a real one (the full-mask bucket of _breakpoint_mask_counts).
     """
     if bsize < 1:
         raise InputError("codomain size must be positive")
@@ -71,26 +74,15 @@ def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None 
         return bsize * (bsize ** 2 - 1) ** k
     if mode != "brute":
         raise InputError(f"unknown mode {mode!r}; use 'formula' or 'brute'")
-    cap = enumeration_cap(cap)
-    total = bsize ** (2 * k + 1)
-    if total > cap:
-        raise ResourceLimitError(
-            f"brute enumeration of {total} value sequences exceeds cap {cap}"
-        )
-    count = 0
-    for seq in itertools.product(range(bsize), repeat=2 * k + 1):
-        ok = True
-        for i in range(k):
-            prev, at_bp, after = seq[2 * i], seq[2 * i + 1], seq[2 * i + 2]
-            if at_bp == prev and after == prev:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return _breakpoint_mask_counts(bsize, k, cap)[(1 << k) - 1]
 
 
-def _series_for_base(base: int, components: int, terms: int, symbolic: bool):
+def _series_for_base(base: int, components: int, terms: int | None, symbolic: bool):
+    # (1 + (base^2-1) t)^-components has order components.
+    if terms is None:
+        terms, _ = series_window(components)
+    elif terms < 0:
+        raise InputError(f"terms must be at least 0, got {terms}")
     counts = tuple(
         base ** components * (base ** 2 - 1) ** k for k in range(terms + 1)
     )
@@ -118,7 +110,7 @@ class HedralMapResult:
 
 
 def hedral_map_measure(
-    A: PolyhedralSet1D, bsize: int, terms: int = DEFAULT_PAIR_TERMS
+    A: PolyhedralSet1D, bsize: int, terms: int | None = None
 ) -> HedralMapResult:
     """Regularized measure bsize^chi(A) of the finite-range map space.
 
@@ -198,7 +190,7 @@ class MapPairResult:
 
 def map_pair_measure(
     bsize: int,
-    terms: int = DEFAULT_PAIR_TERMS,
+    terms: int | None = None,
     max_order: int | None = None,
     cap: int | None = None,
 ) -> MapPairResult:
@@ -208,6 +200,7 @@ def map_pair_measure(
     counts come from exhaustive enumeration, the series coefficient is
     (-1)^k times the count, and the value is the continuation at t=1.
     """
+    terms, max_order = series_window(PAIR_ORDER_BOUND, terms, max_order)
     counts = tuple(map_pair_count(bsize, k, cap) for k in range(terms + 1))
     prefix = SeriesPrefix(
         tuple(Fraction((-1) ** k * counts[k]) for k in range(terms + 1)), GRADING
@@ -260,7 +253,7 @@ class SchanuelResult:
 
 
 def schanuel_measure(
-    codomain: PolyhedralSet1D | int, terms: int = DEFAULT_PAIR_TERMS
+    codomain: PolyhedralSet1D | int, terms: int | None = None
 ) -> SchanuelResult:
     """Regularized measure of the full map space from (0,1) into B.
 
@@ -278,7 +271,7 @@ def schanuel_measure(
     else:
         chi_b = int(codomain)
     series, table = _series_for_base(chi_b, 1, terms, symbolic=True)
-    subset_counts = tuple(chi_b ** (2 * k + 1) for k in range(terms + 1))
+    subset_counts = tuple(chi_b ** (2 * k + 1) for k in range(len(table.counts)))
     # chi(B) = 0 makes every coefficient vanish, so the closed form is
     # literally 0 and evaluation at t=1 never sees the nominal pole.
     value = series.regularized_value()

@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
-    DEFAULT_TERMS,
     EulerSeries,
     Polynomial,
     RationalFunction,
@@ -40,6 +39,7 @@ from .exact_series import (
     binomial_prefix,
     continue_series,
     eval_at_one,
+    series_window,
     solve_linear_system,
 )
 from .interval_sets import PolyhedralSet1D
@@ -230,13 +230,22 @@ class PowerSetResult:
     value: Fraction
 
 
-def powerset_series(A: PolyhedralSet1D, terms: int = DEFAULT_TERMS) -> PowerSetResult:
+def _order_bound(chi: int, j_dim: int) -> int:
+    """chi >= 0 makes the series a polynomial of degree <= chi; chi < 0
+    stacks |chi| poles on each of the J exponential bases."""
+    return chi + 1 if chi >= 0 else -chi * j_dim
+
+
+def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> PowerSetResult:
     """Euler series of 2^A: binom(chi,k) t^k, closed form (1+t)^chi.
 
     The regularized value is 2^chi(A); the t=1 evaluation can never hit
-    a pole because 1 + t is 2 there.
+    a pole because 1 + t is 2 there.  The closed form is known, so an
+    explicit terms only sets how much of the prefix is shown.
     """
     chi = A.euler_measure()
+    if terms is None:
+        terms, _ = series_window(_order_bound(chi, 1))
     prefix, closed = binomial_prefix(chi, 1, terms, grading=GRADING)
     rf = closed if isinstance(closed, RationalFunction) else RationalFunction.from_polynomial(closed)
     value = Fraction(2) ** chi
@@ -260,12 +269,6 @@ class GizmoMeasureResult:
     series: EulerSeries
 
 
-def _auto_order_bound(chi: int, j_dim: int) -> int:
-    # chi >= 0 makes the series a polynomial of degree <= chi; chi < 0
-    # stacks |chi| poles on each of the J exponential bases.
-    return max(1, chi + 1 if chi >= 0 else -chi * j_dim)
-
-
 def gizmo_measure(
     A: PolyhedralSet1D,
     spec: GizmoSpec,
@@ -274,29 +277,23 @@ def gizmo_measure(
 ) -> GizmoMeasureResult:
     """Regularized Euler measure of G(2^A; k_1..k_r), by both routes.
 
-    With terms/max_order unset they are sized from chi(A) and
-    J = prod(k_i) so that the fit window determines the recurrence.
-    Route disagreement raises an internal error.
+    terms/max_order are sized by series_window from chi(A) and
+    J = prod(k_i).  Route disagreement raises an internal error, unless
+    a user-set terms is too short to verify the series fit.
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
     if not spec.ks:
-        ps = powerset_series(A, terms if terms is not None else DEFAULT_TERMS)
+        ps = powerset_series(A, terms)
         counts = SupportCountTable((), (1,) * len(ps.series.prefix))
         return GizmoMeasureResult(
             chi, spec, ps.value, ps.value, ps.value, two_chi, None, counts, ps.series
         )
 
+    order_bound = _order_bound(chi, spec.fit_dimension)
+    terms, max_order = series_window(order_bound, terms, max_order)
     fit = gizmo_fit(spec)
     route_a = fit.value_at(two_chi)
-
-    order_bound = _auto_order_bound(chi, spec.fit_dimension)
-    if max_order is None:
-        max_order = order_bound
-    if terms is None:
-        terms = 4 * max_order + 4
-    if terms + 1 < 2 * max_order + 2:
-        max_order = (terms - 1) // 2
 
     counts = support_count_table(spec, terms)
     prefix = SeriesPrefix(
@@ -307,6 +304,7 @@ def gizmo_measure(
     route_b = series.regularized_value()
 
     expected = iterated_binomial(two_chi, spec.ks)
+    series.check_fit(expected, order_bound)
     if not (route_a == route_b == expected):
         raise InternalCheckError(
             "route disagreement: exponential fit gives "

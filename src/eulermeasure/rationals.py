@@ -33,8 +33,3 @@ def as_fraction(value) -> Fraction:
             f"refusing float {value!r}: this library is exact, pass int, Fraction or 'p/q'"
         )
     raise InputError(f"cannot interpret {value!r} as a rational number")
-
-
-def fraction_str(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or a bare integer when q == 1)."""
-    return str(value)

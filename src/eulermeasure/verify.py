@@ -413,7 +413,7 @@ def _gizmo_finite_cardinality():
 @_check("power_gizmos", "theorem_cross_route")
 def _gizmo_cross_route():
     for chi in range(-3, 4):
-        a = _set_with_chi(chi)
+        a = set_with_chi(chi)
         for ks in ((2,), (3,), (2, 2), (2, 3)):
             result = gizmo_measure(a, GizmoSpec(ks))
             expected = iterated_binomial(Fraction(2) ** chi, ks)
@@ -422,7 +422,8 @@ def _gizmo_cross_route():
     return None
 
 
-def _set_with_chi(chi: int) -> PolyhedralSet1D:
+def set_with_chi(chi: int) -> PolyhedralSet1D:
+    """A canonical set of measure chi: -chi open intervals, chi points, or {}."""
     if chi < 0:
         return parse_set_expression(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(-chi)))
     if chi == 0:

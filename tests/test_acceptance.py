@@ -17,7 +17,6 @@ from eulermeasure.exact_series import (
     to_rational_function,
 )
 from eulermeasure.fibonacci_subsets import extended_fibonacci, fibonacci_measure
-from eulermeasure.interval_sets import PolyhedralSet1D, points
 from eulermeasure.map_spaces import (
     affine_pair_space,
     finite_map_count,
@@ -40,7 +39,7 @@ from eulermeasure.power_gizmos import (
     gizmo_support_count,
 )
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import random_polyhedral_set
+from eulermeasure.verify import random_polyhedral_set, set_with_chi
 
 F = Fraction
 
@@ -58,14 +57,6 @@ def rf(num, den):
     return RationalFunction(
         Polynomial(tuple(F(c) for c in num)), Polynomial(tuple(F(c) for c in den))
     )
-
-
-def set_with_chi(chi):
-    if chi < 0:
-        return parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(-chi)))
-    if chi == 0:
-        return PolyhedralSet1D.empty()
-    return points(range(chi))
 
 
 def test_criterion_1_choose_cells():

@@ -110,6 +110,7 @@ class TestRun:
         }
         assert report.results["fit"]["weights"] == ["-1/2", "1/2"]
         assert report.results["support_counts"][1:4] == ["1", "4", "13"]
+        assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
     def test_mapspace_finite(self):
         report = run(Command("mapspace", {"set": "(0,1)", "finite": 2}))
@@ -194,18 +195,35 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "euler_measure [piece-count]: -1" in out
+        code = main(["powerset", "(0,1)", "--terms", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "value [binomial-closed-form]: 1/2" in out
+        assert "warning: independent refit skipped: terms must be at least 1" in out
 
     def test_json_flag(self, capsys):
-        code = main(["gizmo", "(0,1)", "--ks", "2", "--json"])
-        assert code == 0
-        blob = json.loads(capsys.readouterr().out)
-        assert blob["results"]["value"]["value"] == "-1/8"
+        # default sizing reaches the order bound: 18 for the gizmo, 8 for fib on 7 points
+        for argv, value in (
+            (["gizmo", "(0,1)", "--ks", "2"], "-1/8"),
+            (["gizmo", "(0,1) u (2,3) u (4,5)", "--ks", "2,3"], "-82845/4194304"),
+            (["fib", "{0,1,2,3,4,5,6}"], "21"),
+        ):
+            code = main(argv + ["--json"])
+            assert code == 0
+            blob = json.loads(capsys.readouterr().out)
+            assert blob["results"]["value"]["value"] == value
 
     def test_input_error_exit_code(self, capsys):
         code = main(["measure", "(3,1)"])
         err = capsys.readouterr().err
         assert code == 2
         assert "error [input]" in err
+        for knob, argv in (
+            ("terms", ["gizmo", "(0,1)", "--ks", "2", "--terms", "0"]),
+            ("max_order", ["fib", "{0,1}", "--max-order", "-1"]),
+        ):
+            assert main(argv) == 2
+            assert knob in capsys.readouterr().err
 
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])

@@ -15,6 +15,7 @@ from eulermeasure.exact_series import (
     eval_at_one,
     min_recurrence,
     poly_gcd,
+    series_window,
     to_rational_function,
 )
 
@@ -159,6 +160,39 @@ class TestMinRecurrence:
     def test_prefix_too_short(self):
         with pytest.raises(InputError):
             min_recurrence(SeriesPrefix((1, 2, 3), "rank"), 4)
+
+
+class TestSeriesWindow:
+    @pytest.mark.parametrize(
+        "bound,terms,max_order,expected",
+        [
+            (0, None, None, (1, 0)),
+            (1, None, None, (3, 1)),
+            (2, None, None, (6, 2)),
+            (24, None, None, (94, 24)),
+            (2, 30, None, (30, 2)),
+            (24, 30, None, (30, 14)),
+            (2, 5, 8, (5, 2)),
+            (2, None, 5, (6, 2)),
+            (24, None, 2, (94, 2)),
+        ],
+    )
+    def test_window(self, bound, terms, max_order, expected):
+        assert series_window(bound, terms, max_order) == expected
+
+    def test_default_window_meets_fit_contract(self):
+        for bound in range(30):
+            terms, max_order = series_window(bound)
+            assert (terms + 2) // 2 >= 2 * max_order and terms + 1 >= 2 * max_order + 2
+
+    @pytest.mark.parametrize(
+        "terms,max_order,knob,minimum",
+        [(0, None, "terms", "at least 1"), (-3, 2, "terms", "at least 1"), (None, -1, "max_order", "at least 0")],
+    )
+    def test_bad_knob_named_with_minimum(self, terms, max_order, knob, minimum):
+        with pytest.raises(InputError) as err:
+            series_window(2, terms, max_order)
+        assert knob in str(err.value) and minimum in str(err.value)
 
 
 class TestToRationalFunction:

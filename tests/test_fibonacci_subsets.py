@@ -14,6 +14,7 @@ from eulermeasure.fibonacci_subsets import (
 )
 from eulermeasure.interval_sets import NEG_INF, POS_INF, ext, points
 from eulermeasure.setparse import parse_set_expression as parse
+from eulermeasure.verify import random_polyhedral_set
 
 F = Fraction
 
@@ -102,6 +103,18 @@ class TestParityStrata:
         with pytest.raises(ResourceLimitError):
             parity_strata_coefficient(parse("(0,1)"), 11)
 
+    def test_no_valid_placement_beyond_piece_count(self):
+        # the oracle behind parity_strata_coefficient returning 0 for k > pieces
+        rng = random.Random(61)
+        for _ in range(100):
+            p = random_polyhedral_set(rng, 2)
+            n = len(p.pieces)
+            for k in range(n + 1, n + 4):
+                assert not any(
+                    all(g % 2 == 0 for g in placement_gap_measures(p, pd))
+                    for pd in enumerate_placements(p, k)
+                )
+
 
 class TestFibonacciMeasure:
     def test_anchor_point(self):
@@ -124,7 +137,7 @@ class TestFibonacciMeasure:
 
     def test_finite_exhaustive_oracle(self):
         rng = random.Random(43)
-        sets = [points(range(n)) for n in range(7)]
+        sets = [points(range(n)) for n in range(8)]
         for _ in range(6):
             sets.append(points(sorted({F(rng.randint(-12, 12), 2) for _ in range(rng.randint(1, 6))})))
         for p in sets:

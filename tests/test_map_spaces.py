@@ -129,6 +129,7 @@ class TestMapPairs:
         assert res.value == F(-1, 8)
         assert res.counts[:4] == (1, 27, 441, 6723)
         assert res.series.closed_form == rf([2], [1, 15]) - rf([1], [1, 3])
+        assert map_pair_measure(3).value == F(-1, 9)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from eulermeasure.errors import InputError, ResourceLimitError
+from eulermeasure.errors import InputError, RegularizationError, ResourceLimitError
 from eulermeasure.exact_series import Polynomial, RationalFunction
-from eulermeasure.interval_sets import PolyhedralSet1D, points
+from eulermeasure.interval_sets import points
 from eulermeasure.partition_combinatorics import iterated_binomial
 from eulermeasure.power_gizmos import (
     GizmoSpec,
@@ -18,20 +18,13 @@ from eulermeasure.power_gizmos import (
     support_count_table,
 )
 from eulermeasure.setparse import parse_set_expression as parse
+from eulermeasure.verify import set_with_chi
 
 F = Fraction
 
 
 def rf(num, den):
     return RationalFunction(Polynomial(tuple(F(c) for c in num)), Polynomial(tuple(F(c) for c in den)))
-
-
-def set_with_chi(chi):
-    if chi < 0:
-        return parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(-chi)))
-    if chi == 0:
-        return PolyhedralSet1D.empty()
-    return points(range(chi))
 
 
 class TestSupportCounts:
@@ -164,3 +157,6 @@ class TestGizmoMeasure:
     def test_explicit_small_budget_still_exact(self):
         res = gizmo_measure(parse("(0,1)"), GizmoSpec((2,)), terms=24, max_order=8)
         assert res.value == F(-1, 8)
+        # c_0 = c_1 = 0 fits order 0; two coefficients cannot rule out order 4
+        with pytest.raises(RegularizationError, match="raise terms"):
+            gizmo_measure(parse("(0,1)"), GizmoSpec((2, 2)), terms=1)
