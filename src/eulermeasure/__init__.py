@@ -33,6 +33,7 @@ from .exact_series import (
     binomial_prefix,
     continue_series,
     eval_at_one,
+    fit_series,
     min_recurrence,
     series_window,
     to_rational_function,
@@ -77,6 +78,8 @@ from .partition_combinatorics import (
     gen_binomial,
     iterated_binomial,
     mobius_bottom,
+    mobius_by_sizes,
+    partition_types,
     partitions_of,
 )
 from .power_gizmos import (

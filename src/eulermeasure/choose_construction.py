@@ -18,8 +18,8 @@ from .errors import ResourceLimitError
 from .interval_sets import OpenInterval, Point, PolyhedralSet1D
 from .partition_combinatorics import (
     DEFAULT_PARTITION_CAP,
-    mobius_bottom,
-    partitions_of,
+    mobius_by_sizes,
+    partition_types,
 )
 
 DEFAULT_CHOOSE_CAP = 12
@@ -100,7 +100,12 @@ def ordered_distinct_measure(
     """Measure of the set of k-tuples of pairwise-distinct points of A.
 
     Computed by Mobius inversion over the partition lattice:
-    sum over pi of mu(0, pi) * chi(A)^(number of blocks).
+    sum over pi of mu(0, pi) * chi(A)^(number of blocks).  Both factors
+    depend only on the block sizes of pi, so the sum runs over integer
+    partitions of k, each weighted by its number of set partitions.
     """
     chi = A.euler_measure()
-    return sum(mobius_bottom(pi) * chi ** pi.block_count for pi in partitions_of(k, cap))
+    return sum(
+        ways * mobius_by_sizes(sizes) * chi ** len(sizes)
+        for sizes, ways in partition_types(k, cap)
+    )

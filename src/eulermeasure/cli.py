@@ -98,9 +98,15 @@ def _render_result(key: str, value) -> list[str]:
             rec = value.get("recurrence")
             if rec:
                 taps = ", ".join(rec["taps"]) if rec["taps"] else "(none)"
+                n, order, bound = len(value["coefficients"]), rec["order"], rec["order_bound"]
+                proof = (
+                    f"certified by order bound {bound} ({n} >= {order} + {bound} coefficients)"
+                    if bound is not None
+                    else f"accepted by the length contract ({n} >= 2*{order} + 2 coefficients)"
+                )
                 lines.append(
-                    f"  recurrence: order {rec['order']}, taps {taps}; "
-                    f"fitted on {rec['fit_terms']} terms, verified on {rec['verified_terms']} more"
+                    f"  recurrence: order {order}, taps {taps}; fitted on {rec['fit_terms']} "
+                    f"terms, verified on {rec['verified_terms']} more; {proof}"
                 )
             return lines
         flat = ", ".join(f"{k}={v}" for k, v in value.items())
@@ -135,6 +141,7 @@ def _series_dict(series: EulerSeries) -> dict:
             "taps": [str(t) for t in series.recurrence.taps],
             "fit_terms": series.fit_terms,
             "verified_terms": len(series.prefix) - series.fit_terms,
+            "order_bound": series.order_bound,
         }
     return out
 
@@ -407,13 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     series_opts.add_argument(
         "--terms",
         type=int,
-        help="last series coefficient index (default: sized from the construction's order bound)",
+        help="ceiling on the last series coefficient index computed (default: 4d-2 for the "
+        "construction's order bound d; the fit stops earlier once that bound certifies it)",
     )
     series_opts.add_argument(
         "--max-order",
         type=int,
         dest="max_order",
-        help="max fitted recurrence order (default: the construction's order bound)",
+        help="max accepted recurrence order (default: the construction's order bound)",
     )
 
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -3,19 +3,28 @@
 A graded family of measures is recorded as a prefix of its generating
 series in the grading variable t.  When the prefix satisfies a linear
 recurrence over the rationals, the series continues to a unique rational
-function; its value at t=1 is the regularized measure.  Fitting is done
-with exact rational linear algebra and a held-out verification margin
-(fit on the first half of the prefix, verify on the rest), so no
-unverified extrapolation is ever reported.
+function; its value at t=1 is the regularized measure.
+
+``fit_series`` runs Berlekamp-Massey over the rationals on coefficients
+it asks for one at a time.  Each construction proves a bound d on the
+order of its series, and the fit stops as soon as n >= L + d, where n is
+the number of coefficients seen and L the current recurrence length: two
+rational functions of orders L and <= d that agree on L + d coefficients
+are equal, so that stop is a certificate, not a guess.  ``terms`` is only
+a ceiling on the coefficients computed; a fit that reaches it without a
+certificate is accepted only when the prefix holds at least 2L + 2
+coefficients, and otherwise refused.  No unverified extrapolation is
+ever reported.
 
 Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError, InternalCheckError, RegularizationError
 from .rationals import as_fraction
@@ -151,6 +160,50 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.scale(1 / a.coefficients[-1])
 
 
+_PROOF_PRIME = 2 ** 61 - 1
+
+
+def _residues_mod_p(p: Polynomial) -> list[int] | None:
+    """Coefficients of p times the lcm of their denominators, reduced mod
+    _PROOF_PRIME; None when the prime divides the leading coefficient."""
+    scale = math.lcm(*(c.denominator for c in p.coefficients))
+    residues = [c.numerator * (scale // c.denominator) % _PROOF_PRIME for c in p.coefficients]
+    return residues if residues[-1] else None
+
+
+def _remainder_mod_p(a: list[int], b: list[int]) -> list[int]:
+    a = list(a)
+    inverse = pow(b[-1], -1, _PROOF_PRIME)
+    while len(a) >= len(b):
+        factor = a[-1] * inverse % _PROOF_PRIME
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - factor * c) % _PROOF_PRIME
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _coprime_mod_p(a: Polynomial, b: Polynomial) -> bool:
+    """True only if a and b are proven coprime over the rationals.
+
+    After clearing denominators, a common factor g of positive degree
+    over Q can be taken primitive with integer coefficients; when the
+    prime divides neither leading coefficient it does not divide lc(g)
+    either, so g mod p keeps its degree and divides both images.  A
+    constant gcd mod p therefore proves a constant gcd over Q.  False
+    means "not proven", never "not coprime".
+    """
+    if a.is_zero or b.is_zero:
+        return False
+    x, y = _residues_mod_p(a), _residues_mod_p(b)
+    if x is None or y is None:
+        return False
+    while y:
+        x, y = y, _remainder_mod_p(x, y)
+    return len(x) == 1
+
+
 def _poly_div_exact(a: Polynomial, b: Polynomial) -> Polynomial:
     q, r = _poly_divmod(a, b)
     if not r.is_zero:
@@ -165,6 +218,8 @@ class RationalFunction:
     Normalization happens at construction, so equality of values is
     structural equality.  Functions without a power series at t=0
     (denominator vanishing at 0 after reduction) are rejected.
+    Coprimality is first proven by Euclid modulo a prime, which is cheap;
+    only when that proof fails is the gcd taken over the rationals.
     """
 
     numerator: Polynomial
@@ -178,10 +233,11 @@ class RationalFunction:
             den = Polynomial(tuple(den))
         if den.is_zero:
             raise InputError("zero denominator")
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = _poly_div_exact(num, g)
-            den = _poly_div_exact(den, g)
+        if not _coprime_mod_p(num, den):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = _poly_div_exact(num, g)
+                den = _poly_div_exact(den, g)
         c0 = den.coefficient(0)
         if c0 == 0:
             raise InputError("denominator vanishes at t=0; no power series there")
@@ -362,15 +418,14 @@ def solve_linear_system(
 def series_window(
     order_bound: int, terms: int | None = None, max_order: int | None = None
 ) -> tuple[int, int]:
-    """Prefix size (terms) and deepest fitted order (max_order) of one series.
+    """Coefficient ceiling (terms) and deepest accepted order (max_order).
 
     ``order_bound`` is an order the construction proves its series never
-    exceeds; a prefix holds c_0..c_terms and min_recurrence fits on the
-    first ceil((terms+1)/2) of them.  A fit window of 2*d coefficients
-    fixes a recurrence of order <= d uniquely (Massey 1969), so by default
-    max_order = order_bound and terms is the smallest value whose fit
-    window holds 2*order_bound coefficients and that meets min_recurrence's
-    length contract.  max_order is capped at what the prefix can verify.
+    exceeds.  A fit computes at most c_0..c_terms and usually stops much
+    earlier, at its certificate (see fit_series).  By default max_order
+    is order_bound and terms is the smallest value that also meets the
+    2L + 2 length contract of an uncertified fit of order order_bound;
+    a user-set terms or max_order replaces its default unchanged.
     """
     if max_order is not None and max_order < 0:
         raise InputError(f"max_order must be at least 0, got {max_order}")
@@ -378,11 +433,14 @@ def series_window(
         terms = max(4 * order_bound - 2, 2 * order_bound + 1)
     elif terms < 1:
         raise InputError(f"terms must be at least 1 to fit a recurrence, got {terms}")
-    return terms, min(order_bound if max_order is None else max_order, (terms - 1) // 2)
+    return terms, order_bound if max_order is None else max_order
 
 
 def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     """Minimal-order recurrence fitted on the first half of the prefix.
+
+    One Gauss-Jordan solve per order: the slow, independent oracle that
+    the tests and the verify suite hold fit_series against.
 
     The candidate is solved from coefficients c_0..c_{ceil(L/2)-1} and
     must then predict every remaining supplied coefficient exactly;
@@ -437,18 +495,26 @@ def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunct
 
 @dataclass(frozen=True)
 class EulerSeries:
-    """A series prefix together with its rational continuation, if known."""
+    """A series prefix together with its rational continuation, if known.
+
+    ``order_bound`` is set when a proven order bound certified the fit
+    (the prefix holds at least order + order_bound coefficients); it is
+    None for closed forms and for fits accepted by the 2L + 2 length
+    contract.
+    """
 
     prefix: SeriesPrefix
     closed_form: RationalFunction | None = None
     recurrence: Recurrence | None = None
+    order_bound: int | None = None
 
     @property
     def fit_terms(self) -> int | None:
-        """Size of the fitting window when the closed form was fitted."""
+        """The 2 * order coefficients that fix a minimal recurrence (Massey
+        1969); the remaining ones of the prefix verify it."""
         if self.recurrence is None:
             return None
-        return (len(self.prefix) + 1) // 2
+        return 2 * self.recurrence.order
 
     def regularized_value(self) -> Fraction:
         if self.closed_form is None:
@@ -470,21 +536,92 @@ class EulerSeries:
             )
 
 
-def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> EulerSeries:
-    """Fit a recurrence and attach the rational continuation.
+def _massey_fit(
+    coefficient: Callable[[int], object],
+    last: int,
+    max_order: int,
+    order_bound: int | None,
+    grading: str,
+) -> EulerSeries:
+    """Berlekamp-Massey over the rationals on c_0, c_1, .., c_last.
 
-    max_order is capped at the deepest order the prefix can verify; with
-    max_order=None every such order is tried.
+    After each coefficient, ``length`` is the order of the shortest
+    recurrence generating every coefficient seen so far; it never
+    decreases.  The fit stops early once order_bound certifies it.
     """
-    # No order bound is known here; the prefix length is the only limit.
-    _, max_order = series_window(len(prefix), len(prefix) - 1, max_order)
-    rec = min_recurrence(prefix, max_order)
-    if rec is None:
+    coeffs: list[Fraction] = []
+    conn = [Fraction(1)]  # connection polynomial: sum conn[i] c_{k-i} = 0
+    prev, prev_disc, shift, length = [Fraction(1)], Fraction(1), 1, 0
+    certified = False
+    for k in range(last + 1):
+        coeffs.append(as_fraction(coefficient(k)))
+        disc = sum((conn[i] * coeffs[k - i] for i in range(len(conn))), Fraction(0))
+        if disc:
+            step = disc / prev_disc
+            updated = conn + [Fraction(0)] * max(0, shift + len(prev) - len(conn))
+            for i, b in enumerate(prev):
+                updated[shift + i] -= step * b
+            while updated[-1] == 0:
+                updated.pop()
+            if 2 * length <= k:
+                prev, prev_disc, shift, length = conn, disc, 1, k + 1 - length
+            else:
+                shift += 1
+            conn = updated
+        else:
+            shift += 1
+        if length > max_order:
+            raise RegularizationError(
+                f"no linear recurrence of order <= {max_order} generates the first "
+                f"{k + 1} coefficients; raise max_order"
+            )
+        if order_bound is not None and k + 1 >= length + order_bound:
+            certified = True
+            break
+    if not certified and len(coeffs) < 2 * length + 2:
         raise RegularizationError(
-            f"no linear recurrence of order <= {max_order} verifies on the "
-            f"{len(prefix)} supplied coefficients; raise terms or max_order"
+            f"an order-{length} recurrence needs {2 * length + 2} coefficients to "
+            f"verify, but terms allows {len(coeffs)}; raise terms"
         )
-    return EulerSeries(prefix, to_rational_function(prefix, rec), rec)
+    taps = [-c for c in conn[1:]] + [Fraction(0)] * (length + 1 - len(conn))
+    prefix = SeriesPrefix(tuple(coeffs), grading)
+    rec = Recurrence(tuple(taps))
+    return EulerSeries(
+        prefix, to_rational_function(prefix, rec), rec, order_bound if certified else None
+    )
+
+
+def fit_series(
+    coefficient: Callable[[int], object],
+    order_bound: int,
+    terms: int | None = None,
+    max_order: int | None = None,
+    grading: str = "rank",
+) -> EulerSeries:
+    """Certified rational continuation of a series known coefficient by coefficient.
+
+    ``coefficient(k)`` is called once for each k = 0, 1, .. in order, and
+    never for k beyond the terms ceiling of series_window.  The fit stops
+    at the first n with n >= L + order_bound, where L is the order of
+    the recurrence fitted to the n coefficients seen: the series has
+    order <= order_bound, so it equals the fit.  When the ceiling comes
+    first the fit is accepted under the 2L + 2 length contract or
+    refused with "raise terms"; a recurrence longer than max_order is
+    refused with "raise max_order".
+    """
+    terms, max_order = series_window(order_bound, terms, max_order)
+    return _massey_fit(coefficient, terms, max_order, order_bound, grading)
+
+
+def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> EulerSeries:
+    """Fit a recurrence to a whole fixed prefix and attach the continuation.
+
+    No order bound is known here, so every coefficient is used and the
+    fit is accepted only under the 2L + 2 length contract.  max_order
+    caps the order; None leaves it to the prefix length.
+    """
+    last, max_order = series_window(len(prefix), len(prefix) - 1, max_order)
+    return _massey_fit(prefix.coefficients.__getitem__, last, max_order, None, prefix.grading)
 
 
 def binomial_prefix(

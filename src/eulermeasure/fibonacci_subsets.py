@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import InternalCheckError, ResourceLimitError
-from .exact_series import EulerSeries, SeriesPrefix, continue_series, series_window
+from .exact_series import EulerSeries, fit_series, series_window
 from .interval_sets import Point, PolyhedralSet1D
 
 GRADING = "rank"
@@ -111,15 +111,11 @@ def fibonacci_measure(
 ) -> FibonacciResult:
     """Regularized measure of the parity-constrained subset family of P."""
     order_bound = _order_bound(P)
-    terms, max_order = series_window(order_bound, terms, max_order)
-    prefix = SeriesPrefix(
-        tuple(
-            Fraction(parity_strata_coefficient(P, k, cap=max(terms, DEFAULT_STRATA_CAP)))
-            for k in range(terms + 1)
-        ),
-        GRADING,
+    terms, _ = series_window(order_bound, terms, max_order)
+    cap = max(terms, DEFAULT_STRATA_CAP)
+    series = fit_series(
+        lambda k: parity_strata_coefficient(P, k, cap=cap), order_bound, terms, max_order, GRADING
     )
-    series = continue_series(prefix, max_order)
     value = series.regularized_value()
     expected = extended_fibonacci(P.euler_measure() + 1)
     series.check_fit(expected, order_bound)

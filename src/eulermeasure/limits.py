@@ -19,8 +19,11 @@ def enumeration_cap(explicit: int | None = None) -> int:
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InputError(
             f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
+    if value < 0:
+        raise InputError(f"{ENUM_CAP_ENV_VAR} must be at least 0, got {value}")
+    return value

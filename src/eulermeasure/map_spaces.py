@@ -29,8 +29,8 @@ from .exact_series import (
     Polynomial,
     RationalFunction,
     SeriesPrefix,
-    continue_series,
     eval_at_one,
+    fit_series,
     series_window,
 )
 from .choose_construction import CellSketch
@@ -199,14 +199,17 @@ def map_pair_measure(
     The pair rank is the size of the union of the two breakpoint sets;
     counts come from exhaustive enumeration, the series coefficient is
     (-1)^k times the count, and the value is the continuation at t=1.
+    Only the counts the order-bound certificate needs are enumerated:
+    k = 0..3 by default, since the series has order at most 2.
     """
-    terms, max_order = series_window(PAIR_ORDER_BOUND, terms, max_order)
-    counts = tuple(map_pair_count(bsize, k, cap) for k in range(terms + 1))
-    prefix = SeriesPrefix(
-        tuple(Fraction((-1) ** k * counts[k]) for k in range(terms + 1)), GRADING
-    )
-    series = continue_series(prefix, max_order)
-    return MapPairResult(bsize, series.regularized_value(), counts, series)
+    counts: list[int] = []
+
+    def coefficient(k: int) -> Fraction:
+        counts.append(map_pair_count(bsize, k, cap))
+        return Fraction((-1) ** k * counts[k])
+
+    series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, max_order, GRADING)
+    return MapPairResult(bsize, series.regularized_value(), tuple(counts), series)
 
 
 def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:

@@ -53,14 +53,18 @@ class SetPartition:
         return sum(len(b) for b in self.blocks)
 
 
-def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition]:
-    """All set partitions of {1..k}, via restricted-growth strings."""
+def _check_ground_size(k: int, cap: int) -> None:
     if k < 0:
         raise InputError("k must be non-negative")
     if k > cap:
         raise ResourceLimitError(
             f"partition enumeration capped at k <= {cap} (requested {k})"
         )
+
+
+def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition]:
+    """All set partitions of {1..k}, via restricted-growth strings."""
+    _check_ground_size(k, cap)
     if k == 0:
         return [SetPartition(())]
     out: list[SetPartition] = []
@@ -85,13 +89,47 @@ def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition
     return out
 
 
+def partition_types(
+    k: int, cap: int = DEFAULT_PARTITION_CAP
+) -> list[tuple[tuple[int, ...], int]]:
+    """The block sizes of the set partitions of {1..k}, grouped by type.
+
+    Each integer partition sizes of k comes with the number of set
+    partitions whose blocks have exactly those sizes,
+    k! / (prod size! * prod multiplicity!).  The same cap as
+    partitions_of applies.
+    """
+    _check_ground_size(k, cap)
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def descend(remaining: int, largest: int, sizes: list[int]):
+        if remaining == 0:
+            ways = math.prod(math.factorial(s) for s in sizes) * math.prod(
+                math.factorial(sizes.count(s)) for s in set(sizes)
+            )
+            out.append((tuple(sizes), math.factorial(k) // ways))
+            return
+        for size in range(min(remaining, largest), 0, -1):
+            sizes.append(size)
+            descend(remaining - size, size, sizes)
+            sizes.pop()
+
+    descend(k, k, [])
+    return out
+
+
+def mobius_by_sizes(sizes) -> int:
+    """mu(0, pi) for a partition with the given block sizes:
+    prod (-1)^(size-1) (size-1)!."""
+    value = 1
+    for size in sizes:
+        value *= (-1) ** (size - 1) * math.factorial(size - 1)
+    return value
+
+
 def mobius_bottom(pi: SetPartition) -> int:
     """mu(0, pi) in the partition lattice: prod (-1)^(|B|-1) (|B|-1)!."""
-    value = 1
-    for block in pi.blocks:
-        m = len(block) - 1
-        value *= (-1) ** m * math.factorial(m)
-    return value
+    return mobius_by_sizes(map(len, pi.blocks))
 
 
 def falling_factorial(x, k: int) -> Fraction:

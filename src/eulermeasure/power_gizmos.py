@@ -35,10 +35,9 @@ from .exact_series import (
     EulerSeries,
     Polynomial,
     RationalFunction,
-    SeriesPrefix,
     binomial_prefix,
-    continue_series,
     eval_at_one,
+    fit_series,
     series_window,
     solve_linear_system,
 )
@@ -112,24 +111,26 @@ def _iterated_total(spec: GizmoSpec, ground_size: int) -> int:
     return int(total)
 
 
-def gizmo_support_count(spec: GizmoSpec, k: int) -> int:
+def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None) -> int:
     """n_k by Mobius inversion over sub-supports.
 
     Elements with support inside a fixed j-subset are exactly the gizmo
     elements over that j-point ground set, so
-    n_k = sum_j (-1)^(k-j) binom(k,j) * total(j).
+    n_k = sum_j (-1)^(k-j) binom(k,j) * total(j).  ``totals`` memoizes
+    total(0), total(1), .. for one spec across calls.
     """
     if k < 0:
         raise InputError("support size must be non-negative")
-    return sum(
-        (-1) ** (k - j) * math.comb(k, j) * _iterated_total(spec, j)
-        for j in range(k + 1)
-    )
+    totals = [] if totals is None else totals
+    while len(totals) <= k:
+        totals.append(_iterated_total(spec, len(totals)))
+    return sum((-1) ** (k - j) * math.comb(k, j) * totals[j] for j in range(k + 1))
 
 
 def support_count_table(spec: GizmoSpec, last: int) -> SupportCountTable:
+    totals: list[int] = []
     return SupportCountTable(
-        spec.ks, tuple(gizmo_support_count(spec, k) for k in range(last + 1))
+        spec.ks, tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1))
     )
 
 
@@ -187,14 +188,18 @@ def iterated_binomial_polynomial(ks) -> Polynomial:
     return p
 
 
-def gizmo_fit(spec: GizmoSpec, held_out: int = 4) -> ExponentialFit:
+def gizmo_fit(
+    spec: GizmoSpec, held_out: int = 4, totals: list[int] | None = None
+) -> ExponentialFit:
     """Solve n_k = sum a_j (2^j-1)^k on k = 1..J and verify the result.
 
     Verification failure here means a counting bug, not bad user input.
+    ``totals`` is the memo of gizmo_support_count.
     """
     j_dim = spec.fit_dimension
     bases = tuple(2 ** j - 1 for j in range(1, j_dim + 1))
-    targets = [gizmo_support_count(spec, k) for k in range(1, j_dim + held_out + 1)]
+    totals = [] if totals is None else totals
+    targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + held_out + 1)]
     rows = [
         [Fraction(b) ** k for b in bases] for k in range(1, j_dim + 1)
     ]
@@ -277,9 +282,10 @@ def gizmo_measure(
 ) -> GizmoMeasureResult:
     """Regularized Euler measure of G(2^A; k_1..k_r), by both routes.
 
-    terms/max_order are sized by series_window from chi(A) and
-    J = prod(k_i).  Route disagreement raises an internal error, unless
-    a user-set terms is too short to verify the series fit.
+    The series fit stops at the certificate of the order bound from
+    chi(A) and J = prod(k_i); terms only caps the support counts
+    computed.  Route disagreement raises an internal error, unless a
+    user-set terms is too short to verify the series fit.
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
@@ -291,16 +297,17 @@ def gizmo_measure(
         )
 
     order_bound = _order_bound(chi, spec.fit_dimension)
-    terms, max_order = series_window(order_bound, terms, max_order)
-    fit = gizmo_fit(spec)
+    totals: list[int] = []
+    fit = gizmo_fit(spec, totals=totals)
     route_a = fit.value_at(two_chi)
 
-    counts = support_count_table(spec, terms)
-    prefix = SeriesPrefix(
-        tuple(gen_binomial(chi, k) * counts.counts[k] for k in range(terms + 1)),
-        GRADING,
-    )
-    series = continue_series(prefix, max_order)
+    counts: list[int] = []
+
+    def coefficient(k: int) -> Fraction:
+        counts.append(gizmo_support_count(spec, k, totals))
+        return gen_binomial(chi, k) * counts[k]
+
+    series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
     route_b = series.regularized_value()
 
     expected = iterated_binomial(two_chi, spec.ks)
@@ -312,5 +319,6 @@ def gizmo_measure(
             f"iterated binomial gives {expected}"
         )
     return GizmoMeasureResult(
-        chi, spec, expected, route_a, route_b, expected, fit, counts, series
+        chi, spec, expected, route_a, route_b, expected, fit,
+        SupportCountTable(spec.ks, tuple(counts)), series,
     )

@@ -8,8 +8,14 @@ import pytest
 from eulermeasure.choose_construction import CellSketch, choose_cells, ordered_distinct_measure
 from eulermeasure.errors import ResourceLimitError
 from eulermeasure.interval_sets import points
-from eulermeasure.partition_combinatorics import falling_factorial, gen_binomial
+from eulermeasure.partition_combinatorics import (
+    falling_factorial,
+    gen_binomial,
+    mobius_bottom,
+    partitions_of,
+)
 from eulermeasure.setparse import parse_set_expression as parse
+from eulermeasure.verify import random_polyhedral_set
 
 F = Fraction
 
@@ -107,3 +113,19 @@ class TestOrderedDistinct:
             ordered = ordered_distinct_measure(a, k)
             assert ordered == math.factorial(k) * choose_cells(a, k).measure
             assert ordered == falling_factorial(chi, k)
+
+    def test_block_types_match_set_partition_sum(self):
+        rng = random.Random(67)
+        for k in range(11):
+            pis = partitions_of(k)
+            for _ in range(3):
+                a = random_polyhedral_set(rng)
+                chi = a.euler_measure()
+                by_partition = sum(mobius_bottom(pi) * chi ** pi.block_count for pi in pis)
+                assert ordered_distinct_measure(a, k) == by_partition
+
+    def test_cap(self):
+        with pytest.raises(ResourceLimitError):
+            ordered_distinct_measure(parse("(0,1)"), 11)
+        with pytest.raises(ResourceLimitError):
+            ordered_distinct_measure(parse("(0,1)"), 5, cap=4)

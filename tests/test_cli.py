@@ -6,6 +6,8 @@ import pytest
 
 from eulermeasure.cli import Command, build_parser, main, run, verify_suite
 from eulermeasure.errors import ParseError
+from eulermeasure.limits import ENUM_CAP_ENV_VAR
+from eulermeasure.partition_combinatorics import iterated_binomial
 from eulermeasure.setparse import parse_set_expression, to_expression
 from eulermeasure.verify import random_polyhedral_set, run_verify
 
@@ -110,6 +112,9 @@ class TestRun:
         }
         assert report.results["fit"]["weights"] == ["-1/2", "1/2"]
         assert report.results["support_counts"][1:4] == ["1", "4", "13"]
+        assert report.results["series"]["recurrence"] == {
+            "order": 2, "taps": ["-4", "-3"], "fit_terms": 4, "verified_terms": 0, "order_bound": 2,
+        }
         assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
     def test_mapspace_finite(self):
@@ -207,6 +212,7 @@ class TestMain:
             (["gizmo", "(0,1)", "--ks", "2"], "-1/8"),
             (["gizmo", "(0,1) u (2,3) u (4,5)", "--ks", "2,3"], "-82845/4194304"),
             (["fib", "{0,1,2,3,4,5,6}"], "21"),
+            (["mapspace", "(0,1)", "--finite", "4", "--pairs"], "-3/32"),
         ):
             code = main(argv + ["--json"])
             assert code == 0
@@ -224,6 +230,19 @@ class TestMain:
         ):
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
+
+    def test_negative_enumeration_cap_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENUM_CAP_ENV_VAR, "-5")
+        assert main(["mapspace", "(0,1)", "--finite", "2", "--pairs"]) == 2
+        assert ENUM_CAP_ENV_VAR in capsys.readouterr().err
+
+    def test_text_report_names_the_certificate(self, capsys):
+        assert main(["gizmo", "(0,1)", "--ks", "2"]) == 0
+        assert "certified by order bound 2 (4 >= 2 + 2 coefficients)" in capsys.readouterr().out
+        assert main(["gizmo", "(0,1)", "--ks", "2", "--terms", "7", "--max-order", "2"]) == 0
+        assert "certified by order bound 2" in capsys.readouterr().out
+        assert main(["powerset", "(0,1)"]) == 0
+        assert "accepted by the length contract (4 >= 2*1 + 2 coefficients)" in capsys.readouterr().out
 
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])
@@ -261,3 +280,36 @@ class TestVerify:
         assert report.exit_status == 0
         assert report.results["failures"] == 0
         assert all(c["status"] == "ok" for c in report.checks)
+
+
+# Each case with the value its construction must report: the iterated
+# binomial of 2^chi for gizmos (orders 2, 8 and 18), F(chi + 1) for fib,
+# binom(1/2, 2) for map pairs.
+SWEEP_CASES = {
+    "gizmo-order-2": (["gizmo", "(0,1)", "--ks", "2"], iterated_binomial(F(1, 2), (2,))),
+    "gizmo-order-8": (["gizmo", "(0,1) u (2,3)", "--ks", "2,2"], iterated_binomial(F(1, 4), (2, 2))),
+    "gizmo-order-18": (
+        ["gizmo", "(0,1) u (2,3) u (4,5)", "--ks", "2,3"], iterated_binomial(F(1, 8), (2, 3))
+    ),
+    "fib-7-points": (["fib", "{0,1,2,3,4,5,6}"], F(21)),
+    "map-pairs": (["mapspace", "(0,1)", "--finite", "2", "--pairs"], F(-1, 8)),
+}
+
+
+@pytest.mark.parametrize("max_order", [None, 0, 1, 2, 8])
+@pytest.mark.parametrize("terms", [None, 0, 1, 2, 3, 5, 8, 24])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_knob_sweep(case, terms, max_order, capsys):
+    argv, expected = SWEEP_CASES[case]
+    for flag, value in (("--terms", terms), ("--max-order", max_order)):
+        if value is not None:
+            argv = argv + [flag, str(value)]
+    code = main(argv + ["--json"])
+    blob = json.loads(capsys.readouterr().out)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert F(blob["results"]["value"]["value"]) == expected
+    else:
+        assert any(knob in blob["error"]["message"] for knob in ("terms", "max_order", "cap"))
+    if terms is None and max_order is None:
+        assert code == 0

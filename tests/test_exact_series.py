@@ -1,8 +1,14 @@
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eulermeasure import exact_series, fibonacci_subsets, map_spaces, power_gizmos
 from eulermeasure.errors import InputError, RegularizationError
 from eulermeasure.exact_series import (
     EulerSeries,
@@ -13,11 +19,16 @@ from eulermeasure.exact_series import (
     binomial_prefix,
     continue_series,
     eval_at_one,
+    fit_series,
     min_recurrence,
     poly_gcd,
     series_window,
     to_rational_function,
 )
+from eulermeasure.interval_sets import points
+from eulermeasure.partition_combinatorics import gen_binomial
+from eulermeasure.setparse import parse_set_expression as parse
+from eulermeasure.verify import set_with_chi
 
 F = Fraction
 
@@ -171,9 +182,9 @@ class TestSeriesWindow:
             (2, None, None, (6, 2)),
             (24, None, None, (94, 24)),
             (2, 30, None, (30, 2)),
-            (24, 30, None, (30, 14)),
-            (2, 5, 8, (5, 2)),
-            (2, None, 5, (6, 2)),
+            (24, 30, None, (30, 24)),
+            (2, 5, 8, (5, 8)),
+            (2, None, 5, (6, 5)),
             (24, None, 2, (94, 2)),
         ],
     )
@@ -241,7 +252,9 @@ class TestRoundTrip:
         prefix = SeriesPrefix(rf([1], [1, 1]).expand(11), "rank")
         series = continue_series(prefix)
         assert series.closed_form == rf([1], [1, 1])
-        assert series.fit_terms == 6
+        # no order bound: all 12 coefficients are used; 2 fix the order-1 fit
+        assert series.fit_terms == 2 and len(series.prefix) == 12
+        assert series.order_bound is None
         assert series.regularized_value() == F(1, 2)
 
     def test_continue_series_failure(self):
@@ -251,3 +264,219 @@ class TestRoundTrip:
     def test_series_without_closed_form(self):
         with pytest.raises(RegularizationError):
             EulerSeries(SeriesPrefix((1, 2), "rank")).regularized_value()
+
+
+class TestFitSeries:
+    def test_stops_at_certificate(self):
+        asked = []
+
+        def coefficient(k):
+            asked.append(k)
+            return (-3) ** k
+
+        series = fit_series(coefficient, 3)
+        # order 1 and bound 3 certify on 4 coefficients, far below the ceiling 10
+        assert asked == [0, 1, 2, 3]
+        assert series.closed_form == rf([1], [1, 3]) and series.order_bound == 3
+
+    def test_terms_is_a_hard_ceiling(self):
+        asked = []
+
+        def coefficient(k):
+            asked.append(k)
+            return k * k
+
+        with pytest.raises(RegularizationError, match="raise terms"):
+            fit_series(coefficient, 3, terms=4)
+        assert max(asked) == 4
+
+    def test_uncertified_fit_needs_length_contract(self):
+        # 1/(1-t)^2 has order 2; against bound 5 its six coefficients
+        # c_0..c_5 do not certify it, but they meet the 2L + 2 contract
+        series = fit_series(lambda k: k + 1, 5, terms=5)
+        assert series.closed_form == rf([1], [1, -2, 1]) and series.order_bound is None
+
+    def test_max_order_caps_the_order(self):
+        with pytest.raises(RegularizationError, match="max_order"):
+            fit_series(lambda k: k + 1, 4, max_order=1)
+
+
+# The gizmo selection sizes of the benchmark's regularize workload.
+GIZMO_KS = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
+# One Gauss-Jordan oracle fit costs about d^4; at order 24 it already
+# takes seconds, so deeper gizmos (orders 27, 32, 36) are left out.
+ORACLE_MAX_ORDER = 24
+
+
+def _gizmo_case(chi, ks):
+    spec = power_gizmos.GizmoSpec(ks)
+    totals = []
+    return (
+        lambda k: gen_binomial(chi, k) * power_gizmos.gizmo_support_count(spec, k, totals),
+        lambda: power_gizmos.gizmo_measure(set_with_chi(chi), spec).series,
+    )
+
+
+def _fib_case(p):
+    return (
+        lambda k: fibonacci_subsets.parity_strata_coefficient(p, k, cap=100),
+        lambda: fibonacci_subsets.fibonacci_measure(p).series,
+    )
+
+
+# Brute-force pair counts of the 4d-2 window take seconds for b = 3; both
+# oracles share them.
+_pair_count = functools.cache(map_spaces.map_pair_count)
+
+
+def _pair_case(bsize):
+    return (
+        lambda k: (-1) ** k * _pair_count(bsize, k),
+        lambda: map_spaces.map_pair_measure(bsize).series,
+    )
+
+
+def _fib_sets():
+    for n in range(1, 8):
+        yield f"{n}-points", points(range(n))
+        yield f"{n}-intervals", parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(n)))
+        mixed = " u ".join(f"{{{2 * i}}}" if i % 2 else f"({2 * i},{2 * i + 1})" for i in range(n))
+        yield f"{n}-mixed", parse(mixed)
+
+
+def _corpus():
+    """(id, order bound, factory): the factory gives the series' coefficient
+    callable and the construction's own certified EulerSeries."""
+    cases = []
+    for chi in range(-4, 4):
+        for ks in GIZMO_KS:
+            bound = power_gizmos._order_bound(chi, power_gizmos.GizmoSpec(ks).fit_dimension)
+            cases.append((f"gizmo-chi{chi}-ks{ks}", bound, lambda c=chi, k=ks: _gizmo_case(c, k)))
+    for name, p in _fib_sets():
+        cases.append((f"fib-{name}", fibonacci_subsets._order_bound(p), lambda p=p: _fib_case(p)))
+    for bsize in (2, 3):
+        cases.append((f"pairs-b{bsize}", map_spaces.PAIR_ORDER_BOUND, lambda b=bsize: _pair_case(b)))
+    return cases
+
+
+CORPUS = _corpus()
+
+
+def _full_window(coefficient, bound):
+    terms, _ = series_window(bound)
+    return SeriesPrefix(tuple(coefficient(k) for k in range(terms + 1)))
+
+
+@pytest.mark.parametrize(
+    "bound,factory",
+    [(b, f) for _, b, f in CORPUS if b <= ORACLE_MAX_ORDER],
+    ids=[i for i, b, _ in CORPUS if b <= ORACLE_MAX_ORDER],
+)
+def test_certified_fit_matches_gauss_oracle(bound, factory):
+    coefficient, construct = factory()
+    series = construct()
+    assert series.order_bound == bound
+    assert len(series.prefix) >= series.recurrence.order + bound
+    window = _full_window(coefficient, bound)
+    assert window.coefficients[: len(series.prefix)] == series.prefix.coefficients
+    # a verified order <= bound on the whole 4d-2 window also checks the bound
+    rec = min_recurrence(window, bound)
+    assert rec is not None
+    assert to_rational_function(window, rec) == series.closed_form
+
+
+def _sympy_expr(poly, t):
+    return sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+               for i, c in enumerate(poly.coefficients))
+
+
+@pytest.mark.parametrize(
+    "bound,factory",
+    [(b, f) for _, b, f in CORPUS if b <= 8],
+    ids=[i for i, b, _ in CORPUS if b <= 8],
+)
+def test_certified_fit_matches_sympy_oracle(bound, factory):
+    coefficient, construct = factory()
+    series = construct()
+    window = _full_window(coefficient, bound)
+    if not any(window.coefficients):
+        assert series.closed_form.numerator.is_zero
+        return
+    k, t = sympy.symbols("k t")
+    terms = tuple(sympy.Rational(c.numerator, c.denominator) for c in window.coefficients)
+    taps, gf = sympy.sequence(terms, (k, 0, len(terms) - 1)).find_linear_recurrence(
+        len(terms), gfvar=t
+    )
+    # sympy's order is at most half the window, so window >= its order + bound
+    assert gf is not None and len(taps) <= bound
+    ours = _sympy_expr(series.closed_form.numerator, t) / _sympy_expr(series.closed_form.denominator, t)
+    assert sympy.cancel(gf - ours) == 0
+
+
+@st.composite
+def _integer_prefixes(draw):
+    n = draw(st.integers(2, 14))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    else:
+        taps = draw(st.lists(st.integers(-3, 3), max_size=4))
+        values = draw(st.lists(st.integers(-9, 9), min_size=len(taps), max_size=len(taps)))
+        while len(values) < n:
+            values.append(sum(tap * values[-1 - i] for i, tap in enumerate(taps)))
+        values = values[:n]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
+    return SeriesPrefix(tuple(values)), draw(st.integers(0, (n - 2) // 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_prefixes())
+def test_continue_series_agrees_with_gauss_oracle(case):
+    prefix, max_order = case
+    rec = min_recurrence(prefix, max_order)
+    try:
+        series = continue_series(prefix, max_order)
+    except RegularizationError:
+        assert rec is None
+        return
+    assert series.recurrence.holds_on(prefix.coefficients)
+    assert len(prefix) >= 2 * series.recurrence.order + 2
+    if rec is not None:
+        assert series.closed_form == to_rational_function(prefix, rec)
+
+
+_PRIME = 2 ** 61 - 1
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_nonzero = _rationals.filter(bool)
+
+
+@st.composite
+def _polynomial_pairs(draw):
+    num = Polynomial(tuple(draw(st.lists(_rationals, min_size=1, max_size=4))))
+    den = Polynomial((draw(_nonzero),) + tuple(draw(st.lists(_rationals, max_size=3))))
+    kind = draw(st.sampled_from(["plain", "common-factor", "lead-divisible-by-p"]))
+    if kind == "common-factor":
+        g = Polynomial((draw(_nonzero),) + tuple(draw(st.lists(_rationals, max_size=1))) + (draw(_nonzero),))
+        num, den = num * g, den * g
+    elif kind == "lead-divisible-by-p":
+        lead = Fraction(_PRIME * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        if draw(st.booleans()):
+            num = Polynomial(num.coefficients + (lead,))
+        else:
+            den = Polynomial(den.coefficients + (lead,))
+    return num, den, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_pairs())
+def test_mod_p_proof_matches_gcd_path(pair):
+    num, den, kind = pair
+    fast = RationalFunction(num, den)
+    with mock.patch.object(exact_series, "_coprime_mod_p", return_value=False):
+        slow = RationalFunction(num, den)
+    assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
+    proven = exact_series._coprime_mod_p(num, den)
+    if kind == "plain":
+        assert proven == (not num.is_zero and poly_gcd(num, den).degree == 0)
+    else:
+        assert not proven

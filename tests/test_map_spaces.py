@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulermeasure import map_spaces
 from eulermeasure.errors import InputError, ResourceLimitError, UnsupportedDomainError
 from eulermeasure.exact_series import Polynomial, RationalFunction
 from eulermeasure.interval_sets import points
@@ -14,6 +15,7 @@ from eulermeasure.map_spaces import (
     map_pair_measure,
     schanuel_measure,
 )
+from eulermeasure.partition_combinatorics import gen_binomial
 from eulermeasure.setparse import parse_set_expression as parse
 
 F = Fraction
@@ -129,7 +131,23 @@ class TestMapPairs:
         assert res.value == F(-1, 8)
         assert res.counts[:4] == (1, 27, 441, 6723)
         assert res.series.closed_form == rf([2], [1, 15]) - rf([1], [1, 3])
-        assert map_pair_measure(3).value == F(-1, 9)
+        # binom(1/b, 2); for b >= 4 the 4d-2 window alone (k <= 6, b^13
+        # maps) would exceed the default enumeration cap
+        for bsize, value in ((3, F(-1, 9)), (4, F(-3, 32)), (5, F(-2, 25))):
+            assert map_pair_measure(bsize).value == value == gen_binomial(F(1, bsize), 2)
+
+    @pytest.mark.parametrize("terms", range(3, 10))
+    def test_counts_only_what_the_certificate_needs(self, terms, monkeypatch):
+        asked = []
+
+        def counting(bsize, k, cap=None):
+            asked.append(k)
+            return map_pair_count(bsize, k, cap)
+
+        monkeypatch.setattr(map_spaces, "map_pair_count", counting)
+        res = map_pair_measure(2, terms=terms)
+        assert res.value == F(-1, 8)
+        assert asked == [0, 1, 2, 3] and res.counts == (1, 27, 441, 6723)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

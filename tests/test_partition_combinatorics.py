@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from eulermeasure.partition_combinatorics import (
     gen_binomial,
     iterated_binomial,
     mobius_bottom,
+    mobius_by_sizes,
+    partition_types,
     partitions_of,
 )
 
@@ -55,6 +58,23 @@ class TestPartitionsOf:
             SetPartition(((1, 2), (2, 3)))
         with pytest.raises(InputError):
             SetPartition(((1, 3),))
+
+
+class TestPartitionTypes:
+    @pytest.mark.parametrize("k", range(9))
+    def test_groups_set_partitions_by_block_sizes(self, k):
+        by_type = Counter(
+            tuple(sorted((len(b) for b in pi.blocks), reverse=True)) for pi in partitions_of(k)
+        )
+        assert dict(partition_types(k)) == by_type
+        for pi in partitions_of(k):
+            assert mobius_by_sizes(len(b) for b in pi.blocks) == mobius_bottom(pi)
+
+    def test_same_checks_as_partitions_of(self):
+        with pytest.raises(ResourceLimitError):
+            partition_types(11)
+        with pytest.raises(InputError):
+            partition_types(-1)
 
 
 class TestMobiusBottom:
