@@ -35,6 +35,7 @@ from .exact_series import (
     eval_at_one,
     fit_series,
     min_recurrence,
+    regularize,
     series_window,
     to_rational_function,
 )

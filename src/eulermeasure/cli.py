@@ -3,8 +3,9 @@
 Subcommands: measure, choose, powerset, gizmo, mapspace, fib, verify.
 Every exact value is printed as a "p/q" string, never a float; --json
 emits one JSON object (schema 1) per invocation.  Reported values carry
-the label of the route that produced them, and cross-route agreement
-shows up under "checks".
+the label of the route that produced them; every regularized value comes
+with its "routes", and the agreement check under "checks" is computed
+from them.
 
 Set expressions follow the grammar in setparse; operator binding from
 tightest to loosest is ``!``, ``&``, ``\\``, ``u``/``|``.
@@ -153,6 +154,21 @@ def _check_entry(name: str, passed: bool, detail: str = "") -> dict:
     return entry
 
 
+def _regularized_report(
+    verb: str, inputs: dict, results: dict, res, route: str, check: str
+) -> Report:
+    """Report a construction result: its series, labelled value and routes
+    after the given results, and the agreement check computed from the
+    routes."""
+    results = results | {
+        "series": _series_dict(res.series),
+        "value": _labeled(res.value, route),
+        "routes": {label: str(value) for label, value in res.routes.items()},
+    }
+    agree = all(value == res.value for value in res.routes.values())
+    return Report(verb, inputs, results, [_check_entry(check, agree)])
+
+
 def _parse_input_set(options: dict) -> PolyhedralSet1D:
     text = options.get("set")
     if not text:
@@ -221,27 +237,22 @@ def _cmd_choose(options: dict) -> Report:
 def _cmd_powerset(options: dict) -> Report:
     a = _parse_input_set(options)
     ps = powerset_series(a, options.get("terms"))
-    checks = []
-    warnings = []
-    series_dict = _series_dict(ps.series)
+    results = {"canonical": str(a), "euler_measure": _labeled(ps.chi, "piece-count")}
+    report = _regularized_report(
+        "powerset", {"set": options["set"]}, results, ps, "binomial-closed-form", "route-agreement"
+    )
     try:
         refit = continue_series(ps.series.prefix, options.get("max_order"))
     except (InputError, RegularizationError) as exc:
-        warnings.append(f"independent refit skipped: {exc}")
+        report.warnings.append(f"independent refit skipped: {exc}")
     else:
         agree = refit.closed_form == ps.series.closed_form
-        checks.append(_check_entry("continuation-agreement", agree))
-        series_dict = _series_dict(
+        report.checks.append(_check_entry("continuation-agreement", agree))
+        report.results["series"] = _series_dict(
             EulerSeries(ps.series.prefix, ps.series.closed_form, refit.recurrence)
         )
-    results = {
-        "canonical": str(a),
-        "euler_measure": _labeled(ps.chi, "piece-count"),
-        "series": series_dict,
-        "value": _labeled(ps.value, "binomial-closed-form"),
-    }
-    status = 0 if all(c["status"] == "ok" for c in checks) else 1
-    return Report("powerset", {"set": options["set"]}, results, checks, warnings, status)
+    report.exit_status = 0 if all(c["status"] == "ok" for c in report.checks) else 1
+    return report
 
 
 def _cmd_gizmo(options: dict) -> Report:
@@ -256,26 +267,17 @@ def _cmd_gizmo(options: dict) -> Report:
         "ks": list(spec.ks),
         "euler_measure": _labeled(res.chi, "piece-count"),
         "support_counts": [str(n) for n in res.counts.counts],
-        "series": _series_dict(res.series),
-        "value": _labeled(res.value, "exponential-fit"),
-        "routes": {
-            "exponential_fit": str(res.route_exponential),
-            "series_regularization": str(res.route_series),
-            "iterated_binomial": str(res.expected_iterated),
-        },
     }
+    inputs = {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)}
+    report = _regularized_report(
+        "gizmo", inputs, results, res, "exponential-fit", "route-agreement"
+    )
     if res.fit is not None:
-        results["fit"] = {
+        report.results["fit"] = {
             "bases": list(res.fit.bases),
             "weights": [str(w) for w in res.fit.weights],
         }
-    agree = res.route_exponential == res.route_series == res.expected_iterated
-    return Report(
-        "gizmo",
-        {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)},
-        results,
-        [_check_entry("route-agreement", agree)],
-    )
+    return report
 
 
 def _cmd_mapspace(options: dict) -> Report:
@@ -285,71 +287,56 @@ def _cmd_mapspace(options: dict) -> Report:
         raise InputError("choose exactly one of --finite N, --b SET, --chib N")
     terms = options.get("terms")
     inputs = {"set": options["set"], "mode": modes[0]}
+    results = {"canonical": str(a)}
+    route = "breakpoint-series"
 
     if options.get("pairs"):
         if modes != ["finite"]:
             raise InputError("--pairs is only defined for --finite codomains")
         _require_unit_domain(a, "the distinct-pair map space")
         res = map_pair_measure(int(options["finite"]), terms, options.get("max_order"))
-        results = {
-            "canonical": str(a),
-            "codomain_size": int(options["finite"]),
-            "pair_counts": [str(n) for n in res.counts],
-            "series": _series_dict(res.series),
-            "value": _labeled(res.value, "series-regularization of brute-force counts"),
-        }
-        return Report("mapspace", inputs | {"pairs": "true"}, results)
-
-    if modes == ["finite"]:
+        inputs["pairs"] = "true"
+        results |= {"codomain_size": res.bsize, "pair_counts": [str(n) for n in res.counts]}
+        route = "series-regularization of brute-force counts"
+    elif modes == ["finite"]:
         res = hedral_map_measure(a, int(options["finite"]), terms)
-        results = {
-            "canonical": str(a),
+        inputs["finite"] = str(res.bsize)
+        results |= {
             "codomain_size": res.bsize,
             "euler_measure": _labeled(res.chi_domain, "piece-count"),
             "breakpoint_counts": [str(n) for n in res.counts.counts],
-            "series": _series_dict(res.series),
-            "value": _labeled(res.value, "breakpoint-series"),
         }
-        return Report("mapspace", inputs | {"finite": str(res.bsize)}, results)
-
-    _require_unit_domain(a, "the piecewise-affine map space")
-    if modes == ["b"]:
-        codomain = parse_set_expression(options["b"])
-        sketch = affine_pair_space(codomain)
-        res = schanuel_measure(codomain, terms)
-        extra = {
-            "codomain": str(codomain),
-            "affine_space_measure": _labeled(sketch.measure, "cell-enumeration"),
-        }
-        inputs = inputs | {"b": options["b"]}
     else:
-        res = schanuel_measure(int(options["chib"]), terms)
-        extra = {}
-        inputs = inputs | {"chib": str(options["chib"])}
-    results = {
-        "canonical": str(a),
-        **extra,
-        "codomain_measure": _labeled(res.chi_codomain, "component-count"),
-        "subset_breakpoint_counts": [str(n) for n in res.subset_counts],
-        "breakpoint_counts": [str(n) for n in res.counts.counts],
-        "series": _series_dict(res.series),
-        "value": _labeled(res.value, "breakpoint-series"),
-    }
-    return Report("mapspace", inputs, results)
+        _require_unit_domain(a, "the piecewise-affine map space")
+        if modes == ["b"]:
+            codomain = parse_set_expression(options["b"])
+            sketch = affine_pair_space(codomain)
+            res = schanuel_measure(codomain, terms)
+            inputs["b"] = options["b"]
+            results |= {
+                "codomain": str(codomain),
+                "affine_space_measure": _labeled(sketch.measure, "cell-enumeration"),
+            }
+        else:
+            res = schanuel_measure(int(options["chib"]), terms)
+            inputs["chib"] = str(options["chib"])
+        results |= {
+            "codomain_measure": _labeled(res.chi_codomain, "component-count"),
+            "subset_breakpoint_counts": [str(n) for n in res.subset_counts],
+            "breakpoint_counts": [str(n) for n in res.counts.counts],
+        }
+    return _regularized_report("mapspace", inputs, results, res, route, "route-agreement")
 
 
 def _cmd_fib(options: dict) -> Report:
     p = _parse_input_set(options)
     res = fibonacci_measure(p, options.get("terms"), options.get("max_order"))
-    results = {
-        "canonical": str(p),
-        "euler_measure": _labeled(res.chi, "piece-count"),
-        "series": _series_dict(res.series),
-        "value": _labeled(res.value, "series-regularization"),
-        "expected_fibonacci": _labeled(res.expected, "extended-recurrence"),
-    }
-    checks = [_check_entry("fibonacci-agreement", res.value == res.expected)]
-    return Report("fib", {"set": options["set"]}, results, checks)
+    results = {"canonical": str(p), "euler_measure": _labeled(res.chi, "piece-count")}
+    report = _regularized_report(
+        "fib", {"set": options["set"]}, results, res, "series-regularization", "fibonacci-agreement"
+    )
+    report.results["expected_fibonacci"] = _labeled(res.expected, "extended-recurrence")
+    return report
 
 
 def _cmd_verify(options: dict) -> Report:

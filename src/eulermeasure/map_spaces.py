@@ -20,6 +20,7 @@ or to 0 when the base is 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ from .exact_series import (
     Polynomial,
     RationalFunction,
     SeriesPrefix,
-    eval_at_one,
     fit_series,
+    regularize,
     series_window,
 )
 from .choose_construction import CellSketch
@@ -53,9 +54,6 @@ class BreakpointCountTable:
     domain.
     """
 
-    domain_components: int
-    base: int
-    symbolic: bool
     counts: tuple[int, ...]
 
 
@@ -77,15 +75,14 @@ def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None 
     return _breakpoint_mask_counts(bsize, k, cap)[(1 << k) - 1]
 
 
-def _series_for_base(base: int, components: int, terms: int | None, symbolic: bool):
-    # (1 + (base^2-1) t)^-components has order components.
+def _series_for_base(base: int, components: int, terms: int | None, count):
+    """Series sum binom(-components, k) count(k) t^k, held against its closed
+    form base^components / (1 + (base^2-1) t)^components of order components."""
     if terms is None:
         terms, _ = series_window(components)
     elif terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
-    counts = tuple(
-        base ** components * (base ** 2 - 1) ** k for k in range(terms + 1)
-    )
+    counts = tuple(count(k) for k in range(terms + 1))
     prefix = SeriesPrefix(
         tuple(gen_binomial(-components, k) * counts[k] for k in range(terms + 1)),
         GRADING,
@@ -94,8 +91,9 @@ def _series_for_base(base: int, components: int, terms: int | None, symbolic: bo
         Polynomial.constant(base ** components),
         Polynomial((Fraction(1), Fraction(base ** 2 - 1))) ** components,
     )
-    table = BreakpointCountTable(components, base, symbolic, counts)
-    return EulerSeries(prefix, closed), table
+    if closed.expand(terms) != prefix.coefficients:
+        raise InternalCheckError("breakpoint counts disagree with the closed form")
+    return EulerSeries(prefix, closed), BreakpointCountTable(counts)
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,7 @@ class HedralMapResult:
     value: Fraction
     series: EulerSeries
     counts: BreakpointCountTable
+    routes: dict[str, Fraction]
 
 
 def hedral_map_measure(
@@ -126,11 +125,14 @@ def hedral_map_measure(
             "points are not supported)"
         )
     p = len(A.pieces)
-    series, table = _series_for_base(bsize, p, terms, symbolic=False)
-    value = Fraction(bsize) ** (-p)
-    if eval_at_one(series.closed_form) != value:
-        raise InternalCheckError("hedral map series does not evaluate to bsize^chi")
-    return HedralMapResult(-p, bsize, value, series, table)
+    series, table = _series_for_base(
+        bsize, p, terms, lambda k: bsize ** p * (bsize ** 2 - 1) ** k
+    )
+    routes = {
+        "series_regularization": series.regularized_value(),
+        "codomain_power": Fraction(bsize) ** -p,
+    }
+    return HedralMapResult(-p, bsize, regularize(series, routes), series, table, routes)
 
 
 def _breakpoint_mask_counts(bsize: int, k: int, cap: int | None) -> list[int]:
@@ -186,6 +188,7 @@ class MapPairResult:
     value: Fraction
     counts: tuple[int, ...]
     series: EulerSeries
+    routes: dict[str, Fraction]
 
 
 def map_pair_measure(
@@ -200,7 +203,9 @@ def map_pair_measure(
     counts come from exhaustive enumeration, the series coefficient is
     (-1)^k times the count, and the value is the continuation at t=1.
     Only the counts the order-bound certificate needs are enumerated:
-    k = 0..3 by default, since the series has order at most 2.
+    k = 0..3 by default, since the series has order at most 2.  The
+    value must equal binom(1/bsize, 2), the pairs of the map space of
+    measure 1/bsize.
     """
     counts: list[int] = []
 
@@ -209,7 +214,12 @@ def map_pair_measure(
         return Fraction((-1) ** k * counts[k])
 
     series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, max_order, GRADING)
-    return MapPairResult(bsize, series.regularized_value(), tuple(counts), series)
+    routes = {
+        "series_regularization": series.regularized_value(),
+        "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),
+    }
+    value = regularize(series, routes, PAIR_ORDER_BOUND)
+    return MapPairResult(bsize, value, tuple(counts), series, routes)
 
 
 def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
@@ -253,6 +263,7 @@ class SchanuelResult:
     series: EulerSeries
     counts: BreakpointCountTable
     subset_counts: tuple[int, ...]
+    routes: dict[str, Fraction]
 
 
 def schanuel_measure(
@@ -262,9 +273,10 @@ def schanuel_measure(
 
     Maps whose breakpoints lie inside a fixed k-set have measure
     chi(B)^(2k+1) (one chi(B) per breakpoint value and per stretch);
-    inversion over the subset lattice leaves chi(B)(chi(B)^2-1)^k for
-    exact breakpoint sets, so the series is chi(B)/(1+(chi(B)^2-1)t) and
-    the value is 0 when chi(B) = 0 and 1/chi(B) otherwise.
+    Mobius inversion over the subset lattice gives the exact-breakpoint
+    counts n_k = sum_j (-1)^(k-j) binom(k,j) chi(B)^(2j+1), which must
+    expand chi(B)/(1+(chi(B)^2-1)t).  The value is 0 when chi(B) = 0
+    and 1/chi(B) otherwise.
 
     A concrete codomain must be compact; its measure is taken from the
     affine endpoint-pair region rather than assumed.
@@ -273,12 +285,18 @@ def schanuel_measure(
         chi_b = affine_pair_space(codomain).measure
     else:
         chi_b = int(codomain)
-    series, table = _series_for_base(chi_b, 1, terms, symbolic=True)
-    subset_counts = tuple(chi_b ** (2 * k + 1) for k in range(len(table.counts)))
+    subset_counts: list[int] = []
+
+    def count(k: int) -> int:
+        subset_counts.append(chi_b ** (2 * k + 1))
+        return sum((-1) ** (k - j) * math.comb(k, j) * subset_counts[j] for j in range(k + 1))
+
+    series, table = _series_for_base(chi_b, 1, terms, count)
     # chi(B) = 0 makes every coefficient vanish, so the closed form is
     # literally 0 and evaluation at t=1 never sees the nominal pole.
-    value = series.regularized_value()
-    expected = Fraction(0) if chi_b == 0 else Fraction(1, chi_b)
-    if value != expected:
-        raise InternalCheckError("map-space series does not evaluate to 1/chi(B)")
-    return SchanuelResult(chi_b, value, series, table, subset_counts)
+    routes = {
+        "series_regularization": series.regularized_value(),
+        "reciprocal_codomain_measure": Fraction(0) if chi_b == 0 else Fraction(1, chi_b),
+    }
+    value = regularize(series, routes)
+    return SchanuelResult(chi_b, value, series, table, tuple(subset_counts), routes)

@@ -19,7 +19,7 @@ measure:
   a linear recurrence and its rational continuation evaluated at t=1.
 
 Both routes must agree with the iterated binomial coefficient of
-2^chi(A), which is checked on every call.
+2^chi(A), which exact_series.regularize checks on every call.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .exact_series import (
     Polynomial,
     RationalFunction,
     binomial_prefix,
-    eval_at_one,
     fit_series,
+    regularize,
     series_window,
     solve_linear_system,
 )
@@ -62,10 +62,6 @@ class GizmoSpec:
         object.__setattr__(self, "ks", ks)
 
     @property
-    def depth(self) -> int:
-        return len(self.ks)
-
-    @property
     def fit_dimension(self) -> int:
         """J = prod(k_i), the number of exponential bases in the fit."""
         return math.prod(self.ks)
@@ -75,7 +71,6 @@ class GizmoSpec:
 class SupportCountTable:
     """n_k = number of gizmo elements whose support is a fixed k-set."""
 
-    ks: tuple[int, ...]
     counts: tuple[int, ...]
 
 
@@ -88,7 +83,6 @@ class ExponentialFit:
     verified at construction time by gizmo_fit.
     """
 
-    ks: tuple[int, ...]
     bases: tuple[int, ...]
     weights: tuple[Fraction, ...]
     polynomial: Polynomial
@@ -129,9 +123,7 @@ def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None
 
 def support_count_table(spec: GizmoSpec, last: int) -> SupportCountTable:
     totals: list[int] = []
-    return SupportCountTable(
-        spec.ks, tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1))
-    )
+    return SupportCountTable(tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1)))
 
 
 def gizmo_support_census(
@@ -207,12 +199,7 @@ def gizmo_fit(
     weights = solve_linear_system(rows, rhs)
     if weights is None:
         raise InternalCheckError("exponential-fit Vandermonde system is inconsistent")
-    fit = ExponentialFit(
-        spec.ks,
-        bases,
-        tuple(weights),
-        Polynomial((Fraction(0),) + tuple(weights)),
-    )
+    fit = ExponentialFit(bases, tuple(weights), Polynomial((Fraction(0),) + tuple(weights)))
     for extra in range(held_out):
         k = j_dim + 1 + extra
         if fit.predicted_count(k) != targets[k - 1]:
@@ -233,6 +220,7 @@ class PowerSetResult:
     chi: int
     series: EulerSeries
     value: Fraction
+    routes: dict[str, Fraction]
 
 
 def _order_bound(chi: int, j_dim: int) -> int:
@@ -253,10 +241,12 @@ def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> PowerSetRes
         terms, _ = series_window(_order_bound(chi, 1))
     prefix, closed = binomial_prefix(chi, 1, terms, grading=GRADING)
     rf = closed if isinstance(closed, RationalFunction) else RationalFunction.from_polynomial(closed)
-    value = Fraction(2) ** chi
-    if eval_at_one(rf) != value:
-        raise InternalCheckError("power-set closed form does not evaluate to 2^chi")
-    return PowerSetResult(chi, EulerSeries(prefix, rf), value)
+    series = EulerSeries(prefix, rf)
+    routes = {
+        "series_regularization": series.regularized_value(),
+        "power_of_two": Fraction(2) ** chi,
+    }
+    return PowerSetResult(chi, series, regularize(series, routes), routes)
 
 
 @dataclass(frozen=True)
@@ -264,14 +254,15 @@ class GizmoMeasureResult:
     """Regularized gizmo measure with the evidence for both routes."""
 
     chi: int
-    spec: GizmoSpec
     value: Fraction
-    route_exponential: Fraction
-    route_series: Fraction
-    expected_iterated: Fraction
     fit: ExponentialFit | None
     counts: SupportCountTable
     series: EulerSeries
+    routes: dict[str, Fraction]
+
+    # Without selection sizes there is no exponential fit, and no such route.
+    route_exponential = property(lambda self: self.routes.get("exponential_fit"))
+    route_series = property(lambda self: self.routes["series_regularization"])
 
 
 def gizmo_measure(
@@ -284,23 +275,18 @@ def gizmo_measure(
 
     The series fit stops at the certificate of the order bound from
     chi(A) and J = prod(k_i); terms only caps the support counts
-    computed.  Route disagreement raises an internal error, unless a
-    user-set terms is too short to verify the series fit.
+    computed.  The routes must agree (see exact_series.regularize).
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
     if not spec.ks:
         ps = powerset_series(A, terms)
-        counts = SupportCountTable((), (1,) * len(ps.series.prefix))
-        return GizmoMeasureResult(
-            chi, spec, ps.value, ps.value, ps.value, two_chi, None, counts, ps.series
-        )
+        counts = SupportCountTable((1,) * len(ps.series.prefix))
+        return GizmoMeasureResult(chi, ps.value, None, counts, ps.series, ps.routes)
 
     order_bound = _order_bound(chi, spec.fit_dimension)
     totals: list[int] = []
     fit = gizmo_fit(spec, totals=totals)
-    route_a = fit.value_at(two_chi)
-
     counts: list[int] = []
 
     def coefficient(k: int) -> Fraction:
@@ -308,17 +294,10 @@ def gizmo_measure(
         return gen_binomial(chi, k) * counts[k]
 
     series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
-    route_b = series.regularized_value()
-
-    expected = iterated_binomial(two_chi, spec.ks)
-    series.check_fit(expected, order_bound)
-    if not (route_a == route_b == expected):
-        raise InternalCheckError(
-            "route disagreement: exponential fit gives "
-            f"{route_a}, series regularization gives {route_b}, "
-            f"iterated binomial gives {expected}"
-        )
-    return GizmoMeasureResult(
-        chi, spec, expected, route_a, route_b, expected, fit,
-        SupportCountTable(spec.ks, tuple(counts)), series,
-    )
+    routes = {
+        "exponential_fit": fit.value_at(two_chi),
+        "series_regularization": series.regularized_value(),
+        "iterated_binomial": iterated_binomial(two_chi, spec.ks),
+    }
+    value = regularize(series, routes, order_bound)
+    return GizmoMeasureResult(chi, value, fit, SupportCountTable(tuple(counts)), series, routes)

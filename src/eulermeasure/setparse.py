@@ -14,7 +14,8 @@ Grammar, loosest binding first::
 
 A '(' starts an interval when a number or infinity follows, otherwise a
 parenthesized sub-expression.  Closed interval ends must be finite.
-Errors report the offending position.
+At most MAX_NESTING_DEPTH '(' groups and operators may be pending at
+once.  Errors report the offending position.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+# Operator binding, loosest first; a pending '(' stops every reduction.
+_BINDING = {"u": 0, "|": 0, "\\": 1, "&": 2, "!": 3}
+_BINARY = {"u": "union", "|": "union", "\\": "difference", "&": "intersect"}
+# Pending '(' groups and operators.  A recursive-descent parser spends at
+# least one Python frame on each, so under the default recursion limit of
+# 1000 frames no expression it could accept is deeper than this.
+MAX_NESTING_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -94,60 +104,55 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> PolyhedralSet1D:
-        result = self._expr()
-        token = self._peek()
-        if token.kind != "end":
-            self._fail("'u', '|', '&', '\\' or end of input", token)
-        return result
+        """Operator precedence over explicit stacks, so nesting is bounded
+        by MAX_NESTING_DEPTH rather than by the Python stack."""
+        operands: list[PolyhedralSet1D] = []
+        operators: list[str] = []  # pending '(', '!' and binary operators
+        while True:
+            # '!' and grouping '('; a '(' before a bound starts an interval
+            while (token := self._peek()).text == "!" or (
+                token.text == "(" and self._peek(1).kind not in ("number", "inf")
+            ):
+                self._push(operators)
+            operands.append(self._atom())
+            while (token := self._peek()).text not in _BINARY:
+                self._reduce(operators, operands, 0)
+                if not operators:
+                    if token.kind != "end":
+                        self._fail("'u', '|', '&', '\\' or end of input", token)
+                    return operands[0]
+                self._expect_punct(")")
+                operators.pop()
+            self._reduce(operators, operands, _BINDING[token.text])
+            self._push(operators)
 
-    def _expr(self) -> PolyhedralSet1D:
-        left = self._diff()
-        while self._is_union(self._peek()):
-            self._advance()
-            left = left.union(self._diff())
-        return left
+    def _push(self, operators: list[str]):
+        token = self._advance()
+        if len(operators) == MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"syntax error at position {token.position}: nesting depth "
+                f"{MAX_NESTING_DEPTH + 1} exceeds the limit of {MAX_NESTING_DEPTH}",
+                token.position,
+            )
+        operators.append(token.text)
 
     @staticmethod
-    def _is_union(token: _Token) -> bool:
-        return token.kind == "union" or (token.kind == "punct" and token.text == "|")
-
-    def _diff(self) -> PolyhedralSet1D:
-        left = self._inter()
-        while self._peek().kind == "punct" and self._peek().text == "\\":
-            self._advance()
-            left = left.difference(self._inter())
-        return left
-
-    def _inter(self) -> PolyhedralSet1D:
-        left = self._unary()
-        while self._peek().kind == "punct" and self._peek().text == "&":
-            self._advance()
-            left = left.intersect(self._unary())
-        return left
-
-    def _unary(self) -> PolyhedralSet1D:
-        token = self._peek()
-        if token.kind == "punct" and token.text == "!":
-            self._advance()
-            return self._unary().complement()
-        return self._atom()
+    def _reduce(operators: list[str], operands: list[PolyhedralSet1D], loosest: int):
+        """Apply the pending operators that bind at least as tightly as loosest."""
+        while operators and _BINDING.get(operators[-1], -1) >= loosest:
+            op = operators.pop()
+            if op == "!":
+                operands.append(operands.pop().complement())
+            else:
+                right = operands.pop()
+                operands.append(getattr(operands.pop(), _BINARY[op])(right))
 
     def _atom(self) -> PolyhedralSet1D:
         token = self._peek()
-        if token.kind != "punct":
-            self._fail("a set literal", token)
         if token.text == "{":
             return self._pointset()
-        if token.text == "[":
+        if token.text in ("(", "["):
             return self._interval()
-        if token.text == "(":
-            nxt = self._peek(1)
-            if nxt.kind in ("number", "inf"):
-                return self._interval()
-            self._advance()
-            inner = self._expr()
-            self._expect_punct(")")
-            return inner
         self._fail("a set literal", token)
 
     def _rational(self) -> Fraction:

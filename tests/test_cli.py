@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from eulermeasure import map_spaces
 from eulermeasure.cli import Command, build_parser, main, run, verify_suite
 from eulermeasure.errors import ParseError
 from eulermeasure.limits import ENUM_CAP_ENV_VAR
 from eulermeasure.partition_combinatorics import iterated_binomial
-from eulermeasure.setparse import parse_set_expression, to_expression
+from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
 from eulermeasure.verify import random_polyhedral_set, run_verify
 
 F = Fraction
@@ -74,6 +75,24 @@ class TestParser:
     def test_closed_at_infinity(self):
         with pytest.raises(ParseError):
             parse_set_expression("[-inf, 0)")
+
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("!", "")])
+    def test_nesting_depth_is_a_parse_error(self, opener, closer):
+        # a recursive-descent parser under the default recursion limit
+        # accepted at most 194 groups and 972 '!'; both still parse
+        for depth in (194, 972, MAX_NESTING_DEPTH):
+            text = opener * depth + "(0,1)" + closer * depth
+            assert parse_set_expression(text) == parse_set_expression("(0,1)")  # depths are even
+        text = opener * 3000 + "(0,1)" + closer * 3000
+        with pytest.raises(ParseError, match="nesting depth 1001 exceeds the limit of 1000") as err:
+            parse_set_expression(text)
+        assert err.value.position == MAX_NESTING_DEPTH
+
+    def test_deep_nesting_exits_with_input_error(self, capsys):
+        assert main(["measure", "!" * 3000 + "(0,1)"]) == 2
+        assert "nesting depth" in capsys.readouterr().err
+        assert main(["measure", "(" * 3000 + "(0,1)" + ")" * 3000]) == 2
+        assert "nesting depth" in capsys.readouterr().err
 
     def test_round_trip(self):
         rng = random.Random(53)
@@ -243,6 +262,14 @@ class TestMain:
         assert "certified by order bound 2" in capsys.readouterr().out
         assert main(["powerset", "(0,1)"]) == 0
         assert "accepted by the length contract (4 >= 2*1 + 2 coefficients)" in capsys.readouterr().out
+
+    def test_route_disagreement_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(map_spaces, "gen_binomial", lambda x, k: Fraction(1, 3))
+        assert main(["mapspace", "(0,1)", "--finite", "2", "--pairs"]) == 5
+        assert capsys.readouterr().err == (
+            "error [internal]: route disagreement: series_regularization gives -1/8, "
+            "generalized_binomial gives 1/3\n"
+        )
 
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])

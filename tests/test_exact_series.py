@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulermeasure import exact_series, fibonacci_subsets, map_spaces, power_gizmos
-from eulermeasure.errors import InputError, RegularizationError
+from eulermeasure.errors import InputError, InternalCheckError, RegularizationError
 from eulermeasure.exact_series import (
     EulerSeries,
     Polynomial,
@@ -22,6 +22,7 @@ from eulermeasure.exact_series import (
     fit_series,
     min_recurrence,
     poly_gcd,
+    regularize,
     series_window,
     to_rational_function,
 )
@@ -299,6 +300,31 @@ class TestFitSeries:
     def test_max_order_caps_the_order(self):
         with pytest.raises(RegularizationError, match="max_order"):
             fit_series(lambda k: k + 1, 4, max_order=1)
+
+
+class TestRegularize:
+    def test_agreeing_routes_return_the_value(self):
+        series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
+        assert regularize(series, {"closed": F(1, 2), "formula": F(1, 2)}) == F(1, 2)
+        assert regularize(series, {}) == F(1, 2)
+
+    def test_short_uncertified_fit_asks_for_terms(self):
+        # c_0 = c_1 = 0 fits order 0, which bound 4 cannot certify on 2 coefficients
+        series = fit_series(lambda k: 0, 4, terms=1)
+        assert series.order_bound is None
+        with pytest.raises(RegularizationError, match="order-0 fit gives 0, but 2 coefficients "
+                           "cannot verify it against order bound 4; raise terms"):
+            regularize(series, {"formula": F(9, 128)}, 4)
+
+    @pytest.mark.parametrize("order_bound", [None, 1])
+    def test_other_disagreement_names_every_route(self, order_bound):
+        series = fit_series(lambda k: (-1) ** k, 1)  # certified 1/(1+t)
+        with pytest.raises(InternalCheckError) as err:
+            regularize(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)},
+                       order_bound)
+        assert str(err.value) == (
+            "route disagreement: series gives 1/2, formula gives 1/3, other gives 1/2"
+        )
 
 
 # The gizmo selection sizes of the benchmark's regularize workload.

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from eulermeasure import map_spaces
-from eulermeasure.errors import InputError, ResourceLimitError, UnsupportedDomainError
+from eulermeasure.errors import (
+    InputError,
+    InternalCheckError,
+    ResourceLimitError,
+    UnsupportedDomainError,
+)
 from eulermeasure.exact_series import Polynomial, RationalFunction
 from eulermeasure.interval_sets import points
 from eulermeasure.map_spaces import (
@@ -131,10 +136,13 @@ class TestMapPairs:
         assert res.value == F(-1, 8)
         assert res.counts[:4] == (1, 27, 441, 6723)
         assert res.series.closed_form == rf([2], [1, 15]) - rf([1], [1, 3])
-        # binom(1/b, 2); for b >= 4 the 4d-2 window alone (k <= 6, b^13
-        # maps) would exceed the default enumeration cap
-        for bsize, value in ((3, F(-1, 9)), (4, F(-3, 32)), (5, F(-2, 25))):
-            assert map_pair_measure(bsize).value == value == gen_binomial(F(1, bsize), 2)
+        # binom(1/b, 2) is the second route; for b >= 4 the 4d-2 window
+        # alone (k <= 6, b^13 maps) would exceed the default enumeration cap
+        values = (F(0), F(-1, 8), F(-1, 9), F(-3, 32), F(-2, 25))
+        for bsize, value in enumerate(values, start=1):
+            res = map_pair_measure(bsize)
+            assert res.value == value == gen_binomial(F(1, bsize), 2)
+            assert res.routes == {"series_regularization": value, "generalized_binomial": value}
 
     @pytest.mark.parametrize("terms", range(3, 10))
     def test_counts_only_what_the_certificate_needs(self, terms, monkeypatch):
@@ -206,6 +214,16 @@ class TestSchanuelMeasure:
     def test_concrete_requires_compact(self):
         with pytest.raises(UnsupportedDomainError):
             schanuel_measure(parse("(0,1)"))
+
+    @pytest.mark.parametrize("chi_b", range(-3, 4))
+    def test_counts_by_inversion_of_subset_counts(self, chi_b):
+        res = schanuel_measure(chi_b, terms=6)
+        assert res.subset_counts == tuple(chi_b ** (2 * k + 1) for k in range(7))
+        assert res.counts.counts == tuple(chi_b * (chi_b ** 2 - 1) ** k for k in range(7))
+
+    def test_counts_must_expand_the_closed_form(self):
+        with pytest.raises(InternalCheckError, match="closed form"):
+            map_spaces._series_for_base(2, 1, 3, lambda k: 2 * 5 ** k)
 
     def test_finite_codomain_matches_hedral_counts(self):
         for m in range(1, 4):
