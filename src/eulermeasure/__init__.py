@@ -65,7 +65,6 @@ from .interval_sets import (
     segment,
 )
 from .map_spaces import (
-    BreakpointCountTable,
     affine_pair_space,
     finite_map_count,
     hedral_map_measure,
@@ -86,7 +85,6 @@ from .partition_combinatorics import (
 from .power_gizmos import (
     ExponentialFit,
     GizmoSpec,
-    SupportCountTable,
     gizmo_brute_force,
     gizmo_fit,
     gizmo_measure,

@@ -213,7 +213,10 @@ def _cmd_measure(options: dict) -> Report:
 def _cmd_choose(options: dict) -> Report:
     a = _parse_input_set(options)
     k = int(options["k"])
-    sketch = choose_cells(a, k, options.get("cap") or DEFAULT_CHOOSE_CAP)
+    cap = options.get("cap")
+    if cap is not None and cap < 0:
+        raise InputError(f"--cap must be at least 0, got {cap}")
+    sketch = choose_cells(a, k, DEFAULT_CHOOSE_CAP if cap is None else cap)
     chi = a.euler_measure()
     binom = gen_binomial(chi, k)
     results = {
@@ -266,7 +269,7 @@ def _cmd_gizmo(options: dict) -> Report:
         "canonical": str(a),
         "ks": list(spec.ks),
         "euler_measure": _labeled(res.chi, "piece-count"),
-        "support_counts": [str(n) for n in res.counts.counts],
+        "support_counts": [str(n) for n in res.counts],
     }
     inputs = {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)}
     report = _regularized_report(
@@ -304,7 +307,7 @@ def _cmd_mapspace(options: dict) -> Report:
         results |= {
             "codomain_size": res.bsize,
             "euler_measure": _labeled(res.chi_domain, "piece-count"),
-            "breakpoint_counts": [str(n) for n in res.counts.counts],
+            "breakpoint_counts": [str(n) for n in res.counts],
         }
     else:
         _require_unit_domain(a, "the piecewise-affine map space")
@@ -323,7 +326,7 @@ def _cmd_mapspace(options: dict) -> Report:
         results |= {
             "codomain_measure": _labeled(res.chi_codomain, "component-count"),
             "subset_breakpoint_counts": [str(n) for n in res.subset_counts],
-            "breakpoint_counts": [str(n) for n in res.counts.counts],
+            "breakpoint_counts": [str(n) for n in res.counts],
         }
     return _regularized_report("mapspace", inputs, results, res, route, "route-agreement")
 
@@ -372,11 +375,6 @@ def run(command: Command) -> Report:
     if handler is None:
         raise InputError(f"unknown command {command.verb!r}")
     return handler(command.options)
-
-
-def verify_suite(scope: str = "all") -> Report:
-    """Run the invariant checks for one module (or all) and report."""
-    return _cmd_verify({"scope": scope})
 
 
 def _ks_list(text: str) -> list[int]:

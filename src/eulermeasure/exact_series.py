@@ -644,7 +644,7 @@ def binomial_prefix(
     m < 0.
     """
     if terms < 0:
-        raise InputError("terms must be non-negative")
+        raise InputError(f"terms must be at least 0, got {terms}")
     lam = as_fraction(lam)
     coeffs = [Fraction(1)]
     for k in range(terms):

@@ -45,18 +45,6 @@ GRADING = "breakpoints"
 PAIR_ORDER_BOUND = 2
 
 
-@dataclass(frozen=True)
-class BreakpointCountTable:
-    """n_k for maps graded by breakpoints: base^p * (base^2 - 1)^k.
-
-    ``base`` is the codomain size for finite codomains and chi(B) for
-    polyhedral ones; p is the number of open-interval components of the
-    domain.
-    """
-
-    counts: tuple[int, ...]
-
-
 def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None = None) -> int:
     """Maps from one open interval to a bsize-point set with k given breakpoints.
 
@@ -93,7 +81,7 @@ def _series_for_base(base: int, components: int, terms: int | None, count):
     )
     if closed.expand(terms) != prefix.coefficients:
         raise InternalCheckError("breakpoint counts disagree with the closed form")
-    return EulerSeries(prefix, closed), BreakpointCountTable(counts)
+    return EulerSeries(prefix, closed), counts
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ class HedralMapResult:
     bsize: int
     value: Fraction
     series: EulerSeries
-    counts: BreakpointCountTable
+    counts: tuple[int, ...]  # n_k = bsize^p (bsize^2 - 1)^k over p components
     routes: dict[str, Fraction]
 
 
@@ -125,14 +113,14 @@ def hedral_map_measure(
             "points are not supported)"
         )
     p = len(A.pieces)
-    series, table = _series_for_base(
+    series, counts = _series_for_base(
         bsize, p, terms, lambda k: bsize ** p * (bsize ** 2 - 1) ** k
     )
     routes = {
         "series_regularization": series.regularized_value(),
         "codomain_power": Fraction(bsize) ** -p,
     }
-    return HedralMapResult(-p, bsize, regularize(series, routes), series, table, routes)
+    return HedralMapResult(-p, bsize, regularize(series, routes), series, counts, routes)
 
 
 def _breakpoint_mask_counts(bsize: int, k: int, cap: int | None) -> list[int]:
@@ -261,7 +249,7 @@ class SchanuelResult:
     chi_codomain: int
     value: Fraction
     series: EulerSeries
-    counts: BreakpointCountTable
+    counts: tuple[int, ...]  # n_k = chi(B) (chi(B)^2 - 1)^k
     subset_counts: tuple[int, ...]
     routes: dict[str, Fraction]
 
@@ -291,7 +279,7 @@ def schanuel_measure(
         subset_counts.append(chi_b ** (2 * k + 1))
         return sum((-1) ** (k - j) * math.comb(k, j) * subset_counts[j] for j in range(k + 1))
 
-    series, table = _series_for_base(chi_b, 1, terms, count)
+    series, counts = _series_for_base(chi_b, 1, terms, count)
     # chi(B) = 0 makes every coefficient vanish, so the closed form is
     # literally 0 and evaluation at t=1 never sees the nominal pole.
     routes = {
@@ -299,4 +287,4 @@ def schanuel_measure(
         "reciprocal_codomain_measure": Fraction(0) if chi_b == 0 else Fraction(1, chi_b),
     }
     value = regularize(series, routes)
-    return SchanuelResult(chi_b, value, series, table, tuple(subset_counts), routes)
+    return SchanuelResult(chi_b, value, series, counts, tuple(subset_counts), routes)

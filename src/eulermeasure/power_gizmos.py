@@ -68,13 +68,6 @@ class GizmoSpec:
 
 
 @dataclass(frozen=True)
-class SupportCountTable:
-    """n_k = number of gizmo elements whose support is a fixed k-set."""
-
-    counts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ExponentialFit:
     """Weights a_j with n_k = sum a_j (2^j - 1)^k for all k.
 
@@ -121,9 +114,9 @@ def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None
     return sum((-1) ** (k - j) * math.comb(k, j) * totals[j] for j in range(k + 1))
 
 
-def support_count_table(spec: GizmoSpec, last: int) -> SupportCountTable:
+def support_count_table(spec: GizmoSpec, last: int) -> tuple[int, ...]:
     totals: list[int] = []
-    return SupportCountTable(tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1)))
+    return tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1))
 
 
 def gizmo_support_census(
@@ -256,7 +249,7 @@ class GizmoMeasureResult:
     chi: int
     value: Fraction
     fit: ExponentialFit | None
-    counts: SupportCountTable
+    counts: tuple[int, ...]  # n_k: elements whose support is a fixed k-set
     series: EulerSeries
     routes: dict[str, Fraction]
 
@@ -281,7 +274,7 @@ def gizmo_measure(
     two_chi = Fraction(2) ** chi
     if not spec.ks:
         ps = powerset_series(A, terms)
-        counts = SupportCountTable((1,) * len(ps.series.prefix))
+        counts = (1,) * len(ps.series.prefix)
         return GizmoMeasureResult(chi, ps.value, None, counts, ps.series, ps.routes)
 
     order_bound = _order_bound(chi, spec.fit_dimension)
@@ -300,4 +293,4 @@ def gizmo_measure(
         "iterated_binomial": iterated_binomial(two_chi, spec.ks),
     }
     value = regularize(series, routes, order_bound)
-    return GizmoMeasureResult(chi, value, fit, SupportCountTable(tuple(counts)), series, routes)
+    return GizmoMeasureResult(chi, value, fit, tuple(counts), series, routes)

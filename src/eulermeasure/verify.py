@@ -4,7 +4,8 @@ Each check exercises one stated invariant of a module, exactly (no
 tolerances): randomized checks use a fixed seed, enumerative checks use
 the documented desk-scale parameters.  A check returns None on success
 or a human-readable counterexample on failure; exceptions are reported
-as failures rather than aborting the suite.
+as failures rather than aborting the suite.  ``CHECKS`` is the one place
+an invariant is written: pytest runs each entry as ``test_invariant``.
 """
 
 from __future__ import annotations
@@ -66,18 +67,6 @@ from .power_gizmos import (
 )
 from .setparse import parse_set_expression, to_expression
 
-SCOPES = (
-    "interval_sets",
-    "exact_series",
-    "partition_combinatorics",
-    "choose_construction",
-    "power_gizmos",
-    "map_spaces",
-    "fibonacci_subsets",
-    "cli",
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     scope: str
@@ -86,12 +75,12 @@ class CheckResult:
     detail: str = ""
 
 
-_CHECKS: list[tuple[str, str, Callable[[], str | None]]] = []
+CHECKS: list[tuple[str, str, Callable[[], str | None]]] = []
 
 
 def _check(scope: str, name: str):
     def wrap(fn):
-        _CHECKS.append((scope, name, fn))
+        CHECKS.append((scope, name, fn))
         return fn
 
     return wrap
@@ -209,7 +198,7 @@ def _translation_invariance():
 # -- exact_series ------------------------------------------------------
 
 
-def _random_rational_function(rng: random.Random) -> RationalFunction:
+def random_rational_function(rng: random.Random) -> RationalFunction:
     def rand_fraction():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
@@ -224,7 +213,7 @@ def _random_rational_function(rng: random.Random) -> RationalFunction:
 def _recurrence_round_trip():
     rng = random.Random(201)
     for trial in range(30):
-        rf = _random_rational_function(rng)
+        rf = random_rational_function(rng)
         order_bound = max(rf.denominator.degree, rf.numerator.degree + 1)
         n = 2 * (rf.numerator.degree + rf.denominator.degree) + 2
         n = max(n, 4 * order_bound + 2)
@@ -487,8 +476,8 @@ def _schanuel_finite_consistency():
         b = points(range(m))
         result = schanuel_measure(b)
         for k in range(3):
-            if result.counts.counts[k] != finite_map_count(m, k, mode="brute"):
-                return f"|B|={m} k={k}: {result.counts.counts[k]}"
+            if result.counts[k] != finite_map_count(m, k, mode="brute"):
+                return f"|B|={m} k={k}: {result.counts[k]}"
     return None
 
 
@@ -510,7 +499,7 @@ def _map_split_independence():
 # -- fibonacci_subsets -------------------------------------------------
 
 
-_FIB_FAMILY = {
+FIB_FAMILY = {
     -3: "(0,1) u (2,3) u (4,5)",
     -2: "(0,1) u (2,3)",
     -1: "(0,1)",
@@ -524,7 +513,7 @@ _FIB_FAMILY = {
 
 @_check("fibonacci_subsets", "closed_form_family")
 def _fibonacci_family():
-    for chi, expr in _FIB_FAMILY.items():
+    for chi, expr in FIB_FAMILY.items():
         p = parse_set_expression(expr)
         result = fibonacci_measure(p)
         if result.value != extended_fibonacci(chi + 1):
@@ -541,7 +530,7 @@ def _cassini():
     return None
 
 
-def _valid_subsets_by_all_pairs(p: PolyhedralSet1D) -> dict[int, int]:
+def valid_subsets_by_all_pairs(p: PolyhedralSet1D) -> dict[int, int]:
     """Exhaustive oracle: check every pair from S u {-inf, +inf} with set ops."""
     pts = [piece.at for piece in p.pieces]
     by_size: dict[int, int] = {}
@@ -564,7 +553,7 @@ def _fibonacci_finite_oracle():
     rng = random.Random(601)
     sets = [_random_finite_set(rng, 6) for _ in range(8)] + [points(range(6))]
     for p in sets:
-        oracle = _valid_subsets_by_all_pairs(p)
+        oracle = valid_subsets_by_all_pairs(p)
         for k in range(len(p.pieces) + 1):
             if parity_strata_coefficient(p, k) != oracle.get(k, 0):
                 return f"P={p} k={k}: {parity_strata_coefficient(p, k)} != {oracle.get(k, 0)}"
@@ -579,7 +568,7 @@ def _fibonacci_gap_lemma():
     rng = random.Random(602)
     for trial in range(10):
         p = _random_finite_set(rng, 6)
-        oracle = _valid_subsets_by_all_pairs(p)
+        oracle = valid_subsets_by_all_pairs(p)
         for k in range(len(p.pieces) + 1):
             consecutive = sum(
                 1
@@ -665,12 +654,16 @@ def _cli_single_invocations():
     return None
 
 
+# Scopes in the order their first check was registered.
+SCOPES = tuple(dict.fromkeys(scope for scope, _, _ in CHECKS))
+
+
 def run_verify(scope: str = "all") -> list[CheckResult]:
     """Run every registered invariant check in the given scope."""
     if scope != "all" and scope not in SCOPES:
         raise InputError(f"unknown verify scope {scope!r}; choose from {', '.join(SCOPES)}")
     results = []
-    for check_scope, name, fn in _CHECKS:
+    for check_scope, name, fn in CHECKS:
         if scope not in ("all", check_scope):
             continue
         try:

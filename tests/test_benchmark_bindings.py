@@ -14,6 +14,7 @@ from eulermeasure.fibonacci_subsets import fibonacci_measure
 from eulermeasure.map_spaces import map_pair_measure
 from eulermeasure.power_gizmos import GizmoSpec, gizmo_measure, powerset_series
 from eulermeasure.setparse import parse_set_expression as parse
+from eulermeasure.verify import SCOPES
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,6 +36,11 @@ def test_every_traced_target_resolves(layers):
             assert target.attr in vars(owner), f"{target.owner}.{target.attr}"
         else:
             assert callable(getattr(owner, target.attr, None)), f"{target.owner}.{target.attr}"
+
+
+def test_benchmarked_scopes_are_the_registry_scopes(layers):
+    # the verify workload iterates over this copy; a scope missing there goes unbenchmarked
+    assert layers.SCOPES == SCOPES
 
 
 def test_workloads_module_imports(monkeypatch):

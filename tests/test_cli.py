@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eulermeasure import map_spaces
-from eulermeasure.cli import Command, build_parser, main, run, verify_suite
+from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
 from eulermeasure.limits import ENUM_CAP_ENV_VAR
 from eulermeasure.partition_combinatorics import iterated_binomial
@@ -246,6 +246,8 @@ class TestMain:
         for knob, argv in (
             ("terms", ["gizmo", "(0,1)", "--ks", "2", "--terms", "0"]),
             ("max_order", ["fib", "{0,1}", "--max-order", "-1"]),
+            ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
+            ("--cap must be at least 0, got -1", ["choose", "(0,1)", "-k", "3", "--cap", "-1"]),
         ):
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
@@ -274,6 +276,9 @@ class TestMain:
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])
         assert code == 3
+        # an explicit cap of 0 is a cap, not a request for the default
+        assert main(["choose", "(0,1)", "-k", "3", "--cap", "0"]) == 3
+        assert "capped at k <= 0" in capsys.readouterr().err
 
     def test_json_error_payload(self, capsys):
         code = main(["measure", "(3,1)", "--json"])
@@ -292,10 +297,6 @@ class TestMain:
 
 
 class TestVerify:
-    def test_scoped_suite_passes(self):
-        results = run_verify("partition_combinatorics")
-        assert results and all(r.passed for r in results)
-
     def test_unknown_scope(self):
         from eulermeasure.errors import InputError
 
@@ -303,7 +304,7 @@ class TestVerify:
             run_verify("nonsense")
 
     def test_verify_report(self):
-        report = verify_suite("choose_construction")
+        report = run(Command("verify", {"scope": "choose_construction"}))
         assert report.exit_status == 0
         assert report.results["failures"] == 0
         assert all(c["status"] == "ok" for c in report.checks)

@@ -29,7 +29,7 @@ from eulermeasure.exact_series import (
 from eulermeasure.interval_sets import points
 from eulermeasure.partition_combinatorics import gen_binomial
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import set_with_chi
+from eulermeasure.verify import random_rational_function, set_with_chi
 
 F = Fraction
 
@@ -139,16 +139,6 @@ class TestBinomialPrefix:
         assert prefix.coefficients == (1, 2, 1, 0, 0)
         assert closed == poly(1, 2, 1)
 
-    def test_coefficient_ratio_property(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            m = rng.randint(-6, 6)
-            lam = F(rng.randint(-4, 4), rng.randint(1, 3))
-            prefix, _ = binomial_prefix(m, lam, 10)
-            c = prefix.coefficients
-            for k in range(10):
-                assert c[k + 1] * (k + 1) == c[k] * lam * (m - k)
-
 
 class TestMinRecurrence:
     def test_geometric(self):
@@ -237,11 +227,7 @@ class TestRoundTrip:
     def test_random_rational_functions(self):
         rng = random.Random(17)
         for _ in range(40):
-            num = poly(*(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))))
-            den = Polynomial(
-                (F(1),) + tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
-            )
-            f = RationalFunction(num, den)
+            f = random_rational_function(rng)
             bound = max(f.denominator.degree, f.numerator.degree + 1)
             n = max(2 * (f.numerator.degree + f.denominator.degree) + 2, 4 * bound + 2)
             prefix = SeriesPrefix(f.expand(n - 1), "rank")

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -12,41 +11,11 @@ from eulermeasure.fibonacci_subsets import (
     parity_strata_coefficient,
     placement_gap_measures,
 )
-from eulermeasure.interval_sets import NEG_INF, POS_INF, ext, points
+from eulermeasure.interval_sets import points
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import random_polyhedral_set
+from eulermeasure.verify import FIB_FAMILY, random_polyhedral_set, valid_subsets_by_all_pairs
 
 F = Fraction
-
-FAMILY = {
-    -3: "(0,1) u (2,3) u (4,5)",
-    -2: "(0,1) u (2,3)",
-    -1: "(0,1)",
-    0: "{0} u (1,2)",
-    1: "[0,1]",
-    2: "[0,1] u [2,3]",
-    3: "{0,1,2}",
-    4: "{0,1,2,3}",
-}
-
-
-def valid_subsets_by_all_pairs(p):
-    """Exhaustive oracle over finite P, checking every pair of anchors
-    from S u {-inf, +inf} with the actual set operations."""
-    pts = [piece.at for piece in p.pieces]
-    by_size = {}
-    for r in range(len(pts) + 1):
-        for chosen in itertools.combinations(pts, r):
-            rest = p.difference(points(chosen))
-            bounds = [NEG_INF] + [ext(q) for q in sorted(chosen)] + [POS_INF]
-            ok = all(
-                rest.restrict_open(bounds[i], bounds[j]).euler_measure() % 2 == 0
-                for i in range(len(bounds))
-                for j in range(i + 1, len(bounds))
-            )
-            if ok:
-                by_size[r] = by_size.get(r, 0) + 1
-    return by_size
 
 
 class TestExtendedFibonacci:
@@ -62,11 +31,6 @@ class TestExtendedFibonacci:
     def test_recurrence_everywhere(self):
         for n in range(-10, 10):
             assert extended_fibonacci(n + 1) == extended_fibonacci(n) + extended_fibonacci(n - 1)
-
-    def test_cassini(self):
-        for n in range(-8, 9):
-            lhs = extended_fibonacci(n + 1) * extended_fibonacci(n - 1) - extended_fibonacci(n) ** 2
-            assert lhs == (-1) ** n
 
 
 class TestParityStrata:
@@ -128,7 +92,7 @@ class TestFibonacciMeasure:
         assert res.value == 2
         assert res.series.prefix.coefficients[:3] == (1, 0, 1)
 
-    @pytest.mark.parametrize("chi,expr", sorted(FAMILY.items()))
+    @pytest.mark.parametrize("chi,expr", sorted(FIB_FAMILY.items()))
     def test_family_matches_extended_fibonacci(self, chi, expr):
         p = parse(expr)
         assert p.euler_measure() == chi
@@ -145,31 +109,3 @@ class TestFibonacciMeasure:
             for k in range(len(p.pieces) + 1):
                 assert parity_strata_coefficient(p, k) == oracle.get(k, 0)
             assert fibonacci_measure(p).value == sum(oracle.values())
-
-    def test_consecutive_equals_all_pairs_on_finite_sets(self):
-        rng = random.Random(47)
-        for _ in range(8):
-            p = points(sorted({F(rng.randint(-12, 12), 2) for _ in range(rng.randint(1, 6))}))
-            oracle = valid_subsets_by_all_pairs(p)
-            for k in range(len(p.pieces) + 1):
-                consecutive = sum(
-                    1
-                    for pd in enumerate_placements(p, k)
-                    if all(g % 2 == 0 for g in placement_gap_measures(p, pd))
-                )
-                assert consecutive == oracle.get(k, 0)
-
-    def test_depends_only_on_chi(self):
-        groups = {
-            -1: ["(0,1)", "(0,1) u (2,3) u {5}", "(-inf,0)"],
-            0: ["{0} u (1,2)", "{}", "[0,1] u (2,3)"],
-            1: ["[0,1]", "{7}", "{0,1} u (2,3)"],
-            2: ["{0,1}", "[0,1] u [2,3]", "{0,1,2} u (3,4)"],
-        }
-        for chi, exprs in groups.items():
-            values = set()
-            for expr in exprs:
-                p = parse(expr)
-                assert p.euler_measure() == chi
-                values.add(fibonacci_measure(p).value)
-            assert len(values) == 1

