@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .interval_sets import OpenInterval, Point, PolyhedralSet1D
 from .partition_combinatorics import (
     DEFAULT_PARTITION_CAP,
@@ -83,6 +83,8 @@ def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescri
 
 def choose_cells(A: PolyhedralSet1D, k: int, cap: int = DEFAULT_CHOOSE_CAP) -> CellSketch:
     """Stratify the k-element selections from A into open cells."""
+    if cap < 0:
+        raise InputError(f"cap must be at least 0, got {cap}")
     if k > cap:
         raise ResourceLimitError(f"cell enumeration capped at k <= {cap} (requested {k})")
     cells = sorted(

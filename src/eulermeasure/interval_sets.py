@@ -20,6 +20,12 @@ chi(A | B) = chi(A) + chi(B) - chi(A & B), coincides with cardinality on
 finite sets, and is *not* a homotopy invariant (an open interval has
 measure -1, a closed one +1).
 
+Canonicalization, union, intersection, difference, complement and
+classification all cut the line at the operands' endpoints into
+elementary cells, compute every cell's membership in one sweep over the
+sorted coordinates, and read the canonical pieces off the runs of
+member cells.  Each costs O(n log n) in the number n of pieces.
+
 All values here are immutable; every operation is pure, so instances
 may be shared freely across threads.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -155,11 +162,20 @@ class Classification:
     has_isolated_points: bool
 
 
-# Elementary cells used by canonicalization and the boolean operations:
-# given the sorted finite critical coordinates x_1 < ... < x_n, the line
-# splits into (-inf,x_1), {x_1}, (x_1,x_2), ..., {x_n}, (x_n,+inf).
-# Every piece of every operand is a union of such cells, so membership
-# is constant on each cell.
+# Elementary cells: given the sorted finite critical coordinates
+# x_0 < ... < x_{n-1} of the operands, the line splits into the 2n+1 cells
+# (-inf,x_0), {x_0}, (x_0,x_1), ..., {x_{n-1}}, (x_{n-1},+inf), so cell
+# 2i+1 is the point x_i and cell 2i is the open gap below it.  Every piece
+# of every operand is a union of such cells, so membership is constant on
+# each cell, and the result of any operation is read off one flag per
+# cell.  _cell_flags computes all the flags in one sweep: a point marks
+# its own cell, an open interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0
+# at -inf) and -1 after cell 2b (after the last cell at +inf), and a
+# running sum of these differences counts the intervals over each cell.
+# With the sort of the coordinates that is O(n log n) per operation.
+# _cell_in tests one cell against every piece, O(n) per cell: contains()
+# asks it about a single point, and with _elementary_cells, which spells
+# the cells out, it is the reference the sweep is tested against.
 _CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
 
 
@@ -175,6 +191,21 @@ def _critical_coordinates(piece_lists: Sequence[Sequence[Piece]]) -> list[Fracti
                 if piece.right.is_finite:
                     coords.add(piece.right.value)
     return sorted(coords)
+
+
+def _cell_flags(pieces: Sequence[Piece], coords: Sequence[Fraction]) -> list[bool]:
+    """Membership of every elementary cell of ``coords``, in one sweep."""
+    index = {x: i for i, x in enumerate(coords)}
+    last = 2 * len(coords)
+    marked = [False] * (last + 1)
+    diff = [0] * (last + 2)
+    for piece in pieces:
+        if isinstance(piece, Point):
+            marked[2 * index[piece.at] + 1] = True
+        else:
+            diff[2 * index[piece.left.value] + 2 if piece.left.is_finite else 0] += 1
+            diff[2 * index[piece.right.value] + 1 if piece.right.is_finite else last + 1] -= 1
+    return [m or depth > 0 for m, depth in zip(marked, accumulate(diff))]
 
 
 def _elementary_cells(coords: Sequence[Fraction]) -> _CellList:
@@ -219,14 +250,15 @@ def _runs(flags: Sequence[bool]):
         yield start, len(flags) - 1
 
 
-def _run_descriptor(cells: _CellList, start: int, stop: int) -> ComponentDescriptor:
-    first, last = cells[start], cells[stop]
-    if start == stop and first[0] == "pt":
-        at = ext(first[1])
-        return ComponentDescriptor(at, at, True, True, True)
-    lower = ext(first[1]) if first[0] == "pt" else first[1]
-    upper = ext(last[1]) if last[0] == "pt" else last[2]
-    return ComponentDescriptor(lower, upper, first[0] == "pt", last[0] == "pt", False)
+def _run_descriptor(coords: Sequence[Fraction], start: int, stop: int) -> ComponentDescriptor:
+    # A run starts at a point cell 2i+1 or a gap cell 2i+2, both with
+    # lower end x_i, and stops at a cell 2i+1 or 2i with upper end x_i.
+    lower = ext(coords[(start - 1) // 2]) if start > 0 else NEG_INF
+    upper = ext(coords[stop // 2]) if stop < 2 * len(coords) else POS_INF
+    closed_lower, closed_upper = start % 2 == 1, stop % 2 == 1
+    return ComponentDescriptor(
+        lower, upper, closed_lower, closed_upper, start == stop and closed_lower
+    )
 
 
 def _component_pieces(desc: ComponentDescriptor) -> list[Piece]:
@@ -241,10 +273,10 @@ def _component_pieces(desc: ComponentDescriptor) -> list[Piece]:
     return pieces
 
 
-def _assemble(cells: _CellList, flags: Sequence[bool]) -> tuple[Piece, ...]:
+def _assemble(coords: Sequence[Fraction], flags: Sequence[bool]) -> tuple[Piece, ...]:
     pieces: list[Piece] = []
     for start, stop in _runs(flags):
-        pieces.extend(_component_pieces(_run_descriptor(cells, start, stop)))
+        pieces.extend(_component_pieces(_run_descriptor(coords, start, stop)))
     return tuple(pieces)
 
 
@@ -253,9 +285,8 @@ def _normalize(raw: Iterable[Piece]) -> tuple[Piece, ...]:
     for piece in raw:
         if not isinstance(piece, (Point, OpenInterval)):
             raise InputError(f"not a piece: {piece!r}")
-    cells = _elementary_cells(_critical_coordinates([raw]))
-    flags = [_cell_in(raw, cell) for cell in cells]
-    return _assemble(cells, flags)
+    coords = _critical_coordinates([raw])
+    return _assemble(coords, _cell_flags(raw, coords))
 
 
 @dataclass(frozen=True)
@@ -286,9 +317,9 @@ class PolyhedralSet1D:
     # -- set operations ----------------------------------------------
 
     def _binary(self, other: "PolyhedralSet1D", keep) -> "PolyhedralSet1D":
-        cells = _elementary_cells(_critical_coordinates([self.pieces, other.pieces]))
-        flags = [keep(_cell_in(self.pieces, c), _cell_in(other.pieces, c)) for c in cells]
-        return PolyhedralSet1D(_assemble(cells, flags))
+        coords = _critical_coordinates([self.pieces, other.pieces])
+        flags = map(keep, _cell_flags(self.pieces, coords), _cell_flags(other.pieces, coords))
+        return PolyhedralSet1D(_assemble(coords, list(flags)))
 
     def union(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         return self._binary(other, lambda a, b: a or b)
@@ -300,9 +331,9 @@ class PolyhedralSet1D:
         return self._binary(other, lambda a, b: a and not b)
 
     def complement(self) -> "PolyhedralSet1D":
-        cells = _elementary_cells(_critical_coordinates([self.pieces]))
-        flags = [not _cell_in(self.pieces, c) for c in cells]
-        return PolyhedralSet1D(_assemble(cells, flags))
+        coords = _critical_coordinates([self.pieces])
+        flags = [not flag for flag in _cell_flags(self.pieces, coords)]
+        return PolyhedralSet1D(_assemble(coords, flags))
 
     __or__ = union
     __and__ = intersect
@@ -323,9 +354,9 @@ class PolyhedralSet1D:
         return not self.pieces
 
     def classify(self) -> Classification:
-        cells = _elementary_cells(_critical_coordinates([self.pieces]))
-        flags = [_cell_in(self.pieces, c) for c in cells]
-        components = tuple(_run_descriptor(cells, a, b) for a, b in _runs(flags))
+        coords = _critical_coordinates([self.pieces])
+        flags = _cell_flags(self.pieces, coords)
+        components = tuple(_run_descriptor(coords, a, b) for a, b in _runs(flags))
         finite = all(isinstance(p, Point) for p in self.pieces)
         cardinality = len(self.pieces) if finite else None
         compact = all(c.bounded and c.closed for c in components)

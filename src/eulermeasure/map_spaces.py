@@ -55,7 +55,7 @@ def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None 
     if bsize < 1:
         raise InputError("codomain size must be positive")
     if k < 0:
-        raise InputError("breakpoint count must be non-negative")
+        raise InputError(f"breakpoint count must be at least 0, got {k}")
     if mode == "formula":
         return bsize * (bsize ** 2 - 1) ** k
     if mode != "brute":
@@ -152,7 +152,7 @@ def map_pair_count(bsize: int, k: int, cap: int | None = None) -> int:
     if bsize < 1:
         raise InputError("codomain size must be positive")
     if k < 0:
-        raise InputError("breakpoint count must be non-negative")
+        raise InputError(f"breakpoint count must be at least 0, got {k}")
     counts = _breakpoint_mask_counts(bsize, k, cap)
     full = (1 << k) - 1
     ordered = 0

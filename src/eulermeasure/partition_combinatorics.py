@@ -48,6 +48,14 @@ class SetPartition:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_count", len(blocks))
 
+    @classmethod
+    def _canonical(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap blocks that are already sorted and valid, skipping the checks."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "blocks", blocks)
+        object.__setattr__(pi, "block_count", len(blocks))
+        return pi
+
     @property
     def ground_size(self) -> int:
         return sum(len(b) for b in self.blocks)
@@ -55,7 +63,7 @@ class SetPartition:
 
 def _check_ground_size(k: int, cap: int) -> None:
     if k < 0:
-        raise InputError("k must be non-negative")
+        raise InputError(f"k must be at least 0, got {k}")
     if k > cap:
         raise ResourceLimitError(
             f"partition enumeration capped at k <= {cap} (requested {k})"
@@ -71,11 +79,13 @@ def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition
     rgs = [0] * k
 
     def emit():
+        # Elements go in ascending, and block b opens before block b+1, so
+        # the blocks come out sorted and by least element: canonical.
         nblocks = max(rgs) + 1
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
         for i, b in enumerate(rgs):
             blocks[b].append(i + 1)
-        out.append(SetPartition(tuple(tuple(b) for b in blocks)))
+        out.append(SetPartition._canonical(tuple(tuple(b) for b in blocks)))
 
     def descend(i: int, mx: int):
         if i == k:
@@ -135,7 +145,7 @@ def mobius_bottom(pi: SetPartition) -> int:
 def falling_factorial(x, k: int) -> Fraction:
     """x (x-1) ... (x-k+1) at an arbitrary rational x."""
     if k < 0:
-        raise InputError("k must be non-negative")
+        raise InputError(f"k must be at least 0, got {k}")
     x = as_fraction(x)
     value = Fraction(1)
     for i in range(k):
@@ -153,6 +163,6 @@ def iterated_binomial(x, ks: Sequence[int]) -> Fraction:
     value = as_fraction(x)
     for k in ks:
         if k < 0:
-            raise InputError("selection sizes must be non-negative")
+            raise InputError(f"selection sizes must be at least 0, got {k}")
         value = gen_binomial(value, k)
     return value

@@ -107,7 +107,7 @@ def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None
     total(0), total(1), .. for one spec across calls.
     """
     if k < 0:
-        raise InputError("support size must be non-negative")
+        raise InputError(f"support size must be at least 0, got {k}")
     totals = [] if totals is None else totals
     while len(totals) <= k:
         totals.append(_iterated_total(spec, len(totals)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from eulermeasure.choose_construction import CellSketch, choose_cells, ordered_distinct_measure
-from eulermeasure.errors import ResourceLimitError
+from eulermeasure.errors import InputError, ResourceLimitError
 from eulermeasure.interval_sets import points
 from eulermeasure.partition_combinatorics import (
     falling_factorial,
@@ -75,6 +75,10 @@ class TestChooseCells:
         with pytest.raises(ResourceLimitError):
             choose_cells(parse("(0,1)"), 13)
         assert choose_cells(parse("(0,1)"), 13, cap=13).measure == gen_binomial(-1, 13)
+
+    def test_negative_cap_is_input_error(self):
+        with pytest.raises(InputError, match="cap must be at least 0, got -1"):
+            choose_cells(parse("(0,1)"), 0, cap=-1)
 
 
 class TestBinomialIdentity:

@@ -248,6 +248,7 @@ class TestMain:
             ("max_order", ["fib", "{0,1}", "--max-order", "-1"]),
             ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
             ("--cap must be at least 0, got -1", ["choose", "(0,1)", "-k", "3", "--cap", "-1"]),
+            ("k must be at least 0, got -1", ["choose", "(0,1)", "-k", "-1"]),
         ):
             assert main(argv) == 2
             assert knob in capsys.readouterr().err

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulermeasure.errors import InputError
 from eulermeasure.interval_sets import (
     NEG_INF,
     POS_INF,
+    ComponentDescriptor,
     ExtendedRational,
     OpenInterval,
     Point,
@@ -19,6 +22,13 @@ from eulermeasure.interval_sets import (
     open_interval,
     points,
     segment,
+)
+from eulermeasure.interval_sets import (
+    _cell_flags,
+    _cell_in,
+    _critical_coordinates,
+    _elementary_cells,
+    _runs,
 )
 from eulermeasure.verify import random_polyhedral_set
 
@@ -248,3 +258,101 @@ class TestValuationProperties:
             shifted = a.shift(d)
             assert shifted.euler_measure() == a.euler_measure()
             assert shifted.shift(-d) == a
+
+
+# -- the one-pass sweep against the per-cell scan ----------------------
+#
+# The scan tests each elementary cell against every piece with _cell_in
+# and rebuilds the components from the explicit cell list; it shares
+# nothing with the sweep but the coordinates, the cell order and _runs.
+
+def scan_flags(pieces, coords):
+    return [_cell_in(pieces, cell) for cell in _elementary_cells(coords)]
+
+
+def scan_components(coords, flags):
+    cells = _elementary_cells(coords)
+    out = []
+    for start, stop in _runs(flags):
+        first, last = cells[start], cells[stop]
+        if start == stop and first[0] == "pt":
+            at = ext(first[1])
+            out.append(ComponentDescriptor(at, at, True, True, True))
+            continue
+        lower = ext(first[1]) if first[0] == "pt" else first[1]
+        upper = ext(last[1]) if last[0] == "pt" else last[2]
+        out.append(ComponentDescriptor(lower, upper, first[0] == "pt", last[0] == "pt", False))
+    return out
+
+
+def scan_set(coords, flags):
+    pieces = []
+    for c in scan_components(coords, flags):
+        if c.is_point:
+            pieces.append(Point(c.lower.value))
+            continue
+        if c.closed_lower:
+            pieces.append(Point(c.lower.value))
+        pieces.append(OpenInterval(c.lower, c.upper))
+        if c.closed_upper:
+            pieces.append(Point(c.upper.value))
+    return PolyhedralSet1D(tuple(pieces))
+
+
+# A small grid of halves makes shared endpoints, duplicate points and
+# points on interval ends common.
+grid = st.integers(-8, 8).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def raw_interval(draw):
+    a, b = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+    lo = NEG_INF if draw(st.integers(0, 9)) == 0 else ext(a)
+    hi = POS_INF if draw(st.integers(0, 9)) == 0 else ext(b)
+    return OpenInterval(lo, hi)
+
+
+raw_pieces = st.lists(st.one_of(grid.map(Point), raw_interval()), max_size=40)
+canonical_sets = raw_pieces.map(canonicalize)
+
+
+class TestSweepAgainstCellScan:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_pieces)
+    def test_flags_and_canonical_form(self, raw):
+        coords = _critical_coordinates([raw])
+        flags = _cell_flags(raw, coords)
+        assert flags == scan_flags(raw, coords)
+        assert canonicalize(raw) == scan_set(coords, flags)
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets, canonical_sets)
+    def test_boolean_operations(self, a, b):
+        coords = _critical_coordinates([a.pieces, b.pieces])
+        fa, fb = scan_flags(a.pieces, coords), scan_flags(b.pieces, coords)
+        assert a.union(b) == scan_set(coords, [x or y for x, y in zip(fa, fb)])
+        assert a.intersect(b) == scan_set(coords, [x and y for x, y in zip(fa, fb)])
+        assert a.difference(b) == scan_set(coords, [x and not y for x, y in zip(fa, fb)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets)
+    def test_complement_and_classify(self, a):
+        coords = _critical_coordinates([a.pieces])
+        flags = scan_flags(a.pieces, coords)
+        assert a.complement() == scan_set(coords, [not f for f in flags])
+        assert list(a.classify().components) == scan_components(coords, flags)
+
+    def test_edge_cases(self):
+        for raw in (
+            [],
+            [Point(1), Point(1), Point(Fraction(2, 2))],
+            [iv(0, 1), Point(1), iv(1, 2)],
+            [Point(0), iv(0, 1)],
+            [iv(0, 1), Point(1)],
+            [iv(NEG_INF, 0), iv(0, POS_INF)],
+            [iv(NEG_INF, POS_INF), Point(3)],
+            [iv(0, 3), iv(1, 2), iv(2, 5)],
+        ):
+            coords = _critical_coordinates([raw])
+            assert _cell_flags(raw, coords) == scan_flags(raw, coords)
+            assert canonicalize(raw) == scan_set(coords, scan_flags(raw, coords))

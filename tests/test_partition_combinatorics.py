@@ -51,6 +51,11 @@ class TestPartitionsOf:
             partitions_of(11)
         assert len(partitions_of(11, cap=11)) == 678570
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_generated_blocks_are_canonical(self, k):
+        got = partitions_of(k)
+        assert got == [SetPartition(pi.blocks) for pi in got]
+
     def test_invalid_partition(self):
         with pytest.raises(InputError):
             SetPartition(((1, 2), (2, 3)))
