@@ -9,11 +9,16 @@ from them.
 
 Set expressions follow the grammar in setparse; operator binding from
 tightest to loosest is ``!``, ``&``, ``\\``, ``u``/``|``.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused: ``parse_args`` keeps no state between calls, so a
+later call sees none of an earlier call's options.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -384,7 +389,10 @@ def _ks_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared after;
+    callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="eulermeasure",
         description=(

@@ -3,6 +3,8 @@
 perfbench/layers.py wraps program functions by module and attribute
 name, and perfbench/workloads.py reads attributes of construction
 results; a rename in the library would break the benchmark silently.
+The benchmark's own self-tests run here too, so a library change that
+breaks them fails here before a benchmark run aborts on it.
 """
 
 import importlib
@@ -36,6 +38,14 @@ def test_every_traced_target_resolves(layers):
             assert target.attr in vars(owner), f"{target.owner}.{target.attr}"
         else:
             assert callable(getattr(owner, target.attr, None)), f"{target.owner}.{target.attr}"
+
+
+@pytest.mark.parametrize("module", ["tracer", "oracle"])
+def test_benchmark_self_test(module, monkeypatch):
+    # run.py calls both before it measures; the tracer's pins one `union`
+    # span per 'u' of a parsed chain, each a direct child of the parse span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module(module).self_test()
 
 
 def test_benchmarked_scopes_are_the_registry_scopes(layers):

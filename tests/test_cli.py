@@ -1,12 +1,16 @@
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulermeasure import map_spaces
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
+from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
 from eulermeasure.limits import ENUM_CAP_ENV_VAR
 from eulermeasure.partition_combinatorics import iterated_binomial
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
@@ -99,6 +103,51 @@ class TestParser:
         for _ in range(60):
             a = random_polyhedral_set(rng)
             assert parse_set_expression(to_expression(a)) == a
+
+
+halves = st.integers(-20, 20).map(lambda n: F(n, 2))
+
+
+@st.composite
+def literals(draw):
+    """One set literal of the grammar, as (text, the pieces it denotes)."""
+    if draw(st.booleans()):
+        values = draw(st.lists(halves, max_size=3))
+        return "{" + ", ".join(map(str, values)) + "}", [Point(v) for v in values]
+    a, b = sorted(draw(st.lists(halves, min_size=2, max_size=2, unique=True)))
+    lower = NEG_INF if draw(st.integers(0, 5)) == 0 else ext(a)
+    upper = POS_INF if draw(st.integers(0, 5)) == 0 else ext(b)
+    closed_lower = lower.is_finite and draw(st.booleans())
+    closed_upper = upper.is_finite and draw(st.booleans())
+    text = "%s%s,%s%s" % (
+        "[" if closed_lower else "(",
+        lower,
+        draw(st.sampled_from(["inf", "+inf"])) if upper == POS_INF else upper,
+        "]" if closed_upper else ")",
+    )
+    pieces = [OpenInterval(lower, upper)]
+    pieces += [Point(lower.value)] if closed_lower else []
+    pieces += [Point(upper.value)] if closed_upper else []
+    return text, pieces
+
+
+def pieces_of(chain):
+    return [piece for _, pieces in chain for piece in pieces]
+
+
+class TestParserProperties:
+    @settings(max_examples=150, deadline=1000)
+    @given(st.lists(literals(), max_size=8).map(pieces_of).map(PolyhedralSet1D.from_pieces))
+    def test_round_trip_with_unbounded_ends(self, a):
+        assert parse_set_expression(to_expression(a)) == a
+
+    @settings(max_examples=150, deadline=1000)
+    @given(st.lists(literals(), min_size=1, max_size=40), st.data())
+    def test_union_chain_is_one_canonicalization(self, chain, data):
+        ops = data.draw(st.lists(st.sampled_from([" u ", " | "]), min_size=len(chain) - 1,
+                                 max_size=len(chain) - 1))
+        text = chain[0][0] + "".join(op + lit for op, (lit, _) in zip(ops, chain[1:]))
+        assert parse_set_expression(text) == PolyhedralSet1D.from_pieces(pieces_of(chain))
 
 
 class TestRun:
@@ -295,6 +344,41 @@ class TestMain:
         ns = build_parser().parse_args(["gizmo", "(0,1)", "--ks", "2,3", "--terms", "30"])
         assert ns.ks == [2, 3]
         assert ns.terms == 30
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_reports.json"
+
+# An earlier call that sets an option, its exit code, and a later call,
+# recorded in the golden file, that omits the option.
+REUSE_SEQUENCES = {
+    "terms-and-json": (["gizmo", "(0,1)", "--ks", "2,2", "--terms", "30", "--json"], 0,
+                       ["gizmo", "(0,1)", "--ks", "2,2"]),
+    "cap": (["choose", "(0,1) u (2,3)", "-k", "3", "--cap", "2"], 3,
+            ["choose", "(0,1) u (2,3)", "-k", "3"]),
+    "pairs": (["mapspace", "(0,1)", "--finite", "2", "--pairs"], 0,
+              ["mapspace", "(0,1)", "--finite", "2"]),
+    "after-parse-error": (["gizmo", "(0,1)"], 2, ["fib", "{0,1}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_SEQUENCES))
+def test_parser_reuse_keeps_no_options(case, capsys):
+    # main reuses one parser per process; a later call must report exactly
+    # what a fresh process reports (the golden file)
+    first, first_code, later = REUSE_SEQUENCES[case]
+    assert build_parser() is build_parser()
+    try:
+        code = main(first)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    assert code == first_code
+    capsys.readouterr()
+    code = main(later)
+    out, err = capsys.readouterr()
+    golden = {" ".join(c["argv"]): c["text"] for c in json.loads(GOLDEN.read_text())}
+    assert {"exit_code": code, "stdout": out.splitlines(), "stderr": err.splitlines()} == (
+        golden[" ".join(later)]
+    )
 
 
 class TestVerify:

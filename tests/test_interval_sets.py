@@ -305,8 +305,8 @@ grid = st.integers(-8, 8).map(lambda n: Fraction(n, 2))
 
 
 @st.composite
-def raw_interval(draw):
-    a, b = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+def raw_interval(draw, coordinates=grid):
+    a, b = sorted(draw(st.lists(coordinates, min_size=2, max_size=2, unique=True)))
     lo = NEG_INF if draw(st.integers(0, 9)) == 0 else ext(a)
     hi = POS_INF if draw(st.integers(0, 9)) == 0 else ext(b)
     return OpenInterval(lo, hi)
@@ -356,3 +356,73 @@ class TestSweepAgainstCellScan:
             coords = _critical_coordinates([raw])
             assert _cell_flags(raw, coords) == scan_flags(raw, coords)
             assert canonicalize(raw) == scan_set(coords, scan_flags(raw, coords))
+
+
+# -- union's splice against the sweep and the cell scan ----------------
+#
+# union canonicalizes only a window of the larger operand around the
+# smaller one; the operands here differ widely in size so that the window
+# is a small part of the result, and share one grid so that they often
+# share endpoints.
+
+wide_grid = st.integers(-150, 150).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def large_sets(draw):
+    """A canonical set of up to about 200 pieces, from one flag per elementary cell."""
+    # drawn from one random source, since hypothesis on its own keeps
+    # collections small; gap cells (even) and point cells (odd) each get
+    # a density, and every point with half the gaps gives the most pieces
+    rng = draw(st.randoms(use_true_random=True))
+    coords = sorted(Fraction(n, 2) for n in rng.sample(range(-150, 151), rng.randint(0, 160)))
+    density = rng.choice([(0.5, 1.0), (rng.random(), rng.random())])
+    return scan_set(coords, [rng.random() < density[i % 2] for i in range(2 * len(coords) + 1)])
+
+
+small_sets = st.lists(
+    st.one_of(wide_grid.map(Point), raw_interval(wide_grid)), max_size=3
+).map(canonicalize)
+
+
+def sweep_or(a, b):
+    return a or b
+
+
+class TestUnionSplice:
+    @settings(max_examples=150, deadline=None)
+    @given(large_sets(), small_sets)
+    def test_splice_matches_sweep_and_cell_scan(self, large, small):
+        coords = _critical_coordinates([large.pieces, small.pieces])
+        flags = map(sweep_or, scan_flags(large.pieces, coords), scan_flags(small.pieces, coords))
+        expected = scan_set(coords, list(flags))
+        for a, b in ((large, small), (small, large)):
+            assert a.union(b) == a._binary(b, sweep_or) == expected
+
+    def test_edge_cases(self):
+        line = PolyhedralSet1D.real_line()
+        rays = open_interval(NEG_INF, -5) | open_interval(5, POS_INF)
+        many = canonicalize([iv(2 * i, 2 * i + 1) for i in range(-20, 20)] + [Point(41)])
+        cases = [
+            (points([1]), open_interval(1, 2), "{1} u (1,2)"),
+            (open_interval(0, 1) | points([1]), open_interval(1, 2), "(0,2)"),
+            (open_interval(1, 2), segment(0, 1, False, True), "(0,2)"),
+            (open_interval(0, 1), segment(1, 2, True, False), "(0,2)"),
+            (PolyhedralSet1D.empty(), many, str(many)),
+            (PolyhedralSet1D.empty(), PolyhedralSet1D.empty(), "{}"),
+            (rays, points([-5, 5]), "(-inf,-5) u {-5} u {5} u (5,inf)"),
+            (rays, open_interval(-5, 5), "(-inf,-5) u (-5,5) u (5,inf)"),
+            (rays, points([-5, 5]) | open_interval(-5, 5), "(-inf,inf)"),
+            (line, many, "(-inf,inf)"),
+            (many, open_interval(-1, 0) | points([40]), None),
+            (many, segment(-39, 1, True, True), None),
+            (many, open_interval(NEG_INF, 0), None),
+            (many, points([41, 42]), None),
+        ]
+        for a, b, text in cases:
+            expected = a._binary(b, sweep_or)
+            if text is not None:
+                assert str(expected) == text
+            assert a.union(b) == b.union(a) == expected
+        chain = open_interval(0, 1).union(points([1])).union(open_interval(1, 2))
+        assert chain == open_interval(0, 2)
