@@ -5,16 +5,24 @@ series in the grading variable t.  When the prefix satisfies a linear
 recurrence over the rationals, the series continues to a unique rational
 function; its value at t=1 is the regularized measure.
 
-``fit_series`` runs Berlekamp-Massey over the rationals on coefficients
-it asks for one at a time.  Each construction proves a bound d on the
-order of its series, and the fit stops as soon as n >= L + d, where n is
-the number of coefficients seen and L the current recurrence length: two
-rational functions of orders L and <= d that agree on L + d coefficients
-are equal, so that stop is a certificate, not a guess.  ``terms`` is only
-a ceiling on the coefficients computed; a fit that reaches it without a
+``fit_series`` runs Berlekamp-Massey on coefficients it asks for one at
+a time.  Each construction proves a bound d on the order of its series,
+and the fit stops as soon as n >= L + d, where n is the number of
+coefficients seen and L the current recurrence length: two rational
+functions of orders L and <= d that agree on L + d coefficients are
+equal, so that stop is a certificate, not a guess.  ``terms`` is only a
+ceiling on the coefficients computed; a fit that reaches it without a
 certificate is accepted only when the prefix holds at least 2L + 2
 coefficients, and otherwise refused.  No unverified extrapolation is
 ever reported, and ``regularize`` holds each value against its routes.
+
+Every fitted series of the constructions has integer coefficients, and
+an integer series that is rational has an integer denominator with
+constant term 1 (Fatou 1906).  So the fit first runs modulo 61-bit
+primes, lifts the taps by CRT, and accepts the lift only after checking
+it exactly over the integers on every coefficient seen; on any doubt
+the same coefficients go to Berlekamp-Massey over the rationals, which
+gives the answer or the error.  Both engines return the same series.
 
 Everything is immutable and pure.
 """
@@ -22,11 +30,13 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError, InternalCheckError, RegularizationError
+from .limits import check_terms
 from .rationals import as_fraction
 
 
@@ -161,6 +171,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 _PROOF_PRIME = 2 ** 61 - 1
+# The 64 largest primes below 2^61, _PROOF_PRIME first: enough for taps of
+# about 1900 bits.  A fit that runs out of them falls back to the rationals.
+_FIT_PRIMES = tuple(2 ** 61 - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
+    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425,
+    1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855,
+    1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371,
+    2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+))
 
 
 def _residues_mod_p(p: Polynomial) -> list[int] | None:
@@ -425,15 +444,16 @@ def series_window(
     earlier, at its certificate (see fit_series).  By default max_order
     is order_bound and terms is the smallest value that also meets the
     2L + 2 length contract of an uncertified fit of order order_bound;
-    a user-set terms or max_order replaces its default unchanged.
+    a user-set terms or max_order replaces its default unchanged.  Either
+    way terms must stay within limits.MAX_TERMS.
     """
     if max_order is not None and max_order < 0:
         raise InputError(f"max_order must be at least 0, got {max_order}")
     if terms is None:
-        terms = max(4 * order_bound - 2, 2 * order_bound + 1)
+        terms = check_terms(max(4 * order_bound - 2, 2 * order_bound + 1), order_bound)
     elif terms < 1:
         raise InputError(f"terms must be at least 1 to fit a recurrence, got {terms}")
-    return terms, order_bound if max_order is None else max_order
+    return check_terms(terms), order_bound if max_order is None else max_order
 
 
 def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
@@ -469,15 +489,34 @@ def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     return None
 
 
+def _recurrence_holds(coeffs: Sequence[int], taps: Sequence[int]) -> bool:
+    """Exact integer check of c_k = sum(taps[i] * c_{k-1-i}) for every k >= order."""
+    order, backwards = len(taps), taps[::-1]
+    return all(
+        coeffs[k] == sum(map(operator.mul, backwards, coeffs[k - order:k]))
+        for k in range(order, len(coeffs))
+    )
+
+
 def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunction:
     """The unique rational function matching the prefix with rec's denominator.
 
     The result is re-expanded and compared against the whole prefix;
     a mismatch means the recurrence was not actually verified and is
-    reported as an internal error.
+    reported as an internal error.  When the prefix and the taps are
+    integers, the numerator convolution and the re-expansion (the
+    recurrence itself, since the denominator has constant term 1) are
+    computed over the integers.
     """
-    den = Polynomial((Fraction(1),) + tuple(-t for t in rec.taps))
     coeffs = prefix.coefficients
+    if all(x.denominator == 1 for x in coeffs + rec.taps):
+        ints = [c.numerator for c in coeffs]
+        den = [1] + [-t.numerator for t in rec.taps]
+        if not _recurrence_holds(ints, [t.numerator for t in rec.taps]):
+            raise InternalCheckError("re-expansion of fitted rational function disagrees with prefix")
+        num = [sum(map(operator.mul, den[k::-1], ints)) for k in range(rec.order)]
+        return RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
+    den = Polynomial((Fraction(1),) + tuple(-t for t in rec.taps))
     num = Polynomial(
         tuple(
             sum(
@@ -546,7 +585,7 @@ def regularize(
     raise InternalCheckError(f"route disagreement: {named}")
 
 
-def _massey_fit(
+def _rational_massey_fit(
     coefficient: Callable[[int], object],
     last: int,
     max_order: int,
@@ -558,6 +597,8 @@ def _massey_fit(
     After each coefficient, ``length`` is the order of the shortest
     recurrence generating every coefficient seen so far; it never
     decreases.  The fit stops early once order_bound certifies it.
+    This engine decides every fit the modular one leaves in doubt, and
+    is its test oracle.
     """
     coeffs: list[Fraction] = []
     conn = [Fraction(1)]  # connection polynomial: sum conn[i] c_{k-i} = 0
@@ -598,6 +639,118 @@ def _massey_fit(
     rec = Recurrence(tuple(taps))
     return EulerSeries(
         prefix, to_rational_function(prefix, rec), rec, order_bound if certified else None
+    )
+
+
+class _ModularMassey:
+    """Berlekamp-Massey over Z/p, fed one integer coefficient at a time."""
+
+    def __init__(self, p: int):
+        self.p, self.seq = p, []
+        self.conn, self.prev, self.prev_disc, self.shift, self.length = [1], [1], 1, 1, 0
+
+    def push(self, c: int) -> int:
+        """Take the next coefficient; return the recurrence length so far."""
+        p, seq, conn = self.p, self.seq, self.conn
+        seq.append(c % p)
+        k = len(seq) - 1
+        disc = sum(map(operator.mul, conn, seq[k::-1])) % p
+        if not disc:
+            self.shift += 1
+            return self.length
+        step = disc * pow(self.prev_disc, -1, p) % p
+        updated = conn + [0] * max(0, self.shift + len(self.prev) - len(conn))
+        for i, b in enumerate(self.prev, self.shift):
+            updated[i] = (updated[i] - step * b) % p
+        while updated[-1] == 0:
+            updated.pop()
+        if 2 * self.length <= k:
+            self.prev, self.prev_disc, self.shift, self.length = conn, disc, 1, k + 1 - self.length
+        else:
+            self.shift += 1
+        self.conn = updated
+        return self.length
+
+    def taps(self) -> list[int]:
+        return [-c % self.p for c in self.conn[1:]] + [0] * (self.length + 1 - len(self.conn))
+
+
+def _symmetric(residues: list[int], modulus: int) -> list[int]:
+    return [r - modulus if 2 * r > modulus else r for r in residues]
+
+
+def _lift_taps(coeffs: list[int], first: _ModularMassey) -> list[int] | None:
+    """Integer taps of length first.length that hold exactly on coeffs.
+
+    The taps mod each further prime are combined by CRT until their
+    symmetric lift stops changing; that lift is then checked over the
+    integers.  None when a prime finds another length, the primes run
+    out, or the stable lift fails the check.
+    """
+    modulus, residues = first.p, first.taps()
+    lifted = _symmetric(residues, modulus)
+    for p in _FIT_PRIMES[1:]:
+        other = _ModularMassey(p)
+        for c in coeffs:
+            other.push(c)
+        if other.length != first.length:
+            return None
+        inverse = pow(modulus, -1, p)
+        residues = [r + modulus * ((s - r) * inverse % p) for r, s in zip(residues, other.taps())]
+        modulus *= p
+        stable, lifted = lifted, _symmetric(residues, modulus)
+        if lifted == stable:
+            return lifted if _recurrence_holds(coeffs, lifted) else None
+    return None
+
+
+def _massey_fit(
+    coefficient: Callable[[int], object],
+    last: int,
+    max_order: int,
+    order_bound: int | None,
+    grading: str,
+) -> EulerSeries:
+    """Berlekamp-Massey on c_0, c_1, .., c_last, with the same result as
+    _rational_massey_fit.
+
+    While the coefficients are integers the fit runs modulo the first of
+    _FIT_PRIMES and stops at the first n >= L + order_bound.  Its lift
+    is accepted when L <= order_bound, the lifted recurrence holds over
+    the integers on all n coefficients, and its continuation has reduced
+    order exactly L: then L is the rational length at every step, so the
+    rational engine would stop at the same n with the same taps (a
+    recurrence of reduced order L is unique on 2L coefficients).  Any
+    doubt (a non-integer coefficient, L > max_order mod p, a failed lift,
+    no certificate within terms) hands the coefficients already computed
+    to _rational_massey_fit, so each coefficient(k) is still called at
+    most once.
+    """
+    if order_bound is None:  # no certificate is possible
+        return _rational_massey_fit(coefficient, last, max_order, order_bound, grading)
+    seen: list = []
+    ints: list[int] = []
+    first = _ModularMassey(_FIT_PRIMES[0])
+    for k in range(last + 1):
+        seen.append(coefficient(k))
+        value = seen[k]
+        if type(value) is not int and not (isinstance(value, Fraction) and value.denominator == 1):
+            break
+        ints.append(int(value))
+        length = first.push(ints[k])
+        if length > max_order:
+            break
+        if k + 1 >= length + order_bound:
+            taps = _lift_taps(ints, first) if length <= order_bound else None
+            if taps is not None:
+                prefix, rec = SeriesPrefix(tuple(ints), grading), Recurrence(tuple(taps))
+                rf = to_rational_function(prefix, rec)
+                if max(rf.denominator.degree, rf.numerator.degree + 1) == length:
+                    return EulerSeries(prefix, rf, rec, order_bound)
+            break
+    return _rational_massey_fit(
+        lambda k: seen[k] if k < len(seen) else coefficient(k),
+        last, max_order, order_bound, grading,
     )
 
 
@@ -645,6 +798,7 @@ def binomial_prefix(
     """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
+    check_terms(terms)
     lam = as_fraction(lam)
     coeffs = [Fraction(1)]
     for k in range(terms):

@@ -36,7 +36,7 @@ from .exact_series import (
 )
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
-from .limits import enumeration_cap
+from .limits import check_terms, enumeration_cap
 from .partition_combinatorics import gen_binomial
 
 GRADING = "breakpoints"
@@ -70,6 +70,7 @@ def _series_for_base(base: int, components: int, terms: int | None, count):
         terms, _ = series_window(components)
     elif terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
+    check_terms(terms)
     counts = tuple(count(k) for k in range(terms + 1))
     prefix = SeriesPrefix(
         tuple(gen_binomial(-components, k) * counts[k] for k in range(terms + 1)),
@@ -207,6 +208,8 @@ def map_pair_measure(
         "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),
     }
     value = regularize(series, routes, PAIR_ORDER_BOUND)
+    # A modular fit left in doubt may have counted past the prefix's end.
+    counts = counts[: len(series.prefix)]
     return MapPairResult(bsize, value, tuple(counts), series, routes)
 
 

@@ -158,6 +158,14 @@ def gen_binomial(x, k: int) -> Fraction:
     return falling_factorial(x, k) / math.factorial(k)
 
 
+def integer_binomial(n: int, k: int) -> int:
+    """gen_binomial(n, k) at an integer n, in integer arithmetic:
+    binom(n, k) = (-1)^k binom(k - n - 1, k) when n < 0."""
+    if k < 0:
+        raise InputError(f"k must be at least 0, got {k}")
+    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+
+
 def iterated_binomial(x, ks: Sequence[int]) -> Fraction:
     """Left fold of gen_binomial over ks, starting from x itself."""
     value = as_fraction(x)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,11 +40,10 @@ from .exact_series import (
     fit_series,
     regularize,
     series_window,
-    solve_linear_system,
 )
 from .interval_sets import PolyhedralSet1D
 from .limits import enumeration_cap
-from .partition_combinatorics import gen_binomial, iterated_binomial
+from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
 
 GRADING = "rank"
@@ -92,10 +92,10 @@ class ExponentialFit:
 
 def _iterated_total(spec: GizmoSpec, ground_size: int) -> int:
     """Number of gizmo elements over a finite ground set of the given size."""
-    total = iterated_binomial(Fraction(2) ** ground_size, spec.ks)
-    if total.denominator != 1:
-        raise InternalCheckError("finite gizmo total is not an integer")
-    return int(total)
+    total = 2 ** ground_size
+    for k in spec.ks:
+        total = math.comb(total, k)
+    return total
 
 
 def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None) -> int:
@@ -173,11 +173,41 @@ def iterated_binomial_polynomial(ks) -> Polynomial:
     return p
 
 
+def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Fraction]:
+    """The a_j with sum_j a_j b_j^k = counts[k - 1] for k = 1..J, in O(J^2).
+
+    With w_j = a_j b_j this is the transposed Vandermonde system
+    sum_j w_j b_j^m = counts[m], m < J.  For the master polynomial
+    P = prod (x - b_i) and Q_j = P / (x - b_j) = sum_m q_jm x^m,
+    sum_m q_jm counts[m] = sum_i w_i Q_j(b_i) = w_j Q_j(b_j), because Q_j
+    vanishes on every other node.  Everything but the last division is
+    integer arithmetic.
+    """
+    master = [1]
+    for b in bases:  # times (x - b)
+        master = [0] + master
+        for i in range(len(master) - 1):
+            master[i] -= b * master[i + 1]
+    weights = []
+    for b in bases:
+        quotient = [0] * len(bases)  # synthetic division of P by x - b
+        acc = 0
+        for i in range(len(bases), 0, -1):
+            acc = master[i] + b * acc
+            quotient[i - 1] = acc
+        at_node = math.prod(b - c for c in bases if c != b)
+        weights.append(Fraction(sum(map(operator.mul, quotient, counts)), b * at_node))
+    return weights
+
+
 def gizmo_fit(
     spec: GizmoSpec, held_out: int = 4, totals: list[int] | None = None
 ) -> ExponentialFit:
     """Solve n_k = sum a_j (2^j-1)^k on k = 1..J and verify the result.
 
+    The system is solved by Lagrange interpolation in O(J^2) integer
+    operations (see _exponential_weights); the weights must then predict
+    the held-out counts and match the iterated binomial polynomial.
     Verification failure here means a counting bug, not bad user input.
     ``totals`` is the memo of gizmo_support_count.
     """
@@ -185,13 +215,7 @@ def gizmo_fit(
     bases = tuple(2 ** j - 1 for j in range(1, j_dim + 1))
     totals = [] if totals is None else totals
     targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + held_out + 1)]
-    rows = [
-        [Fraction(b) ** k for b in bases] for k in range(1, j_dim + 1)
-    ]
-    rhs = [Fraction(t) for t in targets[:j_dim]]
-    weights = solve_linear_system(rows, rhs)
-    if weights is None:
-        raise InternalCheckError("exponential-fit Vandermonde system is inconsistent")
+    weights = _exponential_weights(bases, targets[:j_dim])
     fit = ExponentialFit(bases, tuple(weights), Polynomial((Fraction(0),) + tuple(weights)))
     for extra in range(held_out):
         k = j_dim + 1 + extra
@@ -278,13 +302,14 @@ def gizmo_measure(
         return GizmoMeasureResult(chi, ps.value, None, counts, ps.series, ps.routes)
 
     order_bound = _order_bound(chi, spec.fit_dimension)
+    terms, max_order = series_window(order_bound, terms, max_order)  # before any counting
     totals: list[int] = []
     fit = gizmo_fit(spec, totals=totals)
     counts: list[int] = []
 
-    def coefficient(k: int) -> Fraction:
+    def coefficient(k: int) -> int:
         counts.append(gizmo_support_count(spec, k, totals))
-        return gen_binomial(chi, k) * counts[k]
+        return integer_binomial(chi, k) * counts[k]
 
     series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
     routes = {
@@ -293,4 +318,6 @@ def gizmo_measure(
         "iterated_binomial": iterated_binomial(two_chi, spec.ks),
     }
     value = regularize(series, routes, order_bound)
+    # A modular fit left in doubt may have counted past the prefix's end.
+    counts = counts[: len(series.prefix)]
     return GizmoMeasureResult(chi, value, fit, tuple(counts), series, routes)

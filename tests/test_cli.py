@@ -185,6 +185,13 @@ class TestRun:
         }
         assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
+    def test_gizmo_order_108(self):
+        # default knobs: 216 support counts and taps of about 1500 bits
+        report = run(Command("gizmo", {"set": "(0,1) u (2,3) u (4,5) u (6,7)", "ks": [3, 3, 3]}))
+        assert report.results["value"]["value"] == str(iterated_binomial(F(1, 16), (3, 3, 3)))
+        assert report.results["series"]["recurrence"]["order_bound"] == 108
+        assert report.checks == [{"name": "route-agreement", "status": "ok"}]
+
     def test_mapspace_finite(self):
         report = run(Command("mapspace", {"set": "(0,1)", "finite": 2}))
         assert report.results["value"]["value"] == "1/2"
@@ -326,6 +333,15 @@ class TestMain:
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])
         assert code == 3
+        # terms is capped before any counting, whether set or derived
+        for argv, origin in (
+            (["powerset", "(0,1)", "--terms", "100000000"], "terms 100000000 exceeds"),
+            (["mapspace", "(0,1)", "--finite", "2", "--terms", "100000000"], "terms 100000000 exceeds"),
+            (["gizmo", "(0,1)", "--ks", "2", "--terms", "10001"], "terms 10001 exceeds"),
+            (["gizmo", "(0,1)", "--ks", "60,60"], "terms 14398 (the default for order bound 3600)"),
+        ):
+            assert main(argv) == 3
+            assert origin in capsys.readouterr().err
         # an explicit cap of 0 is a cap, not a request for the default
         assert main(["choose", "(0,1)", "-k", "3", "--cap", "0"]) == 3
         assert "capped at k <= 0" in capsys.readouterr().err

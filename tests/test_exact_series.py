@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulermeasure import exact_series, fibonacci_subsets, map_spaces, power_gizmos
-from eulermeasure.errors import InputError, InternalCheckError, RegularizationError
+from eulermeasure.errors import (
+    EulerMeasureError,
+    InputError,
+    InternalCheckError,
+    RegularizationError,
+    ResourceLimitError,
+)
 from eulermeasure.exact_series import (
     EulerSeries,
     Polynomial,
@@ -27,6 +34,7 @@ from eulermeasure.exact_series import (
     to_rational_function,
 )
 from eulermeasure.interval_sets import points
+from eulermeasure.limits import MAX_TERMS
 from eulermeasure.partition_combinatorics import gen_binomial
 from eulermeasure.setparse import parse_set_expression as parse
 from eulermeasure.verify import random_rational_function, set_with_chi
@@ -196,6 +204,19 @@ class TestSeriesWindow:
             series_window(2, terms, max_order)
         assert knob in str(err.value) and minimum in str(err.value)
 
+    def test_terms_ceiling(self):
+        # fib on 2000 pieces has order bound 2001 and the default terms 8002
+        assert series_window(2001) == (8002, 2001)
+        assert series_window(2, MAX_TERMS) == (MAX_TERMS, 2)
+        for bound, terms, origin in (
+            (2, MAX_TERMS + 1, f"terms {MAX_TERMS + 1} exceeds"),
+            (2502, None, "terms 10006 (the default for order bound 2502) exceeds"),
+        ):
+            with pytest.raises(ResourceLimitError, match=re.escape(origin)):
+                series_window(bound, terms)
+        with pytest.raises(ResourceLimitError, match="terms"):
+            binomial_prefix(-1, 1, MAX_TERMS + 1)
+
 
 class TestToRationalFunction:
     def test_alternating(self):
@@ -316,7 +337,8 @@ class TestRegularize:
 # The gizmo selection sizes of the benchmark's regularize workload.
 GIZMO_KS = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
 # One Gauss-Jordan oracle fit costs about d^4; at order 24 it already
-# takes seconds, so deeper gizmos (orders 27, 32, 36) are left out.
+# takes seconds, so deeper gizmos (orders 27, 32, 36) are left out here and
+# held against the Fraction engine instead.
 ORACLE_MAX_ORDER = 24
 
 
@@ -395,6 +417,16 @@ def test_certified_fit_matches_gauss_oracle(bound, factory):
     rec = min_recurrence(window, bound)
     assert rec is not None
     assert to_rational_function(window, rec) == series.closed_form
+
+
+@pytest.mark.parametrize("bound,factory", [(b, f) for _, b, f in CORPUS],
+                         ids=[i for i, _, _ in CORPUS])
+def test_certified_fit_matches_rational_engine(bound, factory):
+    coefficient, construct = factory()
+    series = construct()
+    terms, max_order = series_window(bound)
+    grading = series.prefix.grading
+    assert series == exact_series._rational_massey_fit(coefficient, terms, max_order, bound, grading)
 
 
 def _sympy_expr(poly, t):
@@ -492,3 +524,99 @@ def test_mod_p_proof_matches_gcd_path(pair):
         assert proven == (not num.is_zero and poly_gcd(num, den).degree == 0)
     else:
         assert not proven
+
+
+# -- the modular engine against the rational one --------------------------
+
+
+def _expand(num, den, n):
+    """c_0..c_{n-1} of num/den, den[0] == 1."""
+    out = []
+    for k in range(n):
+        acc = num[k] if k < len(num) else 0
+        out.append(acc - sum(den[i] * out[k - i] for i in range(1, min(k, len(den) - 1) + 1)))
+    return out
+
+
+_small_ints = st.integers(-5, 5)
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _fit_windows(draw):
+    """Coefficients with a terms/max_order/order_bound window: integer
+    rational series (integer denominator with constant term 1), rational
+    series with fractional coefficients, integer rational series with one
+    fractional coefficient, and plain integer noise."""
+    kind = draw(st.sampled_from(["integer", "fractional", "one-fraction", "noise"]))
+    n = 40
+    if kind == "noise":
+        values = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    else:
+        entries = _fractions if kind == "fractional" else _small_ints
+        den = [1] + draw(st.lists(entries, max_size=6))
+        num = draw(st.lists(entries, max_size=6))
+        values = _expand(num, den, n)
+        if kind == "one-fraction":
+            values[draw(st.integers(0, 12))] += Fraction(1, draw(st.integers(2, 5)))
+    last = draw(st.integers(0, n - 1))
+    max_order = draw(st.integers(0, 8))
+    order_bound = draw(st.sampled_from([None, *range(9)]))
+    return values, last, max_order, order_bound
+
+
+def _engine_outcome(engine, values, last, max_order, order_bound):
+    asked = []
+
+    def coefficient(k):
+        asked.append(k)
+        return values[k]
+
+    try:
+        outcome = engine(coefficient, last, max_order, order_bound, "rank")
+    except EulerMeasureError as exc:
+        outcome = (type(exc), str(exc))
+    assert asked == list(range(len(asked))) and len(asked) <= last + 1
+    return outcome
+
+
+@pytest.mark.parametrize("primes", [exact_series._FIT_PRIMES, (3, 5, 7)], ids=["61-bit", "tiny"])
+@settings(max_examples=400, deadline=None)
+@given(_fit_windows())
+def test_modular_engine_matches_rational_engine(primes, case):
+    # Tiny primes are unlucky often: wrong lengths mod p, unstable or failing
+    # lifts and exhausted primes all have to fall back to the rationals.
+    with mock.patch.object(exact_series, "_FIT_PRIMES", primes):
+        modular = _engine_outcome(exact_series._massey_fit, *case)
+    assert modular == _engine_outcome(exact_series._rational_massey_fit, *case)
+
+
+def test_fit_primes_are_distinct_61_bit_primes():
+    primes = exact_series._FIT_PRIMES
+    assert primes[0] == exact_series._PROOF_PRIME and len(set(primes)) == len(primes)
+    assert all(p.bit_length() == 61 and sympy.isprime(p) for p in primes)
+
+
+def test_integer_fit_falls_back_when_primes_run_out():
+    # order 36: taps of 178 bits cannot be lifted from 2^61 - 1 alone
+    coefficient, construct = _gizmo_case(-4, (3, 3))
+    with mock.patch.object(exact_series, "_FIT_PRIMES", exact_series._FIT_PRIMES[:1]), \
+            mock.patch.object(exact_series, "_rational_massey_fit",
+                              wraps=exact_series._rational_massey_fit) as rational:
+        series = fit_series(coefficient, 36)
+    assert rational.call_count == 1
+    assert series == construct()
+
+
+def test_integer_to_rational_function():
+    rng = random.Random(5)
+    for _ in range(60):
+        den = [1] + [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))]
+        num = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))]
+        order = max(len(den) - 1, len(num))
+        coeffs = _expand(num, den, 2 * order + 3)
+        rec = Recurrence(tuple(-d for d in den[1:]) + (0,) * (order - len(den) + 1))
+        assert to_rational_function(SeriesPrefix(tuple(coeffs)), rec) == rf(num, den)
+        coeffs[-1] += 1
+        with pytest.raises(InternalCheckError, match="re-expansion"):
+            to_rational_function(SeriesPrefix(tuple(coeffs)), rec)

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from eulermeasure.errors import InputError, RegularizationError, ResourceLimitError
-from eulermeasure.exact_series import Polynomial, RationalFunction
+from eulermeasure.exact_series import Polynomial, RationalFunction, solve_linear_system
 from eulermeasure.interval_sets import points
-from eulermeasure.partition_combinatorics import iterated_binomial
+from eulermeasure.partition_combinatorics import gen_binomial, integer_binomial, iterated_binomial
 from eulermeasure.power_gizmos import (
     GizmoSpec,
     gizmo_brute_force,
@@ -85,6 +85,37 @@ class TestGizmoFit:
         fit = gizmo_fit(GizmoSpec((2, 2)))
         for k in range(10):
             assert fit.predicted_count(k) == gizmo_support_count(GizmoSpec((2, 2)), k)
+
+
+def _ordered_factorizations(n):
+    """Every ks with factors >= 2 and product n."""
+    if n == 1:
+        yield ()
+    for f in range(2, n + 1):
+        if n % f == 0:
+            yield from ((f,) + rest for rest in _ordered_factorizations(n // f))
+
+
+# Every selection-size list with J <= 27 and no 1s, plus two with 1s.
+FIT_KS = [(1,), (2, 1)] + [ks for j in range(2, 28) for ks in _ordered_factorizations(j)]
+
+
+@pytest.mark.parametrize("ks", FIT_KS, ids=str)
+def test_exponential_weights_match_gauss_oracle(ks):
+    spec = GizmoSpec(ks)
+    fit = gizmo_fit(spec)
+    j_dim, totals = spec.fit_dimension, []
+    rows = [[F(b) ** k for b in fit.bases] for k in range(1, j_dim + 1)]
+    rhs = [F(gizmo_support_count(spec, k, totals)) for k in range(1, j_dim + 1)]
+    assert fit.weights == tuple(solve_linear_system(rows, rhs))
+
+
+def test_integer_binomial_is_gen_binomial():
+    for n in range(-7, 8):
+        for k in range(12):
+            assert integer_binomial(n, k) == gen_binomial(n, k)
+    with pytest.raises(InputError, match="at least 0"):
+        integer_binomial(3, -1)
 
 
 class TestPowerSet:
