@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -138,9 +139,8 @@ def _series_dict(series: EulerSeries) -> dict:
     out = {
         "grading": series.prefix.grading,
         "coefficients": [str(c) for c in series.prefix.coefficients],
+        "closed_form": _rf_dict(series.closed_form),
     }
-    if series.closed_form is not None:
-        out["closed_form"] = _rf_dict(series.closed_form)
     if series.recurrence is not None:
         out["recurrence"] = {
             "order": series.recurrence.order,
@@ -265,10 +265,7 @@ def _cmd_powerset(options: dict) -> Report:
 
 def _cmd_gizmo(options: dict) -> Report:
     a = _parse_input_set(options)
-    ks = options.get("ks")
-    if not ks:
-        raise InputError("gizmo needs --ks with at least one selection size")
-    spec = GizmoSpec(tuple(ks))
+    spec = GizmoSpec(tuple(options["ks"]))
     res = gizmo_measure(a, spec, options.get("terms"), options.get("max_order"))
     results = {
         "canonical": str(a),
@@ -280,11 +277,10 @@ def _cmd_gizmo(options: dict) -> Report:
     report = _regularized_report(
         "gizmo", inputs, results, res, "exponential-fit", "route-agreement"
     )
-    if res.fit is not None:
-        report.results["fit"] = {
-            "bases": list(res.fit.bases),
-            "weights": [str(w) for w in res.fit.weights],
-        }
+    report.results["fit"] = {
+        "bases": list(res.fit.bases),
+        "weights": [str(w) for w in res.fit.weights],
+    }
     return report
 
 
@@ -306,6 +302,10 @@ def _cmd_mapspace(options: dict) -> Report:
         inputs["pairs"] = "true"
         results |= {"codomain_size": res.bsize, "pair_counts": [str(n) for n in res.counts]}
         route = "series-regularization of brute-force counts"
+    elif options.get("max_order") is not None:
+        raise InputError(
+            "max_order applies only to --pairs; the other map-space modes fit no recurrence"
+        )
     elif modes == ["finite"]:
         res = hedral_map_measure(a, int(options["finite"]), terms)
         inputs["finite"] = str(res.bsize)
@@ -455,6 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, stream) -> None:
+    """Print text; a reader that closed the pipe early ends the output quietly."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # Send what is left to /dev/null so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     namespace = parser.parse_args(argv)
@@ -463,19 +472,12 @@ def main(argv=None) -> int:
         report = run(Command(namespace.verb, options))
     except EulerMeasureError as exc:
         if namespace.json:
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "error": {"class": exc.cli_class, "message": str(exc)},
-                    },
-                    indent=2,
-                )
-            )
+            error = {"class": exc.cli_class, "message": str(exc)}
+            _emit(json.dumps({"schema": SCHEMA_VERSION, "error": error}, indent=2), sys.stdout)
         else:
-            print(f"error [{exc.cli_class}]: {exc}", file=sys.stderr)
+            _emit(f"error [{exc.cli_class}]: {exc}", sys.stderr)
         return exc.exit_code
-    print(report.to_json() if namespace.json else report.to_text())
+    _emit(report.to_json() if namespace.json else report.to_text(), sys.stdout)
     return report.exit_status
 
 

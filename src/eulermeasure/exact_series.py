@@ -33,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InternalCheckError, RegularizationError
 from .limits import check_terms
@@ -263,10 +263,6 @@ class RationalFunction:
         object.__setattr__(self, "numerator", num.scale(1 / c0))
         object.__setattr__(self, "denominator", den.scale(1 / c0))
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial.constant(1))
-
     def expand(self, last_index: int) -> tuple[Fraction, ...]:
         """Taylor coefficients c_0 .. c_last around t=0."""
         den = self.denominator.coefficients
@@ -277,30 +273,6 @@ class RationalFunction:
                 acc -= den[i] * out[k - i]
             out.append(acc)  # den[0] == 1 by normalization
         return tuple(out)
-
-    def evaluate(self, x) -> Fraction:
-        x = as_fraction(x)
-        d = self.denominator.evaluate(x)
-        if d == 0:
-            raise RegularizationError(f"pole at t={x}")
-        return self.numerator.evaluate(x) / d
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
 
     def text(self, var: str = "t") -> str:
         num = self.numerator.text(var)
@@ -338,40 +310,6 @@ class SeriesPrefix:
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-    def _check_grading(self, other: "SeriesPrefix"):
-        if self.grading != other.grading:
-            raise InputError(
-                f"grading mismatch: {self.grading!r} vs {other.grading!r}"
-            )
-
-    def add(self, other: "SeriesPrefix") -> "SeriesPrefix":
-        self._check_grading(other)
-        n = min(len(self), len(other))
-        return SeriesPrefix(
-            tuple(a + b for a, b in zip(self.coefficients[:n], other.coefficients[:n])),
-            self.grading,
-        )
-
-    def scale(self, factor) -> "SeriesPrefix":
-        f = as_fraction(factor)
-        return SeriesPrefix(tuple(c * f for c in self.coefficients), self.grading)
-
-    def cauchy_multiply(self, other: "SeriesPrefix") -> "SeriesPrefix":
-        self._check_grading(other)
-        n = min(len(self), len(other))
-        out = [Fraction(0)] * n
-        for k in range(n):
-            out[k] = sum(
-                (self.coefficients[i] * other.coefficients[k - i] for i in range(k + 1)),
-                Fraction(0),
-            )
-        return SeriesPrefix(tuple(out), self.grading)
-
-    def truncate(self, length: int) -> "SeriesPrefix":
-        if length < 1:
-            raise InputError("cannot truncate a prefix below one coefficient")
-        return SeriesPrefix(self.coefficients[:length], self.grading)
 
 
 @dataclass(frozen=True)
@@ -534,7 +472,7 @@ def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunct
 
 @dataclass(frozen=True)
 class EulerSeries:
-    """A series prefix together with its rational continuation, if known.
+    """A series prefix together with its rational continuation.
 
     ``order_bound`` is set when a proven order bound certified the fit
     (the prefix holds at least order + order_bound coefficients); it is
@@ -543,7 +481,7 @@ class EulerSeries:
     """
 
     prefix: SeriesPrefix
-    closed_form: RationalFunction | None = None
+    closed_form: RationalFunction
     recurrence: Recurrence | None = None
     order_bound: int | None = None
 
@@ -556,8 +494,6 @@ class EulerSeries:
         return 2 * self.recurrence.order
 
     def regularized_value(self) -> Fraction:
-        if self.closed_form is None:
-            raise RegularizationError("series has no closed form to evaluate")
         return eval_at_one(self.closed_form)
 
 
@@ -789,12 +725,12 @@ def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> Euler
 
 def binomial_prefix(
     m: int, lam, terms: int, grading: str = "rank"
-) -> tuple[SeriesPrefix, Union[Polynomial, RationalFunction]]:
+) -> tuple[SeriesPrefix, RationalFunction]:
     """Prefix and closed form of (1 + lam*t)^m.
 
     Coefficients are generalized binomials binom(m, k) * lam^k; the
-    closed form is a Polynomial for m >= 0 and 1/(1+lam*t)^(-m) for
-    m < 0.
+    closed form is (1+lam*t)^m / 1 for m >= 0 and 1 / (1+lam*t)^(-m)
+    for m < 0.
     """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
@@ -803,10 +739,7 @@ def binomial_prefix(
     coeffs = [Fraction(1)]
     for k in range(terms):
         coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
-    base = Polynomial((Fraction(1), lam))
-    closed: Union[Polynomial, RationalFunction]
-    if m >= 0:
-        closed = base ** m
-    else:
-        closed = RationalFunction(Polynomial.constant(1), base ** (-m))
+    power = Polynomial((Fraction(1), lam)) ** abs(m)
+    one = Polynomial.constant(1)
+    closed = RationalFunction(power, one) if m >= 0 else RationalFunction(one, power)
     return SeriesPrefix(tuple(coeffs), grading), closed

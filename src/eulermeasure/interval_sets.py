@@ -449,16 +449,8 @@ def complement(a: PolyhedralSet1D) -> PolyhedralSet1D:
     return a.complement()
 
 
-def euler_measure(a: PolyhedralSet1D) -> int:
-    return a.euler_measure()
-
-
 def classify(a: PolyhedralSet1D) -> Classification:
     return a.classify()
-
-
-def restrict_open(a: PolyhedralSet1D, lower, upper) -> PolyhedralSet1D:
-    return a.restrict_open(lower, upper)
 
 
 def points(values: Iterable) -> PolyhedralSet1D:

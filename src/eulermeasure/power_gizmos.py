@@ -35,7 +35,6 @@ from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
     EulerSeries,
     Polynomial,
-    RationalFunction,
     binomial_prefix,
     fit_series,
     regularize,
@@ -57,6 +56,8 @@ class GizmoSpec:
 
     def __post_init__(self):
         ks = tuple(int(k) for k in self.ks)
+        if not ks:
+            raise InputError("a gizmo needs at least one selection size (--ks)")
         if any(k < 1 for k in ks):
             raise InputError("gizmo selection sizes must all be >= 1")
         object.__setattr__(self, "ks", ks)
@@ -257,8 +258,7 @@ def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> PowerSetRes
     if terms is None:
         terms, _ = series_window(_order_bound(chi, 1))
     prefix, closed = binomial_prefix(chi, 1, terms, grading=GRADING)
-    rf = closed if isinstance(closed, RationalFunction) else RationalFunction.from_polynomial(closed)
-    series = EulerSeries(prefix, rf)
+    series = EulerSeries(prefix, closed)
     routes = {
         "series_regularization": series.regularized_value(),
         "power_of_two": Fraction(2) ** chi,
@@ -272,13 +272,12 @@ class GizmoMeasureResult:
 
     chi: int
     value: Fraction
-    fit: ExponentialFit | None
+    fit: ExponentialFit
     counts: tuple[int, ...]  # n_k: elements whose support is a fixed k-set
     series: EulerSeries
     routes: dict[str, Fraction]
 
-    # Without selection sizes there is no exponential fit, and no such route.
-    route_exponential = property(lambda self: self.routes.get("exponential_fit"))
+    route_exponential = property(lambda self: self.routes["exponential_fit"])
     route_series = property(lambda self: self.routes["series_regularization"])
 
 
@@ -296,11 +295,6 @@ def gizmo_measure(
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
-    if not spec.ks:
-        ps = powerset_series(A, terms)
-        counts = (1,) * len(ps.series.prefix)
-        return GizmoMeasureResult(chi, ps.value, None, counts, ps.series, ps.routes)
-
     order_bound = _order_bound(chi, spec.fit_dimension)
     terms, max_order = series_window(order_bound, terms, max_order)  # before any counting
     totals: list[int] = []

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -305,6 +308,11 @@ class TestMain:
             ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
             ("--cap must be at least 0, got -1", ["choose", "(0,1)", "-k", "3", "--cap", "-1"]),
             ("k must be at least 0, got -1", ["choose", "(0,1)", "-k", "-1"]),
+            ("max_order applies only to --pairs",
+             ["mapspace", "(0,1)", "--chib", "3", "--max-order", "-5"]),
+            ("max_order applies only to --pairs",
+             ["mapspace", "(0,1)", "--finite", "2", "--max-order", "3"]),
+            ("selection size (--ks)", ["gizmo", "(0,1)", "--ks", ","]),
         ):
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
@@ -360,6 +368,28 @@ class TestMain:
         ns = build_parser().parse_args(["gizmo", "(0,1)", "--ks", "2,3", "--terms", "30"])
         assert ns.ks == [2, 3]
         assert ns.terms == 30
+
+    @pytest.mark.parametrize("argv,code,lines_read", [
+        # about 300 KB: it outgrows the pipe buffer, so the process is
+        # still printing when the reader goes away after one line
+        (["gizmo", "(0,1)", "--ks", "7,8", "--json"], 0, 1),
+        # the error payload, written after the reader has already gone
+        (["measure", "(3,1)", "--json"], 2, 0),
+    ], ids=["report", "error"])
+    def test_reader_closing_the_pipe_early(self, argv, code, lines_read):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulermeasure", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=os.environ | {"PYTHONPATH": path},
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert b"Traceback" not in err and err == b""
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_reports.json"

@@ -88,44 +88,16 @@ class TestRationalFunction:
         assert rf([1], [1, 1]).expand(5) == (1, -1, 1, -1, 1, -1)
         assert rf([0, -1], [1, 4, 3]).expand(4) == (0, -1, 4, -13, 40)
 
-    def test_arithmetic_at_one(self):
-        f = rf([2], [1, 15]) - rf([1], [1, 3])
-        assert eval_at_one(f) == F(2, 16) - F(1, 4) == F(-1, 8)
-
     def test_pole_at_one(self):
         with pytest.raises(RegularizationError):
             eval_at_one(rf([1], [1, -1]))
 
     def test_pole_elsewhere(self):
-        assert rf([1], [1, -1]).evaluate(F(1, 2)) == 2
-        with pytest.raises(RegularizationError):
-            rf([1], [1, -1]).evaluate(1)
+        # 1/(1-2t) has its pole at t=1/2; the value at t=1 is still defined
+        assert eval_at_one(rf([1], [1, -2])) == -1
 
 
 class TestSeriesPrefix:
-    def test_add(self):
-        a = SeriesPrefix((1, -1, 1), "rank")
-        b = SeriesPrefix((0, 1, 0), "rank")
-        assert a.add(b).coefficients == (1, 0, 1)
-
-    def test_scale(self):
-        a = SeriesPrefix((2, -6, 18), "rank")
-        assert a.scale(F(1, 2)).coefficients == (1, -3, 9)
-
-    def test_cauchy_multiply(self):
-        a = SeriesPrefix((1, 1), "rank")
-        assert a.cauchy_multiply(a).coefficients == (1, 2)
-        b = SeriesPrefix((1, 1, 0), "rank")
-        assert b.cauchy_multiply(b).coefficients == (1, 2, 1)
-
-    def test_truncate(self):
-        a = SeriesPrefix((1, 2, 3, 4), "rank")
-        assert a.truncate(2).coefficients == (1, 2)
-
-    def test_grading_mismatch(self):
-        with pytest.raises(InputError):
-            SeriesPrefix((1,), "rank").add(SeriesPrefix((1,), "breakpoints"))
-
     def test_needs_one_coefficient(self):
         with pytest.raises(InputError):
             SeriesPrefix((), "rank")
@@ -139,13 +111,13 @@ class TestBinomialPrefix:
 
     def test_scaled_geometric(self):
         prefix, closed = binomial_prefix(-1, 3, 4)
-        assert prefix.scale(2).coefficients == (2, -6, 18, -54, 162)
+        assert prefix.coefficients == (1, -3, 9, -27, 81)
         assert closed == rf([1], [1, 3])
 
     def test_positive_power_is_polynomial(self):
         prefix, closed = binomial_prefix(2, 1, 4)
         assert prefix.coefficients == (1, 2, 1, 0, 0)
-        assert closed == poly(1, 2, 1)
+        assert closed == rf([1, 2, 1], [1])
 
 
 class TestMinRecurrence:
@@ -241,7 +213,8 @@ class TestEvalAtOne:
     def test_paper_values(self):
         assert eval_at_one(rf([1], [1, 1])) == F(1, 2)
         assert eval_at_one(rf([0, -1], [1, 4, 3])) == F(-1, 8)
-        assert eval_at_one(rf([2], [1, 15]) - rf([1], [1, 3])) == F(-1, 8)
+        # map pairs at b=2: (1/2)(b^2/(1+(b^4-1)t) - b/(1+(b^2-1)t))
+        assert eval_at_one(rf([1, -9], [1, 18, 45])) == F(-1, 8)
 
 
 class TestRoundTrip:
@@ -270,8 +243,9 @@ class TestRoundTrip:
             continue_series(SeriesPrefix((1, 2, 4, 8, 16, 31, 57, 99, 163), "rank"), 2)
 
     def test_series_without_closed_form(self):
-        with pytest.raises(RegularizationError):
-            EulerSeries(SeriesPrefix((1, 2), "rank")).regularized_value()
+        # the closed form is required: a series cannot be built without one
+        with pytest.raises(TypeError):
+            EulerSeries(SeriesPrefix((1, 2), "rank"))
 
 
 class TestFitSeries:

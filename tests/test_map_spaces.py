@@ -107,7 +107,8 @@ class TestMapPairs:
         res = map_pair_measure(2)
         assert res.value == F(-1, 8)
         assert res.counts[:4] == (1, 27, 441, 6723)
-        assert res.series.closed_form == rf([2], [1, 15]) - rf([1], [1, 3])
+        # (1/2)(b^2/(1+(b^4-1)t) - b/(1+(b^2-1)t)) at b=2
+        assert res.series.closed_form == rf([1, -9], [1, 18, 45])
         # binom(1/b, 2) is the second route; for b >= 4 the 4d-2 window
         # alone (k <= 6, b^13 maps) would exceed the default enumeration cap
         values = (F(0), F(-1, 8), F(-1, 9), F(-3, 32), F(-2, 25))

@@ -49,7 +49,10 @@ class TestPartitionsOf:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             partitions_of(11)
-        assert len(partitions_of(11, cap=11)) == 678570
+        # the boundary: k == cap is built, k == cap + 1 is refused
+        assert len(partitions_of(4, cap=4)) == 15
+        with pytest.raises(ResourceLimitError):
+            partitions_of(5, cap=4)
 
     @pytest.mark.parametrize("k", range(8))
     def test_generated_blocks_are_canonical(self, k):

@@ -152,10 +152,9 @@ class TestGizmoMeasure:
         res = gizmo_measure(points([0, 1]), GizmoSpec((2,)))
         assert res.value == 6
 
-    def test_empty_selection_list_delegates_to_powerset(self):
-        res = gizmo_measure(parse("(0,1)"), GizmoSpec(()))
-        assert res.value == F(1, 2)
-        assert res.fit is None
+    def test_empty_selection_list_refused(self):
+        with pytest.raises(InputError, match="--ks"):
+            GizmoSpec(())
 
     @pytest.mark.parametrize("chi", range(-3, 4))
     @pytest.mark.parametrize("ks", [(2,), (3,), (2, 2), (2, 3)])
