@@ -1,12 +1,27 @@
-"""Shared caps: brute-force enumerations and the series length.
+"""Shared caps: brute-force enumerations, the series length and the gizmo size.
 
 The default of ten million candidates can be overridden per call or,
 globally, through the EULERMEASURE_ENUM_CAP environment variable.  The
 series ceiling MAX_TERMS is fixed: it sits above the default window of
-every documented input (4d - 2 coefficients for order bound d; fib on
-2000 pieces needs 8002) and is checked before any coefficient is counted.
+every documented input (4d - 2 coefficients for order bound d) and is
+checked before any coefficient is counted.  fib on 2000 pieces needs
+8002 coefficients and is reachable with default knobs: its transfer
+matrix and fit take about 2.5 s.
+
+The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
+sizes k_i over a set of measure chi fits J = prod(k_i) exponentials
+(2^j - 1)^k; its size is max(-chi, 1) * J(J+1)/2, the bit size of the
+larger of two denominators, prod_j (1 + (2^j - 1)t)^(-chi) of the series
+and prod_j (2^j - 1) of the exponential fit.  Past J = 60 the bases
+2^j - 1 vanish or repeat modulo the first fit prime 2^61 - 1, so a
+series with chi < 0 falls back to the Fraction engine, which does not
+finish: gizmo "(0,1)" --ks 60 takes 0.4 s, and --ks 61 or 8,8 still
+runs after 40 s.  Near 3,900 bits the lift also runs out of its 64
+primes.  The ceiling is the size of --ks 60 on (0,1); it is checked
+before the support counts.
 """
 
+import math
 import os
 
 from .errors import InputError, ResourceLimitError
@@ -14,6 +29,7 @@ from .errors import InputError, ResourceLimitError
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV_VAR = "EULERMEASURE_ENUM_CAP"
 MAX_TERMS = 10_000
+MAX_GIZMO_BITS = 60 * 61 // 2
 
 
 def enumeration_cap(explicit: int | None = None) -> int:
@@ -42,3 +58,14 @@ def check_terms(terms: int, default_for: int | None = None) -> int:
             f"terms {terms}{origin} exceeds the ceiling of {MAX_TERMS} series coefficients"
         )
     return terms
+
+
+def check_gizmo_size(chi: int, ks: tuple[int, ...]) -> None:
+    """Refuse a gizmo whose size (see the module docstring) exceeds MAX_GIZMO_BITS."""
+    j_dim = math.prod(ks)
+    bits = max(-chi, 1) * j_dim * (j_dim + 1) // 2
+    if bits > MAX_GIZMO_BITS:
+        raise ResourceLimitError(
+            f"--ks {','.join(map(str, ks))} (J = {j_dim}) on a set of measure {chi} needs "
+            f"{bits}-bit denominators, above the ceiling of {MAX_GIZMO_BITS}; use smaller --ks"
+        )

@@ -41,7 +41,7 @@ from .exact_series import (
     series_window,
 )
 from .interval_sets import PolyhedralSet1D
-from .limits import enumeration_cap
+from .limits import check_gizmo_size, enumeration_cap
 from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
 
@@ -58,8 +58,9 @@ class GizmoSpec:
         ks = tuple(int(k) for k in self.ks)
         if not ks:
             raise InputError("a gizmo needs at least one selection size (--ks)")
-        if any(k < 1 for k in ks):
-            raise InputError("gizmo selection sizes must all be >= 1")
+        for k in ks:
+            if k < 1:
+                raise InputError(f"--ks sizes must be at least 1, got {k}")
         object.__setattr__(self, "ks", ks)
 
     @property
@@ -297,6 +298,7 @@ def gizmo_measure(
     two_chi = Fraction(2) ** chi
     order_bound = _order_bound(chi, spec.fit_dimension)
     terms, max_order = series_window(order_bound, terms, max_order)  # before any counting
+    check_gizmo_size(chi, spec.ks)
     totals: list[int] = []
     fit = gizmo_fit(spec, totals=totals)
     counts: list[int] = []

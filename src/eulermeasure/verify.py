@@ -33,6 +33,7 @@ from .fibonacci_subsets import (
     enumerate_placements,
     extended_fibonacci,
     fibonacci_measure,
+    parity_polynomial,
     parity_strata_coefficient,
     placement_gap_measures,
 )
@@ -105,6 +106,26 @@ def random_polyhedral_set(rng: random.Random, max_pieces: int = 3) -> Polyhedral
         pieces.append(OpenInterval(NEG_INF, ext(Fraction(rng.randint(-12, 0), 2))))
     if rng.random() < 0.12:
         pieces.append(OpenInterval(ext(Fraction(rng.randint(0, 12), 2)), POS_INF))
+    return PolyhedralSet1D.from_pieces(pieces)
+
+
+def random_piece_set(rng: random.Random, max_pieces: int) -> PolyhedralSet1D:
+    """Random canonical set of at most max_pieces pieces: points, open
+    intervals and rays, where neighbouring pieces may share an endpoint."""
+    left, right = rng.random() < 0.25, rng.random() < 0.25
+    x = Fraction(rng.randint(-6, 0))
+    pieces: list = [OpenInterval(NEG_INF, ext(x))] if left else []
+    for _ in range(rng.randint(0, max_pieces - left - right)):
+        if rng.random() < 0.5:
+            after_point = bool(pieces) and isinstance(pieces[-1], Point)
+            x += 1 if after_point or rng.random() < 0.5 else 0
+            pieces.append(Point(x))
+        else:
+            x += rng.randint(0, 1)
+            pieces.append(OpenInterval(ext(x), ext(x + 1)))
+            x += 1
+    if right:
+        pieces.append(OpenInterval(ext(x + rng.randint(0, 1)), POS_INF))
     return PolyhedralSet1D.from_pieces(pieces)
 
 
@@ -559,6 +580,20 @@ def _fibonacci_finite_oracle():
                 return f"P={p} k={k}: {parity_strata_coefficient(p, k)} != {oracle.get(k, 0)}"
         if fibonacci_measure(p).value != sum(oracle.values()):
             return f"P={p}: measure != exhaustive count"
+    return None
+
+
+@_check("fibonacci_subsets", "transfer_matrix_oracle")
+def _fibonacci_transfer_matrix():
+    # the automaton against placement enumeration on points, intervals and rays
+    rng = random.Random(603)
+    for _ in range(6):
+        p = random_piece_set(rng, 6)
+        poly = parity_polynomial(p)
+        for k in range(len(p.pieces) + 2):
+            got, want = (poly[k] if k < len(poly) else 0), parity_strata_coefficient(p, k)
+            if got != want:
+                return f"P={p} k={k}: transfer matrix {got} != enumeration {want}"
     return None
 
 

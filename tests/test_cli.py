@@ -313,6 +313,7 @@ class TestMain:
             ("max_order applies only to --pairs",
              ["mapspace", "(0,1)", "--finite", "2", "--max-order", "3"]),
             ("selection size (--ks)", ["gizmo", "(0,1)", "--ks", ","]),
+            ("--ks sizes must be at least 1, got 0", ["gizmo", "(0,1)", "--ks", "0"]),
         ):
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
@@ -347,6 +348,11 @@ class TestMain:
             (["mapspace", "(0,1)", "--finite", "2", "--terms", "100000000"], "terms 100000000 exceeds"),
             (["gizmo", "(0,1)", "--ks", "2", "--terms", "10001"], "terms 10001 exceeds"),
             (["gizmo", "(0,1)", "--ks", "60,60"], "terms 14398 (the default for order bound 3600)"),
+            # the gizmo size ceiling, checked before the support counts
+            (["gizmo", "(0,1)", "--ks", "8,8"], "--ks 8,8 (J = 64) on a set of measure -1"),
+            (["gizmo", "(0,1)", "--ks", "61"], "1891-bit denominators, above the ceiling of 1830"),
+            (["gizmo", "(0,1) u (2,3) u (4,5) u (6,7)", "--ks", "7,7"], "use smaller --ks"),
+            (["gizmo", "{0}", "--ks", "16,16"], "--ks 16,16 (J = 256)"),
         ):
             assert main(argv) == 3
             assert origin in capsys.readouterr().err

@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from eulermeasure import fibonacci_subsets
 from eulermeasure.errors import ResourceLimitError
 from eulermeasure.fibonacci_subsets import (
     enumerate_placements,
     extended_fibonacci,
     fibonacci_measure,
+    parity_polynomial,
     parity_strata_coefficient,
     placement_gap_measures,
 )
-from eulermeasure.interval_sets import points
+from eulermeasure.interval_sets import OpenInterval, Point, PolyhedralSet1D, ext, points
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import FIB_FAMILY, random_polyhedral_set, valid_subsets_by_all_pairs
+from eulermeasure.verify import (
+    FIB_FAMILY,
+    random_piece_set,
+    random_polyhedral_set,
+    valid_subsets_by_all_pairs,
+)
 
 F = Fraction
 
@@ -109,3 +116,58 @@ class TestFibonacciMeasure:
             for k in range(len(p.pieces) + 1):
                 assert parity_strata_coefficient(p, k) == oracle.get(k, 0)
             assert fibonacci_measure(p).value == sum(oracle.values())
+
+
+class TestTransferMatrix:
+    def test_matches_enumeration_oracle(self):
+        rng = random.Random(71)
+        unbounded = 0
+        for _ in range(240):
+            p = random_piece_set(rng, 7)
+            unbounded += any(
+                not (x.left.is_finite and x.right.is_finite)
+                for x in p.pieces if isinstance(x, OpenInterval)
+            )
+            poly = parity_polynomial(p)
+            assert len(poly) <= len(p.pieces) + 1
+            for k in range(len(p.pieces) + 3):
+                got = poly[k] if k < len(poly) else 0
+                assert got == parity_strata_coefficient(p, k), (str(p), k)
+        assert unbounded >= 50
+
+    def test_small_cases(self):
+        assert parity_polynomial(parse("{}")) == [1]
+        assert parity_polynomial(parse("{0,1}")) == [1, 0, 1]
+        # [0,1]: the three 1-point strata of test_gap_measures_walk
+        assert parity_polynomial(parse("[0,1]"))[:2] == [0, 1]
+        assert not any(parity_polynomial(parse("(-inf,0) u (1,2)"))[1:])
+
+    def test_default_path_does_not_enumerate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("placement enumeration on the default path")
+
+        monkeypatch.setattr(fibonacci_subsets, "parity_strata_coefficient", refuse)
+        monkeypatch.setattr(fibonacci_subsets, "enumerate_placements", refuse)
+        for expr in ("{0,1,2,3} u (4,5) u (6,7) u (8,9) u (10,11)", "[0,1] u (2,inf)"):
+            res = fibonacci_measure(parse(expr))
+            assert res.value == res.expected
+
+
+def _disjoint_pieces(kinds):
+    return PolyhedralSet1D.from_pieces(
+        Point(Fraction(2 * i)) if kind == "point" else OpenInterval(ext(2 * i), ext(2 * i + 1))
+        for i, kind in enumerate(kinds)
+    )
+
+
+@pytest.mark.parametrize("kinds", [
+    ["point"] * 400,
+    ["open"] * 400,
+    ["point", "open"] * 200,
+    ["open"] * 12,
+], ids=["400-points", "400-intervals", "400-alternating", "12-intervals"])
+def test_many_pieces_with_default_knobs(kinds):
+    p = _disjoint_pieces(kinds)
+    assert len(p.pieces) == len(kinds)
+    res = fibonacci_measure(p)
+    assert res.value == res.expected == extended_fibonacci(p.euler_measure() + 1)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulermeasure import power_gizmos
 from eulermeasure.errors import InputError, RegularizationError, ResourceLimitError
 from eulermeasure.exact_series import Polynomial, RationalFunction, solve_linear_system
 from eulermeasure.interval_sets import points
@@ -65,8 +66,8 @@ class TestSupportCounts:
         assert "gizmo_support_count" in str(err.value)
 
     def test_bad_spec(self):
-        with pytest.raises(InputError):
-            GizmoSpec((0,))
+        with pytest.raises(InputError, match="--ks sizes must be at least 1, got 0"):
+            GizmoSpec((2, 0))
 
 
 class TestGizmoFit:
@@ -151,6 +152,21 @@ class TestGizmoMeasure:
     def test_two_points_choose_two(self):
         res = gizmo_measure(points([0, 1]), GizmoSpec((2,)))
         assert res.value == 6
+
+    def test_size_ceiling_checked_before_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a gizmo above the size ceiling")
+
+        monkeypatch.setattr(power_gizmos, "gizmo_fit", refuse)
+        monkeypatch.setattr(power_gizmos, "gizmo_support_count", refuse)
+        for expr, ks in (("(0,1)", (61,)), ("(0,1) u (2,3)", (6, 8)), ("{0}", (8, 8))):
+            with pytest.raises(ResourceLimitError, match="--ks"):
+                gizmo_measure(parse(expr), GizmoSpec(ks))
+
+    def test_size_ceiling_admits_its_boundary(self):
+        # max(-chi, 1) * J(J+1)/2 = 1830 = MAX_GIZMO_BITS
+        res = gizmo_measure(parse("(0,1)"), GizmoSpec((60,)))
+        assert res.value == iterated_binomial(F(1, 2), (60,))
 
     def test_empty_selection_list_refused(self):
         with pytest.raises(InputError, match="--ks"):
