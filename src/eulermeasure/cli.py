@@ -245,7 +245,7 @@ def _cmd_choose(options: dict) -> Report:
 def _cmd_powerset(options: dict) -> Report:
     a = _parse_input_set(options)
     ps = powerset_series(a, options.get("terms"))
-    results = {"canonical": str(a), "euler_measure": _labeled(ps.chi, "piece-count")}
+    results = {"canonical": str(a), "euler_measure": _labeled(a.euler_measure(), "piece-count")}
     report = _regularized_report(
         "powerset", {"set": options["set"]}, results, ps, "binomial-closed-form", "route-agreement"
     )
@@ -270,7 +270,7 @@ def _cmd_gizmo(options: dict) -> Report:
     results = {
         "canonical": str(a),
         "ks": list(spec.ks),
-        "euler_measure": _labeled(res.chi, "piece-count"),
+        "euler_measure": _labeled(a.euler_measure(), "piece-count"),
         "support_counts": [str(n) for n in res.counts],
     }
     inputs = {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)}
@@ -298,39 +298,41 @@ def _cmd_mapspace(options: dict) -> Report:
         if modes != ["finite"]:
             raise InputError("--pairs is only defined for --finite codomains")
         _require_unit_domain(a, "the distinct-pair map space")
-        res = map_pair_measure(int(options["finite"]), terms, options.get("max_order"))
+        bsize = int(options["finite"])
+        res = map_pair_measure(bsize, terms, options.get("max_order"))
         inputs["pairs"] = "true"
-        results |= {"codomain_size": res.bsize, "pair_counts": [str(n) for n in res.counts]}
+        results |= {"codomain_size": bsize, "pair_counts": [str(n) for n in res.counts]}
         route = "series-regularization of brute-force counts"
     elif options.get("max_order") is not None:
         raise InputError(
             "max_order applies only to --pairs; the other map-space modes fit no recurrence"
         )
     elif modes == ["finite"]:
-        res = hedral_map_measure(a, int(options["finite"]), terms)
-        inputs["finite"] = str(res.bsize)
+        bsize = int(options["finite"])
+        res = hedral_map_measure(a, bsize, terms)
+        inputs["finite"] = str(bsize)
         results |= {
-            "codomain_size": res.bsize,
-            "euler_measure": _labeled(res.chi_domain, "piece-count"),
+            "codomain_size": bsize,
+            "euler_measure": _labeled(a.euler_measure(), "piece-count"),
             "breakpoint_counts": [str(n) for n in res.counts],
         }
     else:
         _require_unit_domain(a, "the piecewise-affine map space")
         if modes == ["b"]:
             codomain = parse_set_expression(options["b"])
-            sketch = affine_pair_space(codomain)
-            res = schanuel_measure(codomain, terms)
+            chi_b = affine_pair_space(codomain).measure
             inputs["b"] = options["b"]
             results |= {
                 "codomain": str(codomain),
-                "affine_space_measure": _labeled(sketch.measure, "cell-enumeration"),
+                "affine_space_measure": _labeled(chi_b, "cell-enumeration"),
             }
         else:
-            res = schanuel_measure(int(options["chib"]), terms)
+            chi_b = int(options["chib"])
             inputs["chib"] = str(options["chib"])
+        res = schanuel_measure(chi_b, terms)
         results |= {
-            "codomain_measure": _labeled(res.chi_codomain, "component-count"),
-            "subset_breakpoint_counts": [str(n) for n in res.subset_counts],
+            "codomain_measure": _labeled(chi_b, "component-count"),
+            "subset_breakpoint_counts": [str(chi_b ** (2 * k + 1)) for k in range(len(res.counts))],
             "breakpoint_counts": [str(n) for n in res.counts],
         }
     return _regularized_report("mapspace", inputs, results, res, route, "route-agreement")
@@ -339,7 +341,7 @@ def _cmd_mapspace(options: dict) -> Report:
 def _cmd_fib(options: dict) -> Report:
     p = _parse_input_set(options)
     res = fibonacci_measure(p, options.get("terms"), options.get("max_order"))
-    results = {"canonical": str(p), "euler_measure": _labeled(res.chi, "piece-count")}
+    results = {"canonical": str(p), "euler_measure": _labeled(p.euler_measure(), "piece-count")}
     report = _regularized_report(
         "fib", {"set": options["set"]}, results, res, "series-regularization", "fibonacci-agreement"
     )
@@ -465,20 +467,25 @@ def _emit(text: str, stream) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
-    options = {k: v for k, v in vars(namespace).items() if k not in ("verb", "json")}
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     try:
-        report = run(Command(namespace.verb, options))
-    except EulerMeasureError as exc:
-        if namespace.json:
-            error = {"class": exc.cli_class, "message": str(exc)}
-            _emit(json.dumps({"schema": SCHEMA_VERSION, "error": error}, indent=2), sys.stdout)
-        else:
-            _emit(f"error [{exc.cli_class}]: {exc}", sys.stderr)
-        return exc.exit_code
-    _emit(report.to_json() if namespace.json else report.to_text(), sys.stdout)
-    return report.exit_status
+        parser = build_parser()
+        namespace = parser.parse_args(argv)
+        options = {k: v for k, v in vars(namespace).items() if k not in ("verb", "json")}
+        try:
+            report = run(Command(namespace.verb, options))
+        except EulerMeasureError as exc:
+            if namespace.json:
+                error = {"class": exc.cli_class, "message": str(exc)}
+                _emit(json.dumps({"schema": SCHEMA_VERSION, "error": error}, indent=2), sys.stdout)
+            else:
+                _emit(f"error [{exc.cli_class}]: {exc}", sys.stderr)
+            return exc.exit_code
+        _emit(report.to_json() if namespace.json else report.to_text(), sys.stdout)
+        return report.exit_status
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ equal, so that stop is a certificate, not a guess.  ``terms`` is only a
 ceiling on the coefficients computed; a fit that reaches it without a
 certificate is accepted only when the prefix holds at least 2L + 2
 coefficients, and otherwise refused.  No unverified extrapolation is
-ever reported, and ``regularize`` holds each value against its routes.
+ever reported, and ``Regularized.of`` holds each value against its routes.
 
 Every fitted series of the constructions has integer coefficients, and
 an integer series that is rational has an integer denominator with
@@ -23,6 +23,14 @@ primes, lifts the taps by CRT, and accepts the lift only after checking
 it exactly over the integers on every coefficient seen; on any doubt
 the same coefficients go to Berlekamp-Massey over the rationals, which
 gives the answer or the error.  Both engines return the same series.
+
+Every construction returns one ``Regularized`` record: the series, its
+value at t=1, the routes that value was held against, and the graded
+counts behind the prefix.  ``Regularized.of`` is the one place that
+builds it.  A series whose closed form is known (the power set, the
+finite-range and the Schanuel map spaces) comes from ``closed_series``,
+which checks its prefix against that form; every other series comes
+from ``fit_series``.
 
 Everything is immutable and pure.
 """
@@ -497,28 +505,89 @@ class EulerSeries:
         return eval_at_one(self.closed_form)
 
 
-def regularize(
-    series: EulerSeries, routes: dict[str, Fraction], order_bound: int | None = None
-) -> Fraction:
-    """The series' value at t=1, which every value in ``routes`` (route
-    label -> value) must equal exactly.
+@dataclass(frozen=True)
+class Regularized:
+    """A construction's series, its value at t=1 and the evidence for it.
 
-    A fit on fewer than order + order_bound coefficients cannot be told
-    from the series (two rational functions of orders e and d that agree
-    on e + d coefficients are equal), so its disagreement is refused with
-    "raise terms"; any other disagreement is a library bug.
+    ``routes`` (route label -> value) all equal ``value``; each
+    construction lists its independent formula last.  ``counts`` are the
+    graded counts the coefficients were built from (support, breakpoint
+    or pair counts), one per prefix coefficient; they are empty where the
+    coefficients are the counts themselves.
     """
-    value = series.regularized_value()
-    if all(route == value for route in routes.values()):
-        return value
-    rec = series.recurrence
-    if order_bound is not None and rec is not None and len(series.prefix) < rec.order + order_bound:
-        raise RegularizationError(
-            f"the order-{rec.order} fit gives {value}, but {len(series.prefix)} coefficients "
-            f"cannot verify it against order bound {order_bound}; raise terms"
-        )
-    named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
-    raise InternalCheckError(f"route disagreement: {named}")
+
+    series: EulerSeries
+    value: Fraction
+    routes: dict[str, Fraction]
+    counts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, series: EulerSeries, routes: dict[str, Fraction], counts=(),
+           order_bound: int | None = None, **fields) -> "Regularized":
+        """The record of the series' value at t=1, which every route must
+        equal exactly; counts past the prefix's end (a modular fit left in
+        doubt may have made them) are dropped.
+
+        A fit on fewer than order + order_bound coefficients cannot be told
+        from the series (two rational functions of orders e and d that agree
+        on e + d coefficients are equal), so its disagreement is refused with
+        "raise terms"; any other disagreement is a library bug.
+        """
+        value = series.regularized_value()
+        if any(route != value for route in routes.values()):
+            rec, n = series.recurrence, len(series.prefix)
+            if order_bound is not None and rec is not None and n < rec.order + order_bound:
+                raise RegularizationError(
+                    f"the order-{rec.order} fit gives {value}, but {n} coefficients "
+                    f"cannot verify it against order bound {order_bound}; raise terms"
+                )
+            named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
+            raise InternalCheckError(f"route disagreement: {named}")
+        return cls(series, value, routes, tuple(counts[:len(series.prefix)]), **fields)
+
+    @property
+    def expected(self) -> Fraction:
+        """The value of the independent formula, the last route."""
+        return next(reversed(self.routes.values()))
+
+
+def _expands_to(rf: RationalFunction, coeffs: Sequence) -> bool:
+    """True when coeffs are the Taylor coefficients c_0, c_1, .. of rf,
+    i.e. denominator * series = numerator term by term (over the
+    integers when rf's coefficients are integers)."""
+    num, den = rf.numerator.coefficients, rf.denominator.coefficients
+    if all(c.denominator == 1 for c in num + den):
+        num, den = [c.numerator for c in num], [c.numerator for c in den]
+    return all(
+        sum(map(operator.mul, den, reversed(coeffs[max(k + 1 - len(den), 0):k + 1])))
+        == (num[k] if k < len(num) else 0)
+        for k in range(len(coeffs))
+    )
+
+
+def closed_series(
+    coefficient: Callable[[int], object],
+    closed_form: RationalFunction,
+    order_bound: int,
+    terms: int | None = None,
+    grading: str = "rank",
+) -> EulerSeries:
+    """The prefix c_0..c_terms of a series whose closed form is known.
+
+    ``coefficient(k)`` is called once for each k in order.  terms
+    defaults to the series_window ceiling for order_bound; an explicit
+    terms may be 0 (one coefficient) and must stay within
+    limits.MAX_TERMS.  The prefix must expand the closed form exactly.
+    """
+    if terms is None:
+        terms, _ = series_window(order_bound)
+    elif terms < 0:
+        raise InputError(f"terms must be at least 0, got {terms}")
+    check_terms(terms)
+    coeffs = [coefficient(k) for k in range(terms + 1)]
+    if not _expands_to(closed_form, coeffs):
+        raise InternalCheckError("counts disagree with the closed form")
+    return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form)
 
 
 def _rational_massey_fit(
@@ -723,14 +792,22 @@ def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> Euler
     return _massey_fit(prefix.coefficients.__getitem__, last, max_order, None, prefix.grading)
 
 
+def binomial_closed_form(m: int, lam, scale=1) -> RationalFunction:
+    """scale * (1 + lam*t)^m: a polynomial for m >= 0, and
+    scale / (1 + lam*t)^(-m) for m < 0."""
+    power = Polynomial((Fraction(1), as_fraction(lam))) ** abs(m)
+    if m >= 0:
+        return RationalFunction(power.scale(scale), Polynomial.constant(1))
+    return RationalFunction(Polynomial.constant(scale), power)
+
+
 def binomial_prefix(
     m: int, lam, terms: int, grading: str = "rank"
 ) -> tuple[SeriesPrefix, RationalFunction]:
     """Prefix and closed form of (1 + lam*t)^m.
 
     Coefficients are generalized binomials binom(m, k) * lam^k; the
-    closed form is (1+lam*t)^m / 1 for m >= 0 and 1 / (1+lam*t)^(-m)
-    for m < 0.
+    closed form is binomial_closed_form(m, lam).
     """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
@@ -739,7 +816,4 @@ def binomial_prefix(
     coeffs = [Fraction(1)]
     for k in range(terms):
         coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
-    power = Polynomial((Fraction(1), lam)) ** abs(m)
-    one = Polynomial.constant(1)
-    closed = RationalFunction(power, one) if m >= 0 else RationalFunction(one, power)
-    return SeriesPrefix(tuple(coeffs), grading), closed
+    return SeriesPrefix(tuple(coeffs), grading), binomial_closed_form(m, lam)

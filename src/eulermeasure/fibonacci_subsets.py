@@ -36,12 +36,9 @@ oracle the tests and the verify suite hold the automaton against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
-from .exact_series import EulerSeries, fit_series, regularize, series_window
+from .exact_series import Regularized, fit_series
 from .interval_sets import Point, PolyhedralSet1D
 
 GRADING = "rank"
@@ -132,17 +129,6 @@ def parity_polynomial(P: PolyhedralSet1D) -> list[int]:
     return even
 
 
-@dataclass(frozen=True)
-class FibonacciResult:
-    """Series, regularized value and the Fibonacci number it must match."""
-
-    chi: int
-    value: Fraction
-    expected: int
-    series: EulerSeries
-    routes: dict[str, Fraction]
-
-
 def _order_bound(P: PolyhedralSet1D) -> int:
     """The series is a polynomial of degree <= pieces (see parity_polynomial)."""
     return len(P.pieces) + 1
@@ -150,15 +136,24 @@ def _order_bound(P: PolyhedralSet1D) -> int:
 
 def fibonacci_measure(
     P: PolyhedralSet1D, terms: int | None = None, max_order: int | None = None
-) -> FibonacciResult:
-    """Regularized measure of the parity-constrained subset family of P."""
+) -> Regularized:
+    """Regularized measure of the parity-constrained subset family of P.
+
+    The record's last route, its ``expected``, is the Fibonacci number
+    F(chi(P) + 1); its counts are empty, since the coefficients are the
+    signed stratum counts themselves.
+    """
+    coeffs: list[int] = []
+
+    def coefficient(k: int) -> int:
+        if k == 0:  # fit_series has checked the window before asking
+            coeffs.extend(parity_polynomial(P))
+        return coeffs[k] if k < len(coeffs) else 0
+
     order_bound = _order_bound(P)
-    series_window(order_bound, terms, max_order)  # refuse bad knobs before counting
-    coeffs = parity_polynomial(P)
-    series = fit_series(
-        lambda k: coeffs[k] if k < len(coeffs) else 0, order_bound, terms, max_order, GRADING
-    )
-    chi = P.euler_measure()
-    expected = extended_fibonacci(chi + 1)
-    routes = {"series_regularization": series.regularized_value(), "extended_fibonacci": expected}
-    return FibonacciResult(chi, regularize(series, routes, order_bound), expected, series, routes)
+    series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
+    routes = {
+        "series_regularization": series.regularized_value(),
+        "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1),
+    }
+    return Regularized.of(series, routes, order_bound=order_bound)

@@ -326,10 +326,6 @@ class PolyhedralSet1D:
     def empty(cls) -> "PolyhedralSet1D":
         return cls(())
 
-    @classmethod
-    def real_line(cls) -> "PolyhedralSet1D":
-        return cls((OpenInterval(NEG_INF, POS_INF),))
-
     # -- set operations ----------------------------------------------
 
     def _binary(self, other: "PolyhedralSet1D", keep) -> "PolyhedralSet1D":
@@ -385,9 +381,6 @@ class PolyhedralSet1D:
     def contains(self, value) -> bool:
         q = as_fraction(value)
         return _cell_in(self.pieces, ("pt", q))
-
-    def is_empty(self) -> bool:
-        return not self.pieces
 
     def classify(self) -> Classification:
         coords = _critical_coordinates([self.pieces])

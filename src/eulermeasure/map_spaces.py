@@ -14,30 +14,23 @@ of affine maps from an open interval into B has Euler measure chi(B)
 1, each point component a point), and the same breakpoint grading gives
 chi(B) * (chi(B)^2 - 1)^k exact-breakpoint measures.  Either way the
 series continues to base/(1 + (base^2-1) t) and regularizes to 1/base,
-or to 0 when the base is 0.
+or to 0 when the base is 0.  Each construction returns an
+exact_series.Regularized record whose counts are the exact-breakpoint
+(or, for pairs, union-breakpoint) counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, UnsupportedDomainError
-from .exact_series import (
-    EulerSeries,
-    Polynomial,
-    RationalFunction,
-    SeriesPrefix,
-    fit_series,
-    regularize,
-    series_window,
-)
+from .exact_series import Regularized, binomial_closed_form, closed_series, fit_series
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
-from .limits import check_terms, enumeration_cap
-from .partition_combinatorics import gen_binomial
+from .limits import enumeration_cap
+from .partition_combinatorics import gen_binomial, integer_binomial
 
 GRADING = "breakpoints"
 # Ordered pairs over a full k-mask number b^2 (b^4-1)^k and equal pairs
@@ -45,66 +38,39 @@ GRADING = "breakpoints"
 PAIR_ORDER_BOUND = 2
 
 
-def finite_map_count(bsize: int, k: int, mode: str = "formula", cap: int | None = None) -> int:
-    """Maps from one open interval to a bsize-point set with k given breakpoints.
+def finite_map_count(bsize: int, k: int) -> int:
+    """Maps from one open interval to a bsize-point set with k given
+    breakpoints: bsize * (bsize^2 - 1)^k."""
+    _check_map_count_args(bsize, k)
+    return bsize * (bsize ** 2 - 1) ** k
 
-    formula mode returns bsize * (bsize^2 - 1)^k; brute mode enumerates
-    all value sequences and keeps those whose every nominal breakpoint is
-    a real one (the full-mask bucket of _breakpoint_mask_counts).
-    """
+
+def brute_map_count(bsize: int, k: int, cap: int | None = None) -> int:
+    """finite_map_count by enumeration, its test oracle: every value
+    sequence whose every nominal breakpoint is a real one (the full-mask
+    bucket of _breakpoint_mask_counts)."""
+    _check_map_count_args(bsize, k)
+    return _breakpoint_mask_counts(bsize, k, cap)[(1 << k) - 1]
+
+
+def _check_map_count_args(bsize: int, k: int) -> None:
     if bsize < 1:
         raise InputError("codomain size must be positive")
     if k < 0:
         raise InputError(f"breakpoint count must be at least 0, got {k}")
-    if mode == "formula":
-        return bsize * (bsize ** 2 - 1) ** k
-    if mode != "brute":
-        raise InputError(f"unknown mode {mode!r}; use 'formula' or 'brute'")
-    return _breakpoint_mask_counts(bsize, k, cap)[(1 << k) - 1]
-
-
-def _series_for_base(base: int, components: int, terms: int | None, count):
-    """Series sum binom(-components, k) count(k) t^k, held against its closed
-    form base^components / (1 + (base^2-1) t)^components of order components."""
-    if terms is None:
-        terms, _ = series_window(components)
-    elif terms < 0:
-        raise InputError(f"terms must be at least 0, got {terms}")
-    check_terms(terms)
-    counts = tuple(count(k) for k in range(terms + 1))
-    prefix = SeriesPrefix(
-        tuple(gen_binomial(-components, k) * counts[k] for k in range(terms + 1)),
-        GRADING,
-    )
-    closed = RationalFunction(
-        Polynomial.constant(base ** components),
-        Polynomial((Fraction(1), Fraction(base ** 2 - 1))) ** components,
-    )
-    if closed.expand(terms) != prefix.coefficients:
-        raise InternalCheckError("breakpoint counts disagree with the closed form")
-    return EulerSeries(prefix, closed), counts
-
-
-@dataclass(frozen=True)
-class HedralMapResult:
-    """Regularized measure of the maps from A into a finite b-point set."""
-
-    chi_domain: int
-    bsize: int
-    value: Fraction
-    series: EulerSeries
-    counts: tuple[int, ...]  # n_k = bsize^p (bsize^2 - 1)^k over p components
-    routes: dict[str, Fraction]
 
 
 def hedral_map_measure(
     A: PolyhedralSet1D, bsize: int, terms: int | None = None
-) -> HedralMapResult:
+) -> Regularized:
     """Regularized measure bsize^chi(A) of the finite-range map space.
 
     The domain must be a union of open intervals: breakpoints inside a
     point piece make no sense, and the value-sequence count would stop
-    being independent of where the breakpoints sit.
+    being independent of where the breakpoints sit.  Over p components
+    the counts are n_k = bsize^p (bsize^2 - 1)^k, and the series
+    sum binom(-p, k) n_k t^k is held against its closed form
+    bsize^p / (1 + (bsize^2 - 1) t)^p of order p.
     """
     if bsize < 1:
         raise InputError("codomain size must be positive")
@@ -114,14 +80,19 @@ def hedral_map_measure(
             "points are not supported)"
         )
     p = len(A.pieces)
-    series, counts = _series_for_base(
-        bsize, p, terms, lambda k: bsize ** p * (bsize ** 2 - 1) ** k
-    )
+    counts: list[int] = []
+
+    def coefficient(k: int) -> int:
+        counts.append(bsize ** p * (bsize ** 2 - 1) ** k)
+        return integer_binomial(-p, k) * counts[k]
+
+    closed = binomial_closed_form(-p, bsize ** 2 - 1, bsize ** p)
+    series = closed_series(coefficient, closed, p, terms, GRADING)
     routes = {
         "series_regularization": series.regularized_value(),
         "codomain_power": Fraction(bsize) ** -p,
     }
-    return HedralMapResult(-p, bsize, regularize(series, routes), series, counts, routes)
+    return Regularized.of(series, routes, counts)
 
 
 def _breakpoint_mask_counts(bsize: int, k: int, cap: int | None) -> list[int]:
@@ -150,10 +121,7 @@ def map_pair_count(bsize: int, k: int, cap: int | None = None) -> int:
     by its exact breakpoint set; pairs are then combined exactly, so the
     result is an exhaustive count, not a closed-form shortcut.
     """
-    if bsize < 1:
-        raise InputError("codomain size must be positive")
-    if k < 0:
-        raise InputError(f"breakpoint count must be at least 0, got {k}")
+    _check_map_count_args(bsize, k)
     counts = _breakpoint_mask_counts(bsize, k, cap)
     full = (1 << k) - 1
     ordered = 0
@@ -169,23 +137,12 @@ def map_pair_count(bsize: int, k: int, cap: int | None = None) -> int:
     return distinct_ordered // 2
 
 
-@dataclass(frozen=True)
-class MapPairResult:
-    """Regularized measure of distinct map pairs from one open interval."""
-
-    bsize: int
-    value: Fraction
-    counts: tuple[int, ...]
-    series: EulerSeries
-    routes: dict[str, Fraction]
-
-
 def map_pair_measure(
     bsize: int,
     terms: int | None = None,
     max_order: int | None = None,
     cap: int | None = None,
-) -> MapPairResult:
+) -> Regularized:
     """Series and value for unordered distinct pairs of maps from (0,1).
 
     The pair rank is the size of the union of the two breakpoint sets;
@@ -207,10 +164,7 @@ def map_pair_measure(
         "series_regularization": series.regularized_value(),
         "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),
     }
-    value = regularize(series, routes, PAIR_ORDER_BOUND)
-    # A modular fit left in doubt may have counted past the prefix's end.
-    counts = counts[: len(series.prefix)]
-    return MapPairResult(bsize, value, tuple(counts), series, routes)
+    return Regularized.of(series, routes, counts, PAIR_ORDER_BOUND)
 
 
 def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
@@ -245,21 +199,9 @@ def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
     return sketch
 
 
-@dataclass(frozen=True)
-class SchanuelResult:
-    """Regularized measure of all piecewise-affine maps (0,1) -> B."""
-
-    chi_codomain: int
-    value: Fraction
-    series: EulerSeries
-    counts: tuple[int, ...]  # n_k = chi(B) (chi(B)^2 - 1)^k
-    subset_counts: tuple[int, ...]
-    routes: dict[str, Fraction]
-
-
 def schanuel_measure(
     codomain: PolyhedralSet1D | int, terms: int | None = None
-) -> SchanuelResult:
+) -> Regularized:
     """Regularized measure of the full map space from (0,1) into B.
 
     Maps whose breakpoints lie inside a fixed k-set have measure
@@ -276,18 +218,20 @@ def schanuel_measure(
         chi_b = affine_pair_space(codomain).measure
     else:
         chi_b = int(codomain)
-    subset_counts: list[int] = []
+    inside: list[int] = []  # chi(B)^(2j+1): maps with breakpoints inside a fixed j-set
+    counts: list[int] = []
 
-    def count(k: int) -> int:
-        subset_counts.append(chi_b ** (2 * k + 1))
-        return sum((-1) ** (k - j) * math.comb(k, j) * subset_counts[j] for j in range(k + 1))
+    def coefficient(k: int) -> int:
+        inside.append(chi_b ** (2 * k + 1))
+        counts.append(sum((-1) ** (k - j) * math.comb(k, j) * inside[j] for j in range(k + 1)))
+        return (-1) ** k * counts[k]
 
-    series, counts = _series_for_base(chi_b, 1, terms, count)
+    closed = binomial_closed_form(-1, chi_b ** 2 - 1, chi_b)
+    series = closed_series(coefficient, closed, 1, terms, GRADING)
     # chi(B) = 0 makes every coefficient vanish, so the closed form is
     # literally 0 and evaluation at t=1 never sees the nominal pole.
     routes = {
         "series_regularization": series.regularized_value(),
         "reciprocal_codomain_measure": Fraction(0) if chi_b == 0 else Fraction(1, chi_b),
     }
-    value = regularize(series, routes)
-    return SchanuelResult(chi_b, value, series, counts, tuple(subset_counts), routes)
+    return Regularized.of(series, routes, counts)

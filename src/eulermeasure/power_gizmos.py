@@ -19,7 +19,8 @@ measure:
   a linear recurrence and its rational continuation evaluated at t=1.
 
 Both routes must agree with the iterated binomial coefficient of
-2^chi(A), which exact_series.regularize checks on every call.
+2^chi(A), which exact_series.Regularized.of checks on every call.  Both
+constructions return an exact_series.Regularized record.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
-    EulerSeries,
     Polynomial,
-    binomial_prefix,
+    Regularized,
+    binomial_closed_form,
+    closed_series,
     fit_series,
-    regularize,
-    series_window,
 )
 from .interval_sets import PolyhedralSet1D
 from .limits import check_gizmo_size, enumeration_cap
@@ -232,51 +232,38 @@ def gizmo_fit(
     return fit
 
 
-@dataclass(frozen=True)
-class PowerSetResult:
-    """Euler series and regularized measure of the small power set 2^A."""
-
-    chi: int
-    series: EulerSeries
-    value: Fraction
-    routes: dict[str, Fraction]
-
-
 def _order_bound(chi: int, j_dim: int) -> int:
     """chi >= 0 makes the series a polynomial of degree <= chi; chi < 0
     stacks |chi| poles on each of the J exponential bases."""
     return chi + 1 if chi >= 0 else -chi * j_dim
 
 
-def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> PowerSetResult:
+def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Euler series of 2^A: binom(chi,k) t^k, closed form (1+t)^chi.
 
     The regularized value is 2^chi(A); the t=1 evaluation can never hit
     a pole because 1 + t is 2 there.  The closed form is known, so an
-    explicit terms only sets how much of the prefix is shown.
+    explicit terms only sets how much of the prefix is shown.  The
+    coefficients are the counts, so the record's counts are empty.
     """
     chi = A.euler_measure()
-    if terms is None:
-        terms, _ = series_window(_order_bound(chi, 1))
-    prefix, closed = binomial_prefix(chi, 1, terms, grading=GRADING)
-    series = EulerSeries(prefix, closed)
+    series = closed_series(
+        lambda k: integer_binomial(chi, k), binomial_closed_form(chi, 1),
+        _order_bound(chi, 1), terms, GRADING,
+    )
     routes = {
         "series_regularization": series.regularized_value(),
         "power_of_two": Fraction(2) ** chi,
     }
-    return PowerSetResult(chi, series, regularize(series, routes), routes)
+    return Regularized.of(series, routes)
 
 
 @dataclass(frozen=True)
-class GizmoMeasureResult:
-    """Regularized gizmo measure with the evidence for both routes."""
+class GizmoMeasureResult(Regularized):
+    """The gizmo's record, with the exponential fit behind its first route;
+    counts are the support counts n_k of a fixed k-set."""
 
-    chi: int
-    value: Fraction
     fit: ExponentialFit
-    counts: tuple[int, ...]  # n_k: elements whose support is a fixed k-set
-    series: EulerSeries
-    routes: dict[str, Fraction]
 
     route_exponential = property(lambda self: self.routes["exponential_fit"])
     route_series = property(lambda self: self.routes["series_regularization"])
@@ -292,28 +279,26 @@ def gizmo_measure(
 
     The series fit stops at the certificate of the order bound from
     chi(A) and J = prod(k_i); terms only caps the support counts
-    computed.  The routes must agree (see exact_series.regularize).
+    computed.  The size ceiling and the window are checked before any
+    counting.  The routes must agree (see exact_series.Regularized.of).
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
     order_bound = _order_bound(chi, spec.fit_dimension)
-    terms, max_order = series_window(order_bound, terms, max_order)  # before any counting
-    check_gizmo_size(chi, spec.ks)
     totals: list[int] = []
-    fit = gizmo_fit(spec, totals=totals)
     counts: list[int] = []
 
     def coefficient(k: int) -> int:
+        if k == 0:  # fit_series has checked the window; no count is made yet
+            check_gizmo_size(chi, spec.ks)
         counts.append(gizmo_support_count(spec, k, totals))
         return integer_binomial(chi, k) * counts[k]
 
     series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
+    fit = gizmo_fit(spec, totals=totals)
     routes = {
         "exponential_fit": fit.value_at(two_chi),
         "series_regularization": series.regularized_value(),
         "iterated_binomial": iterated_binomial(two_chi, spec.ks),
     }
-    value = regularize(series, routes, order_bound)
-    # A modular fit left in doubt may have counted past the prefix's end.
-    counts = counts[: len(series.prefix)]
-    return GizmoMeasureResult(chi, value, fit, tuple(counts), series, routes)
+    return GizmoMeasureResult.of(series, routes, counts, order_bound, fit=fit)

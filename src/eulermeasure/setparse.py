@@ -163,10 +163,10 @@ class _Parser:
         try:
             return Fraction(token.text)
         except ZeroDivisionError:
-            raise ParseError(
-                f"division by zero in rational literal at position {token.position}",
-                token.position,
-            ) from None
+            problem = "division by zero"
+        except ValueError as exc:  # the interpreter's limit on digits per integer
+            problem = f"too many digits ({exc})"
+        raise ParseError(f"{problem} in rational literal at position {token.position}", token.position)
 
     def _bound(self) -> ExtendedRational:
         token = self._peek()

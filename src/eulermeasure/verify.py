@@ -47,6 +47,7 @@ from .interval_sets import (
     points,
 )
 from .map_spaces import (
+    brute_map_count,
     finite_map_count,
     hedral_map_measure,
     map_pair_count,
@@ -449,7 +450,7 @@ def _map_formula_brute():
     for bsize in range(1, 5):
         for k in range(4):
             formula = finite_map_count(bsize, k)
-            brute = finite_map_count(bsize, k, mode="brute")
+            brute = brute_map_count(bsize, k)
             if formula != brute:
                 return f"bsize={bsize} k={k}: {formula} != {brute}"
     return None
@@ -497,7 +498,7 @@ def _schanuel_finite_consistency():
         b = points(range(m))
         result = schanuel_measure(b)
         for k in range(3):
-            if result.counts[k] != finite_map_count(m, k, mode="brute"):
+            if result.counts[k] != brute_map_count(m, k):
                 return f"|B|={m} k={k}: {result.counts[k]}"
     return None
 
@@ -509,9 +510,7 @@ def _map_split_independence():
         for k in range(3):
             expected = bsize ** 2 * (bsize ** 2 - 1) ** k
             for k1 in range(k + 1):
-                product = finite_map_count(bsize, k1, mode="brute") * finite_map_count(
-                    bsize, k - k1, mode="brute"
-                )
+                product = brute_map_count(bsize, k1) * brute_map_count(bsize, k - k1)
                 if product != expected:
                     return f"bsize={bsize} split ({k1},{k - k1}): {product} != {expected}"
     return None

@@ -11,7 +11,7 @@ from eulermeasure.exact_series import Polynomial, RationalFunction, continue_ser
 from eulermeasure.fibonacci_subsets import extended_fibonacci, fibonacci_measure
 from eulermeasure.map_spaces import (
     affine_pair_space,
-    finite_map_count,
+    brute_map_count,
     hedral_map_measure,
     map_pair_count,
     map_pair_measure,
@@ -99,7 +99,7 @@ def test_criterion_4_theorem_one_cross_route():
 def test_criterion_5_hedral_maps():
     def check():
         for k in range(4):
-            assert finite_map_count(2, k, mode="brute") == 2 * 3 ** k
+            assert brute_map_count(2, k) == 2 * 3 ** k
         res = hedral_map_measure(parse("(0,1)"), 2)
         assert res.series.closed_form == rf([2], [1, 3])
         assert res.value == F(1, 2)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import random
@@ -20,6 +21,15 @@ from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_ex
 from eulermeasure.verify import random_polyhedral_set, run_verify
 
 F = Fraction
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit of 4300 digits per int <-> str conversion."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestParser:
@@ -53,7 +63,7 @@ class TestParser:
         assert str(a) == "(1/2,1) u (2,5/2)"
 
     def test_empty_braces(self):
-        assert parse_set_expression("{}").is_empty()
+        assert parse_set_expression("{}").pieces == ()
 
     def test_precedence_complement_tightest(self):
         a = parse_set_expression("!{0} & {0,1}")
@@ -78,6 +88,12 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_set_expression("{1/0}")
         assert "division by zero" in str(err.value)
+
+    def test_too_many_digits(self, default_digit_limit):
+        with pytest.raises(ParseError) as err:
+            parse_set_expression("{0, " + "7" * 5000 + "}")
+        assert err.value.position == 4
+        assert "too many digits" in str(err.value)
 
     def test_closed_at_infinity(self):
         with pytest.raises(ParseError):
@@ -339,6 +355,24 @@ class TestMain:
             "generalized_binomial gives 1/3\n"
         )
 
+    def test_exact_values_past_the_digit_limit(self, capsys, default_digit_limit):
+        huge = "7" * 5000
+        assert main(["measure", "{" + huge + "}"]) == 0
+        assert f"canonical: {{{huge}}}" in capsys.readouterr().out
+        # support counts of 10,000 digits and more, in text and in JSON
+        argv = ["gizmo", "{" + ",".join(map(str, range(200))) + "}", "--ks", "40"]
+        assert main(argv) == 0
+        assert f"value [exponential-fit]: {math.comb(2 ** 200, 40)}" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert int(blob["results"]["value"]["value"]) == math.comb(2 ** 200, 40)
+        assert max(len(n) for n in blob["results"]["support_counts"]) > 4300
+        # main lifts the limit for its own call only; the library alone keeps it
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(ParseError) as err:
+            run(Command("measure", {"set": "{" + huge + "}"}))
+        assert err.value.exit_code == 2 and err.value.position == 1
+
     def test_resource_error_exit_code(self, capsys):
         code = main(["choose", "(0,1)", "-k", "40"])
         assert code == 3
@@ -449,7 +483,8 @@ class TestVerify:
 
 # Each case with the value its construction must report: the iterated
 # binomial of 2^chi for gizmos (orders 2, 8 and 18), F(chi + 1) for fib,
-# binom(1/2, 2) for map pairs.
+# binom(1/2, 2) for map pairs, 2^chi for the power set, b^chi(A) for a
+# finite codomain and 1/chi(B) for a compact or symbolic one.
 SWEEP_CASES = {
     "gizmo-order-2": (["gizmo", "(0,1)", "--ks", "2"], iterated_binomial(F(1, 2), (2,))),
     "gizmo-order-8": (["gizmo", "(0,1) u (2,3)", "--ks", "2,2"], iterated_binomial(F(1, 4), (2, 2))),
@@ -458,11 +493,15 @@ SWEEP_CASES = {
     ),
     "fib-7-points": (["fib", "{0,1,2,3,4,5,6}"], F(21)),
     "map-pairs": (["mapspace", "(0,1)", "--finite", "2", "--pairs"], F(-1, 8)),
+    "powerset": (["powerset", "(0,1)"], F(1, 2)),
+    "mapspace-finite": (["mapspace", "(0,1) u (2,3)", "--finite", "3"], F(1, 9)),
+    "mapspace-chib": (["mapspace", "(0,1)", "--chib", "-2"], F(-1, 2)),
+    "mapspace-b": (["mapspace", "(0,1)", "--b", "[0,1] u [2,3]"], F(1, 2)),
 }
 
 
-@pytest.mark.parametrize("max_order", [None, 0, 1, 2, 8])
-@pytest.mark.parametrize("terms", [None, 0, 1, 2, 3, 5, 8, 24])
+@pytest.mark.parametrize("max_order", [None, -1, 0, 1, 2, 8])
+@pytest.mark.parametrize("terms", [None, -1, 0, 1, 2, 3, 5, 8, 24])
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_knob_sweep(case, terms, max_order, capsys):
     argv, expected = SWEEP_CASES[case]

@@ -22,14 +22,16 @@ from eulermeasure.exact_series import (
     Polynomial,
     RationalFunction,
     Recurrence,
+    Regularized,
     SeriesPrefix,
+    binomial_closed_form,
     binomial_prefix,
+    closed_series,
     continue_series,
     eval_at_one,
     fit_series,
     min_recurrence,
     poly_gcd,
-    regularize,
     series_window,
     to_rational_function,
 )
@@ -283,11 +285,35 @@ class TestFitSeries:
             fit_series(lambda k: k + 1, 4, max_order=1)
 
 
+class TestClosedSeries:
+    def test_window(self):
+        closed = binomial_closed_form(-2, 1)  # 1/(1+t)^2, order 2
+        asked = []
+
+        def coefficient(k):
+            asked.append(k)
+            return (-1) ** k * (k + 1)
+
+        assert closed_series(coefficient, closed, 2).closed_form == closed
+        assert asked == list(range(7))  # the default window, 4d - 2 = 6
+        assert closed_series(coefficient, closed, 2, 0).prefix.coefficients == (1,)
+        with pytest.raises(InputError, match="terms must be at least 0"):
+            closed_series(coefficient, closed, 2, -1)
+        with pytest.raises(ResourceLimitError, match="terms"):
+            closed_series(coefficient, closed, 2, MAX_TERMS + 1)
+        assert asked == list(range(7)) + [0]
+
+    def test_fraction_coefficients(self):
+        prefix, closed = binomial_prefix(-1, F(1, 3), 5)
+        series = closed_series(prefix.coefficients.__getitem__, closed, 1, 5)
+        assert series.prefix == prefix
+
+
 class TestRegularize:
     def test_agreeing_routes_return_the_value(self):
         series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
-        assert regularize(series, {"closed": F(1, 2), "formula": F(1, 2)}) == F(1, 2)
-        assert regularize(series, {}) == F(1, 2)
+        assert Regularized.of(series, {"closed": F(1, 2), "formula": F(1, 2)}).value == F(1, 2)
+        assert Regularized.of(series, {}).value == F(1, 2)
 
     def test_short_uncertified_fit_asks_for_terms(self):
         # c_0 = c_1 = 0 fits order 0, which bound 4 cannot certify on 2 coefficients
@@ -295,14 +321,20 @@ class TestRegularize:
         assert series.order_bound is None
         with pytest.raises(RegularizationError, match="order-0 fit gives 0, but 2 coefficients "
                            "cannot verify it against order bound 4; raise terms"):
-            regularize(series, {"formula": F(9, 128)}, 4)
+            Regularized.of(series, {"formula": F(9, 128)}, order_bound=4)
+
+    def test_record_trims_counts_and_names_the_formula_last(self):
+        series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
+        record = Regularized.of(series, {"series": F(1, 2), "formula": F(1, 2)}, [1, 1, 1, 1])
+        assert record.counts == (1, 1, 1)
+        assert record.expected == record.routes["formula"] == record.value
 
     @pytest.mark.parametrize("order_bound", [None, 1])
     def test_other_disagreement_names_every_route(self, order_bound):
         series = fit_series(lambda k: (-1) ** k, 1)  # certified 1/(1+t)
         with pytest.raises(InternalCheckError) as err:
-            regularize(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)},
-                       order_bound)
+            Regularized.of(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)},
+                           order_bound=order_bound)
         assert str(err.value) == (
             "route disagreement: series gives 1/2, formula gives 1/3, other gives 1/2"
         )

@@ -1,4 +1,8 @@
+import json
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,3 +175,13 @@ def test_many_pieces_with_default_knobs(kinds):
     assert len(p.pieces) == len(kinds)
     res = fibonacci_measure(p)
     assert res.value == res.expected == extended_fibonacci(p.euler_measure() + 1)
+
+
+def test_fib_scaling_tool_runs():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "fib_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--sizes", "2,3"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    kinds = ("points", "intervals", "alternating")
+    assert [(row["kind"], row["pieces"]) for row in rows] == [(k, n) for k in kinds for n in (2, 3)]
+    assert all(row["enumeration_fib_ms"] is not None for row in rows)

@@ -30,6 +30,7 @@ from eulermeasure.interval_sets import (
     _elementary_cells,
     _runs,
 )
+from eulermeasure.setparse import parse_set_expression
 from eulermeasure.verify import random_polyhedral_set
 
 
@@ -159,7 +160,7 @@ class TestEulerMeasure:
         assert segment(0, 1, True, True).euler_measure() == 1
 
     def test_real_line(self):
-        assert PolyhedralSet1D.real_line().euler_measure() == -1
+        assert parse_set_expression("(-inf,inf)").euler_measure() == -1
 
     def test_empty(self):
         assert PolyhedralSet1D.empty().euler_measure() == 0
@@ -189,7 +190,7 @@ class TestClassify:
         assert not cls.compact  # [0,1) is not closed
 
     def test_unbounded_not_compact(self):
-        assert not PolyhedralSet1D.real_line().classify().compact
+        assert not parse_set_expression("(-inf,inf)").classify().compact
 
 
 class TestRestrictOpen:
@@ -400,7 +401,7 @@ class TestUnionSplice:
             assert a.union(b) == a._binary(b, sweep_or) == expected
 
     def test_edge_cases(self):
-        line = PolyhedralSet1D.real_line()
+        line = parse_set_expression("(-inf,inf)")
         rays = open_interval(NEG_INF, -5) | open_interval(5, POS_INF)
         many = canonicalize([iv(2 * i, 2 * i + 1) for i in range(-20, 20)] + [Point(41)])
         cases = [

@@ -1,18 +1,24 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from eulermeasure import map_spaces
 from eulermeasure.errors import (
-    InputError,
     InternalCheckError,
     ResourceLimitError,
     UnsupportedDomainError,
 )
-from eulermeasure.exact_series import Polynomial, RationalFunction
+from eulermeasure.exact_series import (
+    Polynomial,
+    RationalFunction,
+    binomial_closed_form,
+    closed_series,
+)
 from eulermeasure.map_spaces import (
     affine_pair_space,
+    brute_map_count,
     finite_map_count,
     hedral_map_measure,
     map_pair_count,
@@ -57,18 +63,14 @@ class TestFiniteMapCount:
 
     def test_constant_maps(self):
         assert finite_map_count(2, 0) == 2
-        assert finite_map_count(5, 0, mode="brute") == 5
+        assert brute_map_count(5, 0) == 5
 
     def test_three_valued_one_breakpoint(self):
-        assert finite_map_count(3, 1, mode="brute") == 24
+        assert brute_map_count(3, 1) == 24
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            finite_map_count(10, 5, mode="brute", cap=1000)
-
-    def test_bad_mode(self):
-        with pytest.raises(InputError):
-            finite_map_count(2, 1, mode="magic")
+            brute_map_count(10, 5, cap=1000)
 
 
 class TestHedralMapMeasure:
@@ -160,6 +162,12 @@ class TestAffinePairSpace:
                 affine_pair_space(parse(expr))
 
 
+def _subset_counts(counts):
+    """Maps with breakpoints inside a fixed k-set: the zeta transform of the
+    exact-breakpoint counts."""
+    return tuple(sum(math.comb(k, j) * counts[j] for j in range(k + 1)) for k in range(len(counts)))
+
+
 class TestSchanuelMeasure:
     @pytest.mark.parametrize(
         "chi_b,expected",
@@ -175,9 +183,8 @@ class TestSchanuelMeasure:
 
     def test_concrete_codomain(self):
         res = schanuel_measure(parse("[0,1] u [2,3]"))
-        assert res.chi_codomain == 2
-        assert res.value == F(1, 2)
-        assert res.subset_counts[:3] == (2, 8, 32)
+        assert res.value == res.routes["reciprocal_codomain_measure"] == F(1, 2)
+        assert _subset_counts(res.counts)[:3] == (2, 8, 32)
         assert res.counts[:3] == (2, 6, 18)
 
     def test_three_component_codomain(self):
@@ -191,9 +198,10 @@ class TestSchanuelMeasure:
     @pytest.mark.parametrize("chi_b", range(-3, 4))
     def test_counts_by_inversion_of_subset_counts(self, chi_b):
         res = schanuel_measure(chi_b, terms=6)
-        assert res.subset_counts == tuple(chi_b ** (2 * k + 1) for k in range(7))
+        assert _subset_counts(res.counts) == tuple(chi_b ** (2 * k + 1) for k in range(7))
         assert res.counts == tuple(chi_b * (chi_b ** 2 - 1) ** k for k in range(7))
 
     def test_counts_must_expand_the_closed_form(self):
+        closed = binomial_closed_form(-1, 3, 2)  # 2 / (1 + 3t)
         with pytest.raises(InternalCheckError, match="closed form"):
-            map_spaces._series_for_base(2, 1, 3, lambda k: 2 * 5 ** k)
+            closed_series(lambda k: (-1) ** k * 2 * 5 ** k, closed, 1, 3)

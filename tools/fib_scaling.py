@@ -2,7 +2,7 @@
 
 Times fibonacci_measure with default knobs (the transfer-matrix path)
 and the enumeration path it replaced: the same fit_series and
-regularize, fed by parity_strata_coefficient with the strata cap raised
+Regularized record, fed by parity_strata_coefficient with the strata cap raised
 to terms.  Sets are disjoint pieces: points only, open intervals only,
 or alternating point and interval.  Each enumeration case runs in its
 own process, is stopped after LIMIT_S seconds, and stops its kind once
@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eulermeasure.exact_series import fit_series, regularize, series_window  # noqa: E402
+from eulermeasure.exact_series import Regularized, fit_series, series_window  # noqa: E402
 from eulermeasure.fibonacci_subsets import (  # noqa: E402
     GRADING,
     _order_bound,
@@ -58,7 +58,7 @@ def enumeration_value(P: PolyhedralSet1D) -> Fraction:
                         terms, None, GRADING)
     routes = {"series_regularization": series.regularized_value(),
               "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
-    return regularize(series, routes, order_bound)
+    return Regularized.of(series, routes, order_bound=order_bound).value
 
 
 def best_of(fn, repeats: int = REPEATS) -> float:
