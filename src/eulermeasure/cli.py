@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .choose_construction import DEFAULT_CHOOSE_CAP, choose_cells
 from .errors import EulerMeasureError, InputError, RegularizationError, UnsupportedDomainError
-from .exact_series import EulerSeries, RationalFunction, continue_series
+from .exact_series import EulerSeries, RationalFunction, check_max_order, continue_series
 from .fibonacci_subsets import fibonacci_measure
 from .interval_sets import OpenInterval, PolyhedralSet1D
 from .limits import ENUM_CAP_ENV_VAR
@@ -244,6 +244,7 @@ def _cmd_choose(options: dict) -> Report:
 
 def _cmd_powerset(options: dict) -> Report:
     a = _parse_input_set(options)
+    check_max_order(options.get("max_order"))  # read only by the refit, checked before any work
     ps = powerset_series(a, options.get("terms"))
     results = {"canonical": str(a), "euler_measure": _labeled(a.euler_measure(), "piece-count")}
     report = _regularized_report(
@@ -354,7 +355,7 @@ def _cmd_verify(options: dict) -> Report:
     outcomes = run_verify(scope)
     failures = [r for r in outcomes if not r.passed]
     checks = [
-        _check_entry(f"{r.scope}.{r.name}", r.passed, r.detail) for r in outcomes
+        _check_entry(f"{r.scope}.{r.name}", r.passed, r.detail) | {"ms": r.ms} for r in outcomes
     ]
     results = {
         "checks_run": len(outcomes),

@@ -23,6 +23,10 @@ primes, lifts the taps by CRT, and accepts the lift only after checking
 it exactly over the integers on every coefficient seen; on any doubt
 the same coefficients go to Berlekamp-Massey over the rationals, which
 gives the answer or the error.  Both engines return the same series.
+``min_recurrence``, the slow oracle they are tested against, solves one
+Hankel system per order instead, never Berlekamp-Massey; it scales the
+prefix to integers once and eliminates fraction-free (Bareiss), so it
+stays independent of both engines without Fraction arithmetic.
 
 Every construction returns one ``Regularized`` record: the series, its
 value at t=1, the routes that value was held against, and the graded
@@ -333,16 +337,16 @@ class Recurrence:
     def order(self) -> int:
         return len(self.taps)
 
-    def predicted(self, coeffs: Sequence[Fraction], k: int) -> Fraction:
-        return sum(
-            (tap * coeffs[k - 1 - i] for i, tap in enumerate(self.taps)), Fraction(0)
-        )
 
-    def holds_on(self, coeffs: Sequence[Fraction]) -> bool:
-        return all(
-            coeffs[k] == self.predicted(coeffs, k)
-            for k in range(self.order, len(coeffs))
-        )
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """The integers s * v for the lcm s of the values' denominators, and s.
+
+    Takes ints and Fractions; with s = 1 nothing is multiplied.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve_linear_system(
@@ -350,34 +354,44 @@ def solve_linear_system(
 ) -> list[Fraction] | None:
     """Exact Gauss-Jordan solve; free variables are set to zero.
 
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent.  Fraction-free (Bareiss
+    1968): each row of [A | b] is cleared of denominators with one lcm,
+    and each pivot step replaces every other row by (p * a - f * b) // prev,
+    where p is the new pivot and prev the one before it.  By Sylvester's
+    identity every entry is then a minor of the integer matrix, so each
+    division is exact, and every pivot row ends with the last pivot on its
+    diagonal: that is the one denominator of the solution.
     """
+    m = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots: list[int] = []
-    r = 0
+    r, prev = 0, 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        row, p = m[r], m[r][c]
+        for i, other in enumerate(m):
+            if i != r:
+                f = other[c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
         pivots.append(c)
-        r += 1
+        r, prev = r + 1, p
         if r == len(m):
             break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    if any(row[ncols] for row in m[r:]):
+        return None
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
+        x[c] = Fraction(m[i][ncols], prev)
     return x
+
+
+def check_max_order(max_order: int | None) -> None:
+    """Refuse a negative max_order; None leaves the order to the caller."""
+    if max_order is not None and max_order < 0:
+        raise InputError(f"max_order must be at least 0, got {max_order}")
 
 
 def series_window(
@@ -393,8 +407,7 @@ def series_window(
     a user-set terms or max_order replaces its default unchanged.  Either
     way terms must stay within limits.MAX_TERMS.
     """
-    if max_order is not None and max_order < 0:
-        raise InputError(f"max_order must be at least 0, got {max_order}")
+    check_max_order(max_order)
     if terms is None:
         terms = check_terms(max(4 * order_bound - 2, 2 * order_bound + 1), order_bound)
     elif terms < 1:
@@ -405,41 +418,45 @@ def series_window(
 def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     """Minimal-order recurrence fitted on the first half of the prefix.
 
-    One Gauss-Jordan solve per order: the slow, independent oracle that
-    the tests and the verify suite hold fit_series against.
+    One fraction-free Gauss-Jordan solve of the Hankel system per order
+    (see solve_linear_system, which clears each row's denominators on its
+    own), never Berlekamp-Massey: the slow, independent oracle that the
+    tests and the verify suite hold fit_series against.
 
     The candidate is solved from coefficients c_0..c_{ceil(L/2)-1} and
     must then predict every remaining supplied coefficient exactly;
-    otherwise the next order is tried.  Returns None when no recurrence
-    of order <= max_order verifies.
+    otherwise the next order is tried.  That check runs over the
+    integers: a recurrence does not change when its sequence is scaled,
+    so the prefix is scaled to integers once, and the taps are taken
+    over their common denominator.  Returns None when no recurrence of
+    order <= max_order verifies.
     """
-    coeffs = list(prefix.coefficients)
-    n = len(coeffs)
+    n = len(prefix)
     if n < 2 * max_order + 2:
         raise InputError(
             f"prefix of length {n} is too short for max_order {max_order}; "
             f"need at least {2 * max_order + 2} coefficients"
         )
-    fit_len = (n + 1) // 2
+    values, fit_len = prefix.coefficients, (n + 1) // 2
+    coeffs, _ = clear_denominators(values)
     for order in range(max_order + 1):
-        rows = [
-            [coeffs[k - 1 - i] for i in range(order)] for k in range(order, fit_len)
-        ]
-        rhs = [coeffs[k] for k in range(order, fit_len)]
-        solution = solve_linear_system(rows, rhs)
+        solution = solve_linear_system(
+            [values[k - order:k][::-1] for k in range(order, fit_len)], values[order:fit_len]
+        )
         if solution is None:
             continue
-        rec = Recurrence(tuple(solution))
-        if rec.holds_on(coeffs):
-            return rec
+        taps, scale = clear_denominators(solution)
+        if _recurrence_holds(coeffs, taps, scale):
+            return Recurrence(tuple(solution))
     return None
 
 
-def _recurrence_holds(coeffs: Sequence[int], taps: Sequence[int]) -> bool:
-    """Exact integer check of c_k = sum(taps[i] * c_{k-1-i}) for every k >= order."""
+def _recurrence_holds(coeffs: Sequence[int], taps: Sequence[int], scale: int = 1) -> bool:
+    """Exact integer check of scale * c_k = sum(taps[i] * c_{k-1-i}) for every k >= order."""
     order, backwards = len(taps), taps[::-1]
+    lhs = coeffs if scale == 1 else [scale * c for c in coeffs]
     return all(
-        coeffs[k] == sum(map(operator.mul, backwards, coeffs[k - order:k]))
+        lhs[k] == sum(map(operator.mul, backwards, coeffs[k - order:k]))
         for k in range(order, len(coeffs))
     )
 
@@ -447,35 +464,23 @@ def _recurrence_holds(coeffs: Sequence[int], taps: Sequence[int]) -> bool:
 def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunction:
     """The unique rational function matching the prefix with rec's denominator.
 
-    The result is re-expanded and compared against the whole prefix;
-    a mismatch means the recurrence was not actually verified and is
-    reported as an internal error.  When the prefix and the taps are
-    integers, the numerator convolution and the re-expansion (the
-    recurrence itself, since the denominator has constant term 1) are
-    computed over the integers.
+    The prefix is scaled to integers s * c_k and the taps to T_i over
+    their common denominator D, so the denominator is (D - sum T_i t^i) / D
+    and the numerator's convolution runs over the integers, divided by s
+    once.  The recurrence must hold on the whole prefix, which is the
+    re-expansion of the result (its denominator has constant term 1); a
+    mismatch means the recurrence was not actually verified and is
+    reported as an internal error.
     """
-    coeffs = prefix.coefficients
-    if all(x.denominator == 1 for x in coeffs + rec.taps):
-        ints = [c.numerator for c in coeffs]
-        den = [1] + [-t.numerator for t in rec.taps]
-        if not _recurrence_holds(ints, [t.numerator for t in rec.taps]):
-            raise InternalCheckError("re-expansion of fitted rational function disagrees with prefix")
-        num = [sum(map(operator.mul, den[k::-1], ints)) for k in range(rec.order)]
-        return RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
-    den = Polynomial((Fraction(1),) + tuple(-t for t in rec.taps))
-    num = Polynomial(
-        tuple(
-            sum(
-                (den.coefficient(i) * coeffs[k - i] for i in range(min(k, rec.order) + 1)),
-                Fraction(0),
-            )
-            for k in range(rec.order)
-        )
-    )
-    rf = RationalFunction(num, den)
-    if rf.expand(len(coeffs) - 1) != coeffs:
+    coeffs, scale = clear_denominators(prefix.coefficients)
+    taps, tap_scale = clear_denominators(rec.taps)
+    if not _recurrence_holds(coeffs, taps, tap_scale):
         raise InternalCheckError("re-expansion of fitted rational function disagrees with prefix")
-    return rf
+    den = [tap_scale] + [-t for t in taps]
+    num = [sum(map(operator.mul, den[k::-1], coeffs)) for k in range(rec.order)]
+    if scale != 1:
+        num = [Fraction(c, scale) for c in num]
+    return RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
 
 @dataclass(frozen=True)

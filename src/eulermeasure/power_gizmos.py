@@ -37,6 +37,7 @@ from .exact_series import (
     Polynomial,
     Regularized,
     binomial_closed_form,
+    clear_denominators,
     closed_series,
     fit_series,
 )
@@ -81,12 +82,6 @@ class ExponentialFit:
     bases: tuple[int, ...]
     weights: tuple[Fraction, ...]
     polynomial: Polynomial
-
-    def predicted_count(self, k: int) -> Fraction:
-        return sum(
-            (w * Fraction(b) ** k for w, b in zip(self.weights, self.bases)),
-            Fraction(0),
-        )
 
     def value_at(self, x) -> Fraction:
         return self.polynomial.evaluate(as_fraction(x))
@@ -159,20 +154,24 @@ def gizmo_brute_force(spec: GizmoSpec, k: int, cap: int | None = None) -> int:
     return census.get(frozenset(range(1, k + 1)), 0)
 
 
-def _binomial_of_polynomial(p: Polynomial, k: int) -> Polynomial:
-    """binom(p(x), k) as a polynomial in x."""
-    result = Polynomial.constant(1)
-    for i in range(k):
-        result = result * (p - Polynomial.constant(i))
-    return result.scale(Fraction(1, math.factorial(k)))
-
-
 def iterated_binomial_polynomial(ks) -> Polynomial:
-    """The polynomial x -> iterated_binomial(x, ks)."""
-    p = Polynomial.variable()
+    """The polynomial x -> iterated_binomial(x, ks).
+
+    It is kept as integer coefficients P over one scale s: binom(P/s, k)
+    is prod_{i<k} (P - i*s) over s^k * k!, so only the last step divides.
+    """
+    poly, scale = [0, 1], 1
     for k in ks:
-        p = _binomial_of_polynomial(p, k)
-    return p
+        product = [1]
+        for i in range(k):
+            factor = [poly[0] - i * scale] + poly[1:]
+            out = [0] * (len(product) + len(factor) - 1)
+            for a_pos, a in enumerate(product):
+                for b_pos, b in enumerate(factor):
+                    out[a_pos + b_pos] += a * b
+            product = out
+        poly, scale = product, scale ** k * math.factorial(k)
+    return Polynomial(tuple(Fraction(c, scale) for c in poly))
 
 
 def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Fraction]:
@@ -209,7 +208,9 @@ def gizmo_fit(
 
     The system is solved by Lagrange interpolation in O(J^2) integer
     operations (see _exponential_weights); the weights must then predict
-    the held-out counts and match the iterated binomial polynomial.
+    the held-out counts and match the iterated binomial polynomial.  The
+    held-out check runs over the integers: sum W_j b_j^k = D * n_k for the
+    weights W_j over their common denominator D.
     Verification failure here means a counting bug, not bad user input.
     ``totals`` is the memo of gizmo_support_count.
     """
@@ -218,13 +219,15 @@ def gizmo_fit(
     totals = [] if totals is None else totals
     targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + held_out + 1)]
     weights = _exponential_weights(bases, targets[:j_dim])
-    fit = ExponentialFit(bases, tuple(weights), Polynomial((Fraction(0),) + tuple(weights)))
-    for extra in range(held_out):
-        k = j_dim + 1 + extra
-        if fit.predicted_count(k) != targets[k - 1]:
+    scaled, scale = clear_denominators(weights)
+    powers = [b ** j_dim for b in bases]
+    for k in range(j_dim + 1, j_dim + held_out + 1):
+        powers = list(map(operator.mul, powers, bases))
+        if sum(map(operator.mul, scaled, powers)) != scale * targets[k - 1]:
             raise InternalCheckError(
                 f"exponential fit fails on held-out support count n_{k}"
             )
+    fit = ExponentialFit(bases, tuple(weights), Polynomial((Fraction(0),) + tuple(weights)))
     if fit.polynomial != iterated_binomial_polynomial(spec.ks):
         raise InternalCheckError(
             "fit weights disagree with the iterated binomial polynomial"

@@ -4,8 +4,9 @@ Each check exercises one stated invariant of a module, exactly (no
 tolerances): randomized checks use a fixed seed, enumerative checks use
 the documented desk-scale parameters.  A check returns None on success
 or a human-readable counterexample on failure; exceptions are reported
-as failures rather than aborting the suite.  ``CHECKS`` is the one place
-an invariant is written: pytest runs each entry as ``test_invariant``.
+as failures rather than aborting the suite.  Each result carries the
+check's wall time in ms.  ``CHECKS`` is the one place an invariant is
+written: pytest runs each entry as ``test_invariant``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -75,6 +77,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    ms: float = 0.0
 
 
 CHECKS: list[tuple[str, str, Callable[[], str | None]]] = []
@@ -295,14 +298,25 @@ def _no_false_closed_form():
 
 @_check("partition_combinatorics", "mobius_identity")
 def _mobius_identity():
+    # sum over pi of mu(0,pi) x^|pi| = x(x-1)..(x-k+1): grouped by block
+    # count, the sums must be the falling factorial's coefficients, and
+    # the grouped polynomial must also hit it at 20 seeded rationals
     rng = random.Random(301)
+    falling = [1]
     for k in range(7):
-        pis = partitions_of(k)
+        by_blocks = [0] * (k + 1)
+        for pi in partitions_of(k):
+            by_blocks[pi.block_count] += mobius_bottom(pi)
+        if by_blocks != falling:
+            return f"k={k}: sums by block count {by_blocks} != x(x-1)..(x-k+1) {falling}"
+        lhs = Polynomial(tuple(by_blocks))
         for _ in range(20):
             x = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-            lhs = sum(mobius_bottom(pi) * x ** pi.block_count for pi in pis)
-            if lhs != falling_factorial(x, k):
-                return f"k={k} x={x}: {lhs} != {falling_factorial(x, k)}"
+            if lhs.evaluate(x) != falling_factorial(x, k):
+                return f"k={k} x={x}: {lhs.evaluate(x)} != {falling_factorial(x, k)}"
+        falling = [0] + falling  # times (x - k)
+        for j in range(k + 1):
+            falling[j] -= k * falling[j + 1]
     return None
 
 
@@ -693,19 +707,20 @@ SCOPES = tuple(dict.fromkeys(scope for scope, _, _ in CHECKS))
 
 
 def run_verify(scope: str = "all") -> list[CheckResult]:
-    """Run every registered invariant check in the given scope."""
+    """Run every registered invariant check in the given scope, timing each."""
     if scope != "all" and scope not in SCOPES:
         raise InputError(f"unknown verify scope {scope!r}; choose from {', '.join(SCOPES)}")
     results = []
     for check_scope, name, fn in CHECKS:
         if scope not in ("all", check_scope):
             continue
+        start = time.perf_counter()
         try:
             detail = fn()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(
-                CheckResult(check_scope, name, False, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        results.append(CheckResult(check_scope, name, detail is None, detail or ""))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        else:
+            passed, detail = detail is None, detail or ""
+        ms = round((time.perf_counter() - start) * 1000, 3)
+        results.append(CheckResult(check_scope, name, passed, detail, ms))
     return results

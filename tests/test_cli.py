@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import map_spaces
+from eulermeasure import cli, map_spaces
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
@@ -334,6 +334,14 @@ class TestMain:
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
 
+    def test_powerset_refuses_negative_max_order_before_any_work(self, capsys, monkeypatch):
+        # the knob is read only by the refit, yet it is refused like fib's and gizmo's
+        monkeypatch.setattr(cli, "powerset_series", None)
+        assert main(["powerset", "(0,1)", "--max-order", "-1"]) == 2
+        assert "max_order must be at least 0, got -1" in capsys.readouterr().err
+        assert main(["powerset", "(0,1)", "--max-order", "-1", "--json"]) == 2
+        assert "max_order" in json.loads(capsys.readouterr().out)["error"]["message"]
+
     def test_negative_enumeration_cap_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv(ENUM_CAP_ENV_VAR, "-5")
         assert main(["mapspace", "(0,1)", "--finite", "2", "--pairs"]) == 2
@@ -479,6 +487,17 @@ class TestVerify:
         assert report.exit_status == 0
         assert report.results["failures"] == 0
         assert all(c["status"] == "ok" for c in report.checks)
+
+    def test_json_reports_the_time_of_each_check(self, capsys):
+        assert main(["verify", "--scope", "cli", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert set(blob["results"]) == {"checks_run", "failures"}
+        assert len(blob["checks"]) == blob["results"]["checks_run"] == 3
+        for check in blob["checks"]:
+            assert check["status"] == "ok" and check["ms"] >= 0
+        assert main(["verify", "--scope", "cli"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [f"check {check['name']}: ok" for check in blob["checks"]]
 
 
 # Each case with the value its construction must report: the iterated

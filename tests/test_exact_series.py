@@ -1,6 +1,11 @@
 import functools
+import json
+import operator
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -33,6 +38,7 @@ from eulermeasure.exact_series import (
     min_recurrence,
     poly_gcd,
     series_window,
+    solve_linear_system,
     to_rational_function,
 )
 from eulermeasure.interval_sets import points
@@ -489,7 +495,9 @@ def test_continue_series_agrees_with_gauss_oracle(case):
     except RegularizationError:
         assert rec is None
         return
-    assert series.recurrence.holds_on(prefix.coefficients)
+    taps, coeffs = series.recurrence.taps, prefix.coefficients
+    assert all(coeffs[k] == sum(tap * coeffs[k - 1 - i] for i, tap in enumerate(taps))
+               for k in range(len(taps), len(coeffs)))
     assert len(prefix) >= 2 * series.recurrence.order + 2
     if rec is not None:
         assert series.closed_form == to_rational_function(prefix, rec)
@@ -626,3 +634,99 @@ def test_integer_to_rational_function():
         coeffs[-1] += 1
         with pytest.raises(InternalCheckError, match="re-expansion"):
             to_rational_function(SeriesPrefix(tuple(coeffs)), rec)
+
+
+@st.composite
+def _rational_prefixes(draw):
+    """Rational prefixes with a max_order: expansions of rational functions
+    of order <= max_order with fractional coefficients, the same with one
+    coefficient corrupted, and fractional noise.  Every prefix is divided
+    by 2, 3 or 5: that keeps any recurrence and makes integer expansions fractional."""
+    n = draw(st.integers(2, 14))
+    max_order = draw(st.integers(0, (n - 2) // 2))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    kind = draw(st.sampled_from(["rational", "rational", "corrupted", "noise"]))
+    if kind == "noise":
+        values = draw(st.lists(entries, min_size=n, max_size=n))
+    else:
+        den = [1] + draw(st.lists(entries, max_size=max_order))
+        values = _expand(draw(st.lists(entries, max_size=max_order)), den, n)
+        if kind == "corrupted":
+            values[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([2, 3, 5]))
+    return SeriesPrefix(tuple(Fraction(v) / scale for v in values)), max_order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_prefixes())
+def test_continue_series_agrees_with_gauss_oracle_on_rational_prefixes(case):
+    prefix, max_order = case
+    rec = min_recurrence(prefix, max_order)
+    try:
+        series = continue_series(prefix, max_order)
+    except RegularizationError:
+        assert rec is None
+        return
+    if rec is not None:  # the fit is minimal, and both agree on >= both orders + 2 terms
+        assert series.recurrence.order <= rec.order
+        assert series.closed_form == to_rational_function(prefix, rec)
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+@st.composite
+def _linear_systems(draw):
+    """Tall, wide and square systems A x = b of any rank (A a product of
+    random nrows x rank and rank x ncols factors); b is A x0 for a random
+    x0 or, as often, random, which makes most rank-deficient systems
+    inconsistent."""
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    left = draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=rank, max_size=rank))
+    rows = [[sum((l[t] * right[t][j] for t in range(rank)), Fraction(0)) for j in range(ncols)]
+            for l in left]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum(map(operator.mul, row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_linear_systems())
+def test_solve_linear_system_matches_sympy(system):
+    rows, rhs = system
+    x = solve_linear_system(rows, rhs)
+    a, b = _sympy_matrix(rows), _sympy_matrix([[v] for v in rhs])
+    rank = a.rank()
+    assert (x is None) == (rank != a.row_join(b).rank())
+    if x is None:
+        return
+    assert all(sum(map(operator.mul, row, x)) == v for row, v in zip(rows, rhs))
+    assert sum(1 for v in x if v) <= rank  # free variables are 0
+    if rank == len(x):
+        solution, _ = a.gauss_jordan_solve(b)
+        assert [sympy.Rational(v.numerator, v.denominator) for v in x] == list(solution)
+
+
+def test_solve_linear_system_edge_cases():
+    assert solve_linear_system([], []) == []
+    assert solve_linear_system([[F(0), F(0)]], [F(0)]) == [0, 0]
+    assert solve_linear_system([[F(0), F(0)]], [F(1)]) is None
+    assert solve_linear_system([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]], [F(1), F(1, 2)]) == [2, 0]
+    assert solve_linear_system([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]], [F(1), F(1)]) is None
+
+
+def test_min_recurrence_scaling_tool_runs():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "min_recurrence_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--orders", "2,3"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [(row["order"], row["coefficients"]) for row in rows] == [(2, 10), (3, 14)]

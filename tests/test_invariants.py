@@ -7,6 +7,7 @@ is the asserted value.
 
 import pytest
 
+from eulermeasure import verify
 from eulermeasure.verify import CHECKS
 
 
@@ -20,3 +21,14 @@ def test_registry_names_are_unique():
 )
 def test_invariant(check):
     assert check() is None
+
+
+def test_mobius_identity_reports_a_wrong_block_count_sum(monkeypatch):
+    # one wrong mu(0,pi) on a 3-element partition breaks the coefficient of x^1
+    mobius = verify.mobius_bottom
+    monkeypatch.setattr(verify, "mobius_bottom",
+                        lambda pi: mobius(pi) + (pi.blocks == ((1, 2, 3),)))
+    check = {(scope, name): fn for scope, name, fn in CHECKS}[
+        ("partition_combinatorics", "mobius_identity")]
+    detail = check()
+    assert detail == "k=3: sums by block count [0, 3, -3, 1] != x(x-1)..(x-k+1) [0, 2, -3, 1]"

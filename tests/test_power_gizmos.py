@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from eulermeasure import power_gizmos
-from eulermeasure.errors import InputError, RegularizationError, ResourceLimitError
+from eulermeasure.errors import (
+    InputError,
+    InternalCheckError,
+    RegularizationError,
+    ResourceLimitError,
+)
 from eulermeasure.exact_series import Polynomial, RationalFunction, solve_linear_system
 from eulermeasure.interval_sets import points
 from eulermeasure.partition_combinatorics import gen_binomial, integer_binomial, iterated_binomial
@@ -85,7 +90,53 @@ class TestGizmoFit:
     def test_predicts_beyond_fit_window(self):
         fit = gizmo_fit(GizmoSpec((2, 2)))
         for k in range(10):
-            assert fit.predicted_count(k) == gizmo_support_count(GizmoSpec((2, 2)), k)
+            predicted = sum(w * F(b) ** k for w, b in zip(fit.weights, fit.bases))
+            assert predicted == gizmo_support_count(GizmoSpec((2, 2)), k)
+
+    @pytest.mark.parametrize("ks", [(1,), (2,), (3,), (2, 2), (2, 3), (3, 2, 1)], ids=str)
+    def test_iterated_binomial_polynomial_values(self, ks):
+        p = iterated_binomial_polynomial(ks)
+        assert p.degree == GizmoSpec(ks).fit_dimension
+        for x in (F(1, 2), F(-3), F(7, 4), F(0), F(5)):
+            assert p.evaluate(x) == iterated_binomial(x, ks)
+
+
+def _corrupt_counts(monkeypatch, corrupt):
+    """Make gizmo_support_count return n_k + corrupt(k)."""
+    count = power_gizmos.gizmo_support_count
+    monkeypatch.setattr(power_gizmos, "gizmo_support_count",
+                        lambda spec, k, totals=None: count(spec, k, totals) + corrupt(k))
+
+
+@pytest.mark.parametrize("ks", [(2,), (3,), (2, 2)], ids=str)
+class TestGizmoFitChecks:
+    """A corrupted support count or weight is refused by each fit check."""
+
+    def test_corrupted_held_out_count(self, ks, monkeypatch):
+        k_bad = GizmoSpec(ks).fit_dimension + 3
+        _corrupt_counts(monkeypatch, lambda k: k == k_bad)
+        with pytest.raises(InternalCheckError, match=f"held-out support count n_{k_bad}"):
+            gizmo_fit(GizmoSpec(ks))
+
+    def test_corrupted_fitted_count(self, ks, monkeypatch):
+        _corrupt_counts(monkeypatch, lambda k: 2 * (k == 1))
+        with pytest.raises(InternalCheckError, match="held-out"):
+            gizmo_fit(GizmoSpec(ks))
+
+    def test_corrupted_weight(self, ks, monkeypatch):
+        weights = power_gizmos._exponential_weights
+        monkeypatch.setattr(power_gizmos, "_exponential_weights",
+                            lambda bases, counts: [weights(bases, counts)[0] + F(1, 3)]
+                            + weights(bases, counts)[1:])
+        with pytest.raises(InternalCheckError, match="held-out"):
+            gizmo_fit(GizmoSpec(ks))
+
+    def test_consistent_but_wrong_counts(self, ks, monkeypatch):
+        # n_k + 1 for k >= 1 adds the exponential 1^k of base 2^1 - 1: the fit
+        # still predicts its held-out counts, and only the polynomial check sees it
+        _corrupt_counts(monkeypatch, lambda k: k >= 1)
+        with pytest.raises(InternalCheckError, match="iterated binomial polynomial"):
+            gizmo_fit(GizmoSpec(ks))
 
 
 def _ordered_factorizations(n):
