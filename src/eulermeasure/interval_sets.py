@@ -20,14 +20,32 @@ chi(A | B) = chi(A) + chi(B) - chi(A & B), coincides with cardinality on
 finite sets, and is *not* a homotopy invariant (an open interval has
 measure -1, a closed one +1).
 
-Canonicalization, intersection, difference, complement and
-classification all cut the line at the operands' endpoints into
-elementary cells, compute every cell's membership in one sweep over the
-sorted coordinates, and read the canonical pieces off the runs of
-member cells.  Each costs O(n log n) in the number n of pieces.  Union
-splices instead: only the pieces of the larger operand near the smaller
-one are swept, so adding k pieces to an n-piece set costs O(k log k +
-log n) Python steps plus one copy of the untouched pieces.
+Costs, with n the number of pieces:
+
+- A literal (``segment``, ``open_interval``) costs O(1): once its ends
+  are checked (lower < upper, closed ends finite) its one to three
+  pieces are already canonical, so no sweep runs.
+- ``from_pieces`` takes pieces in any order and costs O(n log n): it
+  sorts the distinct endpoints, indexes them once, and sweeps.
+- Intersection, difference, complement and classification cost O(n),
+  with no sort and no hashing.  The sorted coordinates of a canonical
+  operand, and the membership of its cells, are read off its pieces in
+  one pass.  A binary operation merges the two coordinate lists into
+  its one coordinate index and flags every cell of the merge in the
+  same walk.  Union splices instead: only the pieces of the larger
+  operand near the smaller one are merged, so adding k pieces to an
+  n-piece set costs O(k + log n) Python steps plus one copy of the
+  untouched pieces.
+- ``restrict_open`` bisects twice and clips the two end pieces:
+  O(log n + pieces in the window).
+
+Every piece an operation emits takes its ends from its operands'
+pieces, which the public constructors already made exact Fractions,
+and an interval's left end comes before its right end in a sorted list
+of distinct coordinates, so the constructor checks (coercion to
+Fraction, left < right) cannot fail on it.  The kernel builds those
+pieces without the checks; the public constructors keep all of them
+for outside input.
 
 All values here are immutable; every operation is pure, so instances
 may be shared freely across threads.
@@ -40,6 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from itertools import accumulate
+from operator import and_, gt, or_
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -77,7 +96,9 @@ class ExtendedRational:
     def __lt__(self, other: "ExtendedRational") -> bool:
         if not isinstance(other, ExtendedRational):
             return NotImplemented
-        return (self.rank, self.value) < (other.rank, other.value)
+        if self.rank != other.rank:
+            return self.rank < other.rank
+        return self.rank == 0 and self.value < other.value
 
     def __str__(self) -> str:
         if self.rank < 0:
@@ -132,6 +153,30 @@ class OpenInterval:
 Piece = Union[Point, OpenInterval]
 
 
+# The same frozen values as the public constructors give, built without
+# their checks, for arguments that already pass them: a Fraction value, a
+# Fraction point, and ExtendedRational ends with left < right.  The kernel
+# builds every piece it emits with these (see the module docstring).
+
+
+def _finite(value: Fraction) -> ExtendedRational:
+    bound = object.__new__(ExtendedRational)
+    bound.__dict__.update(rank=0, value=value)
+    return bound
+
+
+def _point(at: Fraction) -> Point:
+    piece = object.__new__(Point)
+    piece.__dict__["at"] = at
+    return piece
+
+
+def _open(left: ExtendedRational, right: ExtendedRational) -> OpenInterval:
+    piece = object.__new__(OpenInterval)
+    piece.__dict__.update(left=left, right=right)
+    return piece
+
+
 @dataclass(frozen=True)
 class ComponentDescriptor:
     """One connected component of a canonical set."""
@@ -172,14 +217,20 @@ class Classification:
 # 2i+1 is the point x_i and cell 2i is the open gap below it.  Every piece
 # of every operand is a union of such cells, so membership is constant on
 # each cell, and the result of any operation is read off one flag per
-# cell.  _cell_flags computes all the flags in one sweep: a point marks
-# its own cell, an open interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0
-# at -inf) and -1 after cell 2b (after the last cell at +inf), and a
-# running sum of these differences counts the intervals over each cell.
-# With the sort of the coordinates that is O(n log n) per operation.
+# cell.
+#
+# Canonical operands give their cells in one pass (_cells): their finite
+# ends, read left to right, never decrease.  _merge walks two such cell
+# lists together, as the merge step of merge sort, and flags the cells of
+# the merged coordinates.  Raw pieces from outside (_normalize) come in any
+# order: _critical_coordinates sorts their distinct ends, and _cell_flags
+# marks the cells in one sweep: a point marks its own cell, an open
+# interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1 after
+# cell 2b (after the last cell at +inf), and a running sum of these
+# differences counts the intervals over each cell.
 # _cell_in tests one cell against every piece, O(n) per cell: contains()
 # asks it about a single point, and with _elementary_cells, which spells
-# the cells out, it is the reference the sweep is tested against.
+# the cells out, it is the reference the sweeps are tested against.
 _CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
 
 
@@ -210,6 +261,62 @@ def _cell_flags(pieces: Sequence[Piece], coords: Sequence[Fraction]) -> list[boo
             diff[2 * index[piece.left.value] + 2 if piece.left.is_finite else 0] += 1
             diff[2 * index[piece.right.value] + 1 if piece.right.is_finite else last + 1] -= 1
     return [m or depth > 0 for m, depth in zip(marked, accumulate(diff))]
+
+
+def _cells(pieces: Sequence[Piece]) -> tuple[list[Fraction], list[bool]]:
+    """The coordinates of canonical pieces and the membership of their cells.
+
+    A coordinate repeats only where one piece ends and the next begins,
+    so comparing each end with the last coordinate seen is enough.
+    """
+    coords: list[Fraction] = []
+    flags = [False]
+    for piece in pieces:
+        if isinstance(piece, Point):
+            x = piece.at
+            if coords and (coords[-1] is x or coords[-1] == x):
+                flags[-2] = True  # x closes the interval just read
+            else:
+                coords.append(x)
+                flags += (True, False)
+            continue
+        left = piece.left
+        if left.rank or coords and (coords[-1] is left.value or coords[-1] == left.value):
+            flags[-1] = True  # the gap above the last coordinate, or below all
+        else:
+            coords.append(left.value)
+            flags += (False, True)
+        if not piece.right.rank:
+            coords.append(piece.right.value)
+            flags += (False, False)
+    return coords, flags
+
+
+def _merge(a: Sequence[Piece], b: Sequence[Piece], keep) -> tuple[Piece, ...]:
+    """The canonical pieces of ``keep(in a, in b)`` for canonical a and b."""
+    xa, fa = _cells(a)
+    xb, fb = _cells(b)
+    na, nb = len(xa), len(xb)
+    coords: list[Fraction] = []
+    flags = [keep(fa[0], fb[0])]
+    i = j = 0
+    while i < na or j < nb:
+        # The next coordinate is a point cell of the operand it comes from
+        # and lies in a gap cell of the other; i and j then count each
+        # operand's coordinates up to it, so 2i and 2j are the gaps above.
+        if j == nb or i < na and xa[i] < xb[j]:
+            x, cell_a, cell_b = xa[i], 2 * i + 1, 2 * j
+            i += 1
+        elif i == na or xb[j] < xa[i]:
+            x, cell_a, cell_b = xb[j], 2 * i, 2 * j + 1
+            j += 1
+        else:
+            x, cell_a, cell_b = xa[i], 2 * i + 1, 2 * j + 1
+            i += 1
+            j += 1
+        coords.append(x)
+        flags += (keep(fa[cell_a], fb[cell_b]), keep(fa[2 * i], fb[2 * j]))
+    return _assemble(coords, flags)
 
 
 def _elementary_cells(coords: Sequence[Fraction]) -> _CellList:
@@ -257,43 +364,43 @@ def _runs(flags: Sequence[bool]):
 def _run_descriptor(coords: Sequence[Fraction], start: int, stop: int) -> ComponentDescriptor:
     # A run starts at a point cell 2i+1 or a gap cell 2i+2, both with
     # lower end x_i, and stops at a cell 2i+1 or 2i with upper end x_i.
-    lower = ext(coords[(start - 1) // 2]) if start > 0 else NEG_INF
-    upper = ext(coords[stop // 2]) if stop < 2 * len(coords) else POS_INF
+    lower = _finite(coords[(start - 1) // 2]) if start > 0 else NEG_INF
+    upper = _finite(coords[stop // 2]) if stop < 2 * len(coords) else POS_INF
     closed_lower, closed_upper = start % 2 == 1, stop % 2 == 1
     return ComponentDescriptor(
         lower, upper, closed_lower, closed_upper, start == stop and closed_lower
     )
 
 
-def _component_pieces(desc: ComponentDescriptor) -> list[Piece]:
-    if desc.is_point:
-        return [Point(desc.lower.value)]
-    pieces: list[Piece] = []
-    if desc.closed_lower:
-        pieces.append(Point(desc.lower.value))
-    pieces.append(OpenInterval(desc.lower, desc.upper))
-    if desc.closed_upper:
-        pieces.append(Point(desc.upper.value))
-    return pieces
-
-
 def _assemble(coords: Sequence[Fraction], flags: Sequence[bool]) -> tuple[Piece, ...]:
+    """The canonical pieces of the runs of member cells."""
     pieces: list[Piece] = []
+    last = 2 * len(coords)
+    upper = NEG_INF  # the previous run's upper end, shared with the next run
     for start, stop in _runs(flags):
-        pieces.extend(_component_pieces(_run_descriptor(coords, start, stop)))
+        if start % 2:
+            pieces.append(_point(coords[start // 2]))
+            if start == stop:
+                continue
+        if start == 0:
+            lower = NEG_INF
+        elif upper.rank == 0 and upper.value is coords[(start - 1) // 2]:
+            lower = upper
+        else:
+            lower = _finite(coords[(start - 1) // 2])
+        upper = _finite(coords[stop // 2]) if stop < last else POS_INF
+        pieces.append(_open(lower, upper))
+        if stop % 2:
+            pieces.append(_point(coords[stop // 2]))
     return tuple(pieces)
 
 
-def _lower_key(piece: Piece) -> tuple[int, Fraction]:
-    if isinstance(piece, Point):
-        return (0, piece.at)
-    return (piece.left.rank, piece.left.value)
+def _lower_end(piece: Piece) -> ExtendedRational:
+    return _finite(piece.at) if isinstance(piece, Point) else piece.left
 
 
-def _upper_key(piece: Piece) -> tuple[int, Fraction]:
-    if isinstance(piece, Point):
-        return (0, piece.at)
-    return (piece.right.rank, piece.right.value)
+def _upper_end(piece: Piece) -> ExtendedRational:
+    return _finite(piece.at) if isinstance(piece, Point) else piece.right
 
 
 def _normalize(raw: Iterable[Piece]) -> tuple[Piece, ...]:
@@ -329,21 +436,18 @@ class PolyhedralSet1D:
     # -- set operations ----------------------------------------------
 
     def _binary(self, other: "PolyhedralSet1D", keep) -> "PolyhedralSet1D":
-        coords = _critical_coordinates([self.pieces, other.pieces])
-        flags = map(keep, _cell_flags(self.pieces, coords), _cell_flags(other.pieces, coords))
-        return PolyhedralSet1D(_assemble(coords, list(flags)))
+        return PolyhedralSet1D(_merge(self.pieces, other.pieces, keep))
 
     def union(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         """Splice the smaller operand into the larger one.
 
         Only the larger operand's pieces whose closures meet the closed
         hull of the smaller operand can change.  That window, widened by
-        one piece on each side as a margin, is canonicalized together with
-        the smaller operand, and the pieces on either side are reused as
-        they are.  With k and n the operands' piece counts, k <= n, that
-        costs O(k log k + log n) Python steps plus one copy of n
-        references.  The result equals ``self._binary(other, or)``, the
-        full sweep.
+        one piece on each side as a margin, is merged with the smaller
+        operand, and the pieces on either side are reused as they are.
+        With k and n the operands' piece counts, k <= n, that costs
+        O(k + log n) Python steps plus one copy of n references.  The
+        result equals ``self._binary(other, or_)``, the full merge.
         """
         big, small = self.pieces, other.pieces
         if len(big) < len(small):
@@ -352,20 +456,19 @@ class PolyhedralSet1D:
             return PolyhedralSet1D(big)
         # Canonical pieces are sorted and disjoint, so both of their ends
         # are non-decreasing along the tuple.
-        lo = max(bisect_left(big, _lower_key(small[0]), key=_upper_key) - 1, 0)
-        hi = bisect_right(big, _upper_key(small[-1]), key=_lower_key) + 1
-        return PolyhedralSet1D(big[:lo] + _normalize(big[lo:hi] + small) + big[hi:])
+        lo = max(bisect_left(big, _lower_end(small[0]), key=_upper_end) - 1, 0)
+        hi = bisect_right(big, _upper_end(small[-1]), key=_lower_end) + 1
+        return PolyhedralSet1D(big[:lo] + _merge(big[lo:hi], small, or_) + big[hi:])
 
     def intersect(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
-        return self._binary(other, lambda a, b: a and b)
+        return self._binary(other, and_)
 
     def difference(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
-        return self._binary(other, lambda a, b: a and not b)
+        return self._binary(other, gt)  # on flags, a > b is a and not b
 
     def complement(self) -> "PolyhedralSet1D":
-        coords = _critical_coordinates([self.pieces])
-        flags = [not flag for flag in _cell_flags(self.pieces, coords)]
-        return PolyhedralSet1D(_assemble(coords, flags))
+        coords, flags = _cells(self.pieces)
+        return PolyhedralSet1D(_assemble(coords, [not flag for flag in flags]))
 
     __or__ = union
     __and__ = intersect
@@ -383,8 +486,7 @@ class PolyhedralSet1D:
         return _cell_in(self.pieces, ("pt", q))
 
     def classify(self) -> Classification:
-        coords = _critical_coordinates([self.pieces])
-        flags = _cell_flags(self.pieces, coords)
+        coords, flags = _cells(self.pieces)
         components = tuple(_run_descriptor(coords, a, b) for a, b in _runs(flags))
         finite = all(isinstance(p, Point) for p in self.pieces)
         cardinality = len(self.pieces) if finite else None
@@ -393,25 +495,39 @@ class PolyhedralSet1D:
         return Classification(finite, cardinality, compact, components, isolated)
 
     def restrict_open(self, lower, upper) -> "PolyhedralSet1D":
-        """Intersect with the open interval (lower, upper)."""
+        """Intersect with the open interval (lower, upper).
+
+        The pieces that meet the window form one slice, found by two
+        bisects: those whose upper end lies above lower and whose lower
+        end lies below upper, so a point at either bound is left out.
+        Only the first and the last of them can reach past the window,
+        and those are clipped: O(log n + pieces in the window).
+        """
         lo, hi = ext(lower), ext(upper)
         if not lo < hi:
             raise InputError(f"empty restriction window: {lo} >= {hi}")
-        return self.intersect(PolyhedralSet1D((OpenInterval(lo, hi),)))
+        pieces = self.pieces
+        inside = list(pieces[bisect_right(pieces, lo, key=_upper_end):
+                             bisect_left(pieces, hi, key=_lower_end)])
+        if inside and isinstance(inside[0], OpenInterval) and inside[0].left < lo:
+            inside[0] = _open(lo, inside[0].right)
+        if inside and isinstance(inside[-1], OpenInterval) and hi < inside[-1].right:
+            inside[-1] = _open(inside[-1].left, hi)
+        return PolyhedralSet1D(tuple(inside))
 
     def shift(self, delta) -> "PolyhedralSet1D":
         """Translate every piece by a fixed rational; canonical form is preserved."""
         d = as_fraction(delta)
 
         def move(bound: ExtendedRational) -> ExtendedRational:
-            return ext(bound.value + d) if bound.is_finite else bound
+            return _finite(bound.value + d) if bound.is_finite else bound
 
         moved: list[Piece] = []
         for piece in self.pieces:
             if isinstance(piece, Point):
-                moved.append(Point(piece.at + d))
+                moved.append(_point(piece.at + d))
             else:
-                moved.append(OpenInterval(move(piece.left), move(piece.right)))
+                moved.append(_open(move(piece.left), move(piece.right)))
         return PolyhedralSet1D(tuple(moved))
 
     def __str__(self) -> str:
@@ -448,12 +564,12 @@ def classify(a: PolyhedralSet1D) -> Classification:
 
 def points(values: Iterable) -> PolyhedralSet1D:
     """The finite set consisting of the given rational points."""
-    return PolyhedralSet1D.from_pieces(Point(as_fraction(v)) for v in values)
+    return PolyhedralSet1D.from_pieces(_point(as_fraction(v)) for v in values)
 
 
 def open_interval(lower, upper) -> PolyhedralSet1D:
     """The open interval (lower, upper); endpoints may be infinite."""
-    return PolyhedralSet1D.from_pieces([OpenInterval(ext(lower), ext(upper))])
+    return segment(lower, upper)
 
 
 def segment(lower, upper, include_lower: bool = False, include_upper: bool = False) -> PolyhedralSet1D:
@@ -461,7 +577,8 @@ def segment(lower, upper, include_lower: bool = False, include_upper: bool = Fal
 
     This is constructor sugar only: a closed end contributes a Point
     piece, so ``segment(0, 1, True, True)`` is ``{0} u (0,1) u {1}``.
-    Closed ends must be finite.
+    Closed ends must be finite.  Once those checks pass the pieces are
+    canonical as they stand.
     """
     lo, hi = ext(lower), ext(upper)
     if not lo < hi:
@@ -472,8 +589,8 @@ def segment(lower, upper, include_lower: bool = False, include_upper: bool = Fal
         raise InputError("cannot close an interval at inf")
     pieces: list[Piece] = []
     if include_lower:
-        pieces.append(Point(lo.value))
-    pieces.append(OpenInterval(lo, hi))
+        pieces.append(_point(lo.value))
+    pieces.append(_open(lo, hi))
     if include_upper:
-        pieces.append(Point(hi.value))
-    return PolyhedralSet1D.from_pieces(pieces)
+        pieces.append(_point(hi.value))
+    return PolyhedralSet1D(tuple(pieces))

@@ -21,8 +21,8 @@ once.  Errors report the offending position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .interval_sets import NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, points, segment
@@ -48,8 +48,7 @@ _BINARY = {"u": "union", "|": "union", "\\": "difference", "&": "intersect"}
 MAX_NESTING_DEPTH = 1000
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
@@ -160,8 +159,11 @@ class _Parser:
         if token.kind != "number":
             self._fail("a rational number", token)
         self._advance()
+        numerator, _, denominator = token.text.partition("/")
         try:
-            return Fraction(token.text)
+            if denominator:
+                return Fraction(int(numerator), int(denominator))
+            return Fraction(int(numerator))
         except ZeroDivisionError:
             problem = "division by zero"
         except ValueError as exc:  # the interpreter's limit on digits per integer

@@ -1,12 +1,21 @@
+import io
 import itertools
+import json
+import pathlib
 import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure.errors import InputError
+from eulermeasure import cli
+from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
     NEG_INF,
     POS_INF,
@@ -261,11 +270,12 @@ class TestValuationProperties:
             assert shifted.shift(-d) == a
 
 
-# -- the one-pass sweep against the per-cell scan ----------------------
+# -- the sweep and the merge against the per-cell scan -----------------
 #
 # The scan tests each elementary cell against every piece with _cell_in
 # and rebuilds the components from the explicit cell list; it shares
-# nothing with the sweep but the coordinates, the cell order and _runs.
+# nothing with the sweep or the merge but the coordinates, the cell order
+# and _runs.
 
 def scan_flags(pieces, coords):
     return [_cell_in(pieces, cell) for cell in _elementary_cells(coords)]
@@ -359,9 +369,9 @@ class TestSweepAgainstCellScan:
             assert canonicalize(raw) == scan_set(coords, scan_flags(raw, coords))
 
 
-# -- union's splice against the sweep and the cell scan ----------------
+# -- union's splice against the merge and the cell scan ----------------
 #
-# union canonicalizes only a window of the larger operand around the
+# union merges only a window of the larger operand around the
 # smaller one; the operands here differ widely in size so that the window
 # is a small part of the result, and share one grid so that they often
 # share endpoints.
@@ -427,3 +437,298 @@ class TestUnionSplice:
             assert a.union(b) == b.union(a) == expected
         chain = open_interval(0, 1).union(points([1])).union(open_interval(1, 2))
         assert chain == open_interval(0, 2)
+
+
+# -- literals, and pieces built without the constructor checks ----------
+
+
+class TestLiteralConstruction:
+    # segment and open_interval return their pieces without a sweep, and
+    # the kernel builds pieces without the constructor checks; both must
+    # give exactly the values the checked constructors and the sweep give.
+
+    @pytest.mark.parametrize("include_lower", [False, True])
+    @pytest.mark.parametrize("include_upper", [False, True])
+    @pytest.mark.parametrize("lower, upper", [
+        (0, 1), (Fraction(-7, 2), Fraction(3, 4)), ("1/3", "1/2"),
+        (NEG_INF, 2), (-3, POS_INF), (NEG_INF, POS_INF),
+    ])
+    def test_segment_equals_from_pieces(self, lower, upper, include_lower, include_upper):
+        lo, hi = ext(lower), ext(upper)
+        if (include_lower and not lo.is_finite) or (include_upper and not hi.is_finite):
+            with pytest.raises(InputError, match="cannot close an interval"):
+                segment(lower, upper, include_lower, include_upper)
+            return
+        pieces = [OpenInterval(lo, hi)]
+        if include_lower:
+            pieces.append(Point(lo.value))
+        if include_upper:
+            pieces.append(Point(hi.value))
+        got = segment(lower, upper, include_lower, include_upper)
+        assert got == PolyhedralSet1D.from_pieces(pieces)
+        if not (include_lower or include_upper):
+            assert open_interval(lower, upper) == got
+
+    def test_pieces_built_without_checks_equal_checked_ones(self):
+        literal = segment(1, "5/2", True, True)
+        assert literal.pieces == (Point(1), OpenInterval(1, Fraction(5, 2)), Point(Fraction(5, 2)))
+        self.assert_like_checked(literal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_sets, canonical_sets, grid)
+    def test_kernel_output_equals_checked_pieces(self, a, b, d):
+        for result in (a | b, a & b, a - b, ~a, a.shift(d), a.restrict_open(d, POS_INF)):
+            self.assert_like_checked(result)
+
+    @staticmethod
+    def assert_like_checked(s):
+        """Every piece equals, and hashes like, its rebuild through the checked constructors."""
+        for piece in s.pieces:
+            if isinstance(piece, Point):
+                checked = Point(piece.at)
+                coordinates = [piece.at]
+            else:
+                checked = OpenInterval(ExtendedRational(piece.left.rank, piece.left.value),
+                                       ExtendedRational(piece.right.rank, piece.right.value))
+                coordinates = [piece.left.value, piece.right.value]
+            assert piece == checked and hash(piece) == hash(checked)
+            assert all(type(x) is Fraction for x in coordinates)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[0,0]", "malformed interval: 0 >= 0 (interval starting at position 0)"),
+        ("(2,1)", "malformed interval: 2 >= 1 (interval starting at position 0)"),
+        ("(inf,3)", "malformed interval: inf >= 3 (interval starting at position 0)"),
+        ("[-inf,0)", "cannot close an interval at -inf (interval starting at position 0)"),
+        ("(0,+inf]", "cannot close an interval at inf (interval starting at position 0)"),
+        ("{0} u (0,-inf]", "malformed interval: 0 >= -inf (interval starting at position 6)"),
+        ("(1/0,2)", "division by zero in rational literal at position 1"),
+    ])
+    def test_malformed_literals_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_set_expression(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: segment(0, 0), "malformed interval: 0 >= 0"),
+        (lambda: open_interval(1, Fraction(1, 2)), "malformed interval: 1 >= 1/2"),
+        (lambda: open_interval(POS_INF, NEG_INF), "malformed interval: inf >= -inf"),
+        (lambda: segment(NEG_INF, 0, include_lower=True), "cannot close an interval at -inf"),
+        (lambda: segment(0, POS_INF, include_upper=True), "cannot close an interval at inf"),
+        (lambda: segment(Fraction(1, 2), 0.75), "refusing float 0.75: this library is exact, "
+                                                 "pass int, Fraction or 'p/q'"),
+    ])
+    def test_malformed_library_literals_keep_their_messages(self, build, message):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
+
+# -- restrict_open's slice against a general intersection ----------------
+#
+# Window ends are drawn on a grid of quarters, so they fall on the sets'
+# points and interval ends (the halves) as well as inside their intervals
+# and gaps; either end may also be infinite, so rays are cut too.
+
+window_end = st.integers(-18, 18).map(lambda n: Fraction(n, 4))
+
+
+class TestRestrictOpenSlice:
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_sets, window_end, window_end, st.integers(0, 7), st.integers(0, 7))
+    def test_slice_equals_intersect(self, a, x, y, lower_roll, upper_roll):
+        if x == y:
+            return
+        lo = NEG_INF if lower_roll == 0 else ext(min(x, y))
+        hi = POS_INF if upper_roll == 0 else ext(max(x, y))
+        assert a.restrict_open(lo, hi) == a.intersect(open_interval(lo, hi))
+
+    @pytest.mark.parametrize("text, lower, upper, expected", [
+        ("[0,1] u [2,3]", 0, 3, "(0,1) u {1} u {2} u (2,3)"),
+        ("[0,1] u [2,3]", 1, 2, "{}"),
+        ("{0} u (0,2) u {5}", Fraction(1, 2), 5, "(1/2,2)"),
+        ("(-inf,0) u (1,inf)", Fraction(-1, 2), Fraction(3, 2), "(-1/2,0) u (1,3/2)"),
+        ("(-inf,inf)", NEG_INF, POS_INF, "(-inf,inf)"),
+        ("(-inf,inf)", 0, POS_INF, "(0,inf)"),
+        ("(0,4)", 1, 2, "(1,2)"),
+        ("{}", 0, 1, "{}"),
+    ])
+    def test_edge_cases(self, text, lower, upper, expected):
+        a = parse_set_expression(text)
+        got = a.restrict_open(lower, upper)
+        assert str(got) == expected
+        assert got == a.intersect(open_interval(lower, upper))
+
+
+# -- the parser and kernel against a cell-bitmask model ------------------
+#
+# Expressions from the grammar of setparse on the half-integer grid -4..4:
+# 'u', '|', '&', '\', '!', parentheses, point sets, rays and closed ends,
+# with now and then a malformed literal.  The model gives each literal one
+# bit per elementary cell of the whole grid, from _cell_in on its raw
+# pieces, applies the operators bitwise with the grammar's precedence, and
+# reads the canonical set off the cells with scan_set: it shares nothing
+# with the sweeps or the merge.
+
+GRID = [Fraction(n, 2) for n in range(-8, 9)]
+CELLS = _elementary_cells(GRID)
+FULL = (1 << len(CELLS)) - 1
+
+
+def cell_mask(pieces) -> int:
+    return sum(1 << c for c, cell in enumerate(CELLS) if _cell_in(pieces, cell))
+
+
+def mask_chi(mask: int) -> int:
+    """Points (odd cells) count +1, open cells (even) -1."""
+    return sum(1 if c % 2 else -1 for c in range(len(CELLS)) if mask >> c & 1)
+
+
+def mask_set(mask: int) -> PolyhedralSet1D:
+    return scan_set(GRID, [bool(mask >> c & 1) for c in range(len(CELLS))])
+
+
+@st.composite
+def number_texts(draw, x: Fraction) -> str:
+    """x as the grammar allows it: reduced, or over a multiple of its denominator."""
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    return str(x) if k == 1 else f"{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def bound_texts(draw, bound: ExtendedRational) -> str:
+    if bound == NEG_INF:
+        return "-inf"
+    if bound == POS_INF:
+        return draw(st.sampled_from(["inf", "+inf"]))
+    return draw(number_texts(bound.value))
+
+
+@st.composite
+def literals(draw):
+    """(text, mask) of one literal; the mask is None if the literal is malformed."""
+    if draw(st.integers(0, 4)) == 0:
+        values = draw(st.lists(grid, max_size=3))
+        texts = [draw(number_texts(x)) for x in values]
+        return "{" + ", ".join(texts) + "}", cell_mask([Point(x) for x in values])
+    a, b = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+    lo = NEG_INF if draw(st.integers(0, 7)) == 0 else ext(a)
+    hi = POS_INF if draw(st.integers(0, 7)) == 0 else ext(b)
+    closed_lo = lo.is_finite and draw(st.booleans())
+    closed_hi = hi.is_finite and draw(st.booleans())
+    flaw = draw(st.integers(0, 79))
+    if flaw == 0:
+        lo, hi = hi, lo  # reversed, or an end at the wrong infinity
+    elif flaw == 1:
+        hi = lo
+    elif flaw == 2:
+        lo, closed_lo = NEG_INF, True
+    space = draw(st.sampled_from(["", " "]))
+    text = (f"{'[' if closed_lo else '('}{draw(bound_texts(lo))},{space}"
+            f"{draw(bound_texts(hi))}{']' if closed_hi else ')'}")
+    if flaw < 3:
+        return text, None
+    pieces = [OpenInterval(lo, hi)]
+    pieces += [Point(lo.value)] if closed_lo else []
+    pieces += [Point(hi.value)] if closed_hi else []
+    return text, cell_mask(pieces)
+
+
+OPERATORS = ["u", "|", "&", "\\"]
+
+
+def evaluate(masks: list, ops: list):
+    """The grammar's precedence: '&' binds tighter than '\\' (left to
+    right), and '\\' tighter than 'u' and '|'.  None if any operand is."""
+    if None in masks:
+        return None
+    unions = [[[masks[0]]]]  # union terms, of difference terms, of '&' operands
+    for op, mask in zip(ops, masks[1:]):
+        if op in ("u", "|"):
+            unions.append([[mask]])
+        elif op == "\\":
+            unions[-1].append([mask])
+        else:
+            unions[-1][-1].append(mask)
+
+    def difference(terms):
+        first, *rest = (reduce(and_, term, FULL) for term in terms)
+        return first & ~reduce(or_, rest, 0)
+
+    return reduce(or_, map(difference, unions), 0)
+
+
+def chains(atoms):
+    """atom (op atom)*, with the operators spaced or not."""
+    def build(drawn):
+        operands, ops, spaces = drawn
+        text = operands[0][0]
+        for op, space, (operand, _) in zip(ops, spaces, operands[1:]):
+            text += f"{space}{op}{space}" if op != "u" else f" u{space}"
+            text += operand
+        return text, evaluate([mask for _, mask in operands], ops)
+
+    def with_operators(operands):
+        n = len(operands) - 1
+        return st.tuples(st.just(operands),
+                         st.lists(st.sampled_from(OPERATORS), min_size=n, max_size=n),
+                         st.lists(st.sampled_from(["", " "]), min_size=n, max_size=n))
+
+    return st.lists(atoms, min_size=1, max_size=4).flatmap(with_operators).map(build)
+
+
+def negated(atom):
+    text, mask = atom
+    return "!" + text, None if mask is None else FULL & ~mask
+
+
+def grouped(chain):
+    text, mask = chain
+    return f"({text})", mask
+
+
+# atom := literal | '(' chain ')' | '!' atom
+atoms = st.recursive(
+    literals(),
+    lambda inner: st.one_of(chains(inner).map(grouped), inner.map(negated)),
+    max_leaves=12,
+)
+expressions = chains(atoms)
+
+
+class TestGrammarAgainstCellModel:
+    @settings(max_examples=300, deadline=None)
+    @given(expressions)
+    def test_parse_and_measure_match_the_model(self, expression):
+        text, mask = expression
+        if mask is None:
+            with pytest.raises(ParseError):
+                parse_set_expression(text)
+        else:
+            assert parse_set_expression(text) == mask_set(mask)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["measure", text, "--json"])
+        assert code == (2 if mask is None else 0)
+        report = json.loads(out.getvalue())
+        if mask is None:
+            assert report["error"]["class"] == "input"
+        else:
+            assert report["results"]["euler_measure"]["value"] == str(mask_chi(mask))
+            assert report["results"]["canonical"] == str(mask_set(mask))
+
+    def test_model_reads_precedence(self):
+        a, b, c = (cell_mask([OpenInterval(ext(x), ext(x + 2))]) for x in (-4, -3, -2))
+        assert evaluate([a, b, c], ["u", "&"]) == a | (b & c)
+        assert evaluate([a, b, c], ["\\", "\\"]) == a & ~b & ~c
+        assert evaluate([a, b, c], ["&", "\\"]) == (a & b) & ~c
+        assert evaluate([a, b, c], ["\\", "&"]) == a & ~(b & c)
+
+
+def test_sets_scaling_tool_runs():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "sets_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--sizes", "8,16"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [(row["kind"], row["literals"]) for row in rows] == [
+        (kind, n) for kind in ("plain", "combined") for n in (8, 16)]
+    assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)
