@@ -39,6 +39,7 @@ CASES = README_SESSION + [
     ["gizmo", "(0,1)", "--ks", "2,2", "--terms", "1"],
     ["fib", "{0,1}", "--terms", "1"],
     ["mapspace", "(0,1)", "--chib", "0"],
+    ["choose", "{0} u (1,2) u {3} u (4,5)", "-k", "3", "--cells"],
 ]
 
 
