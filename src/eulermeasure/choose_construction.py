@@ -6,21 +6,21 @@ strata indexed by how many of the k points land in each piece of A
 points inside one open interval form an open c-simplex, so a stratum is
 a single open cell whose dimension is the number of interval-placed
 points.  Summing (-1)^dim over the strata gives the measure of the
-whole selection set, which equals binom(chi(A), k).
+whole selection set, which equals binom(chi(A), k).  cell_counts counts
+the cells of each dimension (compositions, Stanley, EC1 section 1.2);
+choose_cells lists them, the oracle the verify suite holds it against.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError, ResourceLimitError
 from .interval_sets import OpenInterval, Point, PolyhedralSet1D
-from .partition_combinatorics import (
-    DEFAULT_PARTITION_CAP,
-    mobius_by_sizes,
-    partition_types,
-)
+from .partition_combinatorics import DEFAULT_PARTITION_CAP, mobius_by_sizes, partition_types
 
 DEFAULT_CHOOSE_CAP = 12
 
@@ -41,10 +41,7 @@ class CellSketch:
         return sum(-1 if d % 2 else 1 for d in self.dimensions)
 
     def dimension_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for d in self.dimensions:
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        return dict(Counter(self.dimensions))
 
 
 @dataclass(frozen=True)
@@ -94,6 +91,20 @@ def choose_cells(A: PolyhedralSet1D, k: int, cap: int = DEFAULT_CHOOSE_CAP) -> C
     return CellSketch(
         tuple(dim for dim, _ in cells), tuple(counts for _, counts in cells)
     )
+
+
+def cell_counts(A: PolyhedralSet1D, k: int) -> dict[int, int]:
+    """choose_cells(A, k).dimension_counts() without listing a cell: a d-cell
+    takes k - d of the p point pieces and spreads d points over the m open
+    pieces (intervals and rays), binom(p, k - d) * binom(m + d - 1, d) ways."""
+    if k < 0:
+        raise InputError(f"k must be at least 0, got {k}")
+    p = sum(isinstance(piece, Point) for piece in A.pieces)
+    m = len(A.pieces) - p
+    return {
+        d: math.comb(p, k - d) * (math.comb(m + d - 1, d) if m else 1)
+        for d in range(max(k - p, 0), (k if m else 0) + 1)
+    }
 
 
 def ordered_distinct_measure(

@@ -27,18 +27,18 @@ polynomial in t.  Reading left to right from (even, odd) = (1, 0):
   sign -1.  Two points inside leave an odd fragment between them, so
   they never count.
 
-The series is the even state after the last piece, a polynomial of
-degree at most the number of pieces, in O(pieces^2) integer steps.
-Enumerating every placement (enumerate_placements,
-placement_gap_measures, parity_strata_coefficient) is the bounded
-oracle the tests and the verify suite hold the automaton against.
+The series is the even state after the last piece: a polynomial of
+degree at most the number of pieces, in O(pieces^2) integer steps, and
+its own closed form.  Enumerating every placement (enumerate_placements,
+placement_gap_measures, parity_strata_coefficient) is the bounded oracle
+the tests and the verify suite hold the automaton against.
 """
 
 from __future__ import annotations
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
-from .exact_series import Regularized, fit_series
+from .exact_series import Polynomial, RationalFunction, Regularized, closed_series
 from .interval_sets import Point, PolyhedralSet1D
 
 GRADING = "rank"
@@ -129,31 +129,20 @@ def parity_polynomial(P: PolyhedralSet1D) -> list[int]:
     return even
 
 
-def _order_bound(P: PolyhedralSet1D) -> int:
-    """The series is a polynomial of degree <= pieces (see parity_polynomial)."""
-    return len(P.pieces) + 1
-
-
-def fibonacci_measure(
-    P: PolyhedralSet1D, terms: int | None = None, max_order: int | None = None
-) -> Regularized:
+def fibonacci_measure(P: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Regularized measure of the parity-constrained subset family of P.
 
-    The record's last route, its ``expected``, is the Fibonacci number
-    F(chi(P) + 1); its counts are empty, since the coefficients are the
-    signed stratum counts themselves.
+    The series is parity_polynomial as its own closed form; its length
+    sizes the window.  The last route, ``expected``, is F(chi(P) + 1); the
+    counts are empty, since the coefficients are the stratum counts.
     """
-    coeffs: list[int] = []
-
-    def coefficient(k: int) -> int:
-        if k == 0:  # fit_series has checked the window before asking
-            coeffs.extend(parity_polynomial(P))
-        return coeffs[k] if k < len(coeffs) else 0
-
-    order_bound = _order_bound(P)
-    series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
+    coeffs = parity_polynomial(P)
+    closed = RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
+    series = closed_series(
+        lambda k: coeffs[k] if k < len(coeffs) else 0, closed, len(coeffs), terms, GRADING
+    )
     routes = {
         "series_regularization": series.regularized_value(),
         "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1),
     }
-    return Regularized.of(series, routes, order_bound=order_bound)
+    return Regularized.of(series, routes)

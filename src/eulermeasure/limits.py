@@ -4,9 +4,9 @@ The default of ten million candidates can be overridden per call or,
 globally, through the EULERMEASURE_ENUM_CAP environment variable.  The
 series ceiling MAX_TERMS is fixed: it sits above the default window of
 every documented input (4d - 2 coefficients for order bound d) and is
-checked before any coefficient is counted.  fib on 2000 pieces needs
-8002 coefficients and is reachable with default knobs: its transfer
-matrix and fit take about 2.5 s.
+checked before any coefficient is counted, except by fib, whose window
+follows the length of the polynomial it counts (2000 points: 8002
+coefficients, 0.2 s).  It also bounds the selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi fits J = prod(k_i) exponentials
@@ -58,6 +58,13 @@ def check_terms(terms: int, default_for: int | None = None) -> int:
             f"terms {terms}{origin} exceeds the ceiling of {MAX_TERMS} series coefficients"
         )
     return terms
+
+
+def check_selection_size(k: int) -> int:
+    """k itself, refused above MAX_TERMS before any cell is counted."""
+    if k > MAX_TERMS:
+        raise ResourceLimitError(f"-k {k} exceeds the ceiling of {MAX_TERMS}; use a smaller -k")
+    return k
 
 
 def check_gizmo_size(chi: int, ks: tuple[int, ...]) -> None:

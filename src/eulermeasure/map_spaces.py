@@ -180,20 +180,12 @@ def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
     cls = B.classify()
     if not cls.compact:
         raise UnsupportedDomainError("affine map space needs a compact codomain")
-    dims: list[int] = []
-    provenance: list[tuple[int, ...]] = []
-    for index, comp in enumerate(cls.components):
-        if comp.is_point:
-            dims.append(0)
-            provenance.append((index, 0))
-        else:
-            for d in (2, 1, 1, 1, 1, 0, 0, 0, 0):
-                dims.append(d)
-                provenance.append((index, d))
-    order = sorted(range(len(dims)), key=lambda i: (dims[i], provenance[i]))
-    sketch = CellSketch(
-        tuple(dims[i] for i in order), tuple(provenance[i] for i in order)
+    cells = sorted(
+        (d, (index, d))
+        for index, comp in enumerate(cls.components)
+        for d in ((0,) if comp.is_point else (2, 1, 1, 1, 1, 0, 0, 0, 0))
     )
+    sketch = CellSketch(tuple(d for d, _ in cells), tuple(origin for _, origin in cells))
     if sketch.measure != B.euler_measure():
         raise InternalCheckError("affine pair region measure differs from chi(B)")
     return sketch

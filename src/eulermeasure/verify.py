@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .choose_construction import choose_cells, ordered_distinct_measure
+from .choose_construction import cell_counts, choose_cells, ordered_distinct_measure
 from .errors import InputError
 from .exact_series import (
     Polynomial,
@@ -365,9 +365,11 @@ def _choose_binomial_identity():
     for a in _choose_test_family():
         chi = a.euler_measure()
         for k in range(7):
-            got = choose_cells(a, k).measure
-            if got != gen_binomial(chi, k):
-                return f"A={a} k={k}: {got} != binom({chi},{k})"
+            sketch = choose_cells(a, k)
+            if sketch.measure != gen_binomial(chi, k):
+                return f"A={a} k={k}: {sketch.measure} != binom({chi},{k})"
+            if cell_counts(a, k) != sketch.dimension_counts():
+                return f"A={a} k={k}: cell_counts {cell_counts(a, k)} != the cell listing"
     return None
 
 

@@ -5,17 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from eulermeasure.choose_construction import CellSketch, choose_cells, ordered_distinct_measure
+from eulermeasure.choose_construction import (
+    CellSketch,
+    cell_counts,
+    choose_cells,
+    ordered_distinct_measure,
+)
 from eulermeasure.errors import InputError, ResourceLimitError
 from eulermeasure.interval_sets import points
 from eulermeasure.partition_combinatorics import (
     falling_factorial,
     gen_binomial,
+    integer_binomial,
     mobius_bottom,
     partitions_of,
 )
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import random_polyhedral_set
+from eulermeasure.verify import random_piece_set, random_polyhedral_set
 
 F = Fraction
 
@@ -79,6 +85,38 @@ class TestChooseCells:
     def test_negative_cap_is_input_error(self):
         with pytest.raises(InputError, match="cap must be at least 0, got -1"):
             choose_cells(parse("(0,1)"), 0, cap=-1)
+
+
+class TestCellCounts:
+    @pytest.mark.parametrize("expr", FAMILY)
+    def test_family_matches_cell_listing(self, expr):
+        a = parse(expr)
+        for k in range(7):
+            assert cell_counts(a, k) == choose_cells(a, k).dimension_counts()
+
+    def test_random_sets_match_cell_listing(self):
+        rng = random.Random(23)
+        for trial in range(150):
+            a = random_piece_set(rng, 7) if trial % 2 else random_polyhedral_set(rng, 4)
+            for k in range(7):
+                assert cell_counts(a, k) == choose_cells(a, k).dimension_counts(), (str(a), k)
+
+    def test_points_only_and_empty(self):
+        assert cell_counts(parse("{0,1,2}"), 2) == {0: 3}
+        assert cell_counts(parse("{0,1,2}"), 4) == {}
+        assert cell_counts(parse("{}"), 0) == {0: 1}
+
+    def test_beyond_the_listing_cap(self):
+        # 40 intervals: every cell has dimension k, binom(39 + k, k) of them
+        a = parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(40)))
+        for k in (12, 10_000):
+            counts = cell_counts(a, k)
+            assert counts == {k: math.comb(39 + k, k)}
+            assert (-1) ** k * counts[k] == integer_binomial(-40, k)
+
+    def test_negative_k_is_input_error(self):
+        with pytest.raises(InputError, match="k must be at least 0, got -1"):
+            cell_counts(parse("(0,1)"), -1)
 
 
 class TestBinomialIdentity:

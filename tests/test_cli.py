@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +19,9 @@ from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
 from eulermeasure.limits import ENUM_CAP_ENV_VAR
-from eulermeasure.partition_combinatorics import iterated_binomial
+from eulermeasure.partition_combinatorics import integer_binomial, iterated_binomial
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
-from eulermeasure.verify import random_polyhedral_set, run_verify
+from eulermeasure.verify import random_piece_set, random_polyhedral_set, run_verify
 
 F = Fraction
 
@@ -322,7 +325,7 @@ class TestMain:
             ("terms", ["gizmo", "(0,1)", "--ks", "2", "--terms", "0"]),
             ("max_order", ["fib", "{0,1}", "--max-order", "-1"]),
             ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
-            ("--cap must be at least 0, got -1", ["choose", "(0,1)", "-k", "3", "--cap", "-1"]),
+            ("max_order does not apply to fib", ["fib", "{0,1}", "--max-order", "3"]),
             ("k must be at least 0, got -1", ["choose", "(0,1)", "-k", "-1"]),
             ("max_order applies only to --pairs",
              ["mapspace", "(0,1)", "--chib", "3", "--max-order", "-5"]),
@@ -382,8 +385,8 @@ class TestMain:
         assert err.value.exit_code == 2 and err.value.position == 1
 
     def test_resource_error_exit_code(self, capsys):
-        code = main(["choose", "(0,1)", "-k", "40"])
-        assert code == 3
+        assert main(["choose", "(0,1)", "-k", "10001"]) == 3
+        assert "-k 10001 exceeds the ceiling of 10000; use a smaller -k" in capsys.readouterr().err
         # terms is capped before any counting, whether set or derived
         for argv, origin in (
             (["powerset", "(0,1)", "--terms", "100000000"], "terms 100000000 exceeds"),
@@ -398,9 +401,6 @@ class TestMain:
         ):
             assert main(argv) == 3
             assert origin in capsys.readouterr().err
-        # an explicit cap of 0 is a cap, not a request for the default
-        assert main(["choose", "(0,1)", "-k", "3", "--cap", "0"]) == 3
-        assert "capped at k <= 0" in capsys.readouterr().err
 
     def test_json_error_payload(self, capsys):
         code = main(["measure", "(3,1)", "--json"])
@@ -447,8 +447,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_reports.json"
 REUSE_SEQUENCES = {
     "terms-and-json": (["gizmo", "(0,1)", "--ks", "2,2", "--terms", "30", "--json"], 0,
                        ["gizmo", "(0,1)", "--ks", "2,2"]),
-    "cap": (["choose", "(0,1) u (2,3)", "-k", "3", "--cap", "2"], 3,
-            ["choose", "(0,1) u (2,3)", "-k", "3"]),
+    "cells": (["choose", "(0,1) u (2,3)", "-k", "3", "--cells"], 0,
+              ["choose", "(0,1) u (2,3)", "-k", "3"]),
     "pairs": (["mapspace", "(0,1)", "--finite", "2", "--pairs"], 0,
               ["mapspace", "(0,1)", "--finite", "2"]),
     "after-parse-error": (["gizmo", "(0,1)"], 2, ["fib", "{0,1}"]),
@@ -473,6 +473,46 @@ def test_parser_reuse_keeps_no_options(case, capsys):
     assert {"exit_code": code, "stdout": out.splitlines(), "stderr": err.splitlines()} == (
         golden[" ".join(later)]
     )
+
+
+class TestChooseContract:
+    """choose counts its cells, so its cost does not grow with their number."""
+
+    @pytest.mark.parametrize("expr,k", [
+        (" u ".join(f"({2 * i},{2 * i + 1})" for i in range(40)), 12),
+        ("{-3} u (-inf,-2) u {0,1} u (1,2) u [4,5] u (6,inf)", 200),
+    ], ids=["40-intervals-k12", "mixed-k200"])
+    def test_large_selection_finishes(self, expr, k, capsys):
+        chi = parse_set_expression(expr).euler_measure()
+        start = time.perf_counter()
+        code = main(["choose", expr, "-k", str(k), "--json"])
+        elapsed = time.perf_counter() - start
+        blob = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert blob["results"]["measure"]["value"] == str(integer_binomial(chi, k))
+        assert elapsed < 0.05
+
+    @settings(max_examples=100, deadline=1000)
+    @given(st.integers(0, 2**32), st.integers(-2, 40))
+    def test_exit_code_and_measure(self, seed, k):
+        a = random_piece_set(random.Random(seed), 8)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["choose", to_expression(a), "-k", str(k), "--json"])
+        blob = json.loads(out.getvalue())
+        if k < 0:
+            assert code == 2 and "k must be at least 0" in blob["error"]["message"]
+        else:
+            assert code == 0
+            assert blob["results"]["measure"]["value"] == blob["results"]["binomial"]["value"]
+
+    def test_k_ceiling_before_any_count(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cells counted above the -k ceiling")
+
+        monkeypatch.setattr(cli, "cell_counts", refuse)
+        assert main(["choose", "(0,1)", "-k", "10001"]) == 3
+        assert "use a smaller -k" in capsys.readouterr().err
 
 
 class TestVerify:

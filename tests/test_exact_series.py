@@ -363,11 +363,21 @@ def _gizmo_case(chi, ks):
     )
 
 
+def _fib_bound(p):
+    """The parity series is a polynomial of degree <= pieces."""
+    return len(p.pieces) + 1
+
+
 def _fib_case(p):
-    return (
-        lambda k: fibonacci_subsets.parity_strata_coefficient(p, k, cap=100),
-        lambda: fibonacci_subsets.fibonacci_measure(p).series,
-    )
+    """fib takes its series from the polynomial's closed form and fits
+    nothing; the certified fit of the same coefficients must find it."""
+    def fit():
+        poly = fibonacci_subsets.parity_polynomial(p)
+        series = fit_series(lambda k: poly[k] if k < len(poly) else 0, _fib_bound(p))
+        assert series.closed_form == fibonacci_subsets.fibonacci_measure(p).series.closed_form
+        return series
+
+    return lambda k: fibonacci_subsets.parity_strata_coefficient(p, k, cap=100), fit
 
 
 # Brute-force pair counts of the 4d-2 window take seconds for b = 3; both
@@ -399,7 +409,7 @@ def _corpus():
             bound = power_gizmos._order_bound(chi, power_gizmos.GizmoSpec(ks).fit_dimension)
             cases.append((f"gizmo-chi{chi}-ks{ks}", bound, lambda c=chi, k=ks: _gizmo_case(c, k)))
     for name, p in _fib_sets():
-        cases.append((f"fib-{name}", fibonacci_subsets._order_bound(p), lambda p=p: _fib_case(p)))
+        cases.append((f"fib-{name}", _fib_bound(p), lambda p=p: _fib_case(p)))
     for bsize in (2, 3):
         cases.append((f"pairs-b{bsize}", map_spaces.PAIR_ORDER_BOUND, lambda b=bsize: _pair_case(b)))
     return cases

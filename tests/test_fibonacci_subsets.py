@@ -9,6 +9,7 @@ import pytest
 
 from eulermeasure import fibonacci_subsets
 from eulermeasure.errors import ResourceLimitError
+from eulermeasure.exact_series import Polynomial, RationalFunction
 from eulermeasure.fibonacci_subsets import (
     enumerate_placements,
     extended_fibonacci,
@@ -102,6 +103,17 @@ class TestFibonacciMeasure:
         res = fibonacci_measure(parse("{0,1}"))
         assert res.value == 2
         assert res.series.prefix.coefficients[:3] == (1, 0, 1)
+
+    def test_series_is_its_own_closed_form(self):
+        # no recurrence is fitted; the window is sized by the polynomial's
+        # length d = 3 (4d - 2 = 10), and any terms >= 0 shows part of it
+        res = fibonacci_measure(parse("{0,1}"))
+        assert res.series.recurrence is None
+        assert res.series.closed_form == RationalFunction(Polynomial((1, 0, 1)), Polynomial((1,)))
+        assert res.series.prefix.coefficients == (1, 0, 1) + (0,) * 8
+        for terms in (0, 1):
+            short = fibonacci_measure(parse("{0,1}"), terms)
+            assert len(short.series.prefix) == terms + 1 and short.value == 2
 
     @pytest.mark.parametrize("chi,expr", sorted(FIB_FAMILY.items()))
     def test_family_matches_extended_fibonacci(self, chi, expr):
