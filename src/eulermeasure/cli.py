@@ -29,7 +29,7 @@ from .errors import EulerMeasureError, InputError, RegularizationError, Unsuppor
 from .exact_series import EulerSeries, RationalFunction, check_max_order, continue_series
 from .fibonacci_subsets import fibonacci_measure
 from .interval_sets import OpenInterval, PolyhedralSet1D
-from .limits import ENUM_CAP_ENV_VAR, check_selection_size
+from .limits import check_selection_size
 from .map_spaces import (
     affine_pair_space,
     hedral_map_measure,
@@ -299,7 +299,6 @@ def _cmd_mapspace(options: dict) -> Report:
         res = map_pair_measure(bsize, terms, options.get("max_order"))
         inputs["pairs"] = "true"
         results |= {"codomain_size": bsize, "pair_counts": [str(n) for n in res.counts]}
-        route = "series-regularization of brute-force counts"
     elif options.get("max_order") is not None:
         raise InputError(
             "max_order applies only to --pairs; the other map-space modes fit no recurrence"
@@ -398,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eulermeasure",
         description=(
             "Exact Euler measures of 1-D polyhedral sets and regularized "
-            "measures of their power-set, selection and map-space constructions. "
-            f"Set {ENUM_CAP_ENV_VAR} to override the brute-force enumeration cap."
+            "measures of their power-set, selection and map-space constructions."
         ),
     )
     common = argparse.ArgumentParser(add_help=False)

@@ -33,7 +33,7 @@ class ParseError(InputError):
 
 
 class ResourceLimitError(EulerMeasureError):
-    """An enumeration would exceed its configured cap."""
+    """A size ceiling (limits.py) or an oracle's enumeration cap would be exceeded."""
 
     cli_class = "resource"
     exit_code = 3

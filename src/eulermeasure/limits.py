@@ -1,12 +1,14 @@
-"""Shared caps: brute-force enumerations, the series length and the gizmo size.
+"""Shared caps: brute-force oracles, the series length and the gizmo size.
 
-The default of ten million candidates can be overridden per call or,
-globally, through the EULERMEASURE_ENUM_CAP environment variable.  The
-series ceiling MAX_TERMS is fixed: it sits above the default window of
-every documented input (4d - 2 coefficients for order bound d) and is
-checked before any coefficient is counted, except by fib, whose window
-follows the length of the polynomial it counts (2000 points: 8002
-coefficients, 0.2 s).  It also bounds the selection size of choose.
+DEFAULT_ENUM_CAP bounds the exhaustive enumerations that serve as test
+oracles (gizmo_support_census, brute_map_count, map_pair_count); each
+takes an explicit cap argument with this default.  No CLI verb
+enumerates, so none reaches it.  The series ceiling MAX_TERMS is fixed:
+it sits above the default window of every documented input (4d - 2
+coefficients for order bound d) and is checked before any coefficient
+is counted, except by fib, whose window follows the length of the
+polynomial it counts (2000 points: 8002 coefficients, 0.2 s).  It also
+bounds the selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi fits J = prod(k_i) exponentials
@@ -22,31 +24,12 @@ before the support counts.
 """
 
 import math
-import os
 
-from .errors import InputError, ResourceLimitError
+from .errors import ResourceLimitError
 
 DEFAULT_ENUM_CAP = 10_000_000
-ENUM_CAP_ENV_VAR = "EULERMEASURE_ENUM_CAP"
 MAX_TERMS = 10_000
 MAX_GIZMO_BITS = 60 * 61 // 2
-
-
-def enumeration_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENUM_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(
-            f"{ENUM_CAP_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise InputError(f"{ENUM_CAP_ENV_VAR} must be at least 0, got {value}")
-    return value
 
 
 def check_terms(terms: int, default_for: int | None = None) -> int:

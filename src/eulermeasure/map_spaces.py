@@ -17,6 +17,9 @@ series continues to base/(1 + (base^2-1) t) and regularizes to 1/base,
 or to 0 when the base is 0.  Each construction returns an
 exact_series.Regularized record whose counts are the exact-breakpoint
 (or, for pairs, union-breakpoint) counts.
+
+Every count here is a closed form; brute_map_count and map_pair_count
+enumerate value sequences, as bounded test oracles only.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .errors import InputError, InternalCheckError, ResourceLimitError, Unsuppor
 from .exact_series import Regularized, binomial_closed_form, closed_series, fit_series
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
-from .limits import enumeration_cap
+from .limits import DEFAULT_ENUM_CAP
 from .partition_combinatorics import gen_binomial, integer_binomial
 
 GRADING = "breakpoints"
-# Ordered pairs over a full k-mask number b^2 (b^4-1)^k and equal pairs
-# b (b^2-1)^k, so the pair series is a sum of two geometric series.
+# The pair counts are a difference of two geometric sequences (see
+# finite_pair_count), so the pair series has order at most 2.
 PAIR_ORDER_BOUND = 2
 
 
@@ -45,7 +48,21 @@ def finite_map_count(bsize: int, k: int) -> int:
     return bsize * (bsize ** 2 - 1) ** k
 
 
-def brute_map_count(bsize: int, k: int, cap: int | None = None) -> int:
+def finite_pair_count(bsize: int, k: int) -> int:
+    """Unordered pairs {f, g}, f != g, of maps from one open interval to a
+    bsize-point set whose breakpoint sets unite to a fixed k-set:
+    (b^2 (b^4 - 1)^k - b (b^2 - 1)^k) / 2.
+
+    An ordered pair (f, g) is one map into the b^2 value pairs, and it
+    breaks where f or g does: at each breakpoint one of the b^4 choices
+    of (value pair at it, value pair after) breaks neither map.  So
+    finite_map_count(b^2, k) ordered pairs unite to the k-set, and
+    finite_map_count(b, k) of them have f = g.
+    """
+    return (finite_map_count(bsize ** 2, k) - finite_map_count(bsize, k)) // 2
+
+
+def brute_map_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """finite_map_count by enumeration, its test oracle: every value
     sequence whose every nominal breakpoint is a real one (the full-mask
     bucket of _breakpoint_mask_counts)."""
@@ -95,9 +112,8 @@ def hedral_map_measure(
     return Regularized.of(series, routes, counts)
 
 
-def _breakpoint_mask_counts(bsize: int, k: int, cap: int | None) -> list[int]:
+def _breakpoint_mask_counts(bsize: int, k: int, cap: int) -> list[int]:
     """Number of value sequences per exact breakpoint mask (bit i = x_{i+1})."""
-    cap = enumeration_cap(cap)
     total = bsize ** (2 * k + 1)
     if total > cap:
         raise ResourceLimitError(
@@ -114,8 +130,8 @@ def _breakpoint_mask_counts(bsize: int, k: int, cap: int | None) -> list[int]:
     return counts
 
 
-def map_pair_count(bsize: int, k: int, cap: int | None = None) -> int:
-    """Unordered pairs {f, g}, f != g, with breakpoint sets uniting to a fixed k-set.
+def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """finite_pair_count by enumeration, its test oracle.
 
     Every map over the k nominal breakpoints is enumerated and bucketed
     by its exact breakpoint set; pairs are then combined exactly, so the
@@ -138,26 +154,23 @@ def map_pair_count(bsize: int, k: int, cap: int | None = None) -> int:
 
 
 def map_pair_measure(
-    bsize: int,
-    terms: int | None = None,
-    max_order: int | None = None,
-    cap: int | None = None,
+    bsize: int, terms: int | None = None, max_order: int | None = None
 ) -> Regularized:
     """Series and value for unordered distinct pairs of maps from (0,1).
 
     The pair rank is the size of the union of the two breakpoint sets;
-    counts come from exhaustive enumeration, the series coefficient is
+    the counts are finite_pair_count's, the series coefficient is
     (-1)^k times the count, and the value is the continuation at t=1.
-    Only the counts the order-bound certificate needs are enumerated:
-    k = 0..3 by default, since the series has order at most 2.  The
-    value must equal binom(1/bsize, 2), the pairs of the map space of
+    The continuation is a certified fit, not the closed form written
+    out: with order bound 2 it reads k = 0..3 by default.  The value
+    must equal binom(1/bsize, 2), the pairs of the map space of
     measure 1/bsize.
     """
     counts: list[int] = []
 
-    def coefficient(k: int) -> Fraction:
-        counts.append(map_pair_count(bsize, k, cap))
-        return Fraction((-1) ** k * counts[k])
+    def coefficient(k: int) -> int:
+        counts.append(finite_pair_count(bsize, k))
+        return (-1) ** k * counts[k]
 
     series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, max_order, GRADING)
     routes = {

@@ -42,7 +42,7 @@ from .exact_series import (
     fit_series,
 )
 from .interval_sets import PolyhedralSet1D
-from .limits import check_gizmo_size, enumeration_cap
+from .limits import DEFAULT_ENUM_CAP, check_gizmo_size
 from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
 
@@ -117,7 +117,7 @@ def support_count_table(spec: GizmoSpec, last: int) -> tuple[int, ...]:
 
 
 def gizmo_support_census(
-    spec: GizmoSpec, ground_size: int, cap: int | None = None
+    spec: GizmoSpec, ground_size: int, cap: int = DEFAULT_ENUM_CAP
 ) -> dict[frozenset, int]:
     """Exhaustive construction over {1..ground_size}: counts by exact support.
 
@@ -127,7 +127,6 @@ def gizmo_support_census(
     level's elements; since those are kept in sorted order, the tuples
     are plain index combinations and inherit the lexicographic order.
     """
-    cap = enumeration_cap(cap)
     ground = tuple(range(1, ground_size + 1))
     subsets = [frozenset(c) for n in range(ground_size + 1)
                for c in itertools.combinations(ground, n)]
@@ -148,7 +147,7 @@ def gizmo_support_census(
     return dict(Counter(supports))
 
 
-def gizmo_brute_force(spec: GizmoSpec, k: int, cap: int | None = None) -> int:
+def gizmo_brute_force(spec: GizmoSpec, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """n_k by exhaustive construction over the ground set {1..k}."""
     census = gizmo_support_census(spec, k, cap)
     return census.get(frozenset(range(1, k + 1)), 0)

@@ -51,6 +51,7 @@ from .interval_sets import (
 from .map_spaces import (
     brute_map_count,
     finite_map_count,
+    finite_pair_count,
     hedral_map_measure,
     map_pair_count,
     schanuel_measure,
@@ -505,6 +506,11 @@ def _map_pair_counts():
         got = map_pair_count(2, k)
         if got != 2 * 15 ** k - 3 ** k:
             return f"k={k}: {got} != 2*15^k - 3^k"
+    for bsize in range(1, 4):
+        for k in range(3):
+            got, closed = map_pair_count(bsize, k), finite_pair_count(bsize, k)
+            if got != closed:
+                return f"bsize={bsize} k={k}: enumeration {got} != closed count {closed}"
     return None
 
 

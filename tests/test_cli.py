@@ -18,7 +18,6 @@ from eulermeasure import cli, map_spaces
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
-from eulermeasure.limits import ENUM_CAP_ENV_VAR
 from eulermeasure.partition_combinatorics import integer_binomial, iterated_binomial
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
 from eulermeasure.verify import random_piece_set, random_polyhedral_set, run_verify
@@ -345,11 +344,6 @@ class TestMain:
         assert main(["powerset", "(0,1)", "--max-order", "-1", "--json"]) == 2
         assert "max_order" in json.loads(capsys.readouterr().out)["error"]["message"]
 
-    def test_negative_enumeration_cap_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENUM_CAP_ENV_VAR, "-5")
-        assert main(["mapspace", "(0,1)", "--finite", "2", "--pairs"]) == 2
-        assert ENUM_CAP_ENV_VAR in capsys.readouterr().err
-
     def test_text_report_names_the_certificate(self, capsys):
         assert main(["gizmo", "(0,1)", "--ks", "2"]) == 0
         assert "certified by order bound 2 (4 >= 2 + 2 coefficients)" in capsys.readouterr().out
@@ -513,6 +507,49 @@ class TestChooseContract:
         monkeypatch.setattr(cli, "cell_counts", refuse)
         assert main(["choose", "(0,1)", "-k", "10001"]) == 3
         assert "use a smaller -k" in capsys.readouterr().err
+
+
+class TestMapPairsContract:
+    """mapspace --pairs counts in closed form, so no codomain size meets a cap."""
+
+    @pytest.mark.parametrize("bsize,value", [(9, "-4/81"), (12, "-11/288")])
+    def test_large_codomain_finishes(self, bsize, value, capsys):
+        start = time.perf_counter()
+        code = main(["mapspace", "(0,1)", "--finite", str(bsize), "--pairs", "--json"])
+        elapsed = time.perf_counter() - start
+        blob = json.loads(capsys.readouterr().out)
+        assert code == 0 and blob["results"]["value"]["value"] == value
+        assert elapsed < 0.05
+
+    @settings(max_examples=100, deadline=1000)
+    @given(
+        st.integers(-3, 2000),
+        st.sampled_from([None, *range(-1, 9), 24]),
+        st.sampled_from([None, *range(-1, 4), 8]),
+    )
+    def test_exit_code_and_value(self, bsize, terms, max_order):
+        argv = ["mapspace", "(0,1)", "--finite", str(bsize), "--pairs", "--json"]
+        knobs = {"terms": terms, "max_order": max_order}
+        for name, v in knobs.items():
+            if v is not None:
+                argv += [f"--{name.replace('_', '-')}", str(v)]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+        blob = json.loads(out.getvalue())
+        assert code in {0, 2, 3, 4} and elapsed < 0.25
+        if code == 0:
+            assert blob["results"]["value"]["value"] == str(F(1 - bsize, 2 * bsize ** 2))
+            return
+        message = blob["error"]["message"]
+        if code == 2:
+            bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 1,
+                   "max_order": max_order is not None and max_order < 0}
+            assert any(knob in message for knob, is_bad in bad.items() if is_bad)
+        else:
+            assert any(message.endswith(f"raise {knob}") for knob, v in knobs.items() if v is not None)
 
 
 class TestVerify:

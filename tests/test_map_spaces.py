@@ -20,6 +20,7 @@ from eulermeasure.map_spaces import (
     affine_pair_space,
     brute_map_count,
     finite_map_count,
+    finite_pair_count,
     hedral_map_measure,
     map_pair_count,
     map_pair_measure,
@@ -100,7 +101,7 @@ class TestMapPairs:
     @pytest.mark.parametrize("bsize", [2, 3])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_counts_match_literal_pair_enumeration(self, bsize, k):
-        assert map_pair_count(bsize, k) == naive_pair_count(bsize, k)
+        assert map_pair_count(bsize, k) == naive_pair_count(bsize, k) == finite_pair_count(bsize, k)
 
     def test_pair_of_constants(self):
         assert map_pair_count(2, 0) == 1
@@ -111,10 +112,9 @@ class TestMapPairs:
         assert res.counts[:4] == (1, 27, 441, 6723)
         # (1/2)(b^2/(1+(b^4-1)t) - b/(1+(b^2-1)t)) at b=2
         assert res.series.closed_form == rf([1, -9], [1, 18, 45])
-        # binom(1/b, 2) is the second route; for b >= 4 the 4d-2 window
-        # alone (k <= 6, b^13 maps) would exceed the default enumeration cap
-        values = (F(0), F(-1, 8), F(-1, 9), F(-3, 32), F(-2, 25))
-        for bsize, value in enumerate(values, start=1):
+        # binom(1/b, 2) = (1 - b) / (2 b^2) is the second route
+        for bsize in range(1, 13):
+            value = F(1 - bsize, 2 * bsize ** 2)
             res = map_pair_measure(bsize)
             assert res.value == value == gen_binomial(F(1, bsize), 2)
             assert res.routes == {"series_regularization": value, "generalized_binomial": value}
@@ -123,11 +123,11 @@ class TestMapPairs:
     def test_counts_only_what_the_certificate_needs(self, terms, monkeypatch):
         asked = []
 
-        def counting(bsize, k, cap=None):
+        def counting(bsize, k):
             asked.append(k)
-            return map_pair_count(bsize, k, cap)
+            return finite_pair_count(bsize, k)
 
-        monkeypatch.setattr(map_spaces, "map_pair_count", counting)
+        monkeypatch.setattr(map_spaces, "finite_pair_count", counting)
         res = map_pair_measure(2, terms=terms)
         assert res.value == F(-1, 8)
         assert asked == [0, 1, 2, 3] and res.counts == (1, 27, 441, 6723)
