@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .choose_construction import cell_counts
 from .errors import EulerMeasureError, InputError, RegularizationError, UnsupportedDomainError
-from .exact_series import EulerSeries, RationalFunction, check_max_order, continue_series
+from .exact_series import EulerSeries, RationalFunction, continue_series
 from .fibonacci_subsets import fibonacci_measure
 from .interval_sets import OpenInterval, PolyhedralSet1D
 from .limits import check_selection_size
@@ -240,14 +240,13 @@ def _cmd_choose(options: dict) -> Report:
 
 def _cmd_powerset(options: dict) -> Report:
     a = _parse_input_set(options)
-    check_max_order(options.get("max_order"))  # read only by the refit, checked before any work
     ps = powerset_series(a, options.get("terms"))
     results = {"canonical": str(a), "euler_measure": _labeled(a.euler_measure(), "piece-count")}
     report = _regularized_report(
         "powerset", {"set": options["set"]}, results, ps, "binomial-closed-form", "route-agreement"
     )
     try:
-        refit = continue_series(ps.series.prefix, options.get("max_order"))
+        refit = continue_series(ps.series.prefix)
     except (InputError, RegularizationError) as exc:
         report.warnings.append(f"independent refit skipped: {exc}")
     else:
@@ -263,7 +262,7 @@ def _cmd_powerset(options: dict) -> Report:
 def _cmd_gizmo(options: dict) -> Report:
     a = _parse_input_set(options)
     spec = GizmoSpec(tuple(options["ks"]))
-    res = gizmo_measure(a, spec, options.get("terms"), options.get("max_order"))
+    res = gizmo_measure(a, spec, options.get("terms"))
     results = {
         "canonical": str(a),
         "ks": list(spec.ks),
@@ -296,13 +295,9 @@ def _cmd_mapspace(options: dict) -> Report:
             raise InputError("--pairs is only defined for --finite codomains")
         _require_unit_domain(a, "the distinct-pair map space")
         bsize = int(options["finite"])
-        res = map_pair_measure(bsize, terms, options.get("max_order"))
+        res = map_pair_measure(bsize, terms)
         inputs["pairs"] = "true"
         results |= {"codomain_size": bsize, "pair_counts": [str(n) for n in res.counts]}
-    elif options.get("max_order") is not None:
-        raise InputError(
-            "max_order applies only to --pairs; the other map-space modes fit no recurrence"
-        )
     elif modes == ["finite"]:
         bsize = int(options["finite"])
         res = hedral_map_measure(a, bsize, terms)
@@ -336,8 +331,6 @@ def _cmd_mapspace(options: dict) -> Report:
 
 def _cmd_fib(options: dict) -> Report:
     p = _parse_input_set(options)
-    if options.get("max_order") is not None:
-        raise InputError("max_order does not apply to fib: its series is a polynomial")
     res = fibonacci_measure(p, options.get("terms"))
     results = {"canonical": str(p), "euler_measure": _labeled(p.euler_measure(), "piece-count")}
     report = _regularized_report(
@@ -406,14 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     series_opts.add_argument(
         "--terms",
         type=int,
-        help="ceiling on the last series coefficient index computed (default: 4d-2 for the "
-        "construction's order bound d; the fit stops earlier once that bound certifies it)",
-    )
-    series_opts.add_argument(
-        "--max-order",
-        type=int,
-        dest="max_order",
-        help="max accepted recurrence order (default: the construction's order bound)",
+        help="ceiling on the last series coefficient index computed (default: max(4d-2, 2d+1) "
+        "for the construction's order bound d; the fit stops earlier once that bound "
+        "certifies it)",
     )
 
     sub = parser.add_subparsers(dest="verb", required=True)

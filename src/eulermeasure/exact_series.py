@@ -388,31 +388,21 @@ def solve_linear_system(
     return x
 
 
-def check_max_order(max_order: int | None) -> None:
-    """Refuse a negative max_order; None leaves the order to the caller."""
-    if max_order is not None and max_order < 0:
-        raise InputError(f"max_order must be at least 0, got {max_order}")
-
-
-def series_window(
-    order_bound: int, terms: int | None = None, max_order: int | None = None
-) -> tuple[int, int]:
-    """Coefficient ceiling (terms) and deepest accepted order (max_order).
+def series_window(order_bound: int, terms: int | None = None) -> int:
+    """Coefficient ceiling: a fit computes at most c_0..c_terms.
 
     ``order_bound`` is an order the construction proves its series never
-    exceeds.  A fit computes at most c_0..c_terms and usually stops much
-    earlier, at its certificate (see fit_series).  By default max_order
-    is order_bound and terms is the smallest value that also meets the
-    2L + 2 length contract of an uncertified fit of order order_bound;
-    a user-set terms or max_order replaces its default unchanged.  Either
-    way terms must stay within limits.MAX_TERMS.
+    exceeds; the fit usually stops much earlier, at its certificate (see
+    fit_series).  By default terms is max(4d - 2, 2d + 1) for d =
+    order_bound, the smallest value that also meets the 2L + 2 length
+    contract of an uncertified fit of order d; a user-set terms replaces
+    it unchanged.  Either way terms must stay within limits.MAX_TERMS.
     """
-    check_max_order(max_order)
     if terms is None:
-        terms = check_terms(max(4 * order_bound - 2, 2 * order_bound + 1), order_bound)
-    elif terms < 1:
+        return check_terms(max(4 * order_bound - 2, 2 * order_bound + 1), order_bound)
+    if terms < 1:
         raise InputError(f"terms must be at least 1 to fit a recurrence, got {terms}")
-    return check_terms(terms), order_bound if max_order is None else max_order
+    return check_terms(terms)
 
 
 def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
@@ -585,7 +575,7 @@ def closed_series(
     limits.MAX_TERMS.  The prefix must expand the closed form exactly.
     """
     if terms is None:
-        terms, _ = series_window(order_bound)
+        terms = series_window(order_bound)
     elif terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
     check_terms(terms)
@@ -598,7 +588,6 @@ def closed_series(
 def _rational_massey_fit(
     coefficient: Callable[[int], object],
     last: int,
-    max_order: int,
     order_bound: int | None,
     grading: str,
 ) -> EulerSeries:
@@ -606,9 +595,13 @@ def _rational_massey_fit(
 
     After each coefficient, ``length`` is the order of the shortest
     recurrence generating every coefficient seen so far; it never
-    decreases.  The fit stops early once order_bound certifies it.
-    This engine decides every fit the modular one leaves in doubt, and
-    is its test oracle.
+    decreases.  The fit stops early once order_bound certifies it, and a
+    length above order_bound means the counts contradict the bound their
+    construction proves: a library bug, not a knob to raise.  (Only a
+    nonzero c_0 against a bound of 0 can get there: length jumps to
+    k + 1 - length, which is at most order_bound while no certificate has
+    stopped the fit.)  This engine decides every fit the modular one
+    leaves in doubt, and is its test oracle.
     """
     coeffs: list[Fraction] = []
     conn = [Fraction(1)]  # connection polynomial: sum conn[i] c_{k-i} = 0
@@ -631,14 +624,15 @@ def _rational_massey_fit(
             conn = updated
         else:
             shift += 1
-        if length > max_order:
-            raise RegularizationError(
-                f"no linear recurrence of order <= {max_order} generates the first "
-                f"{k + 1} coefficients; raise max_order"
-            )
-        if order_bound is not None and k + 1 >= length + order_bound:
-            certified = True
-            break
+        if order_bound is not None:
+            if length > order_bound:
+                raise InternalCheckError(
+                    f"{k + 1} coefficients need a recurrence of order {length}, "
+                    f"above the proven order bound {order_bound}"
+                )
+            if k + 1 >= length + order_bound:
+                certified = True
+                break
     if not certified and len(coeffs) < 2 * length + 2:
         raise RegularizationError(
             f"an order-{length} recurrence needs {2 * length + 2} coefficients to "
@@ -717,7 +711,6 @@ def _lift_taps(coeffs: list[int], first: _ModularMassey) -> list[int] | None:
 def _massey_fit(
     coefficient: Callable[[int], object],
     last: int,
-    max_order: int,
     order_bound: int | None,
     grading: str,
 ) -> EulerSeries:
@@ -726,18 +719,18 @@ def _massey_fit(
 
     While the coefficients are integers the fit runs modulo the first of
     _FIT_PRIMES and stops at the first n >= L + order_bound.  Its lift
-    is accepted when L <= order_bound, the lifted recurrence holds over
-    the integers on all n coefficients, and its continuation has reduced
-    order exactly L: then L is the rational length at every step, so the
-    rational engine would stop at the same n with the same taps (a
-    recurrence of reduced order L is unique on 2L coefficients).  Any
-    doubt (a non-integer coefficient, L > max_order mod p, a failed lift,
+    is accepted when the lifted recurrence holds over the integers on all
+    n coefficients and its continuation has reduced order exactly L:
+    then L is the rational length at every step, so the rational engine
+    would stop at the same n with the same taps (a recurrence of reduced
+    order L is unique on 2L coefficients).  Any doubt (a non-integer
+    coefficient, L > order_bound mod p, a failed lift,
     no certificate within terms) hands the coefficients already computed
     to _rational_massey_fit, so each coefficient(k) is still called at
     most once.
     """
     if order_bound is None:  # no certificate is possible
-        return _rational_massey_fit(coefficient, last, max_order, order_bound, grading)
+        return _rational_massey_fit(coefficient, last, order_bound, grading)
     seen: list = []
     ints: list[int] = []
     first = _ModularMassey(_FIT_PRIMES[0])
@@ -748,10 +741,10 @@ def _massey_fit(
             break
         ints.append(int(value))
         length = first.push(ints[k])
-        if length > max_order:
+        if length > order_bound:
             break
         if k + 1 >= length + order_bound:
-            taps = _lift_taps(ints, first) if length <= order_bound else None
+            taps = _lift_taps(ints, first)
             if taps is not None:
                 prefix, rec = SeriesPrefix(tuple(ints), grading), Recurrence(tuple(taps))
                 rf = to_rational_function(prefix, rec)
@@ -760,7 +753,7 @@ def _massey_fit(
             break
     return _rational_massey_fit(
         lambda k: seen[k] if k < len(seen) else coefficient(k),
-        last, max_order, order_bound, grading,
+        last, order_bound, grading,
     )
 
 
@@ -768,7 +761,6 @@ def fit_series(
     coefficient: Callable[[int], object],
     order_bound: int,
     terms: int | None = None,
-    max_order: int | None = None,
     grading: str = "rank",
 ) -> EulerSeries:
     """Certified rational continuation of a series known coefficient by coefficient.
@@ -779,22 +771,20 @@ def fit_series(
     the recurrence fitted to the n coefficients seen: the series has
     order <= order_bound, so it equals the fit.  When the ceiling comes
     first the fit is accepted under the 2L + 2 length contract or
-    refused with "raise terms"; a recurrence longer than max_order is
-    refused with "raise max_order".
+    refused with "raise terms".  A recurrence longer than order_bound
+    contradicts the bound and is an InternalCheckError.
     """
-    terms, max_order = series_window(order_bound, terms, max_order)
-    return _massey_fit(coefficient, terms, max_order, order_bound, grading)
+    return _massey_fit(coefficient, series_window(order_bound, terms), order_bound, grading)
 
 
-def continue_series(prefix: SeriesPrefix, max_order: int | None = None) -> EulerSeries:
+def continue_series(prefix: SeriesPrefix) -> EulerSeries:
     """Fit a recurrence to a whole fixed prefix and attach the continuation.
 
     No order bound is known here, so every coefficient is used and the
-    fit is accepted only under the 2L + 2 length contract.  max_order
-    caps the order; None leaves it to the prefix length.
+    fit is accepted only under the 2L + 2 length contract.
     """
-    last, max_order = series_window(len(prefix), len(prefix) - 1, max_order)
-    return _massey_fit(prefix.coefficients.__getitem__, last, max_order, None, prefix.grading)
+    last = series_window(len(prefix), len(prefix) - 1)
+    return _massey_fit(prefix.coefficients.__getitem__, last, None, prefix.grading)
 
 
 def binomial_closed_form(m: int, lam, scale=1) -> RationalFunction:

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
-from .exact_series import Polynomial, RationalFunction, Regularized, closed_series
+from .exact_series import Polynomial, RationalFunction, Regularized, closed_series, series_window
 from .interval_sets import Point, PolyhedralSet1D
+from .limits import check_terms
 
 GRADING = "rank"
 DEFAULT_STRATA_CAP = 10
@@ -129,13 +130,27 @@ def parity_polynomial(P: PolyhedralSet1D) -> list[int]:
     return even
 
 
+def parity_length(P: PolyhedralSet1D) -> int:
+    """len(parity_polynomial(P)) in O(pieces): the lengths of the two
+    state lists follow the same steps as the lists themselves."""
+    even, odd = 1, 1
+    for piece in P.pieces:
+        if isinstance(piece, Point):
+            even, odd = max(odd, even + 1), even
+        else:
+            even, odd = odd, max(even, odd + 1)
+    return even
+
+
 def fibonacci_measure(P: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Regularized measure of the parity-constrained subset family of P.
 
     The series is parity_polynomial as its own closed form; its length
-    sizes the window.  The last route, ``expected``, is F(chi(P) + 1); the
+    sizes the window, which is checked (from parity_length) before the
+    O(pieces^2) count.  The last route, ``expected``, is F(chi(P) + 1); the
     counts are empty, since the coefficients are the stratum counts.
     """
+    terms = series_window(parity_length(P)) if terms is None else check_terms(terms)
     coeffs = parity_polynomial(P)
     closed = RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
     series = closed_series(

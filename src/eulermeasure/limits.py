@@ -4,11 +4,11 @@ DEFAULT_ENUM_CAP bounds the exhaustive enumerations that serve as test
 oracles (gizmo_support_census, brute_map_count, map_pair_count); each
 takes an explicit cap argument with this default.  No CLI verb
 enumerates, so none reaches it.  The series ceiling MAX_TERMS is fixed:
-it sits above the default window of every documented input (4d - 2
-coefficients for order bound d) and is checked before any coefficient
-is counted, except by fib, whose window follows the length of the
-polynomial it counts (2000 points: 8002 coefficients, 0.2 s).  It also
-bounds the selection size of choose.
+it sits above the default window of every documented input (terms =
+max(4d - 2, 2d + 1) for order bound d) and is checked before any
+coefficient is counted.  fib's bound is the length of the polynomial it
+counts, which it walks in O(pieces) before the count (2000 points:
+terms 8002).  It also bounds the selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi fits J = prod(k_i) exponentials

@@ -153,9 +153,7 @@ def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     return distinct_ordered // 2
 
 
-def map_pair_measure(
-    bsize: int, terms: int | None = None, max_order: int | None = None
-) -> Regularized:
+def map_pair_measure(bsize: int, terms: int | None = None) -> Regularized:
     """Series and value for unordered distinct pairs of maps from (0,1).
 
     The pair rank is the size of the union of the two breakpoint sets;
@@ -172,7 +170,7 @@ def map_pair_measure(
         counts.append(finite_pair_count(bsize, k))
         return (-1) ** k * counts[k]
 
-    series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, max_order, GRADING)
+    series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, GRADING)
     routes = {
         "series_regularization": series.regularized_value(),
         "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),

@@ -272,10 +272,7 @@ class GizmoMeasureResult(Regularized):
 
 
 def gizmo_measure(
-    A: PolyhedralSet1D,
-    spec: GizmoSpec,
-    terms: int | None = None,
-    max_order: int | None = None,
+    A: PolyhedralSet1D, spec: GizmoSpec, terms: int | None = None
 ) -> GizmoMeasureResult:
     """Regularized Euler measure of G(2^A; k_1..k_r), by both routes.
 
@@ -296,7 +293,7 @@ def gizmo_measure(
         counts.append(gizmo_support_count(spec, k, totals))
         return integer_binomial(chi, k) * counts[k]
 
-    series = fit_series(coefficient, order_bound, terms, max_order, GRADING)
+    series = fit_series(coefficient, order_bound, terms, GRADING)
     fit = gizmo_fit(spec, totals=totals)
     routes = {
         "exponential_fit": fit.value_at(two_chi),

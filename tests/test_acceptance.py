@@ -59,7 +59,7 @@ def test_criterion_2_powerset_of_interval():
         ps = powerset_series(parse("(0,1)"), 24)
         assert ps.series.prefix.coefficients[:6] == (1, -1, 1, -1, 1, -1)
         # the prefix alone must continue to 1/(1+t)
-        fitted = continue_series(ps.series.prefix, 8)
+        fitted = continue_series(ps.series.prefix)
         assert fitted.closed_form == rf([1], [1, 1]) == ps.series.closed_form
         assert ps.value == F(1, 2)
         assert fitted.regularized_value() == F(1, 2)

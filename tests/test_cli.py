@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import cli, map_spaces
+from eulermeasure import cli, fibonacci_subsets, map_spaces
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
@@ -322,14 +322,8 @@ class TestMain:
         assert "error [input]" in err
         for knob, argv in (
             ("terms", ["gizmo", "(0,1)", "--ks", "2", "--terms", "0"]),
-            ("max_order", ["fib", "{0,1}", "--max-order", "-1"]),
             ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
-            ("max_order does not apply to fib", ["fib", "{0,1}", "--max-order", "3"]),
             ("k must be at least 0, got -1", ["choose", "(0,1)", "-k", "-1"]),
-            ("max_order applies only to --pairs",
-             ["mapspace", "(0,1)", "--chib", "3", "--max-order", "-5"]),
-            ("max_order applies only to --pairs",
-             ["mapspace", "(0,1)", "--finite", "2", "--max-order", "3"]),
             ("selection size (--ks)", ["gizmo", "(0,1)", "--ks", ","]),
             ("--ks sizes must be at least 1, got 0", ["gizmo", "(0,1)", "--ks", "0"]),
         ):
@@ -337,17 +331,20 @@ class TestMain:
             assert knob in capsys.readouterr().err
 
     def test_powerset_refuses_negative_max_order_before_any_work(self, capsys, monkeypatch):
-        # the knob is read only by the refit, yet it is refused like fib's and gizmo's
+        # the parser refuses the option, with or without --json; test_knob_sweep
+        # holds every other verb to the same refusal
         monkeypatch.setattr(cli, "powerset_series", None)
-        assert main(["powerset", "(0,1)", "--max-order", "-1"]) == 2
-        assert "max_order must be at least 0, got -1" in capsys.readouterr().err
-        assert main(["powerset", "(0,1)", "--max-order", "-1", "--json"]) == 2
-        assert "max_order" in json.loads(capsys.readouterr().out)["error"]["message"]
+        for argv in (["powerset", "(0,1)", "--max-order", "-1"],
+                     ["powerset", "(0,1)", "--max-order", "-1", "--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-order -1" in capsys.readouterr().err
 
     def test_text_report_names_the_certificate(self, capsys):
         assert main(["gizmo", "(0,1)", "--ks", "2"]) == 0
         assert "certified by order bound 2 (4 >= 2 + 2 coefficients)" in capsys.readouterr().out
-        assert main(["gizmo", "(0,1)", "--ks", "2", "--terms", "7", "--max-order", "2"]) == 0
+        assert main(["gizmo", "(0,1)", "--ks", "2", "--terms", "7"]) == 0
         assert "certified by order bound 2" in capsys.readouterr().out
         assert main(["powerset", "(0,1)"]) == 0
         assert "accepted by the length contract (4 >= 2*1 + 2 coefficients)" in capsys.readouterr().out
@@ -392,6 +389,19 @@ class TestMain:
             (["gizmo", "(0,1)", "--ks", "61"], "1891-bit denominators, above the ceiling of 1830"),
             (["gizmo", "(0,1) u (2,3) u (4,5) u (6,7)", "--ks", "7,7"], "use smaller --ks"),
             (["gizmo", "{0}", "--ks", "16,16"], "--ks 16,16 (J = 256)"),
+        ):
+            assert main(argv) == 3
+            assert origin in capsys.readouterr().err
+
+    def test_fib_window_before_any_count(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parity polynomial counted above the terms ceiling")
+
+        monkeypatch.setattr(fibonacci_subsets, "parity_polynomial", refuse)
+        for argv, origin in (
+            (["fib", "{" + ",".join(map(str, range(2600))) + "}"],
+             "terms 10402 (the default for order bound 2601) exceeds"),
+            (["fib", "{0,1}", "--terms", "10001"], "terms 10001 exceeds"),
         ):
             assert main(argv) == 3
             assert origin in capsys.readouterr().err
@@ -522,17 +532,11 @@ class TestMapPairsContract:
         assert elapsed < 0.05
 
     @settings(max_examples=100, deadline=1000)
-    @given(
-        st.integers(-3, 2000),
-        st.sampled_from([None, *range(-1, 9), 24]),
-        st.sampled_from([None, *range(-1, 4), 8]),
-    )
-    def test_exit_code_and_value(self, bsize, terms, max_order):
+    @given(st.integers(-3, 2000), st.sampled_from([None, *range(-1, 9), 24]))
+    def test_exit_code_and_value(self, bsize, terms):
         argv = ["mapspace", "(0,1)", "--finite", str(bsize), "--pairs", "--json"]
-        knobs = {"terms": terms, "max_order": max_order}
-        for name, v in knobs.items():
-            if v is not None:
-                argv += [f"--{name.replace('_', '-')}", str(v)]
+        if terms is not None:
+            argv += ["--terms", str(terms)]
         out = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -545,11 +549,10 @@ class TestMapPairsContract:
             return
         message = blob["error"]["message"]
         if code == 2:
-            bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 1,
-                   "max_order": max_order is not None and max_order < 0}
+            bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 1}
             assert any(knob in message for knob, is_bad in bad.items() if is_bad)
         else:
-            assert any(message.endswith(f"raise {knob}") for knob, v in knobs.items() if v is not None)
+            assert terms is not None and message.endswith("raise terms")
 
 
 class TestVerify:
@@ -600,16 +603,20 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("terms", [None, -1, 0, 1, 2, 3, 5, 8, 24])
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_knob_sweep(case, terms, max_order, capsys):
+    # terms is the one series knob; each fit's order is capped by the bound
+    # its construction proves, so --max-order is refused with any terms
     argv, expected = SWEEP_CASES[case]
-    for flag, value in (("--terms", terms), ("--max-order", max_order)):
-        if value is not None:
-            argv = argv + [flag, str(value)]
+    if terms is not None:
+        argv = argv + ["--terms", str(terms)]
+    if max_order is not None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-order", str(max_order), "--json"])
+        assert exc.value.code == 2 and "unrecognized arguments: --max-order" in capsys.readouterr().err
+        return
     code = main(argv + ["--json"])
     blob = json.loads(capsys.readouterr().out)
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert F(blob["results"]["value"]["value"]) == expected
     else:
-        assert any(knob in blob["error"]["message"] for knob in ("terms", "max_order", "cap"))
-    if terms is None and max_order is None:
-        assert code == 0
+        assert terms is not None and "terms" in blob["error"]["message"]

@@ -162,32 +162,33 @@ class TestSeriesWindow:
             (24, None, None, (94, 24)),
             (2, 30, None, (30, 2)),
             (24, 30, None, (30, 24)),
-            (2, 5, 8, (5, 8)),
-            (2, None, 5, (6, 5)),
-            (24, None, 2, (94, 2)),
+            (2, 5, 8, (5, 2)),
+            (2, None, 5, (6, 2)),
+            (24, None, 2, (94, 24)),
         ],
     )
     def test_window(self, bound, terms, max_order, expected):
-        assert series_window(bound, terms, max_order) == expected
+        # expected: the terms ceiling and the order that caps the fit, which
+        # is the bound itself; a max_order is refused by name
+        if max_order is not None:
+            with pytest.raises(TypeError, match="max_order"):
+                series_window(bound, terms, max_order=max_order)
+        assert (series_window(bound, terms), bound) == expected
 
     def test_default_window_meets_fit_contract(self):
         for bound in range(30):
-            terms, max_order = series_window(bound)
-            assert (terms + 2) // 2 >= 2 * max_order and terms + 1 >= 2 * max_order + 2
+            terms = series_window(bound)
+            assert (terms + 2) // 2 >= 2 * bound and terms + 1 >= 2 * bound + 2
 
-    @pytest.mark.parametrize(
-        "terms,max_order,knob,minimum",
-        [(0, None, "terms", "at least 1"), (-3, 2, "terms", "at least 1"), (None, -1, "max_order", "at least 0")],
-    )
-    def test_bad_knob_named_with_minimum(self, terms, max_order, knob, minimum):
-        with pytest.raises(InputError) as err:
-            series_window(2, terms, max_order)
-        assert knob in str(err.value) and minimum in str(err.value)
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_bad_terms_named_with_minimum(self, terms):
+        with pytest.raises(InputError, match="terms must be at least 1"):
+            series_window(2, terms)
 
     def test_terms_ceiling(self):
         # fib on 2000 pieces has order bound 2001 and the default terms 8002
-        assert series_window(2001) == (8002, 2001)
-        assert series_window(2, MAX_TERMS) == (MAX_TERMS, 2)
+        assert series_window(2001) == 8002
+        assert series_window(2, MAX_TERMS) == MAX_TERMS
         for bound, terms, origin in (
             (2, MAX_TERMS + 1, f"terms {MAX_TERMS + 1} exceeds"),
             (2502, None, "terms 10006 (the default for order bound 2502) exceeds"),
@@ -248,7 +249,7 @@ class TestRoundTrip:
 
     def test_continue_series_failure(self):
         with pytest.raises(RegularizationError):
-            continue_series(SeriesPrefix((1, 2, 4, 8, 16, 31, 57, 99, 163), "rank"), 2)
+            continue_series(SeriesPrefix((1, 2, 4, 8, 16, 31, 57, 99, 163), "rank"))
 
     def test_series_without_closed_form(self):
         # the closed form is required: a series cannot be built without one
@@ -286,9 +287,13 @@ class TestFitSeries:
         series = fit_series(lambda k: k + 1, 5, terms=5)
         assert series.closed_form == rf([1], [1, -2, 1]) and series.order_bound is None
 
-    def test_max_order_caps_the_order(self):
-        with pytest.raises(RegularizationError, match="max_order"):
-            fit_series(lambda k: k + 1, 4, max_order=1)
+    def test_counts_above_their_bound_are_a_bug(self):
+        # a nonzero c_0 needs order 1, above a proven bound of 0; for d >= 1
+        # the certificate stops every fit before its length passes d
+        for engine in (exact_series._massey_fit, exact_series._rational_massey_fit):
+            for c0 in (1, F(1, 3)):
+                with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
+                    engine(lambda k: c0, 5, 0, "rank")
 
 
 class TestClosedSeries:
@@ -419,7 +424,7 @@ CORPUS = _corpus()
 
 
 def _full_window(coefficient, bound):
-    terms, _ = series_window(bound)
+    terms = series_window(bound)
     return SeriesPrefix(tuple(coefficient(k) for k in range(terms + 1)))
 
 
@@ -446,9 +451,10 @@ def test_certified_fit_matches_gauss_oracle(bound, factory):
 def test_certified_fit_matches_rational_engine(bound, factory):
     coefficient, construct = factory()
     series = construct()
-    terms, max_order = series_window(bound)
     grading = series.prefix.grading
-    assert series == exact_series._rational_massey_fit(coefficient, terms, max_order, bound, grading)
+    assert series == exact_series._rational_massey_fit(
+        coefficient, series_window(bound), bound, grading
+    )
 
 
 def _sympy_expr(poly, t):
@@ -492,16 +498,16 @@ def _integer_prefixes(draw):
         values = values[:n]
         if draw(st.booleans()):
             values[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
-    return SeriesPrefix(tuple(values)), draw(st.integers(0, (n - 2) // 2))
+    return SeriesPrefix(tuple(values))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_prefixes())
-def test_continue_series_agrees_with_gauss_oracle(case):
-    prefix, max_order = case
-    rec = min_recurrence(prefix, max_order)
+def test_continue_series_agrees_with_gauss_oracle(prefix):
+    # the oracle's deepest order is the 2L + 2 contract of continue_series
+    rec = min_recurrence(prefix, (len(prefix) - 2) // 2)
     try:
-        series = continue_series(prefix, max_order)
+        series = continue_series(prefix)
     except RegularizationError:
         assert rec is None
         return
@@ -568,7 +574,7 @@ _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 @st.composite
 def _fit_windows(draw):
-    """Coefficients with a terms/max_order/order_bound window: integer
+    """Coefficients with a terms/order_bound window: integer
     rational series (integer denominator with constant term 1), rational
     series with fractional coefficients, integer rational series with one
     fractional coefficient, and plain integer noise."""
@@ -584,12 +590,11 @@ def _fit_windows(draw):
         if kind == "one-fraction":
             values[draw(st.integers(0, 12))] += Fraction(1, draw(st.integers(2, 5)))
     last = draw(st.integers(0, n - 1))
-    max_order = draw(st.integers(0, 8))
     order_bound = draw(st.sampled_from([None, *range(9)]))
-    return values, last, max_order, order_bound
+    return values, last, order_bound
 
 
-def _engine_outcome(engine, values, last, max_order, order_bound):
+def _engine_outcome(engine, values, last, order_bound):
     asked = []
 
     def coefficient(k):
@@ -597,7 +602,7 @@ def _engine_outcome(engine, values, last, max_order, order_bound):
         return values[k]
 
     try:
-        outcome = engine(coefficient, last, max_order, order_bound, "rank")
+        outcome = engine(coefficient, last, order_bound, "rank")
     except EulerMeasureError as exc:
         outcome = (type(exc), str(exc))
     assert asked == list(range(len(asked))) and len(asked) <= last + 1
@@ -648,32 +653,32 @@ def test_integer_to_rational_function():
 
 @st.composite
 def _rational_prefixes(draw):
-    """Rational prefixes with a max_order: expansions of rational functions
-    of order <= max_order with fractional coefficients, the same with one
+    """Rational prefixes: expansions of rational functions of order at
+    most (n - 2) // 2 with fractional coefficients, the same with one
     coefficient corrupted, and fractional noise.  Every prefix is divided
     by 2, 3 or 5: that keeps any recurrence and makes integer expansions fractional."""
     n = draw(st.integers(2, 14))
-    max_order = draw(st.integers(0, (n - 2) // 2))
+    order = draw(st.integers(0, (n - 2) // 2))
     entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     kind = draw(st.sampled_from(["rational", "rational", "corrupted", "noise"]))
     if kind == "noise":
         values = draw(st.lists(entries, min_size=n, max_size=n))
     else:
-        den = [1] + draw(st.lists(entries, max_size=max_order))
-        values = _expand(draw(st.lists(entries, max_size=max_order)), den, n)
+        den = [1] + draw(st.lists(entries, max_size=order))
+        values = _expand(draw(st.lists(entries, max_size=order)), den, n)
         if kind == "corrupted":
             values[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
     scale = draw(st.sampled_from([2, 3, 5]))
-    return SeriesPrefix(tuple(Fraction(v) / scale for v in values)), max_order
+    return SeriesPrefix(tuple(Fraction(v) / scale for v in values))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_rational_prefixes())
-def test_continue_series_agrees_with_gauss_oracle_on_rational_prefixes(case):
-    prefix, max_order = case
-    rec = min_recurrence(prefix, max_order)
+def test_continue_series_agrees_with_gauss_oracle_on_rational_prefixes(prefix):
+    # the oracle's deepest order is the 2L + 2 contract of continue_series
+    rec = min_recurrence(prefix, (len(prefix) - 2) // 2)
     try:
-        series = continue_series(prefix, max_order)
+        series = continue_series(prefix)
     except RegularizationError:
         assert rec is None
         return

@@ -14,6 +14,7 @@ from eulermeasure.fibonacci_subsets import (
     enumerate_placements,
     extended_fibonacci,
     fibonacci_measure,
+    parity_length,
     parity_polynomial,
     parity_strata_coefficient,
     placement_gap_measures,
@@ -150,6 +151,12 @@ class TestTransferMatrix:
                 got = poly[k] if k < len(poly) else 0
                 assert got == parity_strata_coefficient(p, k), (str(p), k)
         assert unbounded >= 50
+
+    def test_length_walk_matches_the_polynomial(self):
+        rng = random.Random(29)
+        for _ in range(2000):
+            p = random_piece_set(rng, 14)
+            assert parity_length(p) == len(parity_polynomial(p)), str(p)
 
     def test_small_cases(self):
         assert parity_polynomial(parse("{}")) == [1]

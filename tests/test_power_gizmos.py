@@ -233,7 +233,7 @@ class TestGizmoMeasure:
         assert res.value == expected
 
     def test_explicit_small_budget_still_exact(self):
-        res = gizmo_measure(parse("(0,1)"), GizmoSpec((2,)), terms=24, max_order=8)
+        res = gizmo_measure(parse("(0,1)"), GizmoSpec((2,)), terms=24)
         assert res.value == F(-1, 8)
         # c_0 = c_1 = 0 fits order 0; two coefficients cannot rule out order 4
         with pytest.raises(RegularizationError, match="raise terms"):

@@ -58,7 +58,7 @@ def build(kind: str, n: int) -> PolyhedralSet1D:
 def fit_measure(P: PolyhedralSet1D, coefficient) -> Regularized:
     """fibonacci_measure as a certified fit of the given coefficients."""
     order_bound = len(P.pieces) + 1  # the series is a polynomial of degree <= pieces
-    series = fit_series(coefficient, order_bound, None, None, GRADING)
+    series = fit_series(coefficient, order_bound, None, GRADING)
     routes = {"series_regularization": series.regularized_value(),
               "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
     return Regularized.of(series, routes, order_bound=order_bound)
@@ -72,7 +72,7 @@ def polynomial_fit(P: PolyhedralSet1D) -> Regularized:
 
 def enumeration_value(P: PolyhedralSet1D) -> Fraction:
     """fibonacci_measure as it was before the transfer matrix."""
-    terms, _ = series_window(len(P.pieces) + 1)
+    terms = series_window(len(P.pieces) + 1)
     cap = max(terms, 10)
     return fit_measure(P, lambda k: parity_strata_coefficient(P, k, cap=cap)).value
 
