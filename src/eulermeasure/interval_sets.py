@@ -1,17 +1,30 @@
 """Exact algebra of one-dimensional polyhedral sets.
 
 A polyhedral subset of the real line is a finite union of rational
-points and open intervals with rational or infinite endpoints.  The
-canonical form keeps the pieces sorted left to right and pairwise
-disjoint, with open intervals maximal: a point lying between two open
-intervals that together span one interval is absorbed, so
-``(0,1) u {1} u (1,2)`` is stored as ``(0,2)``.  A point touching an
-interval on one side only is kept, so the half-open ``[0,1)`` is stored
-as ``{0} u (0,1)``.  Closed and half-open intervals exist only as
-constructor sugar and decompose immediately: ``[0,1]`` becomes
-``{0} u (0,1) u {1}``.
+points and open intervals with rational or infinite endpoints.
 
-The Euler measure of a canonical set is::
+Stored form.  A set is stored as its cell index: ``coords``, the sorted
+tuple of its finite critical coordinates x_0 < ... < x_{n-1}, and
+``flags``, one membership bool for each of the 2n+1 elementary cells
+(-inf,x_0), {x_0}, (x_0,x_1), ..., {x_{n-1}}, (x_{n-1},+inf).  Cell 2i+1
+is the point x_i and cell 2i the open gap below it, so the ends at
+infinity are ``flags[0]`` and ``flags[-1]``.  In canonical form no
+coordinate has equal flags on its gap below, its point and its gap
+above: such a coordinate changes nothing and is dropped.  That form is
+unique, so equality and hashing compare ``(coords, flags)``.
+
+Pieces.  ``pieces`` is the same set as sorted, pairwise disjoint points
+and open intervals, with open intervals maximal: a point lying between
+two open intervals that together span one interval is absorbed, so
+``(0,1) u {1} u (1,2)`` is ``(0,2)``.  A point touching an interval on
+one side only is kept, so the half-open ``[0,1)`` is ``{0} u (0,1)``.
+Closed and half-open intervals exist only as constructor sugar:
+``[0,1]`` is ``{0} u (0,1) u {1}``.  The pieces are built from the cells
+on first read and cached; ``str`` and the constructions that walk the
+pieces read them, the set algebra never does.
+
+The Euler measure is chi = sum of (-1)^dim over the member cells, which
+for canonical pieces is::
 
     (number of point pieces) - (number of open-interval pieces)
 
@@ -20,35 +33,40 @@ chi(A | B) = chi(A) + chi(B) - chi(A & B), coincides with cardinality on
 finite sets, and is *not* a homotopy invariant (an open interval has
 measure -1, a closed one +1).
 
-Costs, with n the number of pieces:
+Costs, with n and k the coordinate counts of the operands, k <= n:
 
 - A literal (``segment``, ``open_interval``) costs O(1): once its ends
-  are checked (lower < upper, closed ends finite) its one to three
-  pieces are already canonical, so no sweep runs.
+  are checked (lower < upper, closed ends finite) it is written straight
+  into cell form.
 - ``from_pieces`` takes pieces in any order and costs O(n log n): it
   sorts the distinct endpoints, indexes them once, and sweeps.
-- Intersection, difference, complement and classification cost O(n),
-  with no sort and no hashing.  The sorted coordinates of a canonical
-  operand, and the membership of its cells, are read off its pieces in
-  one pass.  A binary operation merges the two coordinate lists into
-  its one coordinate index and flags every cell of the merge in the
-  same walk.  Union splices instead: only the pieces of the larger
-  operand near the smaller one are merged, so adding k pieces to an
-  n-piece set costs O(k + log n) Python steps plus one copy of the
-  untouched pieces.
-- ``restrict_open`` bisects twice and clips the two end pieces:
-  O(log n + pieces in the window).
+- ``union`` splices: it bisects the smaller operand's first and last
+  coordinate into the larger one's, merges the window between them
+  (widened to the end of the line on a side where the smaller operand
+  reaches infinity) and concatenates the untouched prefix and suffix:
+  O(k + log n) Python steps plus one copy of the n coordinates.
+- ``intersect`` and ``difference`` merge the two coordinate lists in one
+  walk, as the merge step of merge sort: O(n + k).
+- ``complement`` flips the flags and ``shift`` adds to the coordinates,
+  O(n); ``contains`` bisects, O(log n); ``restrict_open`` slices the
+  cells between two bisects, O(log n + cells in the window);
+  ``euler_measure`` sums two slices of the flags, and ``classify`` reads
+  the runs of member cells, O(n).
+- ``pieces`` costs O(n), once per set.
 
-Every piece an operation emits takes its ends from its operands'
-pieces, which the public constructors already made exact Fractions,
-and an interval's left end comes before its right end in a sorted list
-of distinct coordinates, so the constructor checks (coercion to
-Fraction, left < right) cannot fail on it.  The kernel builds those
-pieces without the checks; the public constructors keep all of them
-for outside input.
+Every piece the kernel emits takes its ends from ``coords``, which hold
+only exact Fractions from checked input, and an interval's left end
+comes before its right end in that sorted list, so the constructor
+checks (coercion to Fraction, left < right) cannot fail on it.  The
+kernel builds those pieces without the checks; the public constructors
+keep all of them for outside input.
 
-All values here are immutable; every operation is pure, so instances
-may be shared freely across threads.
+All values here are immutable and every operation is pure, so instances
+may be shared freely across threads.  The one cached attribute,
+``pieces``, is a pure function of ``(coords, flags)``: threads that read
+it first at the same time each build an equal tuple, and the instance
+keeps one of them in a single dictionary store, so no reader sees a
+partial value and the set never changes.
 """
 
 from __future__ import annotations
@@ -56,9 +74,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from itertools import accumulate
-from operator import and_, gt, or_
+from operator import and_, gt, not_, or_
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -211,26 +229,24 @@ class Classification:
     has_isolated_points: bool
 
 
-# Elementary cells: given the sorted finite critical coordinates
-# x_0 < ... < x_{n-1} of the operands, the line splits into the 2n+1 cells
-# (-inf,x_0), {x_0}, (x_0,x_1), ..., {x_{n-1}}, (x_{n-1},+inf), so cell
-# 2i+1 is the point x_i and cell 2i is the open gap below it.  Every piece
-# of every operand is a union of such cells, so membership is constant on
-# each cell, and the result of any operation is read off one flag per
-# cell.
+# Elementary cells: the coordinates x_0 < ... < x_{n-1} split the line
+# into the 2n+1 cells of the stored form (see the module docstring).
+# Every piece of every operand is a union of the cells of the operands'
+# coordinates, so membership is constant on each cell, and the result of
+# any operation is read off one flag per cell.
 #
-# Canonical operands give their cells in one pass (_cells): their finite
-# ends, read left to right, never decrease.  _merge walks two such cell
-# lists together, as the merge step of merge sort, and flags the cells of
-# the merged coordinates.  Raw pieces from outside (_normalize) come in any
-# order: _critical_coordinates sorts their distinct ends, and _cell_flags
-# marks the cells in one sweep: a point marks its own cell, an open
-# interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1 after
-# cell 2b (after the last cell at +inf), and a running sum of these
-# differences counts the intervals over each cell.
-# _cell_in tests one cell against every piece, O(n) per cell: contains()
-# asks it about a single point, and with _elementary_cells, which spells
-# the cells out, it is the reference the sweeps are tested against.
+# _merge walks the cells of two sets together, as the merge step of merge
+# sort, flags the cells of the merged coordinates and drops a coordinate
+# as soon as its three cells agree.  Raw pieces from outside (from_pieces)
+# come in any order: _critical_coordinates sorts their distinct ends, and
+# _cell_flags marks the cells in one sweep: a point marks its own cell, an
+# open interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1
+# after cell 2b (after the last cell at +inf), and a running sum of these
+# differences counts the intervals over each cell.  _cells reads the cells
+# of pieces that are canonical already, for the raw constructor.
+# _cell_in tests one cell against every piece, O(n) per cell; with
+# _elementary_cells, which spells the cells out, it is the reference the
+# sweeps and the merge are tested against.
 _CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
 
 
@@ -292,10 +308,9 @@ def _cells(pieces: Sequence[Piece]) -> tuple[list[Fraction], list[bool]]:
     return coords, flags
 
 
-def _merge(a: Sequence[Piece], b: Sequence[Piece], keep) -> tuple[Piece, ...]:
-    """The canonical pieces of ``keep(in a, in b)`` for canonical a and b."""
-    xa, fa = _cells(a)
-    xb, fb = _cells(b)
+def _merge(xa: Sequence[Fraction], fa: Sequence[bool], xb: Sequence[Fraction],
+           fb: Sequence[bool], keep) -> tuple[list[Fraction], list[bool]]:
+    """The canonical cells of ``keep(in a, in b)``, given the cells of a and b."""
     na, nb = len(xa), len(xb)
     coords: list[Fraction] = []
     flags = [keep(fa[0], fb[0])]
@@ -305,18 +320,20 @@ def _merge(a: Sequence[Piece], b: Sequence[Piece], keep) -> tuple[Piece, ...]:
         # and lies in a gap cell of the other; i and j then count each
         # operand's coordinates up to it, so 2i and 2j are the gaps above.
         if j == nb or i < na and xa[i] < xb[j]:
-            x, cell_a, cell_b = xa[i], 2 * i + 1, 2 * j
+            x, point = xa[i], keep(fa[2 * i + 1], fb[2 * j])
             i += 1
         elif i == na or xb[j] < xa[i]:
-            x, cell_a, cell_b = xb[j], 2 * i, 2 * j + 1
+            x, point = xb[j], keep(fa[2 * i], fb[2 * j + 1])
             j += 1
         else:
-            x, cell_a, cell_b = xa[i], 2 * i + 1, 2 * j + 1
+            x, point = xa[i], keep(fa[2 * i + 1], fb[2 * j + 1])
             i += 1
             j += 1
-        coords.append(x)
-        flags += (keep(fa[cell_a], fb[cell_b]), keep(fa[2 * i], fb[2 * j]))
-    return _assemble(coords, flags)
+        above = keep(fa[2 * i], fb[2 * j])
+        if not flags[-1] == point == above:  # else x changes nothing
+            coords.append(x)
+            flags += (point, above)
+    return coords, flags
 
 
 def _elementary_cells(coords: Sequence[Fraction]) -> _CellList:
@@ -395,70 +412,83 @@ def _assemble(coords: Sequence[Fraction], flags: Sequence[bool]) -> tuple[Piece,
     return tuple(pieces)
 
 
-def _lower_end(piece: Piece) -> ExtendedRational:
-    return _finite(piece.at) if isinstance(piece, Point) else piece.left
+def _from_cells(coords: tuple[Fraction, ...], flags: tuple[bool, ...]) -> "PolyhedralSet1D":
+    """The set of canonical cells, with its pieces left to the first read."""
+    s = object.__new__(PolyhedralSet1D)
+    s.__dict__.update(coords=coords, flags=flags)
+    return s
 
 
-def _upper_end(piece: Piece) -> ExtendedRational:
-    return _finite(piece.at) if isinstance(piece, Point) else piece.right
-
-
-def _normalize(raw: Iterable[Piece]) -> tuple[Piece, ...]:
-    raw = list(raw)
-    for piece in raw:
-        if not isinstance(piece, (Point, OpenInterval)):
-            raise InputError(f"not a piece: {piece!r}")
-    coords = _critical_coordinates([raw])
-    return _assemble(coords, _cell_flags(raw, coords))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolyhedralSet1D:
     """Canonical finite union of rational points and open intervals.
 
-    Construct through :meth:`from_pieces`, :func:`canonicalize` or the
-    module-level constructors; the raw constructor trusts its argument
-    to be canonical already.
+    The stored state is the cell index ``coords``/``flags``, canonical
+    as the module docstring defines it.  Construct through
+    :meth:`from_pieces`, :func:`canonicalize` or the module-level
+    constructors; the raw constructor ``PolyhedralSet1D(pieces)`` trusts
+    its pieces to be canonical already.
     """
 
-    pieces: tuple[Piece, ...] = ()
+    coords: tuple[Fraction, ...]
+    flags: tuple[bool, ...]
+
+    def __init__(self, pieces: Iterable[Piece] = ()):
+        pieces = tuple(pieces)
+        coords, flags = _cells(pieces)
+        self.__dict__.update(coords=tuple(coords), flags=tuple(flags), pieces=pieces)
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        return _assemble(self.coords, self.flags)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[Piece]) -> "PolyhedralSet1D":
-        return cls(_normalize(pieces))
+        raw = list(pieces)
+        for piece in raw:
+            if not isinstance(piece, (Point, OpenInterval)):
+                raise InputError(f"not a piece: {piece!r}")
+        coords = _critical_coordinates([raw])
+        # merging with the empty set drops the coordinates that change nothing
+        coords, flags = _merge(coords, _cell_flags(raw, coords), (), (False,), or_)
+        return _from_cells(tuple(coords), tuple(flags))
 
     @classmethod
     def empty(cls) -> "PolyhedralSet1D":
-        return cls(())
+        return _from_cells((), (False,))
 
     # -- set operations ----------------------------------------------
 
     def _binary(self, other: "PolyhedralSet1D", keep) -> "PolyhedralSet1D":
-        return PolyhedralSet1D(_merge(self.pieces, other.pieces, keep))
+        coords, flags = _merge(self.coords, self.flags, other.coords, other.flags, keep)
+        return _from_cells(tuple(coords), tuple(flags))
 
     def union(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         """Splice the smaller operand into the larger one.
 
-        Only the larger operand's pieces whose closures meet the closed
-        hull of the smaller operand can change.  That window, widened by
-        one piece on each side as a margin, is merged with the smaller
-        operand, and the pieces on either side are reused as they are.
-        With k and n the operands' piece counts, k <= n, that costs
-        O(k + log n) Python steps plus one copy of n references.  The
+        Only the larger operand's cells between the smaller one's first
+        and last coordinate can change, and outside them only where the
+        smaller operand reaches -inf or +inf.  That window is merged,
+        and the coordinates and flags on either side are reused as they
+        are: their neighbouring gap flags keep their values, so they stay
+        canonical.  With k <= n the operands' coordinate counts, that
+        costs O(k + log n) Python steps plus one copy of n entries.  The
         result equals ``self._binary(other, or_)``, the full merge.
         """
-        big, small = self.pieces, other.pieces
-        if len(big) < len(small):
+        big, small = self, other
+        if len(big.coords) < len(small.coords):
             big, small = small, big
-        if not small:
-            return PolyhedralSet1D(big)
-        # Canonical pieces are sorted and disjoint, so both of their ends
-        # are non-decreasing along the tuple.
-        lo = max(bisect_left(big, _lower_end(small[0]), key=_upper_end) - 1, 0)
-        hi = bisect_right(big, _upper_end(small[-1]), key=_lower_end) + 1
-        return PolyhedralSet1D(big[:lo] + _merge(big[lo:hi], small, or_) + big[hi:])
+        ys, fy = small.coords, small.flags
+        if not ys:
+            return small if fy[0] else big  # the whole line, or nothing
+        xs, fx = big.coords, big.flags
+        lo = 0 if fy[0] else bisect_left(xs, ys[0])
+        hi = len(xs) if fy[-1] else bisect_right(xs, ys[-1], lo)
+        coords, flags = _merge(xs[lo:hi], fx[2 * lo:2 * hi + 1], ys, fy, or_)
+        return _from_cells(xs[:lo] + tuple(coords) + xs[hi:],
+                           fx[:2 * lo] + tuple(flags) + fx[2 * hi + 1:])
 
     def intersect(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         return self._binary(other, and_)
@@ -467,8 +497,7 @@ class PolyhedralSet1D:
         return self._binary(other, gt)  # on flags, a > b is a and not b
 
     def complement(self) -> "PolyhedralSet1D":
-        coords, flags = _cells(self.pieces)
-        return PolyhedralSet1D(_assemble(coords, [not flag for flag in flags]))
+        return _from_cells(self.coords, tuple(map(not_, self.flags)))
 
     __or__ = union
     __and__ = intersect
@@ -478,18 +507,21 @@ class PolyhedralSet1D:
     # -- queries -----------------------------------------------------
 
     def euler_measure(self) -> int:
-        points = sum(1 for p in self.pieces if isinstance(p, Point))
-        return 2 * points - len(self.pieces)
+        return sum(self.flags[1::2]) - sum(self.flags[0::2])
 
     def contains(self, value) -> bool:
         q = as_fraction(value)
-        return _cell_in(self.pieces, ("pt", q))
+        coords = self.coords
+        i = bisect_left(coords, q)
+        if i < len(coords) and coords[i] == q:
+            return self.flags[2 * i + 1]
+        return self.flags[2 * i]
 
     def classify(self) -> Classification:
-        coords, flags = _cells(self.pieces)
+        coords, flags = self.coords, self.flags
         components = tuple(_run_descriptor(coords, a, b) for a, b in _runs(flags))
-        finite = all(isinstance(p, Point) for p in self.pieces)
-        cardinality = len(self.pieces) if finite else None
+        finite = not any(flags[0::2])
+        cardinality = sum(flags[1::2]) if finite else None
         compact = all(c.bounded and c.closed for c in components)
         isolated = any(c.is_point for c in components)
         return Classification(finite, cardinality, compact, components, isolated)
@@ -497,38 +529,29 @@ class PolyhedralSet1D:
     def restrict_open(self, lower, upper) -> "PolyhedralSet1D":
         """Intersect with the open interval (lower, upper).
 
-        The pieces that meet the window form one slice, found by two
-        bisects: those whose upper end lies above lower and whose lower
-        end lies below upper, so a point at either bound is left out.
-        Only the first and the last of them can reach past the window,
-        and those are clipped: O(log n + pieces in the window).
+        Two bisects find the coordinates strictly inside the window, and
+        the cells from the gap just above lower to the gap just below
+        upper are kept as they are.  A finite window end becomes a
+        coordinate, outside the set, only where the set reaches it from
+        inside: O(log n + cells in the window).
         """
         lo, hi = ext(lower), ext(upper)
         if not lo < hi:
             raise InputError(f"empty restriction window: {lo} >= {hi}")
-        pieces = self.pieces
-        inside = list(pieces[bisect_right(pieces, lo, key=_upper_end):
-                             bisect_left(pieces, hi, key=_lower_end)])
-        if inside and isinstance(inside[0], OpenInterval) and inside[0].left < lo:
-            inside[0] = _open(lo, inside[0].right)
-        if inside and isinstance(inside[-1], OpenInterval) and hi < inside[-1].right:
-            inside[-1] = _open(inside[-1].left, hi)
-        return PolyhedralSet1D(tuple(inside))
+        coords, flags = self.coords, self.flags
+        i = bisect_right(coords, lo.value) if lo.is_finite else 0
+        j = bisect_left(coords, hi.value) if hi.is_finite else len(coords)
+        inner, cells = coords[i:j], flags[2 * i:2 * j + 1]
+        if lo.is_finite and cells[0]:
+            inner, cells = (lo.value,) + inner, (False, False) + cells
+        if hi.is_finite and cells[-1]:
+            inner, cells = inner + (hi.value,), cells + (False, False)
+        return _from_cells(inner, cells)
 
     def shift(self, delta) -> "PolyhedralSet1D":
-        """Translate every piece by a fixed rational; canonical form is preserved."""
+        """Translate by a fixed rational; canonical form is preserved."""
         d = as_fraction(delta)
-
-        def move(bound: ExtendedRational) -> ExtendedRational:
-            return _finite(bound.value + d) if bound.is_finite else bound
-
-        moved: list[Piece] = []
-        for piece in self.pieces:
-            if isinstance(piece, Point):
-                moved.append(_point(piece.at + d))
-            else:
-                moved.append(_open(move(piece.left), move(piece.right)))
-        return PolyhedralSet1D(tuple(moved))
+        return _from_cells(tuple(x + d for x in self.coords), self.flags)
 
     def __str__(self) -> str:
         if not self.pieces:
@@ -575,10 +598,11 @@ def open_interval(lower, upper) -> PolyhedralSet1D:
 def segment(lower, upper, include_lower: bool = False, include_upper: bool = False) -> PolyhedralSet1D:
     """An interval literal with optional closed ends.
 
-    This is constructor sugar only: a closed end contributes a Point
-    piece, so ``segment(0, 1, True, True)`` is ``{0} u (0,1) u {1}``.
-    Closed ends must be finite.  Once those checks pass the pieces are
-    canonical as they stand.
+    This is constructor sugar only: a closed end is a point cell in the
+    set, so ``segment(0, 1, True, True)`` is ``{0} u (0,1) u {1}``.
+    Closed ends must be finite.  Once those checks pass the cells are
+    canonical as they stand: a finite end has the open interval on one
+    side and nothing on the other.
     """
     lo, hi = ext(lower), ext(upper)
     if not lo < hi:
@@ -587,10 +611,9 @@ def segment(lower, upper, include_lower: bool = False, include_upper: bool = Fal
         raise InputError("cannot close an interval at -inf")
     if include_upper and not hi.is_finite:
         raise InputError("cannot close an interval at inf")
-    pieces: list[Piece] = []
-    if include_lower:
-        pieces.append(_point(lo.value))
-    pieces.append(_open(lo, hi))
-    if include_upper:
-        pieces.append(_point(hi.value))
-    return PolyhedralSet1D(tuple(pieces))
+    coords, flags = (), (True,)
+    if lo.is_finite:
+        coords, flags = (lo.value,), (False, bool(include_lower)) + flags
+    if hi.is_finite:
+        coords, flags = coords + (hi.value,), flags + (bool(include_upper), False)
+    return _from_cells(coords, flags)

@@ -25,17 +25,22 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, ParseError
-from .interval_sets import NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, points, segment
+from .interval_sets import (
+    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, points, segment
+)
 
+# Every position matches one group, the catch-all `bad` last, so one
+# finditer covers the text.  Digits are ASCII only, as the grammar says.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<inf>[+-]?inf)
-  | (?P<number>-?\d+(?:/\d+)?)
+  | (?P<number>-?[0-9]+(?:/[0-9]+)?)
   | (?P<union>u)
   | (?P<punct>[()\[\]{},|&\\!])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -55,20 +60,22 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, then its end token twice, so that a lookahead
+    of one past the last token still reads the end."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        pos = m.start()
+        if kind == "bad":
             raise ParseError(
                 f"syntax error at position {pos}: unexpected character {text[pos]!r}",
                 pos,
             )
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+        tokens.append(_Token(kind, m.group(), pos))
+    end = _Token("end", "", len(text))
+    tokens += (end, end)
     return tokens
 
 
@@ -79,7 +86,7 @@ class _Parser:
         self.index = 0
 
     def _peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.index + ahead]
 
     def _advance(self) -> _Token:
         token = self.tokens[self.index]
@@ -175,7 +182,7 @@ class _Parser:
         if token.kind == "inf":
             self._advance()
             return NEG_INF if token.text.startswith("-") else POS_INF
-        return ExtendedRational.finite(self._rational())
+        return _finite(self._rational())  # already an exact Fraction
 
     def _interval(self) -> PolyhedralSet1D:
         opener = self._advance()

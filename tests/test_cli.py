@@ -330,6 +330,19 @@ class TestMain:
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, position, char", [
+        ("{٣} u (١,٢)", 1, "٣"),  # Arabic-Indic 3, 1, 2
+        ("(1٣,2)", 2, "٣"),
+        ("{５}", 1, "５"),  # fullwidth 5
+        ("{1/२}", 2, "/"),  # Devanagari 2: '1' is a whole number, and '/' starts no token
+    ])
+    def test_non_ascii_digits_are_refused(self, capsys, text, position, char):
+        # the grammar's digits are 0-9; int() would take any Unicode digit
+        assert main(["measure", text]) == 2
+        assert capsys.readouterr().err == (
+            f"error [input]: syntax error at position {position}: "
+            f"unexpected character {char!r}\n")
+
     def test_powerset_refuses_negative_max_order_before_any_work(self, capsys, monkeypatch):
         # the parser refuses the option, with or without --json; test_knob_sweep
         # holds every other verb to the same refusal

@@ -5,6 +5,8 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
+from dataclasses import FrozenInstanceError
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import reduce
@@ -557,6 +559,153 @@ class TestRestrictOpenSlice:
         got = a.restrict_open(lower, upper)
         assert str(got) == expected
         assert got == a.intersect(open_interval(lower, upper))
+
+
+# -- the stored cell index against the cell scan --------------------------
+#
+# A set stores its canonical cells, coords and flags; its pieces are built
+# from them on first read.  Each result here is held against scan_set,
+# which builds the set from pieces through the raw constructor, so equal
+# values must also hash alike.
+
+
+def assert_canonical_cells(s):
+    """Sorted distinct Fraction coordinates, one bool per cell, and no
+    coordinate whose gap below, point and gap above agree."""
+    coords, flags = s.coords, s.flags
+    assert type(coords) is tuple and type(flags) is tuple
+    assert len(flags) == 2 * len(coords) + 1
+    assert all(type(x) is Fraction for x in coords)
+    assert all(type(f) is bool for f in flags)
+    assert all(x < y for x, y in zip(coords, coords[1:]))
+    assert not any(flags[2 * i] == flags[2 * i + 1] == flags[2 * i + 2]
+                   for i in range(len(coords)))
+
+
+def assert_same_set(got, expected):
+    assert got == expected and hash(got) == hash(expected)
+    assert got.pieces == expected.pieces
+    assert_canonical_cells(got)
+
+
+@st.composite
+def edge_sets(draw):
+    """The empty set, the whole line, or a ray on either side or both,
+    with up to three small pieces next to it."""
+    kind = draw(st.sampled_from(["empty", "line", "left", "right", "both"]))
+    if kind == "empty":
+        return PolyhedralSet1D.empty()
+    if kind == "line":
+        return canonicalize([iv(NEG_INF, POS_INF)])
+    x, y = sorted(draw(st.lists(wide_grid, min_size=2, max_size=2, unique=True)))
+    raw = list(draw(small_sets).pieces)
+    if kind in ("left", "both"):
+        raw += [iv(NEG_INF, x)] + ([Point(x)] if draw(st.booleans()) else [])
+    if kind in ("right", "both"):
+        raw += [iv(y, POS_INF)] + ([Point(y)] if draw(st.booleans()) else [])
+    return canonicalize(raw)
+
+
+def shifted_pieces(pieces, d):
+    def move(bound):
+        return ext(bound.value + d) if bound.is_finite else bound
+
+    return [Point(p.at + d) if isinstance(p, Point) else OpenInterval(move(p.left), move(p.right))
+            for p in pieces]
+
+
+class TestCellIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(large_sets(), edge_sets())
+    def test_union_with_rays_empty_and_line(self, large, edge):
+        coords = _critical_coordinates([large.pieces, edge.pieces])
+        flags = map(sweep_or, scan_flags(large.pieces, coords), scan_flags(edge.pieces, coords))
+        expected = scan_set(coords, list(flags))
+        for a, b in ((large, edge), (edge, large)):
+            assert_same_set(a.union(b), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_sets, window_end, window_end, st.integers(0, 7), st.integers(0, 7))
+    def test_restrict_open_against_cell_scan(self, a, x, y, lower_roll, upper_roll):
+        if x == y:
+            return
+        lo = NEG_INF if lower_roll == 0 else ext(min(x, y))
+        hi = POS_INF if upper_roll == 0 else ext(max(x, y))
+        window = [OpenInterval(lo, hi)]
+        coords = _critical_coordinates([a.pieces, window])
+        flags = [f and w for f, w in zip(scan_flags(a.pieces, coords), scan_flags(window, coords))]
+        assert_same_set(a.restrict_open(lo, hi), scan_set(coords, flags))
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets, st.integers(-20, 20).map(lambda n: Fraction(n, 3)))
+    def test_shift_against_cell_scan(self, a, d):
+        raw = shifted_pieces(a.pieces, d)
+        coords = _critical_coordinates([raw])
+        assert_same_set(a.shift(d), scan_set(coords, scan_flags(raw, coords)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets)
+    def test_contains_against_cell_scan(self, a):
+        for n in range(-40, 41):
+            q = Fraction(n, 4)
+            assert a.contains(q) is _cell_in(a.pieces, ("pt", q))
+        assert a.contains("1/2") is a.contains(Fraction(1, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets, canonical_sets, grid)
+    def test_pieces_round_trip(self, a, b, d):
+        for s in (a, a | b, a & b, a - b, ~a, a.shift(d), a.restrict_open(d, POS_INF)):
+            assert_canonical_cells(s)
+            assert_same_set(PolyhedralSet1D.from_pieces(s.pieces), s)
+            assert_same_set(PolyhedralSet1D(s.pieces), s)
+            # the measure read off the cells is the count over the pieces
+            points_ = sum(isinstance(p, Point) for p in s.pieces)
+            assert s.euler_measure() == 2 * points_ - len(s.pieces)
+
+    def test_stored_form(self):
+        a = parse_set_expression("(-inf,0) u {1} u [2,3)")
+        assert a.coords == (0, 1, 2, 3)
+        assert a.flags == (True, False, False, True, False, True, True, False, False)
+        line = parse_set_expression("(-inf,inf)")
+        assert (line.coords, line.flags) == ((), (True,))
+        assert (PolyhedralSet1D.empty().coords, PolyhedralSet1D.empty().flags) == ((), (False,))
+        with pytest.raises(FrozenInstanceError):
+            a.coords = ()
+
+    def test_pieces_built_once_on_first_read(self):
+        a = open_interval(0, 1) | points([5])
+        assert "pieces" not in vars(a)
+        first = a.pieces
+        assert a.pieces is first and vars(a)["pieces"] is first
+
+    def test_shared_sets_read_alike_across_threads(self):
+        # several threads read the pieces of the same fresh sets at once;
+        # every read gives the one value, and the cached view is equal to it
+        rng = random.Random(47)
+        sources = [random_polyhedral_set(rng, 6) for _ in range(60)]
+        expected = [s.pieces for s in sources]
+        shared = [s.shift(0) for s in sources]  # fresh sets, pieces not built yet
+        assert not any("pieces" in vars(s) for s in shared)
+        barrier = threading.Barrier(6)
+        reads: list = [None] * 6
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            reads[slot] = [s.pieces for s in shared]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(slot,)) for slot in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got == expected for got in reads)
+        assert [s.pieces for s in shared] == expected
 
 
 # -- the parser and kernel against a cell-bitmask model ------------------
