@@ -246,15 +246,15 @@ def _cmd_powerset(options: dict) -> Report:
         "powerset", {"set": options["set"]}, results, ps, "binomial-closed-form", "route-agreement"
     )
     try:
-        refit = continue_series(ps.series.prefix)
+        refit = continue_series(ps.series.prefix, ps.series.order_bound)
     except (InputError, RegularizationError) as exc:
         report.warnings.append(f"independent refit skipped: {exc}")
     else:
         agree = refit.closed_form == ps.series.closed_form
         report.checks.append(_check_entry("continuation-agreement", agree))
-        report.results["series"] = _series_dict(
-            EulerSeries(ps.series.prefix, ps.series.closed_form, refit.recurrence)
-        )
+        report.results["series"] = _series_dict(EulerSeries(
+            ps.series.prefix, ps.series.closed_form, refit.recurrence, refit.order_bound
+        ))
     report.exit_status = 0 if all(c["status"] == "ok" for c in report.checks) else 1
     return report
 
@@ -399,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     series_opts.add_argument(
         "--terms",
         type=int,
-        help="ceiling on the last series coefficient index computed (default: max(4d-2, 2d+1) "
-        "for the construction's order bound d; the fit stops earlier once that bound "
-        "certifies it)",
+        help="index of the last series coefficient shown (default: L+d-1, the certificate: "
+        "L+d coefficients for the closed form's order L and the construction's order bound d)",
     )
 
     sub = parser.add_subparsers(dest="verb", required=True)

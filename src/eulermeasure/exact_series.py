@@ -1,40 +1,36 @@
 """Exact power-series prefixes and their rational-function continuations.
 
 A graded family of measures is recorded as a prefix of its generating
-series in the grading variable t.  When the prefix satisfies a linear
-recurrence over the rationals, the series continues to a unique rational
-function; its value at t=1 is the regularized measure.
+series in the grading variable t; the series continues to a rational
+function, whose value at t=1 is the regularized measure.
 
-``fit_series`` runs Berlekamp-Massey on coefficients it asks for one at
-a time.  Each construction proves a bound d on the order of its series,
-and the fit stops as soon as n >= L + d, where n is the number of
-coefficients seen and L the current recurrence length: two rational
-functions of orders L and <= d that agree on L + d coefficients are
-equal, so that stop is a certificate, not a guess.  ``terms`` is only a
-ceiling on the coefficients computed; a fit that reaches it without a
-certificate is accepted only when the prefix holds at least 2L + 2
-coefficients, and otherwise refused.  No unverified extrapolation is
-ever reported, and ``Regularized.of`` holds each value against its routes.
+Every construction knows that rational function in closed form and
+proves a bound d on the order of the series its counts make.
+``closed_series`` computes the counts c_0, c_1, .. and checks them
+against the closed form.  Two rational functions of orders L and <= d
+that agree on L + d coefficients are equal, so by default it computes
+exactly L + d coefficients, L the closed form's order: that agreement
+is a certificate, not a guess.  An explicit ``terms`` sets how much of
+the prefix is shown.  ``series_window`` is the one sizing rule; its
+default 2d - 1 is the most a certificate needs (L <= d), so a window
+that is too large is refused before anything is counted.
 
-Every fitted series of the constructions has integer coefficients, and
-an integer series that is rational has an integer denominator with
-constant term 1 (Fatou 1906).  So the fit first runs modulo 61-bit
-primes, lifts the taps by CRT, and accepts the lift only after checking
-it exactly over the integers on every coefficient seen; on any doubt
-the same coefficients go to Berlekamp-Massey over the rationals, which
-gives the answer or the error.  Both engines return the same series.
-``min_recurrence``, the slow oracle they are tested against, solves one
-Hankel system per order instead, never Berlekamp-Massey; it scales the
-prefix to integers once and eliminates fraction-free (Bareiss), so it
-stays independent of both engines without Fraction arithmetic.
+``fit_series`` runs Berlekamp-Massey over the rationals on coefficients
+it asks for one at a time, and stops at the same certificate: n >= L + d
+for the length L of the recurrence fitted to the n coefficients seen.
+Without a bound (``continue_series``) a fit is accepted only when the
+prefix holds at least 2L + 2 coefficients.  No construction fits its
+series: the fit is the powerset report's independent refit and the
+oracle the tests hold every closed form against.  ``min_recurrence``,
+the slow oracle of the fit, solves one Hankel system per order instead,
+never Berlekamp-Massey; it scales the prefix to integers once and
+eliminates fraction-free (Bareiss), so it stays independent of the fit
+without Fraction arithmetic.
 
 Every construction returns one ``Regularized`` record: the series, its
 value at t=1, the routes that value was held against, and the graded
 counts behind the prefix.  ``Regularized.of`` is the one place that
-builds it.  A series whose closed form is known (the power set, the
-finite-range and the Schanuel map spaces) comes from ``closed_series``,
-which checks its prefix against that form; every other series comes
-from ``fit_series``.
+builds it.
 
 Everything is immutable and pure.
 """
@@ -183,15 +179,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 _PROOF_PRIME = 2 ** 61 - 1
-# The 64 largest primes below 2^61, _PROOF_PRIME first: enough for taps of
-# about 1900 bits.  A fit that runs out of them falls back to the rationals.
-_FIT_PRIMES = tuple(2 ** 61 - d for d in (
-    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819,
-    829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425,
-    1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1855,
-    1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083, 2115, 2133, 2185, 2371,
-    2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
-))
 
 
 def _residues_mod_p(p: Polynomial) -> list[int] | None:
@@ -274,6 +261,12 @@ class RationalFunction:
             raise InputError("denominator vanishes at t=0; no power series there")
         object.__setattr__(self, "numerator", num.scale(1 / c0))
         object.__setattr__(self, "denominator", den.scale(1 / c0))
+
+    @property
+    def order(self) -> int:
+        """The order of the shortest recurrence its Taylor coefficients
+        satisfy: max(deg denominator, deg numerator + 1), 0 for 0."""
+        return max(self.denominator.degree, self.numerator.degree + 1)
 
     def expand(self, last_index: int) -> tuple[Fraction, ...]:
         """Taylor coefficients c_0 .. c_last around t=0."""
@@ -389,19 +382,18 @@ def solve_linear_system(
 
 
 def series_window(order_bound: int, terms: int | None = None) -> int:
-    """Coefficient ceiling: a fit computes at most c_0..c_terms.
+    """The index of the last coefficient a series computes.
 
-    ``order_bound`` is an order the construction proves its series never
-    exceeds; the fit usually stops much earlier, at its certificate (see
-    fit_series).  By default terms is max(4d - 2, 2d + 1) for d =
-    order_bound, the smallest value that also meets the 2L + 2 length
-    contract of an uncertified fit of order d; a user-set terms replaces
-    it unchanged.  Either way terms must stay within limits.MAX_TERMS.
+    An explicit terms is returned unchanged.  The default is 2d - 1 for
+    d = order_bound: a closed form or fit of order L <= d is certified on
+    L + d coefficients, so no series needs more.  Either way the index
+    must lie in 0..limits.MAX_TERMS; a caller that sizes its window here
+    before counting refuses a window that is too large before any work.
     """
     if terms is None:
-        return check_terms(max(4 * order_bound - 2, 2 * order_bound + 1), order_bound)
-    if terms < 1:
-        raise InputError(f"terms must be at least 1 to fit a recurrence, got {terms}")
+        return check_terms(max(2 * order_bound - 1, 0), order_bound)
+    if terms < 0:
+        raise InputError(f"terms must be at least 0, got {terms}")
     return check_terms(terms)
 
 
@@ -477,10 +469,11 @@ def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunct
 class EulerSeries:
     """A series prefix together with its rational continuation.
 
-    ``order_bound`` is set when a proven order bound certified the fit
-    (the prefix holds at least order + order_bound coefficients); it is
-    None for closed forms and for fits accepted by the 2L + 2 length
-    contract.
+    ``order_bound`` is the bound d its construction proves on the
+    series' order: a prefix of at least L + d coefficients, for the
+    continuation's order L, certifies the continuation.  It is None for a
+    fit with no bound, accepted by the 2L + 2 length contract.
+    ``recurrence`` is set for fits only.
     """
 
     prefix: SeriesPrefix
@@ -518,24 +511,12 @@ class Regularized:
 
     @classmethod
     def of(cls, series: EulerSeries, routes: dict[str, Fraction], counts=(),
-           order_bound: int | None = None, **fields) -> "Regularized":
+           **fields) -> "Regularized":
         """The record of the series' value at t=1, which every route must
-        equal exactly; counts past the prefix's end (a modular fit left in
-        doubt may have made them) are dropped.
-
-        A fit on fewer than order + order_bound coefficients cannot be told
-        from the series (two rational functions of orders e and d that agree
-        on e + d coefficients are equal), so its disagreement is refused with
-        "raise terms"; any other disagreement is a library bug.
-        """
+        equal exactly: a disagreement is a library bug.  Counts past the
+        prefix's end are dropped."""
         value = series.regularized_value()
         if any(route != value for route in routes.values()):
-            rec, n = series.recurrence, len(series.prefix)
-            if order_bound is not None and rec is not None and n < rec.order + order_bound:
-                raise RegularizationError(
-                    f"the order-{rec.order} fit gives {value}, but {n} coefficients "
-                    f"cannot verify it against order bound {order_bound}; raise terms"
-                )
             named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
             raise InternalCheckError(f"route disagreement: {named}")
         return cls(series, value, routes, tuple(counts[:len(series.prefix)]), **fields)
@@ -569,20 +550,21 @@ def closed_series(
 ) -> EulerSeries:
     """The prefix c_0..c_terms of a series whose closed form is known.
 
-    ``coefficient(k)`` is called once for each k in order.  terms
-    defaults to the series_window ceiling for order_bound; an explicit
-    terms may be 0 (one coefficient) and must stay within
-    limits.MAX_TERMS.  The prefix must expand the closed form exactly.
+    ``coefficient(k)`` is called once for each k in order.  By default
+    the prefix holds L + d coefficients, for the closed form's order L
+    and d = order_bound; the counts have order <= d, so their agreement
+    with the closed form there is the certificate that they agree
+    everywhere.  An explicit terms sets the prefix shown (see
+    series_window).  The prefix must expand the closed form exactly.
     """
     if terms is None:
-        terms = series_window(order_bound)
-    elif terms < 0:
-        raise InputError(f"terms must be at least 0, got {terms}")
-    check_terms(terms)
+        terms = check_terms(max(closed_form.order + order_bound, 1) - 1, order_bound)
+    else:
+        terms = series_window(order_bound, terms)
     coeffs = [coefficient(k) for k in range(terms + 1)]
     if not _expands_to(closed_form, coeffs):
         raise InternalCheckError("counts disagree with the closed form")
-    return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form)
+    return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form, order_bound=order_bound)
 
 
 def _rational_massey_fit(
@@ -600,8 +582,7 @@ def _rational_massey_fit(
     construction proves: a library bug, not a knob to raise.  (Only a
     nonzero c_0 against a bound of 0 can get there: length jumps to
     k + 1 - length, which is at most order_bound while no certificate has
-    stopped the fit.)  This engine decides every fit the modular one
-    leaves in doubt, and is its test oracle.
+    stopped the fit.)
     """
     coeffs: list[Fraction] = []
     conn = [Fraction(1)]  # connection polynomial: sum conn[i] c_{k-i} = 0
@@ -634,8 +615,9 @@ def _rational_massey_fit(
                 certified = True
                 break
     if not certified and len(coeffs) < 2 * length + 2:
+        need = 2 * length + 2 if order_bound is None else min(length + order_bound, 2 * length + 2)
         raise RegularizationError(
-            f"an order-{length} recurrence needs {2 * length + 2} coefficients to "
+            f"an order-{length} recurrence needs {need} coefficients to "
             f"verify, but terms allows {len(coeffs)}; raise terms"
         )
     taps = [-c for c in conn[1:]] + [Fraction(0)] * (length + 1 - len(conn))
@@ -643,117 +625,6 @@ def _rational_massey_fit(
     rec = Recurrence(tuple(taps))
     return EulerSeries(
         prefix, to_rational_function(prefix, rec), rec, order_bound if certified else None
-    )
-
-
-class _ModularMassey:
-    """Berlekamp-Massey over Z/p, fed one integer coefficient at a time."""
-
-    def __init__(self, p: int):
-        self.p, self.seq = p, []
-        self.conn, self.prev, self.prev_disc, self.shift, self.length = [1], [1], 1, 1, 0
-
-    def push(self, c: int) -> int:
-        """Take the next coefficient; return the recurrence length so far."""
-        p, seq, conn = self.p, self.seq, self.conn
-        seq.append(c % p)
-        k = len(seq) - 1
-        disc = sum(map(operator.mul, conn, seq[k::-1])) % p
-        if not disc:
-            self.shift += 1
-            return self.length
-        step = disc * pow(self.prev_disc, -1, p) % p
-        updated = conn + [0] * max(0, self.shift + len(self.prev) - len(conn))
-        for i, b in enumerate(self.prev, self.shift):
-            updated[i] = (updated[i] - step * b) % p
-        while updated[-1] == 0:
-            updated.pop()
-        if 2 * self.length <= k:
-            self.prev, self.prev_disc, self.shift, self.length = conn, disc, 1, k + 1 - self.length
-        else:
-            self.shift += 1
-        self.conn = updated
-        return self.length
-
-    def taps(self) -> list[int]:
-        return [-c % self.p for c in self.conn[1:]] + [0] * (self.length + 1 - len(self.conn))
-
-
-def _symmetric(residues: list[int], modulus: int) -> list[int]:
-    return [r - modulus if 2 * r > modulus else r for r in residues]
-
-
-def _lift_taps(coeffs: list[int], first: _ModularMassey) -> list[int] | None:
-    """Integer taps of length first.length that hold exactly on coeffs.
-
-    The taps mod each further prime are combined by CRT until their
-    symmetric lift stops changing; that lift is then checked over the
-    integers.  None when a prime finds another length, the primes run
-    out, or the stable lift fails the check.
-    """
-    modulus, residues = first.p, first.taps()
-    lifted = _symmetric(residues, modulus)
-    for p in _FIT_PRIMES[1:]:
-        other = _ModularMassey(p)
-        for c in coeffs:
-            other.push(c)
-        if other.length != first.length:
-            return None
-        inverse = pow(modulus, -1, p)
-        residues = [r + modulus * ((s - r) * inverse % p) for r, s in zip(residues, other.taps())]
-        modulus *= p
-        stable, lifted = lifted, _symmetric(residues, modulus)
-        if lifted == stable:
-            return lifted if _recurrence_holds(coeffs, lifted) else None
-    return None
-
-
-def _massey_fit(
-    coefficient: Callable[[int], object],
-    last: int,
-    order_bound: int | None,
-    grading: str,
-) -> EulerSeries:
-    """Berlekamp-Massey on c_0, c_1, .., c_last, with the same result as
-    _rational_massey_fit.
-
-    While the coefficients are integers the fit runs modulo the first of
-    _FIT_PRIMES and stops at the first n >= L + order_bound.  Its lift
-    is accepted when the lifted recurrence holds over the integers on all
-    n coefficients and its continuation has reduced order exactly L:
-    then L is the rational length at every step, so the rational engine
-    would stop at the same n with the same taps (a recurrence of reduced
-    order L is unique on 2L coefficients).  Any doubt (a non-integer
-    coefficient, L > order_bound mod p, a failed lift,
-    no certificate within terms) hands the coefficients already computed
-    to _rational_massey_fit, so each coefficient(k) is still called at
-    most once.
-    """
-    if order_bound is None:  # no certificate is possible
-        return _rational_massey_fit(coefficient, last, order_bound, grading)
-    seen: list = []
-    ints: list[int] = []
-    first = _ModularMassey(_FIT_PRIMES[0])
-    for k in range(last + 1):
-        seen.append(coefficient(k))
-        value = seen[k]
-        if type(value) is not int and not (isinstance(value, Fraction) and value.denominator == 1):
-            break
-        ints.append(int(value))
-        length = first.push(ints[k])
-        if length > order_bound:
-            break
-        if k + 1 >= length + order_bound:
-            taps = _lift_taps(ints, first)
-            if taps is not None:
-                prefix, rec = SeriesPrefix(tuple(ints), grading), Recurrence(tuple(taps))
-                rf = to_rational_function(prefix, rec)
-                if max(rf.denominator.degree, rf.numerator.degree + 1) == length:
-                    return EulerSeries(prefix, rf, rec, order_bound)
-            break
-    return _rational_massey_fit(
-        lambda k: seen[k] if k < len(seen) else coefficient(k),
-        last, order_bound, grading,
     )
 
 
@@ -766,25 +637,30 @@ def fit_series(
     """Certified rational continuation of a series known coefficient by coefficient.
 
     ``coefficient(k)`` is called once for each k = 0, 1, .. in order, and
-    never for k beyond the terms ceiling of series_window.  The fit stops
-    at the first n with n >= L + order_bound, where L is the order of
-    the recurrence fitted to the n coefficients seen: the series has
-    order <= order_bound, so it equals the fit.  When the ceiling comes
-    first the fit is accepted under the 2L + 2 length contract or
-    refused with "raise terms".  A recurrence longer than order_bound
-    contradicts the bound and is an InternalCheckError.
+    never for k beyond the window of series_window.  The fit stops at the
+    first n with n >= L + order_bound, where L is the order of the
+    recurrence fitted to the n coefficients seen: the series has order
+    <= order_bound, so it equals the fit.  When the window ends first
+    the fit is accepted under the 2L + 2 length contract or refused with
+    "raise terms".  A recurrence longer than order_bound contradicts the
+    bound and is an InternalCheckError.
     """
-    return _massey_fit(coefficient, series_window(order_bound, terms), order_bound, grading)
+    last = series_window(order_bound, terms)
+    return _rational_massey_fit(coefficient, last, order_bound, grading)
 
 
-def continue_series(prefix: SeriesPrefix) -> EulerSeries:
+def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
     """Fit a recurrence to a whole fixed prefix and attach the continuation.
 
-    No order bound is known here, so every coefficient is used and the
-    fit is accepted only under the 2L + 2 length contract.
+    With the order bound its construction proves, the fit stops at the
+    certificate, as in fit_series; with none, every coefficient is used
+    and the fit is accepted only under the 2L + 2 length contract.
     """
-    last = series_window(len(prefix), len(prefix) - 1)
-    return _massey_fit(prefix.coefficients.__getitem__, last, None, prefix.grading)
+    if len(prefix) < 2:
+        raise InputError(f"terms must be at least 1 to fit a recurrence, got {len(prefix) - 1}")
+    return _rational_massey_fit(
+        prefix.coefficients.__getitem__, len(prefix) - 1, order_bound, prefix.grading
+    )
 
 
 def binomial_closed_form(m: int, lam, scale=1) -> RationalFunction:

@@ -40,7 +40,6 @@ from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
 from .exact_series import Polynomial, RationalFunction, Regularized, closed_series, series_window
 from .interval_sets import Point, PolyhedralSet1D
-from .limits import check_terms
 
 GRADING = "rank"
 DEFAULT_STRATA_CAP = 10
@@ -145,16 +144,19 @@ def parity_length(P: PolyhedralSet1D) -> int:
 def fibonacci_measure(P: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Regularized measure of the parity-constrained subset family of P.
 
-    The series is parity_polynomial as its own closed form; its length
-    sizes the window, which is checked (from parity_length) before the
-    O(pieces^2) count.  The last route, ``expected``, is F(chi(P) + 1); the
-    counts are empty, since the coefficients are the stratum counts.
+    The series is parity_polynomial as its own closed form, and its
+    length d is the order bound.  The window (series_window: 2d - 1 by
+    default) is checked from parity_length before the O(pieces^2) count;
+    closed_series then shows L + d coefficients, or c_0..c_terms.  The
+    last route, ``expected``, is F(chi(P) + 1); the counts are empty,
+    since the coefficients are the stratum counts.
     """
-    terms = series_window(parity_length(P)) if terms is None else check_terms(terms)
+    order_bound = parity_length(P)
+    series_window(order_bound, terms)
     coeffs = parity_polynomial(P)
     closed = RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
     series = closed_series(
-        lambda k: coeffs[k] if k < len(coeffs) else 0, closed, len(coeffs), terms, GRADING
+        lambda k: coeffs[k] if k < len(coeffs) else 0, closed, order_bound, terms, GRADING
     )
     routes = {
         "series_regularization": series.regularized_value(),

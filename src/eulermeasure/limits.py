@@ -5,22 +5,23 @@ oracles (gizmo_support_census, brute_map_count, map_pair_count); each
 takes an explicit cap argument with this default.  No CLI verb
 enumerates, so none reaches it.  The series ceiling MAX_TERMS is fixed:
 it sits above the default window of every documented input (terms =
-max(4d - 2, 2d + 1) for order bound d) and is checked before any
-coefficient is counted.  fib's bound is the length of the polynomial it
-counts, which it walks in O(pieces) before the count (2000 points:
-terms 8002).  It also bounds the selection size of choose.
+2d - 1 for order bound d, the most a certificate needs; see
+exact_series.series_window) and is checked before any coefficient is
+counted.  fib's bound is the length of the polynomial it counts, which
+it walks in O(pieces) before the count (2000 points: terms 4001; from
+5000 points on the window is above the ceiling).  It also bounds the
+selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
-sizes k_i over a set of measure chi fits J = prod(k_i) exponentials
-(2^j - 1)^k; its size is max(-chi, 1) * J(J+1)/2, the bit size of the
-larger of two denominators, prod_j (1 + (2^j - 1)t)^(-chi) of the series
-and prod_j (2^j - 1) of the exponential fit.  Past J = 60 the bases
-2^j - 1 vanish or repeat modulo the first fit prime 2^61 - 1, so a
-series with chi < 0 falls back to the Fraction engine, which does not
-finish: gizmo "(0,1)" --ks 60 takes 0.4 s, and --ks 61 or 8,8 still
-runs after 40 s.  Near 3,900 bits the lift also runs out of its 64
-primes.  The ceiling is the size of --ks 60 on (0,1); it is checked
-before the support counts.
+sizes k_i over a set of measure chi has J = prod(k_i) exponential bases
+2^j - 1; its size is max(-chi, 1) * J(J+1)/2, the bit size of the larger
+of two denominators, prod_j (1 + (2^j - 1)t)^(-chi) of its closed form
+and prod_j (2^j - 1) of the exponential fit.  exact_series.RationalFunction
+proves a closed form reduced by Euclid modulo the prime 2^61 - 1.  From
+J = 61 on the base 2^61 - 1 is 0 modulo that prime, the proof fails,
+and the fallback gcd over the rationals (poly_gcd) did not finish within
+100 s for --ks 61 on (0,1).  The ceiling is the size of --ks 60 on
+(0,1); it is checked before the support counts.
 """
 
 import math

@@ -14,12 +14,17 @@ of affine maps from an open interval into B has Euler measure chi(B)
 1, each point component a point), and the same breakpoint grading gives
 chi(B) * (chi(B)^2 - 1)^k exact-breakpoint measures.  Either way the
 series continues to base/(1 + (base^2-1) t) and regularizes to 1/base,
-or to 0 when the base is 0.  Each construction returns an
+or to 0 when the base is 0.  Unordered pairs of distinct maps, graded by
+the union of their breakpoint sets, continue to the difference of two
+such series, (1/2)(b^2/(1 + (b^4-1) t) - b/(1 + (b^2-1) t)), and
+regularize to binom(1/b, 2).  Each construction returns an
 exact_series.Regularized record whose counts are the exact-breakpoint
 (or, for pairs, union-breakpoint) counts.
 
-Every count here is a closed form; brute_map_count and map_pair_count
-enumerate value sequences, as bounded test oracles only.
+Every count and every series here is a closed form, and
+exact_series.closed_series holds the counts against the series;
+brute_map_count and map_pair_count enumerate value sequences, as bounded
+test oracles only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,13 @@ import math
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, UnsupportedDomainError
-from .exact_series import Regularized, binomial_closed_form, closed_series, fit_series
+from .exact_series import (
+    Polynomial,
+    RationalFunction,
+    Regularized,
+    binomial_closed_form,
+    closed_series,
+)
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP
@@ -87,7 +98,8 @@ def hedral_map_measure(
     being independent of where the breakpoints sit.  Over p components
     the counts are n_k = bsize^p (bsize^2 - 1)^k, and the series
     sum binom(-p, k) n_k t^k is held against its closed form
-    bsize^p / (1 + (bsize^2 - 1) t)^p of order p.
+    bsize^p / (1 + (bsize^2 - 1) t)^p of order p, or 1 for the constant
+    series of the empty domain.
     """
     if bsize < 1:
         raise InputError("codomain size must be positive")
@@ -104,7 +116,7 @@ def hedral_map_measure(
         return integer_binomial(-p, k) * counts[k]
 
     closed = binomial_closed_form(-p, bsize ** 2 - 1, bsize ** p)
-    series = closed_series(coefficient, closed, p, terms, GRADING)
+    series = closed_series(coefficient, closed, max(p, 1), terms, GRADING)
     routes = {
         "series_regularization": series.regularized_value(),
         "codomain_power": Fraction(bsize) ** -p,
@@ -157,25 +169,30 @@ def map_pair_measure(bsize: int, terms: int | None = None) -> Regularized:
     """Series and value for unordered distinct pairs of maps from (0,1).
 
     The pair rank is the size of the union of the two breakpoint sets;
-    the counts are finite_pair_count's, the series coefficient is
-    (-1)^k times the count, and the value is the continuation at t=1.
-    The continuation is a certified fit, not the closed form written
-    out: with order bound 2 it reads k = 0..3 by default.  The value
-    must equal binom(1/bsize, 2), the pairs of the map space of
-    measure 1/bsize.
+    the counts are finite_pair_count's, and the series coefficient is
+    (-1)^k times the count.  Their two geometric sequences give the
+    closed form (1/2)(b^2/(1 + (b^4-1)t) - b/(1 + (b^2-1)t)), which
+    closed_series holds against the counts: by default on k = 0..3 for
+    the order bound 2.  The value must equal binom(1/bsize, 2), the pairs
+    of the map space of measure 1/bsize.
     """
+    if bsize < 1:
+        raise InputError("codomain size must be positive")
+    wide, narrow = bsize ** 4 - 1, bsize ** 2 - 1
+    num = (Fraction(bsize ** 2 - bsize, 2), Fraction(bsize ** 2 * narrow - bsize * wide, 2))
+    closed = RationalFunction(Polynomial(num), Polynomial((1, wide)) * Polynomial((1, narrow)))
     counts: list[int] = []
 
     def coefficient(k: int) -> int:
         counts.append(finite_pair_count(bsize, k))
         return (-1) ** k * counts[k]
 
-    series = fit_series(coefficient, PAIR_ORDER_BOUND, terms, GRADING)
+    series = closed_series(coefficient, closed, PAIR_ORDER_BOUND, terms, GRADING)
     routes = {
         "series_regularization": series.regularized_value(),
         "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),
     }
-    return Regularized.of(series, routes, counts, PAIR_ORDER_BOUND)
+    return Regularized.of(series, routes, counts)
 
 
 def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:

@@ -8,15 +8,18 @@ lexicographic order on tuples; elements are graded by the size of their
 support (the union of all underlying subsets).
 
 The number n_k of gizmo elements over any fixed k-element support
-depends only on k.  Two independent routes produce the regularized
-measure:
+depends only on k, and is a fixed rational combination
+n_k = sum_j a_j (2^j - 1)^k of the pure exponentials for j = 1..J,
+J = prod(k_i).  gizmo_fit solves the weights a_j from a Vandermonde
+system, verifies them on held-out counts and holds them against the
+iterated binomial polynomial.  Two routes produce the regularized
+measure from them:
 
-* exponential fit: n_k is a fixed rational combination of the pure
-  exponentials (2^j - 1)^k for j = 1..J, J = prod(k_i); the combination
-  is solved from a Vandermonde system, verified on held-out counts, and
-  evaluated directly at 2^chi(A);
-* series regularization: the prefix binom(chi(A), k) * n_k is fitted to
-  a linear recurrence and its rational continuation evaluated at t=1.
+* exponential fit: the weights' polynomial sum_j a_j x^j evaluated
+  directly at 2^chi(A);
+* series regularization: the closed form sum_j a_j (1 + (2^j - 1)t)^chi(A),
+  whose t^k coefficient is binom(chi(A), k) * n_k, checked against those
+  counts by exact_series.closed_series and evaluated at t=1.
 
 Both routes must agree with the iterated binomial coefficient of
 2^chi(A), which exact_series.Regularized.of checks on every call.  Both
@@ -35,11 +38,12 @@ from fractions import Fraction
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
     Polynomial,
+    RationalFunction,
     Regularized,
     binomial_closed_form,
     clear_denominators,
     closed_series,
-    fit_series,
+    series_window,
 )
 from .interval_sets import PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP, check_gizmo_size
@@ -163,14 +167,19 @@ def iterated_binomial_polynomial(ks) -> Polynomial:
     for k in ks:
         product = [1]
         for i in range(k):
-            factor = [poly[0] - i * scale] + poly[1:]
-            out = [0] * (len(product) + len(factor) - 1)
-            for a_pos, a in enumerate(product):
-                for b_pos, b in enumerate(factor):
-                    out[a_pos + b_pos] += a * b
-            product = out
+            product = _convolve(product, [poly[0] - i * scale] + poly[1:])
         poly, scale = product, scale ** k * math.factorial(k)
     return Polynomial(tuple(Fraction(c, scale) for c in poly))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Fraction]:
@@ -271,33 +280,62 @@ class GizmoMeasureResult(Regularized):
     route_series = property(lambda self: self.routes["series_regularization"])
 
 
+def _closed_form(fit: ExponentialFit, chi: int) -> RationalFunction:
+    """sum_j a_j (1 + b_j t)^chi over the fit's weights a_j and bases b_j.
+
+    Its t^k coefficient is binom(chi, k) sum_j a_j b_j^k = binom(chi, k) n_k.
+    It is built over the integers, from the weights W_j / D.  For chi < 0
+    it is sum_j W_j prod_{i != j} (1 + b_i t)^-chi over
+    D prod_j (1 + b_j t)^-chi, with zero weights left out: the bases are
+    distinct, so that numerator is nonzero at every pole -1/b_j and the
+    fraction is already reduced.
+    """
+    weights, scale = clear_denominators(fit.weights)
+    if chi >= 0:
+        num = [math.comb(chi, k) * sum(w * b ** k for w, b in zip(weights, fit.bases))
+               for k in range(chi + 1)]
+        den = [1]
+    else:
+        num, den = [0], [1]
+        for w, b in zip(weights, fit.bases):
+            if w:
+                power = [math.comb(-chi, i) * b ** i for i in range(1 - chi)]
+                num = [x + w * y for x, y in
+                       itertools.zip_longest(_convolve(num, power), den, fillvalue=0)]
+                den = _convolve(den, power)
+    return RationalFunction(Polynomial(tuple(Fraction(c, scale) for c in num)),
+                            Polynomial(tuple(den)))
+
+
 def gizmo_measure(
     A: PolyhedralSet1D, spec: GizmoSpec, terms: int | None = None
 ) -> GizmoMeasureResult:
-    """Regularized Euler measure of G(2^A; k_1..k_r), by both routes.
+    """Regularized Euler measure of G(2^A; k_1..k_r), by three routes.
 
-    The series fit stops at the certificate of the order bound from
-    chi(A) and J = prod(k_i); terms only caps the support counts
-    computed.  The size ceiling and the window are checked before any
-    counting.  The routes must agree (see exact_series.Regularized.of).
+    The window (exact_series.series_window for the order bound from
+    chi(A) and J = prod(k_i)) and the size ceiling are checked before any
+    counting.  gizmo_fit's weights give the closed form, which
+    closed_series holds against the counts binom(chi, k) n_k: by default
+    on L + d of them, the certificate.  The routes must agree (see
+    exact_series.Regularized.of).
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
     order_bound = _order_bound(chi, spec.fit_dimension)
+    series_window(order_bound, terms)
+    check_gizmo_size(chi, spec.ks)
     totals: list[int] = []
+    fit = gizmo_fit(spec, totals=totals)
     counts: list[int] = []
 
     def coefficient(k: int) -> int:
-        if k == 0:  # fit_series has checked the window; no count is made yet
-            check_gizmo_size(chi, spec.ks)
         counts.append(gizmo_support_count(spec, k, totals))
         return integer_binomial(chi, k) * counts[k]
 
-    series = fit_series(coefficient, order_bound, terms, GRADING)
-    fit = gizmo_fit(spec, totals=totals)
+    series = closed_series(coefficient, _closed_form(fit, chi), order_bound, terms, GRADING)
     routes = {
         "exponential_fit": fit.value_at(two_chi),
         "series_regularization": series.regularized_value(),
         "iterated_binomial": iterated_binomial(two_chi, spec.ks),
     }
-    return GizmoMeasureResult.of(series, routes, counts, order_bound, fit=fit)
+    return GizmoMeasureResult.of(series, routes, counts, fit=fit)

@@ -240,7 +240,7 @@ def _recurrence_round_trip():
     rng = random.Random(201)
     for trial in range(30):
         rf = random_rational_function(rng)
-        order_bound = max(rf.denominator.degree, rf.numerator.degree + 1)
+        order_bound = rf.order
         n = 2 * (rf.numerator.degree + rf.denominator.degree) + 2
         n = max(n, 4 * order_bound + 2)
         prefix = SeriesPrefix(rf.expand(n - 1), "rank")
@@ -518,7 +518,7 @@ def _map_pair_counts():
 def _schanuel_finite_consistency():
     for m in range(1, 4):
         b = points(range(m))
-        result = schanuel_measure(b)
+        result = schanuel_measure(b, terms=2)
         for k in range(3):
             if result.counts[k] != brute_map_count(m, k):
                 return f"|B|={m} k={k}: {result.counts[k]}"

@@ -20,7 +20,7 @@ from eulermeasure.errors import ParseError
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
 from eulermeasure.partition_combinatorics import integer_binomial, iterated_binomial
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
-from eulermeasure.verify import random_piece_set, random_polyhedral_set, run_verify
+from eulermeasure.verify import random_piece_set, random_polyhedral_set, run_verify, set_with_chi
 
 F = Fraction
 
@@ -187,7 +187,7 @@ class TestRun:
     def test_powerset_report(self):
         report = run(Command("powerset", {"set": "(0,1)"}))
         assert report.results["value"]["value"] == "1/2"
-        assert report.results["series"]["coefficients"][:4] == ["1", "-1", "1", "-1"]
+        assert report.results["series"]["coefficients"] == ["1", "-1"]  # L + d = 1 + 1
         assert report.results["series"]["closed_form"]["denominator"] == ["1", "1"]
         assert any(c["name"] == "continuation-agreement" and c["status"] == "ok" for c in report.checks)
 
@@ -200,23 +200,25 @@ class TestRun:
             "iterated_binomial": "-1/8",
         }
         assert report.results["fit"]["weights"] == ["-1/2", "1/2"]
-        assert report.results["support_counts"][1:4] == ["1", "4", "13"]
-        assert report.results["series"]["recurrence"] == {
-            "order": 2, "taps": ["-4", "-3"], "fit_terms": 4, "verified_terms": 0, "order_bound": 2,
-        }
+        assert report.results["support_counts"] == ["0", "1", "4", "13"]
+        # the closed form of order 2, certified against bound 2 on 4 counts; nothing is fitted
+        assert report.results["series"]["closed_form"]["denominator"] == ["1", "4", "3"]
+        assert "recurrence" not in report.results["series"]
         assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
     def test_gizmo_order_108(self):
-        # default knobs: 216 support counts and taps of about 1500 bits
+        # default knobs: 216 support counts, the certificate L + d = 108 + 108,
+        # against a closed form with coefficients of about 1500 bits
         report = run(Command("gizmo", {"set": "(0,1) u (2,3) u (4,5) u (6,7)", "ks": [3, 3, 3]}))
         assert report.results["value"]["value"] == str(iterated_binomial(F(1, 16), (3, 3, 3)))
-        assert report.results["series"]["recurrence"]["order_bound"] == 108
+        assert len(report.results["support_counts"]) == 216
+        assert len(report.results["series"]["closed_form"]["denominator"]) == 109
         assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
     def test_mapspace_finite(self):
         report = run(Command("mapspace", {"set": "(0,1)", "finite": 2}))
         assert report.results["value"]["value"] == "1/2"
-        assert report.results["breakpoint_counts"][:4] == ["2", "6", "18", "54"]
+        assert report.results["breakpoint_counts"] == ["2", "6"]  # L + d = 1 + 1
 
     def test_mapspace_pairs(self):
         report = run(Command("mapspace", {"set": "(0,1)", "finite": 2, "pairs": True}))
@@ -321,7 +323,8 @@ class TestMain:
         assert code == 2
         assert "error [input]" in err
         for knob, argv in (
-            ("terms", ["gizmo", "(0,1)", "--ks", "2", "--terms", "0"]),
+            ("terms must be at least 0, got -1",
+             ["gizmo", "(0,1)", "--ks", "2", "--terms", "-1"]),
             ("terms must be at least 0, got -5", ["powerset", "(0,1)", "--terms", "-5"]),
             ("k must be at least 0, got -1", ["choose", "(0,1)", "-k", "-1"]),
             ("selection size (--ks)", ["gizmo", "(0,1)", "--ks", ","]),
@@ -355,12 +358,24 @@ class TestMain:
             assert "unrecognized arguments: --max-order -1" in capsys.readouterr().err
 
     def test_text_report_names_the_certificate(self, capsys):
+        # only the powerset refit fits a recurrence; a gizmo reports its closed form
         assert main(["gizmo", "(0,1)", "--ks", "2"]) == 0
-        assert "certified by order bound 2 (4 >= 2 + 2 coefficients)" in capsys.readouterr().out
-        assert main(["gizmo", "(0,1)", "--ks", "2", "--terms", "7"]) == 0
-        assert "certified by order bound 2" in capsys.readouterr().out
+        assert "recurrence" not in capsys.readouterr().out
         assert main(["powerset", "(0,1)"]) == 0
-        assert "accepted by the length contract (4 >= 2*1 + 2 coefficients)" in capsys.readouterr().out
+        assert "certified by order bound 1 (2 >= 1 + 1 coefficients)" in capsys.readouterr().out
+        assert main(["powerset", "(0,1)", "--terms", "7"]) == 0
+        assert "verified on 6 more; certified by order bound 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("chi", range(-5, 6))
+    def test_default_powerset_refit_is_certified(self, chi, capsys):
+        # the default prefix holds the L + d coefficients that certify the refit
+        assert main(["powerset", to_expression(set_with_chi(chi)), "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["warnings"] == []
+        assert {"name": "continuation-agreement", "status": "ok"} in blob["checks"]
+        series, bound = blob["results"]["series"], -chi if chi < 0 else chi + 1
+        assert series["recurrence"]["order_bound"] == bound
+        assert len(series["coefficients"]) == series["recurrence"]["order"] + bound
 
     def test_route_disagreement_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(map_spaces, "gen_binomial", lambda x, k: Fraction(1, 3))
@@ -396,7 +411,8 @@ class TestMain:
             (["powerset", "(0,1)", "--terms", "100000000"], "terms 100000000 exceeds"),
             (["mapspace", "(0,1)", "--finite", "2", "--terms", "100000000"], "terms 100000000 exceeds"),
             (["gizmo", "(0,1)", "--ks", "2", "--terms", "10001"], "terms 10001 exceeds"),
-            (["gizmo", "(0,1)", "--ks", "60,60"], "terms 14398 (the default for order bound 3600)"),
+            (["gizmo", "(0,1)", "--ks", "71,71"],
+             "terms 10081 (the default for order bound 5041)"),
             # the gizmo size ceiling, checked before the support counts
             (["gizmo", "(0,1)", "--ks", "8,8"], "--ks 8,8 (J = 64) on a set of measure -1"),
             (["gizmo", "(0,1)", "--ks", "61"], "1891-bit denominators, above the ceiling of 1830"),
@@ -412,12 +428,15 @@ class TestMain:
 
         monkeypatch.setattr(fibonacci_subsets, "parity_polynomial", refuse)
         for argv, origin in (
-            (["fib", "{" + ",".join(map(str, range(2600))) + "}"],
-             "terms 10402 (the default for order bound 2601) exceeds"),
+            (["fib", "{" + ",".join(map(str, range(5000))) + "}"],
+             "terms 10001 (the default for order bound 5001) exceeds"),
             (["fib", "{0,1}", "--terms", "10001"], "terms 10001 exceeds"),
         ):
             assert main(argv) == 3
             assert origin in capsys.readouterr().err
+        # one point less fits the window 2d - 1 = 9999, so the count starts
+        with pytest.raises(AssertionError, match="parity polynomial counted"):
+            main(["fib", "{" + ",".join(map(str, range(4999))) + "}"])
 
     def test_json_error_payload(self, capsys):
         code = main(["measure", "(3,1)", "--json"])
@@ -556,16 +575,16 @@ class TestMapPairsContract:
             code = main(argv)
         elapsed = time.perf_counter() - start
         blob = json.loads(out.getvalue())
-        assert code in {0, 2, 3, 4} and elapsed < 0.25
+        assert code in {0, 2, 3} and elapsed < 0.25
         if code == 0:
             assert blob["results"]["value"]["value"] == str(F(1 - bsize, 2 * bsize ** 2))
+            # the certificate L + d: order 2, or the zero series for b = 1
+            default = 4 if bsize > 1 else 2
+            assert len(blob["results"]["pair_counts"]) == (default if terms is None else terms + 1)
             return
         message = blob["error"]["message"]
-        if code == 2:
-            bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 1}
-            assert any(knob in message for knob, is_bad in bad.items() if is_bad)
-        else:
-            assert terms is not None and message.endswith("raise terms")
+        bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 0}
+        assert any(knob in message for knob, is_bad in bad.items() if is_bad)
 
 
 class TestVerify:
@@ -628,7 +647,7 @@ def test_knob_sweep(case, terms, max_order, capsys):
         return
     code = main(argv + ["--json"])
     blob = json.loads(capsys.readouterr().out)
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     if code == 0:
         assert F(blob["results"]["value"]["value"]) == expected
     else:

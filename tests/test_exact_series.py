@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from eulermeasure import exact_series, fibonacci_subsets, map_spaces, power_gizmos
 from eulermeasure.errors import (
-    EulerMeasureError,
     InputError,
     InternalCheckError,
     RegularizationError,
@@ -156,15 +155,15 @@ class TestSeriesWindow:
     @pytest.mark.parametrize(
         "bound,terms,max_order,expected",
         [
-            (0, None, None, (1, 0)),
-            (1, None, None, (3, 1)),
-            (2, None, None, (6, 2)),
-            (24, None, None, (94, 24)),
+            (0, None, None, (0, 0)),
+            (1, None, None, (1, 1)),
+            (2, None, None, (3, 2)),
+            (24, None, None, (47, 24)),
             (2, 30, None, (30, 2)),
             (24, 30, None, (30, 24)),
             (2, 5, 8, (5, 2)),
-            (2, None, 5, (6, 2)),
-            (24, None, 2, (94, 24)),
+            (2, None, 5, (3, 2)),
+            (24, None, 2, (47, 24)),
         ],
     )
     def test_window(self, bound, terms, max_order, expected):
@@ -176,22 +175,27 @@ class TestSeriesWindow:
         assert (series_window(bound, terms), bound) == expected
 
     def test_default_window_meets_fit_contract(self):
-        for bound in range(30):
-            terms = series_window(bound)
-            assert (terms + 2) // 2 >= 2 * bound and terms + 1 >= 2 * bound + 2
+        # a closed form or fit of order L <= d is certified on L + d coefficients
+        for bound in range(1, 30):
+            assert series_window(bound) + 1 == 2 * bound
 
     @pytest.mark.parametrize("terms", [0, -3])
     def test_bad_terms_named_with_minimum(self, terms):
-        with pytest.raises(InputError, match="terms must be at least 1"):
+        # terms 0 shows one coefficient; below it is an input error
+        if terms == 0:
+            assert series_window(2, terms) == 0
+            return
+        with pytest.raises(InputError, match="terms must be at least 0, got -3"):
             series_window(2, terms)
 
     def test_terms_ceiling(self):
-        # fib on 2000 pieces has order bound 2001 and the default terms 8002
-        assert series_window(2001) == 8002
+        # fib on 2000 points has order bound 2001 and the default terms 4001
+        assert series_window(2001) == 4001
+        assert series_window(5000) == 9999
         assert series_window(2, MAX_TERMS) == MAX_TERMS
         for bound, terms, origin in (
             (2, MAX_TERMS + 1, f"terms {MAX_TERMS + 1} exceeds"),
-            (2502, None, "terms 10006 (the default for order bound 2502) exceeds"),
+            (5001, None, "terms 10001 (the default for order bound 5001) exceeds"),
         ):
             with pytest.raises(ResourceLimitError, match=re.escape(origin)):
                 series_window(bound, terms)
@@ -251,6 +255,15 @@ class TestRoundTrip:
         with pytest.raises(RegularizationError):
             continue_series(SeriesPrefix((1, 2, 4, 8, 16, 31, 57, 99, 163), "rank"))
 
+    def test_continue_series_with_bound_stops_at_certificate(self):
+        # order 1 and bound 2 certify on 3 of the 12 coefficients
+        prefix = SeriesPrefix(rf([1], [1, 1]).expand(11), "rank")
+        series = continue_series(prefix, 2)
+        assert series.closed_form == rf([1], [1, 1])
+        assert len(series.prefix) == 3 and series.order_bound == 2
+        with pytest.raises(InputError, match="terms must be at least 1 to fit a recurrence"):
+            continue_series(SeriesPrefix((1,), "rank"), 2)
+
     def test_series_without_closed_form(self):
         # the closed form is required: a series cannot be built without one
         with pytest.raises(TypeError):
@@ -290,10 +303,9 @@ class TestFitSeries:
     def test_counts_above_their_bound_are_a_bug(self):
         # a nonzero c_0 needs order 1, above a proven bound of 0; for d >= 1
         # the certificate stops every fit before its length passes d
-        for engine in (exact_series._massey_fit, exact_series._rational_massey_fit):
-            for c0 in (1, F(1, 3)):
-                with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
-                    engine(lambda k: c0, 5, 0, "rank")
+        for c0 in (1, F(1, 3)):
+            with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
+                fit_series(lambda k: c0, 0, 5)
 
 
 class TestClosedSeries:
@@ -305,14 +317,20 @@ class TestClosedSeries:
             asked.append(k)
             return (-1) ** k * (k + 1)
 
-        assert closed_series(coefficient, closed, 2).closed_form == closed
-        assert asked == list(range(7))  # the default window, 4d - 2 = 6
+        series = closed_series(coefficient, closed, 2)
+        assert series.closed_form == closed and series.order_bound == 2
+        assert asked == list(range(4))  # the certificate, L + d = 2 + 2 coefficients
+        assert len(closed_series(coefficient, closed, 5).prefix) == 7  # L + d = 2 + 5
         assert closed_series(coefficient, closed, 2, 0).prefix.coefficients == (1,)
         with pytest.raises(InputError, match="terms must be at least 0"):
             closed_series(coefficient, closed, 2, -1)
         with pytest.raises(ResourceLimitError, match="terms"):
             closed_series(coefficient, closed, 2, MAX_TERMS + 1)
-        assert asked == list(range(7)) + [0]
+        assert asked == list(range(4)) + list(range(7)) + [0]
+
+    def test_zero_series_shows_one_coefficient_at_least(self):
+        # order 0 against bound 0 still shows c_0
+        assert closed_series(lambda k: 0, rf([], [1]), 0).prefix.coefficients == (0,)
 
     def test_fraction_coefficients(self):
         prefix, closed = binomial_prefix(-1, F(1, 3), 5)
@@ -327,12 +345,11 @@ class TestRegularize:
         assert Regularized.of(series, {}).value == F(1, 2)
 
     def test_short_uncertified_fit_asks_for_terms(self):
-        # c_0 = c_1 = 0 fits order 0, which bound 4 cannot certify on 2 coefficients
-        series = fit_series(lambda k: 0, 4, terms=1)
-        assert series.order_bound is None
-        with pytest.raises(RegularizationError, match="order-0 fit gives 0, but 2 coefficients "
-                           "cannot verify it against order bound 4; raise terms"):
-            Regularized.of(series, {"formula": F(9, 128)}, order_bound=4)
+        # 1, 1 fits order 1, which bound 4 cannot certify on 2 coefficients
+        # and the 2L + 2 contract cannot accept
+        with pytest.raises(RegularizationError, match="an order-1 recurrence needs 4 coefficients "
+                           "to verify, but terms allows 2; raise terms"):
+            fit_series(lambda k: 1, 4, terms=1)
 
     def test_record_trims_counts_and_names_the_formula_last(self):
         series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
@@ -342,10 +359,12 @@ class TestRegularize:
 
     @pytest.mark.parametrize("order_bound", [None, 1])
     def test_other_disagreement_names_every_route(self, order_bound):
-        series = fit_series(lambda k: (-1) ** k, 1)  # certified 1/(1+t)
+        # 1/(1+t), certified by bound 1 or accepted by the length contract:
+        # a disagreement is a library bug either way
+        series = continue_series(SeriesPrefix((1, -1, 1, -1)), order_bound)
+        assert series.order_bound == order_bound
         with pytest.raises(InternalCheckError) as err:
-            Regularized.of(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)},
-                           order_bound=order_bound)
+            Regularized.of(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)})
         assert str(err.value) == (
             "route disagreement: series gives 1/2, formula gives 1/3, other gives 1/2"
         )
@@ -424,7 +443,9 @@ CORPUS = _corpus()
 
 
 def _full_window(coefficient, bound):
-    terms = series_window(bound)
+    """c_0..c_w for w = max(4d - 2, 2d + 1): long enough for the Gauss
+    oracle, which solves on the first half and verifies on the rest."""
+    terms = max(4 * bound - 2, 2 * bound + 1)
     return SeriesPrefix(tuple(coefficient(k) for k in range(terms + 1)))
 
 
@@ -437,7 +458,7 @@ def test_certified_fit_matches_gauss_oracle(bound, factory):
     coefficient, construct = factory()
     series = construct()
     assert series.order_bound == bound
-    assert len(series.prefix) >= series.recurrence.order + bound
+    assert len(series.prefix) >= series.closed_form.order + bound
     window = _full_window(coefficient, bound)
     assert window.coefficients[: len(series.prefix)] == series.prefix.coefficients
     # a verified order <= bound on the whole 4d-2 window also checks the bound
@@ -449,12 +470,25 @@ def test_certified_fit_matches_gauss_oracle(bound, factory):
 @pytest.mark.parametrize("bound,factory", [(b, f) for _, b, f in CORPUS],
                          ids=[i for i, _, _ in CORPUS])
 def test_certified_fit_matches_rational_engine(bound, factory):
+    # the Fraction engine on an independent count of the coefficients
+    # certifies on the construction's own prefix and finds its closed form
     coefficient, construct = factory()
     series = construct()
-    grading = series.prefix.grading
-    assert series == exact_series._rational_massey_fit(
-        coefficient, series_window(bound), bound, grading
+    fit = fit_series(coefficient, bound, grading=series.prefix.grading)
+    assert (fit.prefix, fit.closed_form, fit.order_bound) == (
+        series.prefix, series.closed_form, bound
     )
+
+
+@pytest.mark.parametrize("bsize", range(1, 7))
+def test_pair_closed_form_matches_fraction_engine(bsize):
+    # the gizmo closed forms meet the same engine in the corpus above; the
+    # pair counts are cheap in closed form, so every b up to 6 is held here
+    series = map_spaces.map_pair_measure(bsize).series
+    fit = fit_series(lambda k: (-1) ** k * map_spaces.finite_pair_count(bsize, k),
+                     map_spaces.PAIR_ORDER_BOUND, grading=series.prefix.grading)
+    assert fit.recurrence.order == series.closed_form.order
+    assert (fit.prefix, fit.closed_form) == (series.prefix, series.closed_form)
 
 
 def _sympy_expr(poly, t):
@@ -556,9 +590,6 @@ def test_mod_p_proof_matches_gcd_path(pair):
         assert not proven
 
 
-# -- the modular engine against the rational one --------------------------
-
-
 def _expand(num, den, n):
     """c_0..c_{n-1} of num/den, den[0] == 1."""
     out = []
@@ -568,73 +599,8 @@ def _expand(num, den, n):
     return out
 
 
-_small_ints = st.integers(-5, 5)
-_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-
-@st.composite
-def _fit_windows(draw):
-    """Coefficients with a terms/order_bound window: integer
-    rational series (integer denominator with constant term 1), rational
-    series with fractional coefficients, integer rational series with one
-    fractional coefficient, and plain integer noise."""
-    kind = draw(st.sampled_from(["integer", "fractional", "one-fraction", "noise"]))
-    n = 40
-    if kind == "noise":
-        values = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
-    else:
-        entries = _fractions if kind == "fractional" else _small_ints
-        den = [1] + draw(st.lists(entries, max_size=6))
-        num = draw(st.lists(entries, max_size=6))
-        values = _expand(num, den, n)
-        if kind == "one-fraction":
-            values[draw(st.integers(0, 12))] += Fraction(1, draw(st.integers(2, 5)))
-    last = draw(st.integers(0, n - 1))
-    order_bound = draw(st.sampled_from([None, *range(9)]))
-    return values, last, order_bound
-
-
-def _engine_outcome(engine, values, last, order_bound):
-    asked = []
-
-    def coefficient(k):
-        asked.append(k)
-        return values[k]
-
-    try:
-        outcome = engine(coefficient, last, order_bound, "rank")
-    except EulerMeasureError as exc:
-        outcome = (type(exc), str(exc))
-    assert asked == list(range(len(asked))) and len(asked) <= last + 1
-    return outcome
-
-
-@pytest.mark.parametrize("primes", [exact_series._FIT_PRIMES, (3, 5, 7)], ids=["61-bit", "tiny"])
-@settings(max_examples=400, deadline=None)
-@given(_fit_windows())
-def test_modular_engine_matches_rational_engine(primes, case):
-    # Tiny primes are unlucky often: wrong lengths mod p, unstable or failing
-    # lifts and exhausted primes all have to fall back to the rationals.
-    with mock.patch.object(exact_series, "_FIT_PRIMES", primes):
-        modular = _engine_outcome(exact_series._massey_fit, *case)
-    assert modular == _engine_outcome(exact_series._rational_massey_fit, *case)
-
-
-def test_fit_primes_are_distinct_61_bit_primes():
-    primes = exact_series._FIT_PRIMES
-    assert primes[0] == exact_series._PROOF_PRIME and len(set(primes)) == len(primes)
-    assert all(p.bit_length() == 61 and sympy.isprime(p) for p in primes)
-
-
-def test_integer_fit_falls_back_when_primes_run_out():
-    # order 36: taps of 178 bits cannot be lifted from 2^61 - 1 alone
-    coefficient, construct = _gizmo_case(-4, (3, 3))
-    with mock.patch.object(exact_series, "_FIT_PRIMES", exact_series._FIT_PRIMES[:1]), \
-            mock.patch.object(exact_series, "_rational_massey_fit",
-                              wraps=exact_series._rational_massey_fit) as rational:
-        series = fit_series(coefficient, 36)
-    assert rational.call_count == 1
-    assert series == construct()
+def test_proof_prime_is_prime():
+    assert exact_series._PROOF_PRIME == _PRIME and sympy.isprime(_PRIME)
 
 
 def test_integer_to_rational_function():

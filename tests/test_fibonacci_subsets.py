@@ -106,12 +106,12 @@ class TestFibonacciMeasure:
         assert res.series.prefix.coefficients[:3] == (1, 0, 1)
 
     def test_series_is_its_own_closed_form(self):
-        # no recurrence is fitted; the window is sized by the polynomial's
-        # length d = 3 (4d - 2 = 10), and any terms >= 0 shows part of it
+        # no recurrence is fitted; the prefix is the certificate L + d for the
+        # polynomial's order and length, 3 + 3, and any terms >= 0 shows part of it
         res = fibonacci_measure(parse("{0,1}"))
         assert res.series.recurrence is None
         assert res.series.closed_form == RationalFunction(Polynomial((1, 0, 1)), Polynomial((1,)))
-        assert res.series.prefix.coefficients == (1, 0, 1) + (0,) * 8
+        assert res.series.prefix.coefficients == (1, 0, 1) + (0,) * 3
         for terms in (0, 1):
             short = fibonacci_measure(parse("{0,1}"), terms)
             assert len(short.series.prefix) == terms + 1 and short.value == 2

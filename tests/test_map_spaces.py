@@ -79,7 +79,10 @@ class TestHedralMapMeasure:
         res = hedral_map_measure(parse("(0,1)"), 2)
         assert res.value == F(1, 2)
         assert res.series.closed_form == rf([2], [1, 3])
-        assert res.series.prefix.coefficients[:4] == (2, -6, 18, -54)
+        # the certificate: order 1 against bound 1, so L + d = 2 coefficients
+        assert res.series.prefix.coefficients == (2, -6)
+        longer = hedral_map_measure(parse("(0,1)"), 2, 3)
+        assert longer.series.prefix.coefficients == (2, -6, 18, -54)
 
     def test_two_component_domain(self):
         res = hedral_map_measure(parse("(0,1) u (2,3)"), 2)
@@ -89,7 +92,12 @@ class TestHedralMapMeasure:
     def test_single_valued_codomain(self):
         res = hedral_map_measure(parse("(0,1)"), 1)
         assert res.value == 1
-        assert res.series.prefix.coefficients[:3] == (1, 0, 0)
+        assert res.series.prefix.coefficients == (1, 0)
+
+    def test_empty_domain(self):
+        # the constant series 1 has order 1, so its certificate is 1 + 1 coefficients
+        res = hedral_map_measure(parse("{}"), 2)
+        assert res.value == 1 and res.series.prefix.coefficients == (1, 0)
 
     def test_rejects_point_pieces(self):
         for expr in ("{0} u (0,1)", "(0,1) u {5}", "{1}"):
@@ -128,9 +136,15 @@ class TestMapPairs:
             return finite_pair_count(bsize, k)
 
         monkeypatch.setattr(map_spaces, "finite_pair_count", counting)
-        res = map_pair_measure(2, terms=terms)
+        # by default the certificate, L + d = 2 + 2 counts; an explicit terms
+        # sets the prefix shown, and counts exactly that
+        res = map_pair_measure(2)
         assert res.value == F(-1, 8)
         assert asked == [0, 1, 2, 3] and res.counts == (1, 27, 441, 6723)
+        asked.clear()
+        res = map_pair_measure(2, terms=terms)
+        assert res.value == F(-1, 8)
+        assert asked == list(range(terms + 1)) and res.counts[:4] == (1, 27, 441, 6723)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -182,7 +196,7 @@ class TestSchanuelMeasure:
         assert all(c == 0 for c in res.series.prefix.coefficients)
 
     def test_concrete_codomain(self):
-        res = schanuel_measure(parse("[0,1] u [2,3]"))
+        res = schanuel_measure(parse("[0,1] u [2,3]"), terms=2)
         assert res.value == res.routes["reciprocal_codomain_measure"] == F(1, 2)
         assert _subset_counts(res.counts)[:3] == (2, 8, 32)
         assert res.counts[:3] == (2, 6, 18)

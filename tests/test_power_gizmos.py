@@ -6,7 +6,6 @@ from eulermeasure import power_gizmos
 from eulermeasure.errors import (
     InputError,
     InternalCheckError,
-    RegularizationError,
     ResourceLimitError,
 )
 from eulermeasure.exact_series import Polynomial, RationalFunction, solve_linear_system
@@ -234,7 +233,9 @@ class TestGizmoMeasure:
 
     def test_explicit_small_budget_still_exact(self):
         res = gizmo_measure(parse("(0,1)"), GizmoSpec((2,)), terms=24)
-        assert res.value == F(-1, 8)
-        # c_0 = c_1 = 0 fits order 0; two coefficients cannot rule out order 4
-        with pytest.raises(RegularizationError, match="raise terms"):
-            gizmo_measure(parse("(0,1)"), GizmoSpec((2, 2)), terms=1)
+        assert res.value == F(-1, 8) and len(res.series.prefix) == 25
+        # c_0 = c_1 = 0 alone fit order 0, but the closed form does not need
+        # them to decide it: terms only sets the prefix shown
+        res = gizmo_measure(parse("(0,1)"), GizmoSpec((2, 2)), terms=1)
+        assert res.value == F(9, 128)
+        assert res.series.prefix.coefficients == (0, 0) and res.counts == (0, 0)

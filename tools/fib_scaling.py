@@ -1,14 +1,15 @@
-"""Scaling of fib: the closed form against the fit and against enumeration.
+"""Scaling of fib: the closed form against enumeration.
 
-Times three paths to the same value:
+Times two paths to the same value:
 
 * fibonacci_measure with default knobs: the transfer-matrix polynomial,
   taken as its own closed form;
-* the fit path it replaced: fit_series on that polynomial's
-  coefficients with order bound pieces + 1, and the same Regularized
-  record;
-* the enumeration path before the transfer matrix: the same fit, fed by
-  parity_strata_coefficient with the strata cap raised to terms.
+* the enumeration path before the transfer matrix: fit_series fed by
+  parity_strata_coefficient with the strata cap raised to terms, with
+  order bound pieces + 1, and the same Regularized record.
+
+The fit of the polynomial's own coefficients, the path between the two,
+is timed in BENCH_transfer_matrix_fib.json.
 
 Sets are disjoint pieces: points only, open intervals only, or
 alternating point and interval.  Each enumeration case runs in its own
@@ -42,7 +43,7 @@ from eulermeasure.fibonacci_subsets import (  # noqa: E402
 from eulermeasure.interval_sets import OpenInterval, Point, PolyhedralSet1D, ext  # noqa: E402
 
 KINDS = ("points", "intervals", "alternating")
-SIZES = (50, 100, 200, 400, 800, 2000)
+SIZES = (50, 100, 200, 400, 800, 2000, 4000)
 LIMIT_S = 10.0
 REPEATS = 3
 
@@ -55,26 +56,16 @@ def build(kind: str, n: int) -> PolyhedralSet1D:
     return PolyhedralSet1D.from_pieces(piece(i) for i in range(n))
 
 
-def fit_measure(P: PolyhedralSet1D, coefficient) -> Regularized:
-    """fibonacci_measure as a certified fit of the given coefficients."""
+def enumeration_value(P: PolyhedralSet1D) -> Fraction:
+    """fibonacci_measure as it was before the transfer matrix: a
+    certified fit of the enumerated stratum counts."""
     order_bound = len(P.pieces) + 1  # the series is a polynomial of degree <= pieces
-    series = fit_series(coefficient, order_bound, None, GRADING)
+    cap = max(series_window(order_bound), 10)
+    series = fit_series(lambda k: parity_strata_coefficient(P, k, cap=cap), order_bound, None,
+                        GRADING)
     routes = {"series_regularization": series.regularized_value(),
               "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
-    return Regularized.of(series, routes, order_bound=order_bound)
-
-
-def polynomial_fit(P: PolyhedralSet1D) -> Regularized:
-    """fibonacci_measure as it was before the closed form."""
-    poly = parity_polynomial(P)
-    return fit_measure(P, lambda k: poly[k] if k < len(poly) else 0)
-
-
-def enumeration_value(P: PolyhedralSet1D) -> Fraction:
-    """fibonacci_measure as it was before the transfer matrix."""
-    terms = series_window(len(P.pieces) + 1)
-    cap = max(terms, 10)
-    return fit_measure(P, lambda k: parity_strata_coefficient(P, k, cap=cap)).value
+    return Regularized.of(series, routes).value
 
 
 def best_of(fn, repeats: int = REPEATS) -> float:
@@ -116,20 +107,16 @@ def main(argv=None) -> int:
         stopped = False
         for n in map(int, args.sizes.split(",")):
             P = build(kind, n)
-            result, fitted = fibonacci_measure(P), polynomial_fit(P)
-            assert result.value == result.expected == fitted.value
-            assert result.series.closed_form == fitted.series.closed_form
+            result = fibonacci_measure(P)
+            assert result.value == result.expected
             old = None if stopped else time_enumeration(kind, n)
             rows.append({
                 "kind": kind,
                 "pieces": n,
                 "chi": P.euler_measure(),
                 "coefficients": len(result.series.prefix),
-                "fit_recurrence_order": fitted.series.recurrence.order,
-                "fit_coefficients": len(fitted.series.prefix),
                 "transfer_matrix_counts_ms": ms(best_of(lambda: parity_polynomial(P))),
                 "closed_form_fib_ms": ms(best_of(lambda: fibonacci_measure(P))),
-                "fit_fib_ms": ms(best_of(lambda: polynomial_fit(P))),
                 "enumeration_fib_ms": None if old is None else ms(old),
             })
             stopped = stopped or old is None
