@@ -15,17 +15,17 @@ the prefix is shown.  ``series_window`` is the one sizing rule; its
 default 2d - 1 is the most a certificate needs (L <= d), so a window
 that is too large is refused before anything is counted.
 
-``fit_series`` runs Berlekamp-Massey over the rationals on coefficients
-it asks for one at a time, and stops at the same certificate: n >= L + d
-for the length L of the recurrence fitted to the n coefficients seen.
-Without a bound (``continue_series``) a fit is accepted only when the
+``continue_series`` is the one fit: Berlekamp-Massey over the
+rationals on a fixed prefix.  With an order bound it stops at the same
+certificate, n >= L + d for the length L of the recurrence fitted to
+the n coefficients seen; without one a fit is accepted only when the
 prefix holds at least 2L + 2 coefficients.  No construction fits its
-series: the fit is the powerset report's independent refit and the
-oracle the tests hold every closed form against.  ``min_recurrence``,
-the slow oracle of the fit, solves one Hankel system per order instead,
-never Berlekamp-Massey; it scales the prefix to integers once and
-eliminates fraction-free (Bareiss), so it stays independent of the fit
-without Fraction arithmetic.
+series: the fit is the oracle that the verify suite and the tests hold
+every closed form against.  ``min_recurrence``, the slow oracle of the
+fit, solves one Hankel system per order instead, never Berlekamp-Massey;
+it scales the prefix to integers once and eliminates fraction-free
+(Bareiss), so it stays independent of the fit without Fraction
+arithmetic.
 
 Every construction returns one ``Regularized`` record: the series, its
 value at t=1, the routes that value was held against, and the graded
@@ -403,7 +403,7 @@ def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     One fraction-free Gauss-Jordan solve of the Hankel system per order
     (see solve_linear_system, which clears each row's denominators on its
     own), never Berlekamp-Massey: the slow, independent oracle that the
-    tests and the verify suite hold fit_series against.
+    tests and the verify suite hold continue_series against.
 
     The candidate is solved from coefficients c_0..c_{ceil(L/2)-1} and
     must then predict every remaining supplied coefficient exactly;
@@ -480,14 +480,6 @@ class EulerSeries:
     closed_form: RationalFunction
     recurrence: Recurrence | None = None
     order_bound: int | None = None
-
-    @property
-    def fit_terms(self) -> int | None:
-        """The 2 * order coefficients that fix a minimal recurrence (Massey
-        1969); the remaining ones of the prefix verify it."""
-        if self.recurrence is None:
-            return None
-        return 2 * self.recurrence.order
 
     def regularized_value(self) -> Fraction:
         return eval_at_one(self.closed_form)
@@ -567,29 +559,28 @@ def closed_series(
     return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form, order_bound=order_bound)
 
 
-def _rational_massey_fit(
-    coefficient: Callable[[int], object],
-    last: int,
-    order_bound: int | None,
-    grading: str,
-) -> EulerSeries:
-    """Berlekamp-Massey over the rationals on c_0, c_1, .., c_last.
+def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
+    """Berlekamp-Massey over the rationals on the prefix c_0, c_1, ...
 
     After each coefficient, ``length`` is the order of the shortest
     recurrence generating every coefficient seen so far; it never
-    decreases.  The fit stops early once order_bound certifies it, and a
-    length above order_bound means the counts contradict the bound their
-    construction proves: a library bug, not a knob to raise.  (Only a
-    nonzero c_0 against a bound of 0 can get there: length jumps to
-    k + 1 - length, which is at most order_bound while no certificate has
-    stopped the fit.)
+    decreases.  With the order bound d that the counts' construction
+    proves, the fit stops at the first n coefficients with
+    n >= length + d, which certify it, and keeps those n as its prefix.
+    A length above d means the counts contradict their bound: a library
+    bug, not a knob to raise.  (Only a nonzero c_0 against a bound of 0
+    can get there: length jumps to k + 1 - length, which is at most d
+    while no certificate has stopped the fit.)  An uncertified fit, and
+    every fit without a bound, is accepted only when the prefix holds at
+    least 2L + 2 coefficients.
     """
-    coeffs: list[Fraction] = []
+    coeffs = prefix.coefficients
+    if order_bound is None and len(coeffs) < 2:
+        raise InputError(f"terms must be at least 1 to fit a recurrence, got {len(coeffs) - 1}")
     conn = [Fraction(1)]  # connection polynomial: sum conn[i] c_{k-i} = 0
     prev, prev_disc, shift, length = [Fraction(1)], Fraction(1), 1, 0
-    certified = False
-    for k in range(last + 1):
-        coeffs.append(as_fraction(coefficient(k)))
+    used, certified = len(coeffs), False
+    for k in range(len(coeffs)):
         disc = sum((conn[i] * coeffs[k - i] for i in range(len(conn))), Fraction(0))
         if disc:
             step = disc / prev_disc
@@ -612,54 +603,19 @@ def _rational_massey_fit(
                     f"above the proven order bound {order_bound}"
                 )
             if k + 1 >= length + order_bound:
-                certified = True
+                used, certified = k + 1, True
                 break
-    if not certified and len(coeffs) < 2 * length + 2:
+    if not certified and used < 2 * length + 2:
         need = 2 * length + 2 if order_bound is None else min(length + order_bound, 2 * length + 2)
         raise RegularizationError(
             f"an order-{length} recurrence needs {need} coefficients to "
-            f"verify, but terms allows {len(coeffs)}; raise terms"
+            f"verify, but terms allows {used}; raise terms"
         )
     taps = [-c for c in conn[1:]] + [Fraction(0)] * (length + 1 - len(conn))
-    prefix = SeriesPrefix(tuple(coeffs), grading)
+    fitted = SeriesPrefix(coeffs[:used], prefix.grading)
     rec = Recurrence(tuple(taps))
     return EulerSeries(
-        prefix, to_rational_function(prefix, rec), rec, order_bound if certified else None
-    )
-
-
-def fit_series(
-    coefficient: Callable[[int], object],
-    order_bound: int,
-    terms: int | None = None,
-    grading: str = "rank",
-) -> EulerSeries:
-    """Certified rational continuation of a series known coefficient by coefficient.
-
-    ``coefficient(k)`` is called once for each k = 0, 1, .. in order, and
-    never for k beyond the window of series_window.  The fit stops at the
-    first n with n >= L + order_bound, where L is the order of the
-    recurrence fitted to the n coefficients seen: the series has order
-    <= order_bound, so it equals the fit.  When the window ends first
-    the fit is accepted under the 2L + 2 length contract or refused with
-    "raise terms".  A recurrence longer than order_bound contradicts the
-    bound and is an InternalCheckError.
-    """
-    last = series_window(order_bound, terms)
-    return _rational_massey_fit(coefficient, last, order_bound, grading)
-
-
-def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
-    """Fit a recurrence to a whole fixed prefix and attach the continuation.
-
-    With the order bound its construction proves, the fit stops at the
-    certificate, as in fit_series; with none, every coefficient is used
-    and the fit is accepted only under the 2L + 2 length contract.
-    """
-    if len(prefix) < 2:
-        raise InputError(f"terms must be at least 1 to fit a recurrence, got {len(prefix) - 1}")
-    return _rational_massey_fit(
-        prefix.coefficients.__getitem__, len(prefix) - 1, order_bound, prefix.grading
+        fitted, to_rational_function(fitted, rec), rec, order_bound if certified else None
     )
 
 

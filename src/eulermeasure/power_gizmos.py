@@ -104,15 +104,21 @@ def gizmo_support_count(spec: GizmoSpec, k: int, totals: list[int] | None = None
 
     Elements with support inside a fixed j-subset are exactly the gizmo
     elements over that j-point ground set, so
-    n_k = sum_j (-1)^(k-j) binom(k,j) * total(j).  ``totals`` memoizes
-    total(0), total(1), .. for one spec across calls.
+    n_k = sum_j (-1)^(k-j) binom(k,j) * total(j).  The binomials are
+    kept running, binom(k, j+1) = binom(k, j) * (k - j) / (j + 1), an
+    exact division.  ``totals`` memoizes total(0), total(1), .. for one
+    spec across calls.
     """
     if k < 0:
         raise InputError(f"support size must be at least 0, got {k}")
     totals = [] if totals is None else totals
     while len(totals) <= k:
         totals.append(_iterated_total(spec, len(totals)))
-    return sum((-1) ** (k - j) * math.comb(k, j) * totals[j] for j in range(k + 1))
+    count, binom = 0, 1
+    for j in range(k + 1):
+        count += -binom * totals[j] if (k - j) % 2 else binom * totals[j]
+        binom = binom * (k - j) // (j + 1)
+    return count
 
 
 def support_count_table(spec: GizmoSpec, last: int) -> tuple[int, ...]:

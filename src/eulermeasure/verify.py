@@ -27,6 +27,7 @@ from .exact_series import (
     RationalFunction,
     SeriesPrefix,
     binomial_prefix,
+    continue_series,
     eval_at_one,
     min_recurrence,
     to_rational_function,
@@ -69,6 +70,7 @@ from .power_gizmos import (
     gizmo_measure,
     gizmo_support_census,
     gizmo_support_count,
+    powerset_series,
 )
 from .setparse import parse_set_expression, to_expression
 
@@ -447,6 +449,18 @@ def _gizmo_cross_route():
             expected = iterated_binomial(Fraction(2) ** chi, ks)
             if not (result.route_exponential == result.route_series == expected):
                 return f"chi={chi} ks={ks}: routes {result.route_exponential}, {result.route_series} vs {expected}"
+    return None
+
+
+@_check("power_gizmos", "powerset_refit")
+def _powerset_refit():
+    # Berlekamp-Massey on the certified prefix alone finds the closed form
+    for chi in range(-3, 4):
+        series = powerset_series(set_with_chi(chi)).series
+        refit = continue_series(series.prefix, series.order_bound)
+        if (refit.closed_form, refit.order_bound) != (series.closed_form, series.order_bound):
+            return (f"chi={chi}: refit {refit.closed_form.text()} (bound {refit.order_bound}) "
+                    f"!= {series.closed_form.text()} (bound {series.order_bound})")
     return None
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from eulermeasure import cli, fibonacci_subsets, map_spaces
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import ParseError
+from eulermeasure.exact_series import SeriesPrefix, continue_series
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
 from eulermeasure.partition_combinatorics import integer_binomial, iterated_binomial
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_expression
@@ -189,7 +190,9 @@ class TestRun:
         assert report.results["value"]["value"] == "1/2"
         assert report.results["series"]["coefficients"] == ["1", "-1"]  # L + d = 1 + 1
         assert report.results["series"]["closed_form"]["denominator"] == ["1", "1"]
-        assert any(c["name"] == "continuation-agreement" and c["status"] == "ok" for c in report.checks)
+        # the closed form is certified by the counts; nothing is fitted
+        assert "recurrence" not in report.results["series"]
+        assert report.checks == [{"name": "route-agreement", "status": "ok"}]
 
     def test_gizmo_report(self):
         report = run(Command("gizmo", {"set": "(0,1)", "ks": [2]}))
@@ -302,7 +305,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "value [binomial-closed-form]: 1/2" in out
-        assert "warning: independent refit skipped: terms must be at least 1" in out
+        assert "warning" not in out
 
     def test_json_flag(self, capsys):
         # default sizing reaches the order bound: 18 for the gizmo, 8 for fib on 7 points
@@ -357,25 +360,28 @@ class TestMain:
             assert exc.value.code == 2
             assert "unrecognized arguments: --max-order -1" in capsys.readouterr().err
 
-    def test_text_report_names_the_certificate(self, capsys):
-        # only the powerset refit fits a recurrence; a gizmo reports its closed form
-        assert main(["gizmo", "(0,1)", "--ks", "2"]) == 0
-        assert "recurrence" not in capsys.readouterr().out
-        assert main(["powerset", "(0,1)"]) == 0
-        assert "certified by order bound 1 (2 >= 1 + 1 coefficients)" in capsys.readouterr().out
-        assert main(["powerset", "(0,1)", "--terms", "7"]) == 0
-        assert "verified on 6 more; certified by order bound 1" in capsys.readouterr().out
+    def test_text_report_shows_the_closed_form(self, capsys):
+        # no construction fits a recurrence; each report shows its closed form
+        for argv, closed in ((["gizmo", "(0,1)", "--ks", "2"], "(-t) / (1 + 4*t + 3*t^2)"),
+                             (["powerset", "(0,1)", "--terms", "7"], "(1) / (1 + t)")):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert f"  closed form: {closed}" in out and "recurrence" not in out
 
     @pytest.mark.parametrize("chi", range(-5, 6))
     def test_default_powerset_refit_is_certified(self, chi, capsys):
-        # the default prefix holds the L + d coefficients that certify the refit
+        # the report fits nothing, but Berlekamp-Massey on the default prefix
+        # it prints finds its closed form, certified on L + d coefficients
         assert main(["powerset", to_expression(set_with_chi(chi)), "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
         assert blob["warnings"] == []
-        assert {"name": "continuation-agreement", "status": "ok"} in blob["checks"]
+        assert blob["checks"] == [{"name": "route-agreement", "status": "ok"}]
         series, bound = blob["results"]["series"], -chi if chi < 0 else chi + 1
-        assert series["recurrence"]["order_bound"] == bound
-        assert len(series["coefficients"]) == series["recurrence"]["order"] + bound
+        assert "recurrence" not in series
+        refit = continue_series(SeriesPrefix(tuple(map(F, series["coefficients"]))), bound)
+        assert refit.order_bound == bound
+        assert cli._rf_dict(refit.closed_form) == series["closed_form"]
+        assert len(series["coefficients"]) == refit.recurrence.order + bound
 
     def test_route_disagreement_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(map_spaces, "gen_binomial", lambda x, k: Fraction(1, 3))

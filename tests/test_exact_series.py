@@ -1,3 +1,4 @@
+import ast
 import functools
 import json
 import operator
@@ -33,7 +34,6 @@ from eulermeasure.exact_series import (
     closed_series,
     continue_series,
     eval_at_one,
-    fit_series,
     min_recurrence,
     poly_gcd,
     series_window,
@@ -246,8 +246,8 @@ class TestRoundTrip:
         prefix = SeriesPrefix(rf([1], [1, 1]).expand(11), "rank")
         series = continue_series(prefix)
         assert series.closed_form == rf([1], [1, 1])
-        # no order bound: all 12 coefficients are used; 2 fix the order-1 fit
-        assert series.fit_terms == 2 and len(series.prefix) == 12
+        # no order bound: all 12 coefficients are used by the order-1 fit
+        assert series.recurrence.order == 1 and len(series.prefix) == 12
         assert series.order_bound is None
         assert series.regularized_value() == F(1, 2)
 
@@ -262,7 +262,19 @@ class TestRoundTrip:
         assert series.closed_form == rf([1], [1, 1])
         assert len(series.prefix) == 3 and series.order_bound == 2
         with pytest.raises(InputError, match="terms must be at least 1 to fit a recurrence"):
-            continue_series(SeriesPrefix((1,), "rank"), 2)
+            continue_series(SeriesPrefix((1,), "rank"))
+
+    def test_one_coefficient_prefixes(self):
+        # with a bound, one coefficient is judged like any other prefix:
+        # 0 has order 0, certified by 0 + 1 coefficients; 5 has order 1,
+        # which bound 1 cannot certify on one coefficient and bound 0 forbids
+        series = continue_series(SeriesPrefix((0,)), 1)
+        assert series.closed_form == rf([], [1]) and series.order_bound == 1
+        assert series.regularized_value() == 0
+        with pytest.raises(RegularizationError, match="an order-1 recurrence needs 2 coefficients"):
+            continue_series(SeriesPrefix((5,)), 1)
+        with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
+            continue_series(SeriesPrefix((5,)), 0)
 
     def test_series_without_closed_form(self):
         # the closed form is required: a series cannot be built without one
@@ -271,33 +283,24 @@ class TestRoundTrip:
 
 
 class TestFitSeries:
+    """continue_series against the order bound of the counts' construction."""
+
     def test_stops_at_certificate(self):
-        asked = []
-
-        def coefficient(k):
-            asked.append(k)
-            return (-3) ** k
-
-        series = fit_series(coefficient, 3)
-        # order 1 and bound 3 certify on 4 coefficients, far below the ceiling 10
-        assert asked == [0, 1, 2, 3]
+        series = continue_series(SeriesPrefix(tuple((-3) ** k for k in range(10))), 3)
+        # order 1 and bound 3 certify on 4 of the 10 coefficients
+        assert series.prefix.coefficients == (1, -3, 9, -27)
         assert series.closed_form == rf([1], [1, 3]) and series.order_bound == 3
 
     def test_terms_is_a_hard_ceiling(self):
-        asked = []
-
-        def coefficient(k):
-            asked.append(k)
-            return k * k
-
+        # k^2 has order 3: five coefficients neither certify it against
+        # bound 3 nor meet the 2L + 2 contract
         with pytest.raises(RegularizationError, match="raise terms"):
-            fit_series(coefficient, 3, terms=4)
-        assert max(asked) == 4
+            continue_series(SeriesPrefix(tuple(k * k for k in range(5))), 3)
 
     def test_uncertified_fit_needs_length_contract(self):
         # 1/(1-t)^2 has order 2; against bound 5 its six coefficients
         # c_0..c_5 do not certify it, but they meet the 2L + 2 contract
-        series = fit_series(lambda k: k + 1, 5, terms=5)
+        series = continue_series(SeriesPrefix(tuple(k + 1 for k in range(6))), 5)
         assert series.closed_form == rf([1], [1, -2, 1]) and series.order_bound is None
 
     def test_counts_above_their_bound_are_a_bug(self):
@@ -305,7 +308,7 @@ class TestFitSeries:
         # the certificate stops every fit before its length passes d
         for c0 in (1, F(1, 3)):
             with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
-                fit_series(lambda k: c0, 0, 5)
+                continue_series(SeriesPrefix((c0,) * 6), 0)
 
 
 class TestClosedSeries:
@@ -349,7 +352,7 @@ class TestRegularize:
         # and the 2L + 2 contract cannot accept
         with pytest.raises(RegularizationError, match="an order-1 recurrence needs 4 coefficients "
                            "to verify, but terms allows 2; raise terms"):
-            fit_series(lambda k: 1, 4, terms=1)
+            continue_series(SeriesPrefix((1, 1)), 4)
 
     def test_record_trims_counts_and_names_the_formula_last(self):
         series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
@@ -387,6 +390,12 @@ def _gizmo_case(chi, ks):
     )
 
 
+def _fit(coefficient, bound, grading="rank"):
+    """continue_series on c_0..c_w of the default window, w = 2d - 1."""
+    window = tuple(coefficient(k) for k in range(series_window(bound) + 1))
+    return continue_series(SeriesPrefix(window, grading), bound)
+
+
 def _fib_bound(p):
     """The parity series is a polynomial of degree <= pieces."""
     return len(p.pieces) + 1
@@ -397,7 +406,7 @@ def _fib_case(p):
     nothing; the certified fit of the same coefficients must find it."""
     def fit():
         poly = fibonacci_subsets.parity_polynomial(p)
-        series = fit_series(lambda k: poly[k] if k < len(poly) else 0, _fib_bound(p))
+        series = _fit(lambda k: poly[k] if k < len(poly) else 0, _fib_bound(p))
         assert series.closed_form == fibonacci_subsets.fibonacci_measure(p).series.closed_form
         return series
 
@@ -474,7 +483,7 @@ def test_certified_fit_matches_rational_engine(bound, factory):
     # certifies on the construction's own prefix and finds its closed form
     coefficient, construct = factory()
     series = construct()
-    fit = fit_series(coefficient, bound, grading=series.prefix.grading)
+    fit = _fit(coefficient, bound, series.prefix.grading)
     assert (fit.prefix, fit.closed_form, fit.order_bound) == (
         series.prefix, series.closed_form, bound
     )
@@ -485,8 +494,8 @@ def test_pair_closed_form_matches_fraction_engine(bsize):
     # the gizmo closed forms meet the same engine in the corpus above; the
     # pair counts are cheap in closed form, so every b up to 6 is held here
     series = map_spaces.map_pair_measure(bsize).series
-    fit = fit_series(lambda k: (-1) ** k * map_spaces.finite_pair_count(bsize, k),
-                     map_spaces.PAIR_ORDER_BOUND, grading=series.prefix.grading)
+    fit = _fit(lambda k: (-1) ** k * map_spaces.finite_pair_count(bsize, k),
+               map_spaces.PAIR_ORDER_BOUND, series.prefix.grading)
     assert fit.recurrence.order == series.closed_form.order
     assert (fit.prefix, fit.closed_form) == (series.prefix, series.closed_form)
 
@@ -711,3 +720,23 @@ def test_min_recurrence_scaling_tool_runs():
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["order"], row["coefficients"]) for row in rows] == [(2, 10), (3, 14)]
+
+
+FIT_NAMES = {"continue_series", "min_recurrence"}
+
+
+def _names(path):
+    """Every identifier a module uses: names, attributes and imported names."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names})
+
+
+def test_only_exact_series_and_verify_name_the_fit():
+    # the fit stays off every construction and CLI path
+    src = pathlib.Path(exact_series.__file__).parent
+    modules = {path.stem: _names(path) for path in src.glob("*.py")}
+    del modules["exact_series"]
+    assert FIT_NAMES <= modules.pop("verify")  # the scan sees both names where they are used
+    assert {name: used & FIT_NAMES for name, used in modules.items() if used & FIT_NAMES} == {}

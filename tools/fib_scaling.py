@@ -4,9 +4,10 @@ Times two paths to the same value:
 
 * fibonacci_measure with default knobs: the transfer-matrix polynomial,
   taken as its own closed form;
-* the enumeration path before the transfer matrix: fit_series fed by
-  parity_strata_coefficient with the strata cap raised to terms, with
-  order bound pieces + 1, and the same Regularized record.
+* the enumeration path before the transfer matrix: continue_series, with
+  order bound d = pieces + 1, on the 2d coefficients of the default
+  window counted by parity_strata_coefficient (its strata cap raised to
+  the window), and the same Regularized record.
 
 The fit of the polynomial's own coefficients, the path between the two,
 is timed in BENCH_transfer_matrix_fib.json.
@@ -32,7 +33,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eulermeasure.exact_series import Regularized, fit_series, series_window  # noqa: E402
+from eulermeasure.exact_series import (  # noqa: E402
+    Regularized,
+    SeriesPrefix,
+    continue_series,
+    series_window,
+)
 from eulermeasure.fibonacci_subsets import (  # noqa: E402
     GRADING,
     extended_fibonacci,
@@ -60,9 +66,9 @@ def enumeration_value(P: PolyhedralSet1D) -> Fraction:
     """fibonacci_measure as it was before the transfer matrix: a
     certified fit of the enumerated stratum counts."""
     order_bound = len(P.pieces) + 1  # the series is a polynomial of degree <= pieces
-    cap = max(series_window(order_bound), 10)
-    series = fit_series(lambda k: parity_strata_coefficient(P, k, cap=cap), order_bound, None,
-                        GRADING)
+    last = series_window(order_bound)
+    counts = tuple(parity_strata_coefficient(P, k, cap=max(last, 10)) for k in range(last + 1))
+    series = continue_series(SeriesPrefix(counts, GRADING), order_bound)
     routes = {"series_regularization": series.regularized_value(),
               "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
     return Regularized.of(series, routes).value
