@@ -54,12 +54,19 @@ Costs, with n and k the coordinate counts of the operands, k <= n:
   the runs of member cells, O(n).
 - ``pieces`` costs O(n), once per set.
 
-Every piece the kernel emits takes its ends from ``coords``, which hold
-only exact Fractions from checked input, and an interval's left end
-comes before its right end in that sorted list, so the constructor
-checks (coercion to Fraction, left < right) cannot fail on it.  The
-kernel builds those pieces without the checks; the public constructors
-keep all of them for outside input.
+Coordinates.  The set algebra only compares coordinates; only
+``shift`` does arithmetic on them.  So the kernel runs unchanged on any
+exact numbers of one kind, and the parser runs it on integers: it scales
+every rational of an expression by their common denominator, where each
+comparison is a C-level int compare, and rebuilds its result once with
+Fraction coordinates (see ``setparse``).  Every piece the kernel emits
+takes its ends from ``coords``.  For every set the parser returns and
+every set built through the public constructors, those hold only exact
+Fractions from checked input, and an interval's left end comes before
+its right end in that sorted list, so the constructor checks (coercion
+to Fraction, left < right) cannot fail on it.  The kernel builds those
+pieces without the checks; the public constructors keep all of them for
+outside input.
 
 All values here are immutable and every operation is pure, so instances
 may be shared freely across threads.  The one cached attribute,

@@ -16,17 +16,44 @@ A '(' starts an interval when a number or infinity follows, otherwise a
 parenthesized sub-expression.  Closed interval ends must be finite.
 At most MAX_NESTING_DEPTH '(' groups and operators may be pending at
 once.  Errors report the offending position.
+
+Scaled integers.  The set algebra only compares coordinates, so scaling
+every number of one expression by the same positive D keeps every order
+exactly.  Before it parses, the parser reads the denominators of the
+number tokens as written and takes D, their lcm, and D // q for each
+distinct denominator q.  It then reads each rational p/q as the int
+p*(D // q), runs the kernel (``segment``, the boolean operations,
+``from_pieces``) on those ints, where each comparison is one C-level int
+compare instead of a ``Fraction`` comparison, and rebuilds the result
+once with ``Fraction(x, D)`` coordinates.  A refused interval is refused
+again on its bounds as written, so its message names them.
+
+With many pairwise coprime denominators D grows by the bits of each
+one, and past a point the big ints cost more than the comparisons save.
+When the bits of the distinct denominators add up to more than
+MAX_SCALE_BITS, an upper bound on D's bits that is exact for coprime
+ones, the parser reads every number as a ``Fraction`` instead, through
+the same code.  The bound is the measured crossover: on the ``coprime``
+chains of ``tools/sets_scaling.py``, whose k-th literal is written over
+the k-th prime, parsing on scaled ints with no bound took 0.73 times the
+time of Fractions at 400 literals (D of 3,886 bits), 0.91 at 3000
+(39,293 bits), 0.95 at 4000 (54,281 bits), 1.01 at 4300 (58,861 bits)
+and 1.09 at 5000 (69,675 bits), with Python 3.11.7 on a 2-core x86-64
+machine.  The pre-pass skips denominators that are zero or too long to
+convert and raises nothing, so the first error reported is still the
+one at the earliest position.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .interval_sets import (
-    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, points, segment
+    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _from_cells, _point, segment
 )
 
 # Every position matches one group, the catch-all `bad` last, so one
@@ -51,6 +78,10 @@ _BINARY = {"u": "union", "|": "union", "\\": "difference", "&": "intersect"}
 # least one Python frame on each, so under the default recursion limit of
 # 1000 frames no expression it could accept is deeper than this.
 MAX_NESTING_DEPTH = 1000
+# The most bits the distinct denominators of an expression may add up to
+# for the parser to scale by their lcm; above it the numbers are read as
+# Fractions (see the module docstring).
+MAX_SCALE_BITS = 56_000
 
 
 class _Token(NamedTuple):
@@ -79,11 +110,58 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Every '/' of a tokenized text lies in a number token, before its denominator.
+_DENOMINATOR_RE = re.compile(r"/([0-9]+)")
+# Denominators are folded into the lcm this many at a time, so that the
+# growing lcm takes one big-int step per block rather than one per value.
+_LCM_BLOCK = 32
+
+
+def _denominators(text: str) -> dict[str, int]:
+    """The denominators written in a tokenized text, by their digits, but
+    for any that is zero or has too many digits: the parse reports those
+    at their own position."""
+    denominators = {}
+    for written in set(_DENOMINATOR_RE.findall(text)):
+        try:
+            denominator = int(written)
+        except ValueError:  # the interpreter's limit on digits per integer
+            continue
+        if denominator:
+            denominators[written] = denominator
+    return denominators
+
+
+def _common_denominator(denominators: list[int]) -> int | None:
+    """The lcm of the denominators, or None when their bits add up to
+    more than MAX_SCALE_BITS.
+
+    For distinct denominators that sum bounds the lcm's bits from above,
+    equals them when they are pairwise coprime, and costs no big-int
+    arithmetic."""
+    if sum(d.bit_length() for d in denominators) > MAX_SCALE_BITS:
+        return None
+    scale = 1
+    for start in range(0, len(denominators), _LCM_BLOCK):
+        scale = lcm(lcm(*denominators[start:start + _LCM_BLOCK]), scale)
+    return scale
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        denominators = _denominators(text)
+        self.scale = _common_denominator(list(denominators.values()))
+        # By a number's denominator as written, "" for an integer: what its
+        # numerator is multiplied by on scaled ints, D // q, or divided by
+        # on Fractions, q itself.
+        if self.scale is None:
+            self.factors = {**denominators, "": 1}
+        else:
+            self.factors = {written: self.scale // q for written, q in denominators.items()}
+            self.factors[""] = self.scale
 
     def _peek(self, ahead: int = 0) -> _Token:
         return self.tokens[self.index + ahead]
@@ -126,7 +204,7 @@ class _Parser:
                 if not operators:
                     if token.kind != "end":
                         self._fail("'u', '|', '&', '\\' or end of input", token)
-                    return operands[0]
+                    return self._unscaled(operands[0])
                 self._expect_punct(")")
                 operators.pop()
             self._reduce(operators, operands, _BINDING[token.text])
@@ -161,16 +239,32 @@ class _Parser:
             return self._interval()
         self._fail("a set literal", token)
 
-    def _rational(self) -> Fraction:
+    def _unscaled(self, value: PolyhedralSet1D) -> PolyhedralSet1D:
+        """A set parsed on scaled ints, with its coordinates as Fractions."""
+        if self.scale is None:
+            return value
+        scale = self.scale
+        return _from_cells(tuple(Fraction(x, scale) for x in value.coords), value.flags)
+
+    def _as_written(self, bound: ExtendedRational) -> ExtendedRational:
+        """A parsed bound with its value as a Fraction."""
+        if self.scale is None or not bound.is_finite:
+            return bound
+        return _finite(Fraction(bound.value, self.scale))
+
+    def _rational(self) -> int | Fraction:
         token = self._peek()
         if token.kind != "number":
             self._fail("a rational number", token)
         self._advance()
         numerator, _, denominator = token.text.partition("/")
         try:
-            if denominator:
-                return Fraction(int(numerator), int(denominator))
-            return Fraction(int(numerator))
+            p = int(numerator)
+            # a denominator the pre-pass left out, zero or too long, has no
+            # factor: converting it here raises the error reported for it
+            if self.scale is None:
+                return Fraction(p, self.factors.get(denominator) or int(denominator))
+            return p * (self.factors.get(denominator) or self.scale // int(denominator))
         except ZeroDivisionError:
             problem = "division by zero"
         except ValueError as exc:  # the interpreter's limit on digits per integer
@@ -182,7 +276,7 @@ class _Parser:
         if token.kind == "inf":
             self._advance()
             return NEG_INF if token.text.startswith("-") else POS_INF
-        return _finite(self._rational())  # already an exact Fraction
+        return _finite(self._rational())  # a scaled int or an exact Fraction
 
     def _interval(self) -> PolyhedralSet1D:
         opener = self._advance()
@@ -195,8 +289,14 @@ class _Parser:
             self._advance()
         else:
             self._fail("')' or ']'", closer)
+        include_upper = closer.text == "]"
         try:
-            return segment(lower, upper, include_lower, closer.text == "]")
+            return segment(lower, upper, include_lower, include_upper)
+        except InputError:
+            pass
+        # refused again on the bounds as written, so that the message names them
+        try:
+            segment(self._as_written(lower), self._as_written(upper), include_lower, include_upper)
         except InputError as exc:
             raise ParseError(
                 f"{exc} (interval starting at position {opener.position})",
@@ -213,7 +313,7 @@ class _Parser:
             self._advance()
             values.append(self._rational())
         self._expect_punct("}")
-        return points(values)
+        return PolyhedralSet1D.from_pieces([_point(v) for v in values])
 
 
 def parse_set_expression(text: str) -> PolyhedralSet1D:

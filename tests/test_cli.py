@@ -98,6 +98,19 @@ class TestParser:
         assert err.value.position == 4
         assert "too many digits" in str(err.value)
 
+    def test_long_denominator_fails_at_its_own_position(self, default_digit_limit):
+        # the parser reads every denominator before it parses, and skips this one
+        with pytest.raises(ParseError) as err:
+            parse_set_expression("{0, 1/" + "7" * 5000 + "}")
+        assert err.value.position == 4
+        assert "too many digits" in str(err.value)
+
+    def test_earlier_error_before_zero_denominator(self):
+        with pytest.raises(ParseError) as err:
+            parse_set_expression("(0,1) (0,1/0)")
+        assert err.value.position == 6
+        assert "expected 'u'" in str(err.value)
+
     def test_closed_at_infinity(self):
         with pytest.raises(ParseError):
             parse_set_expression("[-inf, 0)")

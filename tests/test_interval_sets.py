@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -11,12 +12,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import reduce
 from operator import and_, or_
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import cli
+from eulermeasure import cli, setparse
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
     NEG_INF,
@@ -504,6 +507,9 @@ class TestLiteralConstruction:
         ("(0,+inf]", "cannot close an interval at inf (interval starting at position 0)"),
         ("{0} u (0,-inf]", "malformed interval: 0 >= -inf (interval starting at position 6)"),
         ("(1/0,2)", "division by zero in rational literal at position 1"),
+        # the parser compares scaled integers, but names the bounds as written
+        ("(1/2,1/3)", "malformed interval: 1/2 >= 1/3 (interval starting at position 0)"),
+        ("(2/4,1/2)", "malformed interval: 1/2 >= 1/2 (interval starting at position 0)"),
     ])
     def test_malformed_literals_keep_their_messages(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -844,16 +850,46 @@ atoms = st.recursive(
 expressions = chains(atoms)
 
 
+def as_printed(bound_text: str) -> str:
+    """A bound as the grammar writes it, as str prints the value."""
+    if bound_text.endswith("inf"):
+        return "-inf" if bound_text.startswith("-") else "inf"
+    return str(Fraction(bound_text))
+
+
+def assert_names_bounds_as_written(text: str, message: str):
+    """A malformed-interval refusal names its literal's bounds unscaled."""
+    refusal = re.fullmatch(
+        r"malformed interval: (\S+) >= (\S+) \(interval starting at position (\d+)\)", message)
+    if refusal is None:
+        return
+    position = int(refusal[3])
+    lower, upper = re.match(r"[(\[]([^,]+), ?([^)\]]+)", text[position:]).groups()
+    assert refusal.groups()[:2] == (as_printed(lower), as_printed(upper))
+
+
 class TestGrammarAgainstCellModel:
+    # Each example parses on one side of the common-denominator guard: on
+    # scaled integers under MAX_SCALE_BITS, or on Fractions with the guard
+    # at 0, where every expression that writes a denominator passes it.
     @settings(max_examples=300, deadline=None)
-    @given(expressions)
-    def test_parse_and_measure_match_the_model(self, expression):
+    @given(expressions, st.sampled_from([setparse.MAX_SCALE_BITS, 0]))
+    def test_parse_and_measure_match_the_model(self, expression, guard):
         text, mask = expression
+        with mock.patch.object(setparse, "MAX_SCALE_BITS", guard):
+            self.check(text, mask)
+
+    @staticmethod
+    def check(text, mask):
         if mask is None:
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError) as err:
                 parse_set_expression(text)
+            assert_names_bounds_as_written(text, str(err.value))
         else:
-            assert parse_set_expression(text) == mask_set(mask)
+            parsed = parse_set_expression(text)
+            assert parsed == mask_set(mask)
+            TestLiteralConstruction.assert_like_checked(parsed)
+            assert all(type(x) is Fraction for x in parsed.coords)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["measure", text, "--json"])
@@ -864,6 +900,38 @@ class TestGrammarAgainstCellModel:
         else:
             assert report["results"]["euler_measure"]["value"] == str(mask_chi(mask))
             assert report["results"]["canonical"] == str(mask_set(mask))
+
+    def test_refusal_check_reads_the_literal(self):
+        text = "{1/3} u (4/6, 1/3]"
+        message = "malformed interval: 2/3 >= 1/3 (interval starting at position 8)"
+        with pytest.raises(ParseError) as err:
+            parse_set_expression(text)
+        assert str(err.value) == message
+        assert_names_bounds_as_written(text, message)
+        with pytest.raises(AssertionError):
+            assert_names_bounds_as_written(text, message.replace("2/3", "4/6"))
+
+    def test_denominators_past_the_guard_parse_on_fractions(self):
+        # the k-th literal is written over the k-th prime above 2^64, so the
+        # common denominator is the product of the primes and passes the guard
+        primes = list(itertools.islice(sympy.primerange(2 ** 64, 2 ** 65),
+                                       setparse.MAX_SCALE_BITS // 64))
+        assert sum(p.bit_length() for p in primes) > setparse.MAX_SCALE_BITS
+        rng = random.Random(7)
+        literals = []
+        for p in primes:
+            lo = rng.randrange(-50 * p, 50 * p)
+            hi = lo + rng.randrange(1, 3 * p)
+            if rng.random() < 0.2:
+                literals.append(f"{{{lo}/{p}}}")
+            else:
+                literals.append(f"{rng.choice('([')}{lo}/{p},{hi}/{p}{rng.choice(')]')}")
+        text = " u ".join(literals)
+        assert setparse._Parser(text).scale is None
+        parsed = parse_set_expression(text)
+        pieces = [piece for one in literals for piece in parse_set_expression(one).pieces]
+        assert parsed == PolyhedralSet1D.from_pieces(pieces)
+        assert all(type(x) is Fraction for x in parsed.coords)
 
     def test_model_reads_precedence(self):
         a, b, c = (cell_mask([OpenInterval(ext(x), ext(x + 2))]) for x in (-4, -3, -2))
@@ -879,5 +947,5 @@ def test_sets_scaling_tool_runs():
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["kind"], row["literals"]) for row in rows] == [
-        (kind, n) for kind in ("plain", "combined") for n in (8, 16)]
+        (kind, n) for kind in ("plain", "combined", "fractional", "coprime") for n in (8, 16)]
     assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)

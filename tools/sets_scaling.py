@@ -1,60 +1,94 @@
 """Scaling of the set front end: parse_set_expression on long expressions.
 
-Times parse_set_expression, best of REPEATS, on two kinds of expression
+Times parse_set_expression, best of REPEATS, on four kinds of expression
 of n literals each:
 
-- ``plain``: one chain joined by 'u' and '|';
+- ``plain``: one chain joined by 'u' and '|', on integers;
 - ``combined``: four sub-chains of near-equal length, some complemented
-  with '!', joined by '&', '\\' and 'u' and fully parenthesized.
+  with '!', joined by '&', '\\' and 'u' and fully parenthesized;
+- ``fractional``: a plain chain on a grid scaled by 7, as the ``sets``
+  workload draws it with scale 7: every number is i/7 in lowest terms;
+- ``coprime``: a plain chain whose k-th literal writes its numbers over
+  the k-th prime, as i + 1/p, so the common denominator of the chain is
+  the product of its first n primes.
 
 The literals lie at random places on a grid with as many unit cells as
 there are literals, so they touch and overlap: 15 % point sets, 4 % rays
 of each side, and open, closed and half-open intervals.  Each (kind, n)
-has its own fixed seed.  A plain chain is checked against from_pieces of
-all its pieces.  --src picks the checkout whose library is timed, so one
-run per checkout compares two versions.  Prints one JSON object.
+has its own fixed seed.  Every kind but ``combined`` is checked against
+from_pieces of all its pieces.  Each row gives the bits of the
+expression's common denominator.  --src picks the checkout whose library
+is timed, so one run per checkout compares two versions.  Prints one
+JSON object.
 
-    python3 tools/sets_scaling.py                      # 50 to 800 literals
-    python3 tools/sets_scaling.py --src ../parent/src  # another checkout
-    python3 tools/sets_scaling.py --sizes 8,16         # other sizes
+    python3 tools/sets_scaling.py                        # 50 to 800 literals
+    python3 tools/sets_scaling.py --src ../parent/src    # another checkout
+    python3 tools/sets_scaling.py --sizes 8,16           # other sizes
+    python3 tools/sets_scaling.py --kinds coprime        # some kinds only
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
+import re
 import sys
 import time
+from fractions import Fraction
+from itertools import count, islice
 from pathlib import Path
 
-KINDS = ("plain", "combined")
+KINDS = ("plain", "combined", "fractional", "coprime")
 SIZES = (50, 100, 200, 400, 800)
 REPEATS = 5
 GROUPS = 4
+SCALE = 7  # the largest grid scale the sets workload draws
 
 
-def literal(rng: random.Random, grid: int) -> str:
+def primes():
+    """2, 3, 5, 7, ... by trial division, enough for a few thousand literals."""
+    found = []
+    for n in count(2):
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+            yield n
+
+
+def literal(rng: random.Random, grid: int, number) -> str:
+    """One literal; number(i) writes grid index i."""
     roll = rng.random()
     if roll < 0.15:
-        return "{%s}" % ", ".join(str(rng.randint(0, grid)) for _ in range(rng.randint(1, 3)))
+        return "{%s}" % ", ".join(number(rng.randint(0, grid)) for _ in range(rng.randint(1, 3)))
     if roll < 0.19:
-        return f"(-inf,{rng.randint(0, 2)})"
+        return f"(-inf,{number(rng.randint(0, 2))})"
     if roll < 0.23:
-        return f"({grid - rng.randint(0, 2)},inf)"
+        return f"({number(grid - rng.randint(0, 2))},inf)"
     lo = rng.randint(0, grid - 1)
     hi = min(grid, lo + rng.randint(1, 3))
-    return f"{rng.choice('([')}{lo},{hi}{rng.choice(')]')}"
+    return f"{rng.choice('([')}{number(lo)},{number(hi)}{rng.choice(')]')}"
 
 
-def chain(rng: random.Random, grid: int, n: int) -> str:
-    return "".join((rng.choice((" u ", " | ")) if i else "") + literal(rng, grid) for i in range(n))
+def chain(rng: random.Random, grid: int, n: int, writer=lambda k: str) -> str:
+    """n literals joined by 'u' and '|'; writer(k) writes the numbers of the k-th."""
+    return "".join((rng.choice((" u ", " | ")) if k else "") + literal(rng, grid, writer(k))
+                   for k in range(n))
+
+
+def over_prime(p: int):
+    return lambda i: f"{i * p + 1}/{p}"
 
 
 def expression(kind: str, n: int) -> str:
     rng = random.Random(f"{kind}:{n}")
     if kind == "plain":
         return chain(rng, n, n)
+    if kind == "fractional":
+        return chain(rng, n, n, lambda k: lambda i: str(Fraction(i, SCALE)))
+    if kind == "coprime":
+        denominators = list(islice(primes(), n))
+        return chain(rng, n, n, lambda k: over_prime(denominators[k]))
     sizes = [n // GROUPS + (1 if i < n % GROUPS else 0) for i in range(GROUPS)]
     operands = [("!" if rng.random() < 0.3 else "") + f"({chain(rng, n, size)})" for size in sizes]
     while len(operands) > 1:
@@ -64,9 +98,15 @@ def expression(kind: str, n: int) -> str:
     return operands[0]
 
 
+def denominator_bits(text: str) -> int:
+    """Bits of the lcm of the denominators written in text."""
+    return math.lcm(1, *map(int, re.findall(r"/([0-9]+)", text))).bit_length()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
+    parser.add_argument("--kinds", default=",".join(KINDS))
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
@@ -74,11 +114,11 @@ def main(argv=None) -> int:
     from eulermeasure.setparse import parse_set_expression
 
     rows = []
-    for kind in KINDS:
+    for kind in args.kinds.split(","):
         for n in map(int, args.sizes.split(",")):
             text = expression(kind, n)
             result = parse_set_expression(text)
-            if kind == "plain":
+            if kind != "combined":
                 literals = text.replace(" | ", " u ").split(" u ")
                 pieces = [p for lit in literals for p in parse_set_expression(lit).pieces]
                 assert result == PolyhedralSet1D.from_pieces(pieces), text
@@ -88,7 +128,8 @@ def main(argv=None) -> int:
                 parse_set_expression(text)
                 best = min(best, time.perf_counter() - start)
             ms = best * 1000
-            rows.append({"kind": kind, "literals": n, "result_pieces": len(result.pieces),
+            rows.append({"kind": kind, "literals": n, "denominator_bits": denominator_bits(text),
+                         "result_pieces": len(result.pieces),
                          "parse_ms": round(ms, 3), "ms_per_literal": round(ms / n, 4)})
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
     print(json.dumps({"repeats": REPEATS, "rows": rows}, indent=1))
