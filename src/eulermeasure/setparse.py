@@ -28,20 +28,23 @@ compare instead of a ``Fraction`` comparison, and rebuilds the result
 once with ``Fraction(x, D)`` coordinates.  A refused interval is refused
 again on its bounds as written, so its message names them.
 
-With many pairwise coprime denominators D grows by the bits of each
-one, and past a point the big ints cost more than the comparisons save.
-When the bits of the distinct denominators add up to more than
-MAX_SCALE_BITS, an upper bound on D's bits that is exact for coprime
-ones, the parser reads every number as a ``Fraction`` instead, through
-the same code.  The bound is the measured crossover: on the ``coprime``
-chains of ``tools/sets_scaling.py``, whose k-th literal is written over
-the k-th prime, parsing on scaled ints with no bound took 0.73 times the
-time of Fractions at 400 literals (D of 3,886 bits), 0.91 at 3000
-(39,293 bits), 0.95 at 4000 (54,281 bits), 1.01 at 4300 (58,861 bits)
-and 1.09 at 5000 (69,675 bits), with Python 3.11.7 on a 2-core x86-64
-machine.  The pre-pass skips denominators that are zero or too long to
-convert and raises nothing, so the first error reported is still the
-one at the earliest position.
+Each scaled int is about as long as D, and the rebuild takes one gcd
+with D per coordinate, so past a point the big ints cost more than the
+comparisons save.  When the distinct denominators are more than
+MAX_SCALE_DIGITS digits long together, which bounds D from above and is
+about its length when they are pairwise coprime, the parser reads every
+number as a ``Fraction`` instead, through the same code.  The bound is
+set by the shape with the fewest comparisons per number, one point set
+of integers next to three literals over long pairwise coprime
+denominators: parsing it on scaled ints took 0.82 times the time of
+Fractions with D of 2,000 bits (602 digits), 0.89 at 3,000 and 1.10 at
+4,000 with 100 points, 0.73, 0.78 and 0.96 with 1000, and 3.6 and 3.0
+times at 42,000 bits, with Python 3.11.7 on a 2-core x86-64 machine.
+Chains of unions compare each number more often and gain up to larger
+D.  Under the bound a scaled int is at most about 2,000 bits (250
+bytes) longer than its numerator as written.  The pre-pass converts no
+denominator when it stops at the bound, and raises nothing, so the
+first error reported is still the one at the earliest position.
 """
 
 from __future__ import annotations
@@ -78,10 +81,10 @@ _BINARY = {"u": "union", "|": "union", "\\": "difference", "&": "intersect"}
 # least one Python frame on each, so under the default recursion limit of
 # 1000 frames no expression it could accept is deeper than this.
 MAX_NESTING_DEPTH = 1000
-# The most bits the distinct denominators of an expression may add up to
-# for the parser to scale by their lcm; above it the numbers are read as
-# Fractions (see the module docstring).
-MAX_SCALE_BITS = 56_000
+# The most digits the distinct denominators of an expression may have
+# together for the parser to scale by their lcm; above it the numbers are
+# read as Fractions (see the module docstring).
+MAX_SCALE_DIGITS = 600
 
 
 class _Token(NamedTuple):
@@ -112,39 +115,22 @@ def _tokenize(text: str) -> list[_Token]:
 
 # Every '/' of a tokenized text lies in a number token, before its denominator.
 _DENOMINATOR_RE = re.compile(r"/([0-9]+)")
-# Denominators are folded into the lcm this many at a time, so that the
-# growing lcm takes one big-int step per block rather than one per value.
-_LCM_BLOCK = 32
 
 
-def _denominators(text: str) -> dict[str, int]:
-    """The denominators written in a tokenized text, by their digits, but
-    for any that is zero or has too many digits: the parse reports those
-    at their own position."""
-    denominators = {}
-    for written in set(_DENOMINATOR_RE.findall(text)):
-        try:
-            denominator = int(written)
-        except ValueError:  # the interpreter's limit on digits per integer
-            continue
-        if denominator:
-            denominators[written] = denominator
-    return denominators
-
-
-def _common_denominator(denominators: list[int]) -> int | None:
-    """The lcm of the denominators, or None when their bits add up to
-    more than MAX_SCALE_BITS.
-
-    For distinct denominators that sum bounds the lcm's bits from above,
-    equals them when they are pairwise coprime, and costs no big-int
-    arithmetic."""
-    if sum(d.bit_length() for d in denominators) > MAX_SCALE_BITS:
+def _scale_factors(text: str) -> dict[str, int] | None:
+    """By each denominator q written in a tokenized text, as its digits,
+    D // q for D the lcm of them all, and D for "" (an integer); or None
+    when the distinct ones are more than MAX_SCALE_DIGITS digits long
+    together.  A zero denominator is left out: the parse reports it at
+    its own position."""
+    written = set(_DENOMINATOR_RE.findall(text))
+    if sum(map(len, written)) > MAX_SCALE_DIGITS:
         return None
-    scale = 1
-    for start in range(0, len(denominators), _LCM_BLOCK):
-        scale = lcm(lcm(*denominators[start:start + _LCM_BLOCK]), scale)
-    return scale
+    denominators = {digits: q for digits in written if (q := int(digits))}
+    scale = lcm(*denominators.values())
+    factors = {digits: scale // q for digits, q in denominators.items()}
+    factors[""] = scale
+    return factors
 
 
 class _Parser:
@@ -152,16 +138,9 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        denominators = _denominators(text)
-        self.scale = _common_denominator(list(denominators.values()))
-        # By a number's denominator as written, "" for an integer: what its
-        # numerator is multiplied by on scaled ints, D // q, or divided by
-        # on Fractions, q itself.
-        if self.scale is None:
-            self.factors = {**denominators, "": 1}
-        else:
-            self.factors = {written: self.scale // q for written, q in denominators.items()}
-            self.factors[""] = self.scale
+        # what each numerator is multiplied by, or None to parse on Fractions
+        self.factors = _scale_factors(text)
+        self.scale = None if self.factors is None else self.factors[""]
 
     def _peek(self, ahead: int = 0) -> _Token:
         return self.tokens[self.index + ahead]
@@ -260,10 +239,9 @@ class _Parser:
         numerator, _, denominator = token.text.partition("/")
         try:
             p = int(numerator)
-            # a denominator the pre-pass left out, zero or too long, has no
-            # factor: converting it here raises the error reported for it
-            if self.scale is None:
-                return Fraction(p, self.factors.get(denominator) or int(denominator))
+            if self.factors is None:
+                return Fraction(p, int(denominator)) if denominator else Fraction(p)
+            # a zero denominator has no factor: it raises its error here
             return p * (self.factors.get(denominator) or self.scale // int(denominator))
         except ZeroDivisionError:
             problem = "division by zero"

@@ -105,6 +105,15 @@ class TestParser:
         assert err.value.position == 4
         assert "too many digits" in str(err.value)
 
+    @pytest.mark.parametrize("denominator", ["", "/0", "/3"])
+    def test_long_numerator_is_read_before_its_denominator(self, default_digit_limit,
+                                                           denominator):
+        # on Fractions and on scaled ints alike
+        with pytest.raises(ParseError) as err:
+            parse_set_expression("{1/2, " + "7" * 5000 + denominator + "}")
+        assert err.value.position == 6
+        assert "too many digits" in str(err.value)
+
     def test_earlier_error_before_zero_denominator(self):
         with pytest.raises(ParseError) as err:
             parse_set_expression("(0,1) (0,1/0)")

@@ -869,14 +869,15 @@ def assert_names_bounds_as_written(text: str, message: str):
 
 
 class TestGrammarAgainstCellModel:
-    # Each example parses on one side of the common-denominator guard: on
-    # scaled integers under MAX_SCALE_BITS, or on Fractions with the guard
+    # Each example parses on both sides of the common-denominator guard: on
+    # scaled integers under MAX_SCALE_DIGITS, and on Fractions with the guard
     # at 0, where every expression that writes a denominator passes it.
     @settings(max_examples=300, deadline=None)
-    @given(expressions, st.sampled_from([setparse.MAX_SCALE_BITS, 0]))
-    def test_parse_and_measure_match_the_model(self, expression, guard):
+    @given(expressions)
+    def test_parse_and_measure_match_the_model(self, expression):
         text, mask = expression
-        with mock.patch.object(setparse, "MAX_SCALE_BITS", guard):
+        self.check(text, mask)
+        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
             self.check(text, mask)
 
     @staticmethod
@@ -912,11 +913,11 @@ class TestGrammarAgainstCellModel:
             assert_names_bounds_as_written(text, message.replace("2/3", "4/6"))
 
     def test_denominators_past_the_guard_parse_on_fractions(self):
-        # the k-th literal is written over the k-th prime above 2^64, so the
-        # common denominator is the product of the primes and passes the guard
+        # the k-th literal is written over the k-th prime above 2^64, 20
+        # digits long, so the denominators together pass the guard
         primes = list(itertools.islice(sympy.primerange(2 ** 64, 2 ** 65),
-                                       setparse.MAX_SCALE_BITS // 64))
-        assert sum(p.bit_length() for p in primes) > setparse.MAX_SCALE_BITS
+                                       setparse.MAX_SCALE_DIGITS // 20 + 1))
+        assert sum(len(str(p)) for p in primes) > setparse.MAX_SCALE_DIGITS
         rng = random.Random(7)
         literals = []
         for p in primes:
@@ -947,5 +948,6 @@ def test_sets_scaling_tool_runs():
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["kind"], row["literals"]) for row in rows] == [
-        (kind, n) for kind in ("plain", "combined", "fractional", "coprime") for n in (8, 16)]
+        (kind, n) for kind in ("plain", "combined", "fractional", "coprime", "long")
+        for n in (8, 16)]
     assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)

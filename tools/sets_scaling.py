@@ -1,6 +1,6 @@
 """Scaling of the set front end: parse_set_expression on long expressions.
 
-Times parse_set_expression, best of REPEATS, on four kinds of expression
+Times parse_set_expression, best of REPEATS, on five kinds of expression
 of n literals each:
 
 - ``plain``: one chain joined by 'u' and '|', on integers;
@@ -10,21 +10,24 @@ of n literals each:
   workload draws it with scale 7: every number is i/7 in lowest terms;
 - ``coprime``: a plain chain whose k-th literal writes its numbers over
   the k-th prime, as i + 1/p, so the common denominator of the chain is
-  the product of its first n primes.
+  the product of its first n primes;
+- ``long``: a plain chain on integers but for its first three literals,
+  written over three pairwise coprime denominators of LONG_BITS bits
+  each, so every integer is scaled by a common denominator of about
+  3 * LONG_BITS bits if the parser scales at all.
 
 The literals lie at random places on a grid with as many unit cells as
 there are literals, so they touch and overlap: 15 % point sets, 4 % rays
 of each side, and open, closed and half-open intervals.  Each (kind, n)
 has its own fixed seed.  Every kind but ``combined`` is checked against
 from_pieces of all its pieces.  Each row gives the bits of the
-expression's common denominator.  --src picks the checkout whose library
-is timed, so one run per checkout compares two versions.  Prints one
-JSON object.
+expression's common denominator and the peak memory tracemalloc sees
+during one parse.  --src picks the checkout whose library is timed, so
+one run per checkout compares two versions.  Prints one JSON object.
 
     python3 tools/sets_scaling.py                        # 50 to 800 literals
     python3 tools/sets_scaling.py --src ../parent/src    # another checkout
     python3 tools/sets_scaling.py --sizes 8,16           # other sizes
-    python3 tools/sets_scaling.py --kinds coprime        # some kinds only
 """
 
 from __future__ import annotations
@@ -36,15 +39,17 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
 
-KINDS = ("plain", "combined", "fractional", "coprime")
+KINDS = ("plain", "combined", "fractional", "coprime", "long")
 SIZES = (50, 100, 200, 400, 800)
 REPEATS = 5
 GROUPS = 4
 SCALE = 7  # the largest grid scale the sets workload draws
+LONG_BITS = 14_000  # under the interpreter's limit of 4300 digits per integer
 
 
 def primes():
@@ -76,8 +81,9 @@ def chain(rng: random.Random, grid: int, n: int, writer=lambda k: str) -> str:
                    for k in range(n))
 
 
-def over_prime(p: int):
-    return lambda i: f"{i * p + 1}/{p}"
+def over(q: int):
+    """Writes grid index i as i + 1/q."""
+    return lambda i: f"{i * q + 1}/{q}"
 
 
 def expression(kind: str, n: int) -> str:
@@ -88,7 +94,10 @@ def expression(kind: str, n: int) -> str:
         return chain(rng, n, n, lambda k: lambda i: str(Fraction(i, SCALE)))
     if kind == "coprime":
         denominators = list(islice(primes(), n))
-        return chain(rng, n, n, lambda k: over_prime(denominators[k]))
+        return chain(rng, n, n, lambda k: over(denominators[k]))
+    if kind == "long":
+        odd = 2 ** LONG_BITS + 1  # odd, so it, odd + 1 and odd + 2 are pairwise coprime
+        return chain(rng, n, n, lambda k: over(odd + k) if k < 3 else str)
     sizes = [n // GROUPS + (1 if i < n % GROUPS else 0) for i in range(GROUPS)]
     operands = [("!" if rng.random() < 0.3 else "") + f"({chain(rng, n, size)})" for size in sizes]
     while len(operands) > 1:
@@ -106,7 +115,6 @@ def denominator_bits(text: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    parser.add_argument("--kinds", default=",".join(KINDS))
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
@@ -114,7 +122,7 @@ def main(argv=None) -> int:
     from eulermeasure.setparse import parse_set_expression
 
     rows = []
-    for kind in args.kinds.split(","):
+    for kind in KINDS:
         for n in map(int, args.sizes.split(",")):
             text = expression(kind, n)
             result = parse_set_expression(text)
@@ -128,9 +136,14 @@ def main(argv=None) -> int:
                 parse_set_expression(text)
                 best = min(best, time.perf_counter() - start)
             ms = best * 1000
+            tracemalloc.start()
+            parse_set_expression(text)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             rows.append({"kind": kind, "literals": n, "denominator_bits": denominator_bits(text),
                          "result_pieces": len(result.pieces),
-                         "parse_ms": round(ms, 3), "ms_per_literal": round(ms / n, 4)})
+                         "parse_ms": round(ms, 3), "ms_per_literal": round(ms / n, 4),
+                         "peak_kib": round(peak / 1024)})
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
     print(json.dumps({"repeats": REPEATS, "rows": rows}, indent=1))
     return 0
