@@ -113,12 +113,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# Every '/' of a tokenized text lies in a number token, before its denominator.
+# Every '/' of a text that tokenizes lies in a number token, before its
+# denominator.
 _DENOMINATOR_RE = re.compile(r"/([0-9]+)")
 
 
 def _scale_factors(text: str) -> dict[str, int] | None:
-    """By each denominator q written in a tokenized text, as its digits,
+    """By each denominator q written in a text that tokenizes, as its digits,
     D // q for D the lcm of them all, and D for "" (an integer); or None
     when the distinct ones are more than MAX_SCALE_DIGITS digits long
     together.  A zero denominator is left out: the parse reports it at
@@ -136,11 +137,12 @@ def _scale_factors(text: str) -> dict[str, int] | None:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        # what each numerator is multiplied by, or None to parse on Fractions
+        # what each numerator is multiplied by, or None to parse on Fractions;
+        # read first, so that its strings are gone before the tokens exist
         self.factors = _scale_factors(text)
         self.scale = None if self.factors is None else self.factors[""]
+        self.tokens = _tokenize(text)
+        self.index = 0
 
     def _peek(self, ahead: int = 0) -> _Token:
         return self.tokens[self.index + ahead]

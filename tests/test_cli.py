@@ -93,25 +93,18 @@ class TestParser:
         assert "division by zero" in str(err.value)
 
     def test_too_many_digits(self, default_digit_limit):
-        with pytest.raises(ParseError) as err:
-            parse_set_expression("{0, " + "7" * 5000 + "}")
-        assert err.value.position == 4
-        assert "too many digits" in str(err.value)
+        # a long numerator is reported before its denominator is read
+        for denominator in ("", "/0", "/3"):
+            with pytest.raises(ParseError) as err:
+                parse_set_expression("{0, " + "7" * 5000 + denominator + "}")
+            assert err.value.position == 4
+            assert "too many digits" in str(err.value)
 
     def test_long_denominator_fails_at_its_own_position(self, default_digit_limit):
         # the parser reads every denominator before it parses, and skips this one
         with pytest.raises(ParseError) as err:
             parse_set_expression("{0, 1/" + "7" * 5000 + "}")
         assert err.value.position == 4
-        assert "too many digits" in str(err.value)
-
-    @pytest.mark.parametrize("denominator", ["", "/0", "/3"])
-    def test_long_numerator_is_read_before_its_denominator(self, default_digit_limit,
-                                                           denominator):
-        # on Fractions and on scaled ints alike
-        with pytest.raises(ParseError) as err:
-            parse_set_expression("{1/2, " + "7" * 5000 + denominator + "}")
-        assert err.value.position == 6
         assert "too many digits" in str(err.value)
 
     def test_earlier_error_before_zero_denominator(self):
