@@ -36,10 +36,11 @@ about its length when they are pairwise coprime, the parser reads every
 number as a ``Fraction`` instead, through the same code.  The bound is
 set by the shape with the fewest comparisons per number, one point set
 of integers next to three literals over long pairwise coprime
-denominators: parsing it on scaled ints took 0.82 times the time of
-Fractions with D of 2,000 bits (602 digits), 0.89 at 3,000 and 1.10 at
-4,000 with 100 points, 0.73, 0.78 and 0.96 with 1000, and 3.6 and 3.0
-times at 42,000 bits, with Python 3.11.7 on a 2-core x86-64 machine.
+denominators: parsing it on scaled ints took 0.80 times the time of
+Fractions with D of 2,000 bits (602 digits), 0.87 at 3,000, 0.94 at
+4,000 and 1.33 at 10,000 with 100 points, 0.75, 0.93, 1.00 and 1.13
+with 1000, and 3.6 and 3.4 times at 42,000 bits, with Python 3.11.7 on
+a 2-core x86-64 machine (``BENCH_scaled_parse.json``, guard_crossover).
 Chains of unions compare each number more often and gain up to larger
 D.  Under the bound a scaled int is at most about 2,000 bits (250
 bytes) longer than its numerator as written.  The pre-pass converts no
