@@ -356,9 +356,12 @@ class TestMain:
         ("(1٣,2)", 2, "٣"),
         ("{５}", 1, "５"),  # fullwidth 5
         ("{1/२}", 2, "/"),  # Devanagari 2: '1' is a whole number, and '/' starts no token
+        ("(0,1) u ) x", 10, "x"),  # before the grammar error at 8
+        ("(0,1) u (1/0,2) x", 16, "x"),  # before the division by zero at 9
     ])
     def test_non_ascii_digits_are_refused(self, capsys, text, position, char):
-        # the grammar's digits are 0-9; int() would take any Unicode digit
+        # the grammar's digits are 0-9; int() would take any Unicode digit.
+        # An unexpected character is refused before any grammar error.
         assert main(["measure", text]) == 2
         assert capsys.readouterr().err == (
             f"error [input]: syntax error at position {position}: "

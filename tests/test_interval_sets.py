@@ -16,9 +16,10 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import setparse_reference
 from eulermeasure import cli, setparse
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
@@ -44,7 +45,7 @@ from eulermeasure.interval_sets import (
     _elementary_cells,
     _runs,
 )
-from eulermeasure.setparse import parse_set_expression
+from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression
 from eulermeasure.verify import random_polyhedral_set
 
 
@@ -942,12 +943,50 @@ class TestGrammarAgainstCellModel:
         assert evaluate([a, b, c], ["\\", "&"]) == a & ~(b & c)
 
 
+# Pieces of expressions and characters the grammar refuses or takes only
+# inside a token: non-ASCII digits, Unicode spaces, a bare sign or slash.
+FRAGMENTS = [
+    "(", ")", "[", "]", "{", "}", ",", "u", " u ", "|", "&", "\\", "!", "0", "1", "12", "-3",
+    "1/2", "-7/3", "4/6", "1/0", "inf", "+inf", "-inf", "(0,1)", "[1/2, 3]", "{0, 1/3}",
+    "(-inf,0)", "i", "f", "/", "+", "-", "x", "\u0663", "\uff15", " ", "\t", "\u00a0",
+    "\u2003", "\u3000",
+]
+
+
+class TestTokenScanAgainstReference:
+    """The parser against the token-stream parser it replaced
+    (tests/setparse_reference.py): the same set, or the same ParseError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join),
+                     expressions.map(lambda expression: expression[0])))
+    @example("(" * MAX_NESTING_DEPTH + "(0,1)" + ")" * MAX_NESTING_DEPTH)
+    @example("(" * (MAX_NESTING_DEPTH + 1) + "(0,1)" + ")" * (MAX_NESTING_DEPTH + 1))
+    @example("!" * (MAX_NESTING_DEPTH + 1) + "{0}")
+    def test_same_set_or_same_error(self, text):
+        self.check(text)
+        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
+            self.check(text)
+
+    @staticmethod
+    def check(text):
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except ParseError as exc:
+                return str(exc), exc.position
+            assert all(type(x) is Fraction for x in value.coords)
+            return value
+
+        assert outcome(parse_set_expression) == outcome(setparse_reference.parse_set_expression)
+
+
 def test_sets_scaling_tool_runs():
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "sets_scaling.py"
     out = subprocess.run([sys.executable, str(tool), "--sizes", "8,16"],
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["kind"], row["literals"]) for row in rows] == [
-        (kind, n) for kind in ("plain", "combined", "fractional", "coprime", "long")
+        (kind, n) for kind in ("plain", "combined", "fractional", "coprime", "long", "refused")
         for n in (8, 16)]
     assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)

@@ -1,6 +1,6 @@
 """Scaling of the set front end: parse_set_expression on long expressions.
 
-Times parse_set_expression, best of REPEATS, on five kinds of expression
+Times parse_set_expression, best of REPEATS, on six kinds of expression
 of n literals each:
 
 - ``plain``: one chain joined by 'u' and '|', on integers;
@@ -14,16 +14,19 @@ of n literals each:
 - ``long``: a plain chain on integers but for its first three literals,
   written over three pairwise coprime denominators of LONG_BITS bits
   each, so every integer is scaled by a common denominator of about
-  3 * LONG_BITS bits if the parser scales at all.
+  3 * LONG_BITS bits if the parser scales at all;
+- ``refused``: the ``plain`` chain with an unexpected character after its
+  last literal, timed until its ParseError; its rows give 0 result
+  pieces.
 
 The literals lie at random places on a grid with as many unit cells as
 there are literals, so they touch and overlap: 15 % point sets, 4 % rays
 of each side, and open, closed and half-open intervals.  Each (kind, n)
-has its own fixed seed.  Every kind but ``combined`` is checked against
-from_pieces of all its pieces.  Each row gives the bits of the
-expression's common denominator and the peak memory tracemalloc sees
-during one parse.  --src picks the checkout whose library is timed, so
-one run per checkout compares two versions.  Prints one JSON object.
+has its own fixed seed.  Every kind but ``combined`` and ``refused`` is
+checked against from_pieces of all its pieces.  Each row gives the bits
+of the expression's common denominator and the peak memory tracemalloc
+sees during one parse.  --src picks the checkout whose library is timed,
+so one run per checkout compares two versions.  Prints one JSON object.
 
     python3 tools/sets_scaling.py                        # 50 to 800 literals
     python3 tools/sets_scaling.py --src ../parent/src    # another checkout
@@ -44,7 +47,7 @@ from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
 
-KINDS = ("plain", "combined", "fractional", "coprime", "long")
+KINDS = ("plain", "combined", "fractional", "coprime", "long", "refused")
 SIZES = (50, 100, 200, 400, 800)
 REPEATS = 5
 GROUPS = 4
@@ -87,6 +90,8 @@ def over(q: int):
 
 
 def expression(kind: str, n: int) -> str:
+    if kind == "refused":
+        return expression("plain", n) + " x"
     rng = random.Random(f"{kind}:{n}")
     if kind == "plain":
         return chain(rng, n, n)
@@ -118,30 +123,39 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    from eulermeasure.errors import ParseError
     from eulermeasure.interval_sets import PolyhedralSet1D
     from eulermeasure.setparse import parse_set_expression
+
+    def parse(text):
+        """The parsed set, or None when the text is refused."""
+        try:
+            return parse_set_expression(text)
+        except ParseError:
+            return None
 
     rows = []
     for kind in KINDS:
         for n in map(int, args.sizes.split(",")):
             text = expression(kind, n)
-            result = parse_set_expression(text)
-            if kind != "combined":
+            result = parse(text)
+            assert (result is None) == (kind == "refused"), text
+            if kind not in ("combined", "refused"):
                 literals = text.replace(" | ", " u ").split(" u ")
                 pieces = [p for lit in literals for p in parse_set_expression(lit).pieces]
                 assert result == PolyhedralSet1D.from_pieces(pieces), text
             best = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
-                parse_set_expression(text)
+                parse(text)
                 best = min(best, time.perf_counter() - start)
             ms = best * 1000
             tracemalloc.start()
-            parse_set_expression(text)
+            parse(text)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rows.append({"kind": kind, "literals": n, "denominator_bits": denominator_bits(text),
-                         "result_pieces": len(result.pieces),
+                         "result_pieces": 0 if result is None else len(result.pieces),
                          "parse_ms": round(ms, 3), "ms_per_literal": round(ms / n, 4),
                          "peak_kib": round(peak / 1024)})
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
