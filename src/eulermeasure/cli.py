@@ -7,6 +7,12 @@ the label of the route that produced them; every regularized value comes
 with its "routes", and the agreement check under "checks" is computed
 from them.
 
+Each verb is an entry of ``_VERBS``.  A set verb's builder returns only
+its own inputs, results and checks, laying out a ``Regularized`` record
+through ``_regularized``; ``_frame`` parses ``set`` once, puts ``set``
+and ``canonical`` first and builds the report.  ``verify`` takes no set
+and builds its own.  The exit status is 1 when a check failed, else 0.
+
 Set expressions follow the grammar in setparse; operator binding from
 tightest to loosest is ``!``, ``&``, ``\\``, ``u``/``|``.
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .choose_construction import cell_counts
 from .errors import EulerMeasureError, InputError, UnsupportedDomainError
-from .exact_series import EulerSeries, RationalFunction
+from .exact_series import RationalFunction, Regularized
 from .fibonacci_subsets import fibonacci_measure
 from .interval_sets import OpenInterval, PolyhedralSet1D
 from .limits import check_selection_size
@@ -61,7 +67,11 @@ class Report:
     results: dict
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    exit_status: int = 0
+
+    @property
+    def exit_status(self) -> int:
+        """1 when a check in the report failed, else 0."""
+        return int(any(check["status"] == "fail" for check in self.checks))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -111,19 +121,15 @@ def _labeled(value, route: str) -> dict:
     return {"value": str(value), "route": route}
 
 
+def _chi(a: PolyhedralSet1D) -> dict:
+    return _labeled(a.euler_measure(), "piece-count")
+
+
 def _rf_dict(rf: RationalFunction) -> dict:
     return {
         "numerator": [str(c) for c in rf.numerator.coefficients],
         "denominator": [str(c) for c in rf.denominator.coefficients],
         "text": rf.text(),
-    }
-
-
-def _series_dict(series: EulerSeries) -> dict:
-    return {
-        "grading": series.prefix.grading,
-        "coefficients": [str(c) for c in series.prefix.coefficients],
-        "closed_form": _rf_dict(series.closed_form),
     }
 
 
@@ -134,26 +140,25 @@ def _check_entry(name: str, passed: bool, detail: str = "") -> dict:
     return entry
 
 
-def _regularized_report(
-    verb: str, inputs: dict, results: dict, res, route: str, check: str
-) -> Report:
-    """Report a construction result: its series, labelled value and routes
-    after the given results, and the agreement check computed from the
-    routes."""
-    results = results | {
-        "series": _series_dict(res.series),
+def _regularized(
+    results: dict, res: Regularized, route: str, check: str = "route-agreement", **trailing
+) -> tuple[dict, list]:
+    """A construction's results and checks: the given results, then its
+    series, its value labelled with route, its routes and the trailing
+    fields; the agreement check is computed from the routes."""
+    prefix = res.series.prefix
+    results |= {
+        "series": {
+            "grading": prefix.grading,
+            "coefficients": [str(c) for c in prefix.coefficients],
+            "closed_form": _rf_dict(res.series.closed_form),
+        },
         "value": _labeled(res.value, route),
         "routes": {label: str(value) for label, value in res.routes.items()},
+        **trailing,
     }
     agree = all(value == res.value for value in res.routes.values())
-    return Report(verb, inputs, results, [_check_entry(check, agree)])
-
-
-def _parse_input_set(options: dict) -> PolyhedralSet1D:
-    text = options.get("set")
-    if not text:
-        raise InputError("missing set expression")
-    return parse_set_expression(text)
+    return results, [_check_entry(check, agree)]
 
 
 def _require_unit_domain(a: PolyhedralSet1D, what: str):
@@ -170,15 +175,13 @@ def _require_unit_domain(a: PolyhedralSet1D, what: str):
         )
 
 
-# -- verb handlers -----------------------------------------------------
+# -- verb builders: (set, options) -> (inputs, results, checks) ---------
 
 
-def _cmd_measure(options: dict) -> Report:
-    a = _parse_input_set(options)
+def _measure(a: PolyhedralSet1D, options: dict):
     cls = a.classify()
     results = {
-        "canonical": str(a),
-        "euler_measure": _labeled(a.euler_measure(), "piece-count"),
+        "euler_measure": _chi(a),
         "classification": {
             "finite": cls.finite,
             "cardinality": cls.cardinality,
@@ -187,18 +190,16 @@ def _cmd_measure(options: dict) -> Report:
             "has_isolated_points": cls.has_isolated_points,
         },
     }
-    return Report("measure", {"set": options["set"]}, results)
+    return {}, results, []
 
 
-def _cmd_choose(options: dict) -> Report:
-    a = _parse_input_set(options)
+def _choose(a: PolyhedralSet1D, options: dict):
     k = check_selection_size(int(options["k"]))
     counts = cell_counts(a, k)
     measure = sum(-n if d % 2 else n for d, n in counts.items())
     chi = a.euler_measure()
     binom = integer_binomial(chi, k)
     results = {
-        "canonical": str(a),
         "euler_measure": _labeled(chi, "piece-count"),
         "measure": _labeled(measure, "cell-enumeration"),
         "binomial": _labeled(binom, "generalized-binomial"),
@@ -208,50 +209,34 @@ def _cmd_choose(options: dict) -> Report:
             "dimension_counts": {str(d): n for d, n in sorted(counts.items())},
             "total": sum(counts.values()),
         }
-    agree = measure == binom
-    return Report("choose", {"set": options["set"], "k": str(k)}, results,
-                  [_check_entry("binomial-identity", agree)], exit_status=0 if agree else 1)
+    return {"k": str(k)}, results, [_check_entry("binomial-identity", measure == binom)]
 
 
-def _cmd_powerset(options: dict) -> Report:
-    a = _parse_input_set(options)
+def _powerset(a: PolyhedralSet1D, options: dict):
     ps = powerset_series(a, options.get("terms"))
-    results = {"canonical": str(a), "euler_measure": _labeled(a.euler_measure(), "piece-count")}
-    return _regularized_report(
-        "powerset", {"set": options["set"]}, results, ps, "binomial-closed-form", "route-agreement"
-    )
+    return {}, *_regularized({"euler_measure": _chi(a)}, ps, "binomial-closed-form")
 
 
-def _cmd_gizmo(options: dict) -> Report:
-    a = _parse_input_set(options)
+def _gizmo(a: PolyhedralSet1D, options: dict):
     spec = GizmoSpec(tuple(options["ks"]))
     res = gizmo_measure(a, spec, options.get("terms"))
     results = {
-        "canonical": str(a),
         "ks": list(spec.ks),
-        "euler_measure": _labeled(a.euler_measure(), "piece-count"),
+        "euler_measure": _chi(a),
         "support_counts": [str(n) for n in res.counts],
     }
-    inputs = {"set": options["set"], "ks": ",".join(str(k) for k in spec.ks)}
-    report = _regularized_report(
-        "gizmo", inputs, results, res, "exponential-fit", "route-agreement"
-    )
-    report.results["fit"] = {
-        "bases": list(res.fit.bases),
-        "weights": [str(w) for w in res.fit.weights],
-    }
-    return report
+    fit = {"bases": list(res.fit.bases), "weights": [str(w) for w in res.fit.weights]}
+    inputs = {"ks": ",".join(str(k) for k in spec.ks)}
+    return inputs, *_regularized(results, res, "exponential-fit", fit=fit)
 
 
-def _cmd_mapspace(options: dict) -> Report:
-    a = _parse_input_set(options)
+def _mapspace(a: PolyhedralSet1D, options: dict):
     modes = [name for name in ("finite", "b", "chib") if options.get(name) is not None]
     if len(modes) != 1:
         raise InputError("choose exactly one of --finite N, --b SET, --chib N")
     terms = options.get("terms")
-    inputs = {"set": options["set"], "mode": modes[0]}
-    results = {"canonical": str(a)}
-    route = "breakpoint-series"
+    inputs = {"mode": modes[0]}
+    results = {}
 
     if options.get("pairs"):
         if modes != ["finite"]:
@@ -267,7 +252,7 @@ def _cmd_mapspace(options: dict) -> Report:
         inputs["finite"] = str(bsize)
         results |= {
             "codomain_size": bsize,
-            "euler_measure": _labeled(a.euler_measure(), "piece-count"),
+            "euler_measure": _chi(a),
             "breakpoint_counts": [str(n) for n in res.counts],
         }
     else:
@@ -289,53 +274,62 @@ def _cmd_mapspace(options: dict) -> Report:
             "subset_breakpoint_counts": [str(chi_b ** (2 * k + 1)) for k in range(len(res.counts))],
             "breakpoint_counts": [str(n) for n in res.counts],
         }
-    return _regularized_report("mapspace", inputs, results, res, route, "route-agreement")
+    return inputs, *_regularized(results, res, "breakpoint-series")
 
 
-def _cmd_fib(options: dict) -> Report:
-    p = _parse_input_set(options)
-    res = fibonacci_measure(p, options.get("terms"))
-    results = {"canonical": str(p), "euler_measure": _labeled(p.euler_measure(), "piece-count")}
-    report = _regularized_report(
-        "fib", {"set": options["set"]}, results, res, "series-regularization", "fibonacci-agreement"
-    )
-    report.results["expected_fibonacci"] = _labeled(res.expected, "extended-recurrence")
-    return report
+def _fib(a: PolyhedralSet1D, options: dict):
+    res = fibonacci_measure(a, options.get("terms"))
+    expected = _labeled(res.expected, "extended-recurrence")
+    return {}, *_regularized({"euler_measure": _chi(a)}, res, "series-regularization",
+                             "fibonacci-agreement", expected_fibonacci=expected)
 
 
-def _cmd_verify(options: dict) -> Report:
-    scope = options.get("scope") or "all"
+def _frame(build):
+    """The verb that reports build over the command's set: it parses
+    ``set`` once, passes it with the options to build, and puts ``set``
+    and ``canonical`` before the inputs and results build returns."""
+
+    def verb(command: Command) -> Report:
+        text = command.options.get("set")
+        if not text:
+            raise InputError("missing set expression")
+        a = parse_set_expression(text)
+        inputs, results, checks = build(a, command.options)
+        return Report(command.verb, {"set": text} | inputs, {"canonical": str(a)} | results, checks)
+
+    return verb
+
+
+def _verify(command: Command) -> Report:
+    scope = command.options.get("scope", "all")
     outcomes = run_verify(scope)
-    failures = [r for r in outcomes if not r.passed]
     checks = [
         _check_entry(f"{r.scope}.{r.name}", r.passed, r.detail) | {"ms": r.ms} for r in outcomes
     ]
     results = {
         "checks_run": len(outcomes),
-        "failures": len(failures),
+        "failures": sum(not r.passed for r in outcomes),
     }
-    return Report(
-        "verify", {"scope": scope}, results, checks, exit_status=0 if not failures else 1
-    )
+    return Report("verify", {"scope": scope}, results, checks)
 
 
-_HANDLERS = {
-    "measure": _cmd_measure,
-    "choose": _cmd_choose,
-    "powerset": _cmd_powerset,
-    "gizmo": _cmd_gizmo,
-    "mapspace": _cmd_mapspace,
-    "fib": _cmd_fib,
-    "verify": _cmd_verify,
+_VERBS = {
+    "measure": _frame(_measure),
+    "choose": _frame(_choose),
+    "powerset": _frame(_powerset),
+    "gizmo": _frame(_gizmo),
+    "mapspace": _frame(_mapspace),
+    "fib": _frame(_fib),
+    "verify": _verify,
 }
 
 
 def run(command: Command) -> Report:
-    """Dispatch a validated command to its module and build the report."""
-    handler = _HANDLERS.get(command.verb)
-    if handler is None:
+    """Dispatch a validated command to its verb and build the report."""
+    verb = _VERBS.get(command.verb)
+    if verb is None:
         raise InputError(f"unknown command {command.verb!r}")
-    return handler(command.options)
+    return verb(command)
 
 
 def _ks_list(text: str) -> list[int]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import cli, fibonacci_subsets, map_spaces
+from eulermeasure import cli, fibonacci_subsets, map_spaces, verify
 from eulermeasure.cli import Command, build_parser, main, run
-from eulermeasure.errors import ParseError
+from eulermeasure.errors import InputError, ParseError
 from eulermeasure.exact_series import SeriesPrefix, continue_series
 from eulermeasure.interval_sets import NEG_INF, POS_INF, OpenInterval, Point, PolyhedralSet1D, ext
 from eulermeasure.partition_combinatorics import integer_binomial, iterated_binomial
@@ -271,6 +272,15 @@ class TestRun:
         report = run(Command("gizmo", {"set": "(0,1)", "ks": [2, 2]}))
         for key in ("euler_measure", "value"):
             assert set(report.results[key]) == {"value", "route"}
+
+    def test_verb_table_matches_parser(self):
+        (subcommands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands.choices) == set(cli._VERBS)
+        with pytest.raises(InputError, match="unknown command 'nope'"):
+            run(Command("nope", {}))
 
 
 class TestJsonReports:
@@ -574,6 +584,16 @@ class TestChooseContract:
         assert main(["choose", "(0,1)", "-k", "10001"]) == 3
         assert "use a smaller -k" in capsys.readouterr().err
 
+    def test_failed_binomial_identity_exits_1(self, capsys, monkeypatch):
+        # a wrong count table: one 0-cell where binom(-1, 2) = 1 needs one 2-cell
+        monkeypatch.setattr(cli, "cell_counts", lambda a, k: {0: 1, 2: 1})
+        assert main(["choose", "(0,1)", "-k", "2"]) == 1
+        assert "check binomial-identity: fail" in capsys.readouterr().out.splitlines()
+        assert main(["choose", "(0,1)", "-k", "2", "--json"]) == 1
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["checks"] == [{"name": "binomial-identity", "status": "fail"}]
+        assert blob["results"]["measure"]["value"] == "2"
+
 
 class TestMapPairsContract:
     """mapspace --pairs counts in closed form, so no codomain size meets a cap."""
@@ -623,6 +643,29 @@ class TestVerify:
         assert report.exit_status == 0
         assert report.results["failures"] == 0
         assert all(c["status"] == "ok" for c in report.checks)
+
+    def test_empty_scope_is_refused(self, capsys):
+        assert main(["verify", "--scope", ""]) == 2
+        err = capsys.readouterr().err
+        assert "unknown verify scope ''" in err and ", ".join(verify.SCOPES) in err
+
+    def test_no_scope_runs_every_check(self, monkeypatch):
+        checks = [("cli", "first", lambda: None), ("fibonacci_subsets", "second", lambda: None)]
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        report = run(Command("verify", {}))
+        assert report.inputs == {"scope": "all"}
+        assert [c["name"] for c in report.checks] == ["cli.first", "fibonacci_subsets.second"]
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        failing = ("cli", "always_fails", lambda: "a counterexample")
+        monkeypatch.setattr(verify, "CHECKS", [*verify.CHECKS, failing])
+        assert main(["verify", "--scope", "cli"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "failures: 1" in lines
+        assert "check cli.always_fails: fail (a counterexample)" in lines
+        assert main(["verify", "--scope", "cli", "--json"]) == 1
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["results"] == {"checks_run": 4, "failures": 1}
 
     def test_json_reports_the_time_of_each_check(self, capsys):
         assert main(["verify", "--scope", "cli", "--json"]) == 0
