@@ -4,16 +4,22 @@ A graded family of measures is recorded as a prefix of its generating
 series in the grading variable t; the series continues to a rational
 function, whose value at t=1 is the regularized measure.
 
-Every construction knows that rational function in closed form and
-proves a bound d on the order of the series its counts make.
-``closed_series`` computes the counts c_0, c_1, .. and checks them
-against the closed form.  Two rational functions of orders L and <= d
-that agree on L + d coefficients are equal, so by default it computes
-exactly L + d coefficients, L the closed form's order: that agreement
-is a certificate, not a guess.  An explicit ``terms`` sets how much of
-the prefix is shown.  ``series_window`` is the one sizing rule; its
-default 2d - 1 is the most a certificate needs (L <= d), so a window
-that is too large is refused before anything is counted.
+By Theorem 1 the k-subsets of a set A have Euler measure
+binom(chi(A), k), so each series here is sum_k binom(m, k) n_k t^k for
+the count n_k over one fixed k-subset.  A construction declares it as a
+``Construction`` and ``regularize`` runs it: it sizes the window
+(``series_window``), so a window that is too large is refused before
+any work, then builds the closed form, holds the counts against it
+(``closed_series``) and returns one ``Regularized`` record: the series,
+its value at t=1, the routes that value was held against, and the
+graded counts behind the prefix, built in one place, ``Regularized.of``.
+
+Each construction proves a bound d on its series' order.  Two rational
+functions of orders L and <= d that agree on L + d coefficients are
+equal, so by default closed_series computes exactly L + d coefficients,
+L the closed form's order: that agreement is a certificate, not a
+guess.  An explicit ``terms`` sets how much of the prefix is shown; the
+default window 2d - 1 is the most a certificate needs (L <= d).
 
 ``continue_series`` is the one fit: Berlekamp-Massey over the
 rationals on a fixed prefix.  With an order bound it stops at the same
@@ -27,16 +33,12 @@ it scales the prefix to integers once and eliminates fraction-free
 (Bareiss), so it stays independent of the fit without Fraction
 arithmetic.
 
-Every construction returns one ``Regularized`` record: the series, its
-value at t=1, the routes that value was held against, and the graded
-counts behind the prefix.  ``Regularized.of`` is the one place that
-builds it.
-
 Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InternalCheckError, RegularizationError
 from .limits import check_terms
+from .partition_combinatorics import integer_binomial
 from .rationals import as_fraction
 
 
@@ -385,10 +388,8 @@ def series_window(order_bound: int, terms: int | None = None) -> int:
     """The index of the last coefficient a series computes.
 
     An explicit terms is returned unchanged.  The default is 2d - 1 for
-    d = order_bound: a closed form or fit of order L <= d is certified on
-    L + d coefficients, so no series needs more.  Either way the index
-    must lie in 0..limits.MAX_TERMS; a caller that sizes its window here
-    before counting refuses a window that is too large before any work.
+    d = order_bound, the most a certificate needs.  Either way the index
+    must lie in 0..limits.MAX_TERMS.
     """
     if terms is None:
         return check_terms(max(2 * order_bound - 1, 0), order_bound)
@@ -502,8 +503,7 @@ class Regularized:
     counts: tuple[int, ...]
 
     @classmethod
-    def of(cls, series: EulerSeries, routes: dict[str, Fraction], counts=(),
-           **fields) -> "Regularized":
+    def of(cls, series: EulerSeries, routes: dict[str, Fraction], counts=()) -> "Regularized":
         """The record of the series' value at t=1, which every route must
         equal exactly: a disagreement is a library bug.  Counts past the
         prefix's end are dropped."""
@@ -511,7 +511,7 @@ class Regularized:
         if any(route != value for route in routes.values()):
             named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
             raise InternalCheckError(f"route disagreement: {named}")
-        return cls(series, value, routes, tuple(counts[:len(series.prefix)]), **fields)
+        return cls(series, value, routes, tuple(counts[:len(series.prefix)]))
 
     @property
     def expected(self) -> Fraction:
@@ -543,11 +543,9 @@ def closed_series(
     """The prefix c_0..c_terms of a series whose closed form is known.
 
     ``coefficient(k)`` is called once for each k in order.  By default
-    the prefix holds L + d coefficients, for the closed form's order L
-    and d = order_bound; the counts have order <= d, so their agreement
-    with the closed form there is the certificate that they agree
-    everywhere.  An explicit terms sets the prefix shown (see
-    series_window).  The prefix must expand the closed form exactly.
+    the prefix holds the certificate, L + d coefficients for the closed
+    form's order L and d = order_bound; an explicit terms sets the prefix
+    shown (see series_window).  It must expand the closed form exactly.
     """
     if terms is None:
         terms = check_terms(max(closed_form.order + order_bound, 1) - 1, order_bound)
@@ -557,6 +555,44 @@ def closed_series(
     if not _expands_to(closed_form, coeffs):
         raise InternalCheckError("counts disagree with the closed form")
     return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form, order_bound=order_bound)
+
+
+@dataclass(frozen=True)
+class Construction:
+    """A series construction, declared for ``regularize`` to run.
+
+    ``closed_form`` builds the continuation, of order <= ``order_bound``.
+    The coefficient c_k is binom(weight, k) * count(k), or count(k) with
+    weight None, when the record keeps no counts.  ``routes``, called
+    after the closed form, gives the other routes, the formula last.
+    """
+
+    order_bound: int
+    closed_form: Callable[[], RationalFunction]
+    count: Callable[[int], int]
+    weight: int | None
+    routes: Callable[[], dict[str, Fraction]]
+    grading: str = "rank"
+
+
+def regularize(construction: Construction, terms: int | None = None) -> Regularized:
+    """Run a construction: the window, the closed form, the counts held
+    against it, then the record, whose route ``series_regularization``
+    comes just before the independent formula."""
+    order_bound, weight = construction.order_bound, construction.weight
+    series_window(order_bound, terms)
+    closed = construction.closed_form()
+    counts: list[int] = []
+
+    def coefficient(k: int):
+        counts.append(construction.count(k))
+        return counts[k] if weight is None else integer_binomial(weight, k) * counts[k]
+
+    series = closed_series(coefficient, closed, order_bound, terms, construction.grading)
+    routes = construction.routes()
+    label, formula = routes.popitem()
+    routes |= {"series_regularization": series.regularized_value(), label: formula}
+    return Regularized.of(series, routes, () if weight is None else counts)
 
 
 def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
@@ -621,8 +657,11 @@ def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> Eul
 
 def binomial_closed_form(m: int, lam, scale=1) -> RationalFunction:
     """scale * (1 + lam*t)^m: a polynomial for m >= 0, and
-    scale / (1 + lam*t)^(-m) for m < 0."""
-    power = Polynomial((Fraction(1), as_fraction(lam))) ** abs(m)
+    scale / (1 + lam*t)^(-m) for m < 0.  The power's coefficients are
+    binom(|m|, i) * lam^i, built in one pass with a running binomial."""
+    n, lam = abs(m), as_fraction(lam)
+    binoms = itertools.accumulate(range(n), lambda b, i: b * (n - i) // (i + 1), initial=1)
+    power = Polynomial(tuple(b * lam ** i for i, b in enumerate(binoms)))
     if m >= 0:
         return RationalFunction(power.scale(scale), Polynomial.constant(1))
     return RationalFunction(Polynomial.constant(scale), power)

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
-from .exact_series import Polynomial, RationalFunction, Regularized, closed_series, series_window
+from .exact_series import Construction, Polynomial, RationalFunction, Regularized, regularize
 from .interval_sets import Point, PolyhedralSet1D
 
-GRADING = "rank"
 DEFAULT_STRATA_CAP = 10
 
 
@@ -144,22 +143,18 @@ def parity_length(P: PolyhedralSet1D) -> int:
 def fibonacci_measure(P: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Regularized measure of the parity-constrained subset family of P.
 
-    The series is parity_polynomial as its own closed form, and its
-    length d is the order bound.  The window (series_window: 2d - 1 by
-    default) is checked from parity_length before the O(pieces^2) count;
-    closed_series then shows L + d coefficients, or c_0..c_terms.  The
-    last route, ``expected``, is F(chi(P) + 1); the counts are empty,
-    since the coefficients are the stratum counts.
+    The closed form is parity_polynomial, whose coefficients are the
+    counts; its length, the order bound, parity_length finds in O(pieces)
+    before the O(pieces^2) count.  The last route is F(chi(P) + 1).
     """
-    order_bound = parity_length(P)
-    series_window(order_bound, terms)
-    coeffs = parity_polynomial(P)
-    closed = RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
-    series = closed_series(
-        lambda k: coeffs[k] if k < len(coeffs) else 0, closed, order_bound, terms, GRADING
-    )
-    routes = {
-        "series_regularization": series.regularized_value(),
-        "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1),
-    }
-    return Regularized.of(series, routes)
+    coeffs: list[int] = []
+
+    def closed_form() -> RationalFunction:
+        coeffs.extend(parity_polynomial(P))
+        return RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
+
+    return regularize(Construction(
+        order_bound=parity_length(P), closed_form=closed_form,
+        count=lambda k: coeffs[k] if k < len(coeffs) else 0, weight=None,
+        routes=lambda: {"extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)},
+    ), terms)

@@ -6,11 +6,11 @@ takes an explicit cap argument with this default.  No CLI verb
 enumerates, so none reaches it.  The series ceiling MAX_TERMS is fixed:
 it sits above the default window of every documented input (terms =
 2d - 1 for order bound d, the most a certificate needs; see
-exact_series.series_window) and is checked before any coefficient is
-counted.  fib's bound is the length of the polynomial it counts, which
-it walks in O(pieces) before the count (2000 points: terms 4001; from
-5000 points on the window is above the ceiling).  It also bounds the
-selection size of choose.
+exact_series.series_window), and is checked before the closed form is
+built or any coefficient counted (exact_series.regularize).  fib's bound
+is the length of its polynomial, found in O(pieces) (2000 points: terms
+4001; from 5000 points on the window is above the ceiling).  It also
+bounds the selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi has J = prod(k_i) exponential bases

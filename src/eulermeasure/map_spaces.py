@@ -17,34 +17,32 @@ series continues to base/(1 + (base^2-1) t) and regularizes to 1/base,
 or to 0 when the base is 0.  Unordered pairs of distinct maps, graded by
 the union of their breakpoint sets, continue to the difference of two
 such series, (1/2)(b^2/(1 + (b^4-1) t) - b/(1 + (b^2-1) t)), and
-regularize to binom(1/b, 2).  Each construction returns an
-exact_series.Regularized record whose counts are the exact-breakpoint
-(or, for pairs, union-breakpoint) counts.
+regularize to binom(1/b, 2).  Each construction is an
+exact_series.Construction declaration, whose counts are the
+exact-breakpoint (or, for pairs, union-breakpoint) counts.
 
-Every count and every series here is a closed form, and
-exact_series.closed_series holds the counts against the series;
-brute_map_count and map_pair_count enumerate value sequences, as bounded
-test oracles only.
+Every count and every series here is a closed form; brute_map_count and
+map_pair_count enumerate value sequences, as bounded test oracles only.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, UnsupportedDomainError
 from .exact_series import (
+    Construction,
     Polynomial,
     RationalFunction,
     Regularized,
     binomial_closed_form,
-    closed_series,
+    regularize,
 )
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP
-from .partition_combinatorics import gen_binomial, integer_binomial
+from .partition_combinatorics import gen_binomial
 
 GRADING = "breakpoints"
 # The pair counts are a difference of two geometric sequences (see
@@ -95,11 +93,9 @@ def hedral_map_measure(
 
     The domain must be a union of open intervals: breakpoints inside a
     point piece make no sense, and the value-sequence count would stop
-    being independent of where the breakpoints sit.  Over p components
-    the counts are n_k = bsize^p (bsize^2 - 1)^k, and the series
-    sum binom(-p, k) n_k t^k is held against its closed form
-    bsize^p / (1 + (bsize^2 - 1) t)^p of order p, or 1 for the constant
-    series of the empty domain.
+    being independent of where the breakpoints sit.  The order bound is
+    the number p of intervals, or 1 for the constant series 1: on the
+    empty domain, and for bsize = 1, where (bsize^2 - 1)^k = 0 for k >= 1.
     """
     if bsize < 1:
         raise InputError("codomain size must be positive")
@@ -109,19 +105,12 @@ def hedral_map_measure(
             "points are not supported)"
         )
     p = len(A.pieces)
-    counts: list[int] = []
-
-    def coefficient(k: int) -> int:
-        counts.append(bsize ** p * (bsize ** 2 - 1) ** k)
-        return integer_binomial(-p, k) * counts[k]
-
-    closed = binomial_closed_form(-p, bsize ** 2 - 1, bsize ** p)
-    series = closed_series(coefficient, closed, max(p, 1), terms, GRADING)
-    routes = {
-        "series_regularization": series.regularized_value(),
-        "codomain_power": Fraction(bsize) ** -p,
-    }
-    return Regularized.of(series, routes, counts)
+    return regularize(Construction(
+        order_bound=max(p, 1) if bsize > 1 else 1,
+        closed_form=lambda: binomial_closed_form(-p, bsize ** 2 - 1, bsize ** p),
+        count=lambda k: bsize ** p * (bsize ** 2 - 1) ** k, weight=-p,
+        routes=lambda: {"codomain_power": Fraction(bsize) ** -p}, grading=GRADING,
+    ), terms)
 
 
 def _breakpoint_mask_counts(bsize: int, k: int, cap: int) -> list[int]:
@@ -165,34 +154,29 @@ def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     return distinct_ordered // 2
 
 
+def _pair_closed_form(bsize: int) -> RationalFunction:
+    """(1/2)(b^2/(1 + (b^4-1)t) - b/(1 + (b^2-1)t)), from the two
+    geometric sequences of finite_pair_count."""
+    wide, narrow = bsize ** 4 - 1, bsize ** 2 - 1
+    num = (Fraction(bsize ** 2 - bsize, 2), Fraction(bsize ** 2 * narrow - bsize * wide, 2))
+    return RationalFunction(Polynomial(num), Polynomial((1, wide)) * Polynomial((1, narrow)))
+
+
 def map_pair_measure(bsize: int, terms: int | None = None) -> Regularized:
     """Series and value for unordered distinct pairs of maps from (0,1).
 
-    The pair rank is the size of the union of the two breakpoint sets;
-    the counts are finite_pair_count's, and the series coefficient is
-    (-1)^k times the count.  Their two geometric sequences give the
-    closed form (1/2)(b^2/(1 + (b^4-1)t) - b/(1 + (b^2-1)t)), which
-    closed_series holds against the counts: by default on k = 0..3 for
-    the order bound 2.  The value must equal binom(1/bsize, 2), the pairs
-    of the map space of measure 1/bsize.
+    The pair rank is the size of the union of the two breakpoint sets.
+    The value is binom(1/bsize, 2), the pairs of the map space of
+    measure 1/bsize.
     """
     if bsize < 1:
         raise InputError("codomain size must be positive")
-    wide, narrow = bsize ** 4 - 1, bsize ** 2 - 1
-    num = (Fraction(bsize ** 2 - bsize, 2), Fraction(bsize ** 2 * narrow - bsize * wide, 2))
-    closed = RationalFunction(Polynomial(num), Polynomial((1, wide)) * Polynomial((1, narrow)))
-    counts: list[int] = []
-
-    def coefficient(k: int) -> int:
-        counts.append(finite_pair_count(bsize, k))
-        return (-1) ** k * counts[k]
-
-    series = closed_series(coefficient, closed, PAIR_ORDER_BOUND, terms, GRADING)
-    routes = {
-        "series_regularization": series.regularized_value(),
-        "generalized_binomial": gen_binomial(Fraction(1, bsize), 2),
-    }
-    return Regularized.of(series, routes, counts)
+    return regularize(Construction(
+        order_bound=PAIR_ORDER_BOUND, closed_form=lambda: _pair_closed_form(bsize),
+        count=lambda k: finite_pair_count(bsize, k), weight=-1,
+        routes=lambda: {"generalized_binomial": gen_binomial(Fraction(1, bsize), 2)},
+        grading=GRADING,
+    ), terms)
 
 
 def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
@@ -219,17 +203,23 @@ def affine_pair_space(B: PolyhedralSet1D) -> CellSketch:
     return sketch
 
 
+def schanuel_count(chi_b: int, k: int) -> int:
+    """Measure of the maps from (0,1) into B, chi(B) = chi_b, breaking at
+    exactly a fixed k-set: Mobius inversion over the subset lattice of
+    chi(B)^(2j+1), the maps with breakpoints inside a fixed j-set (one
+    chi(B) per breakpoint value and per stretch), with running binomials."""
+    binoms = itertools.accumulate(range(k), lambda b, j: b * (k - j) // (j + 1), initial=1)
+    return sum((-1) ** (k - j) * b * chi_b ** (2 * j + 1) for j, b in enumerate(binoms))
+
+
 def schanuel_measure(
     codomain: PolyhedralSet1D | int, terms: int | None = None
 ) -> Regularized:
     """Regularized measure of the full map space from (0,1) into B.
 
-    Maps whose breakpoints lie inside a fixed k-set have measure
-    chi(B)^(2k+1) (one chi(B) per breakpoint value and per stretch);
-    Mobius inversion over the subset lattice gives the exact-breakpoint
-    counts n_k = sum_j (-1)^(k-j) binom(k,j) chi(B)^(2j+1), which must
-    expand chi(B)/(1+(chi(B)^2-1)t).  The value is 0 when chi(B) = 0
-    and 1/chi(B) otherwise.
+    The value is 1/chi(B), or 0 when chi(B) = 0: then every coefficient
+    vanishes, so the closed form is literally 0 and evaluation at t=1
+    never sees the nominal pole.
 
     A concrete codomain must be compact; its measure is taken from the
     affine endpoint-pair region rather than assumed.
@@ -238,20 +228,10 @@ def schanuel_measure(
         chi_b = affine_pair_space(codomain).measure
     else:
         chi_b = int(codomain)
-    inside: list[int] = []  # chi(B)^(2j+1): maps with breakpoints inside a fixed j-set
-    counts: list[int] = []
-
-    def coefficient(k: int) -> int:
-        inside.append(chi_b ** (2 * k + 1))
-        counts.append(sum((-1) ** (k - j) * math.comb(k, j) * inside[j] for j in range(k + 1)))
-        return (-1) ** k * counts[k]
-
-    closed = binomial_closed_form(-1, chi_b ** 2 - 1, chi_b)
-    series = closed_series(coefficient, closed, 1, terms, GRADING)
-    # chi(B) = 0 makes every coefficient vanish, so the closed form is
-    # literally 0 and evaluation at t=1 never sees the nominal pole.
-    routes = {
-        "series_regularization": series.regularized_value(),
-        "reciprocal_codomain_measure": Fraction(0) if chi_b == 0 else Fraction(1, chi_b),
-    }
-    return Regularized.of(series, routes, counts)
+    return regularize(Construction(
+        order_bound=1, closed_form=lambda: binomial_closed_form(-1, chi_b ** 2 - 1, chi_b),
+        count=lambda k: schanuel_count(chi_b, k), weight=-1,
+        routes=lambda: {"reciprocal_codomain_measure": Fraction(0) if chi_b == 0
+                        else Fraction(1, chi_b)},
+        grading=GRADING,
+    ), terms)

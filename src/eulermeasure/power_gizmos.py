@@ -18,12 +18,10 @@ measure from them:
 * exponential fit: the weights' polynomial sum_j a_j x^j evaluated
   directly at 2^chi(A);
 * series regularization: the closed form sum_j a_j (1 + (2^j - 1)t)^chi(A),
-  whose t^k coefficient is binom(chi(A), k) * n_k, checked against those
-  counts by exact_series.closed_series and evaluated at t=1.
+  whose t^k coefficient is binom(chi(A), k) * n_k.
 
 Both routes must agree with the iterated binomial coefficient of
-2^chi(A), which exact_series.Regularized.of checks on every call.  Both
-constructions return an exact_series.Regularized record.
+2^chi(A).  Both constructions are exact_series.Construction declarations.
 """
 
 from __future__ import annotations
@@ -37,20 +35,18 @@ from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
+    Construction,
     Polynomial,
     RationalFunction,
     Regularized,
     binomial_closed_form,
     clear_denominators,
-    closed_series,
-    series_window,
+    regularize,
 )
 from .interval_sets import PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP, check_gizmo_size
 from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
-
-GRADING = "rank"
 
 
 @dataclass(frozen=True)
@@ -258,21 +254,15 @@ def _order_bound(chi: int, j_dim: int) -> int:
 def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> Regularized:
     """Euler series of 2^A: binom(chi,k) t^k, closed form (1+t)^chi.
 
-    The regularized value is 2^chi(A); the t=1 evaluation can never hit
-    a pole because 1 + t is 2 there.  The closed form is known, so an
-    explicit terms only sets how much of the prefix is shown.  The
-    coefficients are the counts, so the record's counts are empty.
+    The coefficients are the counts, so the record keeps none.  The
+    value is 2^chi(A), the last route; 1 + t is 2 at t=1, never a pole.
     """
     chi = A.euler_measure()
-    series = closed_series(
-        lambda k: integer_binomial(chi, k), binomial_closed_form(chi, 1),
-        _order_bound(chi, 1), terms, GRADING,
-    )
-    routes = {
-        "series_regularization": series.regularized_value(),
-        "power_of_two": Fraction(2) ** chi,
-    }
-    return Regularized.of(series, routes)
+    return regularize(Construction(
+        order_bound=_order_bound(chi, 1), closed_form=lambda: binomial_closed_form(chi, 1),
+        count=lambda k: integer_binomial(chi, k), weight=None,
+        routes=lambda: {"power_of_two": Fraction(2) ** chi},
+    ), terms)
 
 
 @dataclass(frozen=True)
@@ -318,30 +308,24 @@ def gizmo_measure(
 ) -> GizmoMeasureResult:
     """Regularized Euler measure of G(2^A; k_1..k_r), by three routes.
 
-    The window (exact_series.series_window for the order bound from
-    chi(A) and J = prod(k_i)) and the size ceiling are checked before any
-    counting.  gizmo_fit's weights give the closed form, which
-    closed_series holds against the counts binom(chi, k) n_k: by default
-    on L + d of them, the certificate.  The routes must agree (see
-    exact_series.Regularized.of).
+    The closed form comes from gizmo_fit's weights; its builder checks
+    the size ceiling first, so after the window.
     """
     chi = A.euler_measure()
     two_chi = Fraction(2) ** chi
-    order_bound = _order_bound(chi, spec.fit_dimension)
-    series_window(order_bound, terms)
-    check_gizmo_size(chi, spec.ks)
     totals: list[int] = []
-    fit = gizmo_fit(spec, totals=totals)
-    counts: list[int] = []
+    fit = None
 
-    def coefficient(k: int) -> int:
-        counts.append(gizmo_support_count(spec, k, totals))
-        return integer_binomial(chi, k) * counts[k]
+    def closed_form() -> RationalFunction:
+        nonlocal fit
+        check_gizmo_size(chi, spec.ks)
+        fit = gizmo_fit(spec, totals=totals)
+        return _closed_form(fit, chi)
 
-    series = closed_series(coefficient, _closed_form(fit, chi), order_bound, terms, GRADING)
-    routes = {
-        "exponential_fit": fit.value_at(two_chi),
-        "series_regularization": series.regularized_value(),
-        "iterated_binomial": iterated_binomial(two_chi, spec.ks),
-    }
-    return GizmoMeasureResult.of(series, routes, counts, fit=fit)
+    record = regularize(Construction(
+        order_bound=_order_bound(chi, spec.fit_dimension), closed_form=closed_form,
+        count=lambda k: gizmo_support_count(spec, k, totals), weight=chi,
+        routes=lambda: {"exponential_fit": fit.value_at(two_chi),
+                        "iterated_binomial": iterated_binomial(two_chi, spec.ks)},
+    ), terms)
+    return GizmoMeasureResult(**vars(record), fit=fit)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import cli, fibonacci_subsets, map_spaces, verify
+from eulermeasure import cli, exact_series, fibonacci_subsets, map_spaces, power_gizmos, verify
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.exact_series import SeriesPrefix, continue_series
@@ -25,6 +25,9 @@ from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression, to_ex
 from eulermeasure.verify import random_piece_set, random_polyhedral_set, run_verify, set_with_chi
 
 F = Fraction
+# 5001 open intervals: chi = -5001, so the default window of an order bound
+# -chi is 10,001 coefficients, one above the ceiling
+OPEN_5001 = " u ".join(f"({2 * i},{2 * i + 1})" for i in range(5001))
 
 
 @pytest.fixture
@@ -471,6 +474,48 @@ class TestMain:
         # one point less fits the window 2d - 1 = 9999, so the count starts
         with pytest.raises(AssertionError, match="parity polynomial counted"):
             main(["fib", "{" + ",".join(map(str, range(4999))) + "}"])
+
+    @pytest.mark.parametrize("argv, origin, builders", [
+        (["powerset", OPEN_5001], "terms 10001 (the default for order bound 5001)",
+         [(power_gizmos, "binomial_closed_form"), (power_gizmos, "integer_binomial")]),
+        (["powerset", "(0,1)", "--terms", "10001"], "terms 10001 exceeds",
+         [(power_gizmos, "binomial_closed_form"), (power_gizmos, "integer_binomial")]),
+        (["gizmo", OPEN_5001, "--ks", "1"], "terms 10001 (the default for order bound 5001)",
+         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "gizmo_fit"),
+          (power_gizmos, "_closed_form"), (power_gizmos, "gizmo_support_count")]),
+        (["gizmo", "(0,1)", "--ks", "1", "--terms", "10001"], "terms 10001 exceeds",
+         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "gizmo_fit"),
+          (power_gizmos, "_closed_form"), (power_gizmos, "gizmo_support_count")]),
+        (["mapspace", OPEN_5001, "--finite", "2"], "terms 10001 (the default for order bound 5001)",
+         [(map_spaces, "binomial_closed_form")]),
+        (["mapspace", "(0,1)", "--finite", "2", "--terms", "10001"], "terms 10001 exceeds",
+         [(map_spaces, "binomial_closed_form")]),
+        (["mapspace", "(0,1)", "--finite", "2", "--pairs", "--terms", "10001"],
+         "terms 10001 exceeds", [(map_spaces, "_pair_closed_form"), (map_spaces, "finite_pair_count")]),
+        (["mapspace", "(0,1)", "--chib", "-2", "--terms", "10001"], "terms 10001 exceeds",
+         [(map_spaces, "binomial_closed_form"), (map_spaces, "schanuel_count")]),
+        (["fib", "{" + ",".join(map(str, range(5000))) + "}"],
+         "terms 10001 (the default for order bound 5001)", [(fibonacci_subsets, "parity_polynomial")]),
+        (["fib", "{0,1}", "--terms", "10001"], "terms 10001 exceeds",
+         [(fibonacci_subsets, "parity_polynomial")]),
+    ], ids=["powerset-default", "powerset-terms", "gizmo-default", "gizmo-terms",
+            "finite-default", "finite-terms", "pairs-terms", "chib-terms", "fib-default", "fib-terms"])
+    def test_window_before_any_work(self, argv, origin, builders, capsys, monkeypatch):
+        # every construction sizes its window before it builds its closed form
+        # or counts anything; every count goes through closed_series
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or counted above the terms ceiling")
+
+        for module, name in builders + [(exact_series, "closed_series")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main(argv) == 3
+        assert origin in capsys.readouterr().err
+
+    def test_single_valued_codomain_on_many_pieces(self, capsys):
+        # --finite 1 declares order bound 1, so 5001 pieces fit the default window
+        assert main(["mapspace", OPEN_5001, "--finite", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "series (breakpoints): 1, 0" in out and "value [breakpoint-series]: 1" in out
 
     def test_json_error_payload(self, capsys):
         code = main(["measure", "(3,1)", "--json"])

@@ -23,6 +23,7 @@ from eulermeasure.errors import (
     ResourceLimitError,
 )
 from eulermeasure.exact_series import (
+    Construction,
     EulerSeries,
     Polynomial,
     RationalFunction,
@@ -36,6 +37,7 @@ from eulermeasure.exact_series import (
     eval_at_one,
     min_recurrence,
     poly_gcd,
+    regularize,
     series_window,
     solve_linear_system,
     to_rational_function,
@@ -371,6 +373,47 @@ class TestRegularize:
         assert str(err.value) == (
             "route disagreement: series gives 1/2, formula gives 1/3, other gives 1/2"
         )
+
+
+class TestConstructionRunner:
+    @staticmethod
+    def _geometric(steps, weight=-1):
+        """2 / (1 + 3t) as weight -1 times the counts 2 * 3^k, logging each step."""
+        return Construction(
+            order_bound=1,
+            closed_form=lambda: steps.append("closed form") or binomial_closed_form(-1, 3, 2),
+            count=lambda k: steps.append(k) or 2 * 3 ** k, weight=weight,
+            routes=lambda: steps.append("routes") or {"first": F(1, 2), "formula": F(1, 2)},
+        )
+
+    def test_steps_in_order_and_the_series_route_before_the_formula(self):
+        steps = []
+        record = regularize(self._geometric(steps))
+        assert steps == ["closed form", 0, 1, "routes"]  # L + d = 1 + 1 counts
+        assert record.value == F(1, 2) and record.counts == (2, 6)
+        assert record.series.prefix.coefficients == (2, -6)
+        assert list(record.routes) == ["first", "series_regularization", "formula"]
+        assert record.series.prefix.grading == "rank"
+
+    def test_window_refused_before_any_work(self):
+        steps = []
+        for terms, error in ((MAX_TERMS + 1, ResourceLimitError), (-1, InputError)):
+            with pytest.raises(error):
+                regularize(self._geometric(steps), terms)
+        assert steps == []
+
+    def test_weights_are_generalized_binomials(self):
+        # weight m: c_k = binom(m, k) n_k, here for (1 + t)^m = sum binom(m, k) t^k
+        for m in range(-4, 5):
+            bound = m + 1 if m >= 0 else -m
+            record = regularize(Construction(bound, lambda: binomial_closed_form(m, 1),
+                                             lambda k: 1, m, lambda: {"power": F(2) ** m}), 12)
+            assert record.series.prefix.coefficients == tuple(gen_binomial(m, k) for k in range(13))
+            assert record.counts == (1,) * 13
+
+    def test_no_weight_keeps_no_counts(self):
+        record = regularize(self._geometric([], weight=None), 0)
+        assert record.counts == () and record.series.prefix.coefficients == (2,)
 
 
 # The gizmo selection sizes of the benchmark's regularize workload.
@@ -722,6 +765,16 @@ def test_min_recurrence_scaling_tool_runs():
     assert [(row["order"], row["coefficients"]) for row in rows] == [(2, 10), (3, 14)]
 
 
+def test_construction_scaling_tool_runs():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "construction_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--sizes", "2", "--timeout", "60"],
+                         capture_output=True, text=True, timeout=300, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [(row["verb"], row["p"], row["exit"]) for row in rows] == [
+        ("powerset", 2, 0), ("mapspace --finite 2", 2, 0), ("mapspace --chib -2", 2, 0),
+        ("gizmo --ks 1", 2, 0)]
+
+
 FIT_NAMES = {"continue_series", "min_recurrence"}
 
 
@@ -740,3 +793,22 @@ def test_only_exact_series_and_verify_name_the_fit():
     del modules["exact_series"]
     assert FIT_NAMES <= modules.pop("verify")  # the scan sees both names where they are used
     assert {name: used & FIT_NAMES for name, used in modules.items() if used & FIT_NAMES} == {}
+
+
+RUNNER_STEPS = {"closed_series", "series_window", "of"}
+
+
+def _calls(path):
+    """The name of every function a module calls: f for f(..) and for x.f(..)."""
+    calls = [n.func for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+    return ({f.id for f in calls if isinstance(f, ast.Name)}
+            | {f.attr for f in calls if isinstance(f, ast.Attribute)})
+
+
+def test_only_the_runner_calls_its_steps():
+    # closed_series, series_window and Regularized.of run inside exact_series.regularize;
+    # every construction declares an exact_series.Construction instead
+    src = pathlib.Path(exact_series.__file__).parent
+    modules = {path.stem: _calls(path) for path in src.glob("*.py")}
+    assert RUNNER_STEPS <= modules.pop("exact_series")  # the scan sees the calls where they are
+    assert {name: used & RUNNER_STEPS for name, used in modules.items() if used & RUNNER_STEPS} == {}

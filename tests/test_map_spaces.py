@@ -93,6 +93,11 @@ class TestHedralMapMeasure:
         res = hedral_map_measure(parse("(0,1)"), 1)
         assert res.value == 1
         assert res.series.prefix.coefficients == (1, 0)
+        # (b^2 - 1)^k vanishes for k >= 1, so the series is the constant 1 on
+        # any domain: order bound 1, whatever the number of pieces
+        res = hedral_map_measure(parse("(0,1) u (2,3) u (4,5)"), 1)
+        assert res.value == 1 and res.series.order_bound == 1
+        assert res.series.prefix.coefficients == (1, 0) and res.counts == (1, 0)
 
     def test_empty_domain(self):
         # the constant series 1 has order 1, so its certificate is 1 + 1 coefficients

@@ -40,7 +40,6 @@ from eulermeasure.exact_series import (  # noqa: E402
     series_window,
 )
 from eulermeasure.fibonacci_subsets import (  # noqa: E402
-    GRADING,
     extended_fibonacci,
     fibonacci_measure,
     parity_polynomial,
@@ -68,7 +67,7 @@ def enumeration_value(P: PolyhedralSet1D) -> Fraction:
     order_bound = len(P.pieces) + 1  # the series is a polynomial of degree <= pieces
     last = series_window(order_bound)
     counts = tuple(parity_strata_coefficient(P, k, cap=max(last, 10)) for k in range(last + 1))
-    series = continue_series(SeriesPrefix(counts, GRADING), order_bound)
+    series = continue_series(SeriesPrefix(counts), order_bound)
     routes = {"series_regularization": series.regularized_value(),
               "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
     return Regularized.of(series, routes).value
