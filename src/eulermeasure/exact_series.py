@@ -21,6 +21,18 @@ L the closed form's order: that agreement is a certificate, not a
 guess.  An explicit ``terms`` sets how much of the prefix is shown; the
 default window 2d - 1 is the most a certificate needs (L <= d).
 
+Every closed form a construction builds is a ``FactoredForm``, an
+integer numerator N over a positive integer scale s and a product of
+linear factors: (N/s) / prod_j (1 + lam_j t)^(m_j), with distinct
+nonzero integers lam_j.  The certificate needs no polynomial product:
+each factor is applied to the counted prefix as m_j linear passes
+c_k += lam_j c_(k-1), big times small integers, and what remains times s
+must be N term by term.  The form is reduced because N does not vanish
+at any root -1/lam_j of its denominator, checked over the integers when
+it is built, so no gcd is ever taken; its value at t=1 is
+N(1) / (s prod_j (1 + lam_j)^(m_j)), computed once.  ``closed_form``
+expands it to a RationalFunction only when a report reads it.
+
 ``continue_series`` is the one fit: Berlekamp-Massey over the
 rationals on a fixed prefix.  With an order bound it stops at the same
 certificate, n >= L + d for the length L of the recurrence fitted to
@@ -38,6 +50,7 @@ Everything is immutable and pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -265,6 +278,15 @@ class RationalFunction:
         object.__setattr__(self, "numerator", num.scale(1 / c0))
         object.__setattr__(self, "denominator", den.scale(1 / c0))
 
+    @classmethod
+    def from_reduced(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
+        """numerator / denominator as given, for a caller that has proven
+        them coprime with denominator(0) = 1: the normal form, unchecked."""
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "numerator", numerator)
+        object.__setattr__(rf, "denominator", denominator)
+        return rf
+
     @property
     def order(self) -> int:
         """The order of the shortest recurrence its Taylor coefficients
@@ -302,6 +324,103 @@ def eval_at_one(rf: RationalFunction) -> Fraction:
             raise InternalCheckError("coprime invariant violated: 0/0 at t=1")
         raise RegularizationError("no regularized value (pole at t=1)")
     return n / d
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials, ascending coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _binomial_power(lam, n: int) -> list:
+    """The coefficients binom(n, i) * lam^i of (1 + lam*t)^n, n >= 0."""
+    return [math.comb(n, i) * lam ** i for i in range(n + 1)]
+
+
+def times_factors(coeffs: Sequence, factors: Iterable[tuple[int, int]]) -> list:
+    """The first len(coeffs) coefficients of coeffs * prod (1 + lam*t)^m,
+    by m linear passes c_k += lam * c_(k-1) per factor; pad coeffs with
+    zeros for the whole product."""
+    out = list(coeffs)
+    for lam, m in factors:
+        for _ in range(m):
+            out[1:] = map(operator.add, out[1:], map(operator.mul, itertools.repeat(lam), out))
+    return out
+
+
+def _homogenized_at(numerator: Sequence[int], lam: int) -> int:
+    """lam^deg * N(-1/lam) over the integers: zero exactly when N(-1/lam) is."""
+    acc = 0
+    for i, c in enumerate(numerator):
+        acc = acc * lam + (-c if i % 2 else c)
+    return acc
+
+
+@dataclass(frozen=True)
+class FactoredForm:
+    """The closed form (N/s) / prod_j (1 + lam_j t)^(m_j) of a construction.
+
+    ``numerator`` holds the integers N_0, N_1, .. of N, ``scale`` the
+    positive integer s and ``factors`` the pairs (lam_j, m_j) of distinct
+    nonzero integers lam_j and multiplicities m_j >= 1.  Factors with
+    lam = 0 are 1 and dropped; a zero numerator is 0/1.  The form is
+    reduced by construction: the only roots of the denominator are the
+    -1/lam_j, and N must not vanish at any of them, evaluated over the
+    integers; a form that would need reducing is a library bug.
+    """
+
+    numerator: tuple[int, ...]
+    scale: int = 1
+    factors: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        num = list(self.numerator)
+        while num and num[-1] == 0:
+            num.pop()
+        factors = tuple((lam, m) for lam, m in self.factors if lam) if num else ()
+        lams = [lam for lam, _ in factors]
+        if self.scale < 1 or len(set(lams)) < len(lams) or any(m < 1 for _, m in factors):
+            raise InternalCheckError(f"malformed closed form: scale {self.scale}, factors {factors}")
+        for lam in lams:
+            if not _homogenized_at(num, lam):
+                raise InternalCheckError(f"closed form not reduced: numerator vanishes at -1/{lam}")
+        object.__setattr__(self, "numerator", tuple(num))
+        object.__setattr__(self, "scale", self.scale if num else 1)
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def order(self) -> int:
+        """max(deg denominator, deg numerator + 1), 0 for 0, as for RationalFunction."""
+        return max(sum(m for _, m in self.factors), len(self.numerator))
+
+    def certifies(self, coeffs: Sequence) -> bool:
+        """True when coeffs are the Taylor coefficients c_0, c_1, .. of the
+        form: each factor applied as linear passes over the prefix leaves
+        N/s, so s times the result must be N term by term."""
+        num = self.numerator
+        return all(self.scale * c == (num[k] if k < len(num) else 0)
+                   for k, c in enumerate(times_factors(coeffs, self.factors)))
+
+    def value_at_one(self) -> Fraction:
+        """N(1) / (s * prod (1 + lam_j)^m_j).  lam_j = -1 is a pole: N(1) is
+        not 0 there, since the form is reduced."""
+        den = math.prod((1 + lam) ** m for lam, m in self.factors)
+        if den == 0:
+            raise RegularizationError("no regularized value (pole at t=1)")
+        return Fraction(sum(self.numerator), self.scale * den)
+
+    def rational_function(self) -> RationalFunction:
+        """The same function as a RationalFunction, the denominator
+        expanded once; it is reduced already, so nothing is proven again."""
+        den = [1]
+        for lam, m in self.factors:
+            den = convolve(den, _binomial_power(lam, m))
+        num = tuple(Fraction(c, self.scale) for c in self.numerator)
+        return RationalFunction.from_reduced(Polynomial(num), Polynomial(tuple(den)))
 
 
 @dataclass(frozen=True)
@@ -470,6 +589,8 @@ def to_rational_function(prefix: SeriesPrefix, rec: Recurrence) -> RationalFunct
 class EulerSeries:
     """A series prefix together with its rational continuation.
 
+    ``continuation`` is a construction's FactoredForm or a fit's
+    RationalFunction; ``closed_form`` reads either as a RationalFunction.
     ``order_bound`` is the bound d its construction proves on the
     series' order: a prefix of at least L + d coefficients, for the
     continuation's order L, certifies the continuation.  It is None for a
@@ -478,12 +599,18 @@ class EulerSeries:
     """
 
     prefix: SeriesPrefix
-    closed_form: RationalFunction
+    continuation: RationalFunction | FactoredForm
     recurrence: Recurrence | None = None
     order_bound: int | None = None
 
+    @functools.cached_property
+    def closed_form(self) -> RationalFunction:
+        form = self.continuation
+        return form if isinstance(form, RationalFunction) else form.rational_function()
+
     def regularized_value(self) -> Fraction:
-        return eval_at_one(self.closed_form)
+        form = self.continuation
+        return eval_at_one(form) if isinstance(form, RationalFunction) else form.value_at_one()
 
 
 @dataclass(frozen=True)
@@ -503,11 +630,15 @@ class Regularized:
     counts: tuple[int, ...]
 
     @classmethod
-    def of(cls, series: EulerSeries, routes: dict[str, Fraction], counts=()) -> "Regularized":
+    def of(
+        cls, series: EulerSeries, routes: dict[str, Fraction], counts=(), value: Fraction | None = None
+    ) -> "Regularized":
         """The record of the series' value at t=1, which every route must
-        equal exactly: a disagreement is a library bug.  Counts past the
-        prefix's end are dropped."""
-        value = series.regularized_value()
+        equal exactly: a disagreement is a library bug.  ``value`` is that
+        value when the caller has it already.  Counts past the prefix's
+        end are dropped."""
+        if value is None:
+            value = series.regularized_value()
         if any(route != value for route in routes.values()):
             named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
             raise InternalCheckError(f"route disagreement: {named}")
@@ -519,23 +650,9 @@ class Regularized:
         return next(reversed(self.routes.values()))
 
 
-def _expands_to(rf: RationalFunction, coeffs: Sequence) -> bool:
-    """True when coeffs are the Taylor coefficients c_0, c_1, .. of rf,
-    i.e. denominator * series = numerator term by term (over the
-    integers when rf's coefficients are integers)."""
-    num, den = rf.numerator.coefficients, rf.denominator.coefficients
-    if all(c.denominator == 1 for c in num + den):
-        num, den = [c.numerator for c in num], [c.numerator for c in den]
-    return all(
-        sum(map(operator.mul, den, reversed(coeffs[max(k + 1 - len(den), 0):k + 1])))
-        == (num[k] if k < len(num) else 0)
-        for k in range(len(coeffs))
-    )
-
-
 def closed_series(
     coefficient: Callable[[int], object],
-    closed_form: RationalFunction,
+    closed_form: FactoredForm,
     order_bound: int,
     terms: int | None = None,
     grading: str = "rank",
@@ -545,14 +662,15 @@ def closed_series(
     ``coefficient(k)`` is called once for each k in order.  By default
     the prefix holds the certificate, L + d coefficients for the closed
     form's order L and d = order_bound; an explicit terms sets the prefix
-    shown (see series_window).  It must expand the closed form exactly.
+    shown (see series_window).  It must expand the closed form exactly
+    (FactoredForm.certifies).
     """
     if terms is None:
         terms = check_terms(max(closed_form.order + order_bound, 1) - 1, order_bound)
     else:
         terms = series_window(order_bound, terms)
     coeffs = [coefficient(k) for k in range(terms + 1)]
-    if not _expands_to(closed_form, coeffs):
+    if not closed_form.certifies(coeffs):
         raise InternalCheckError("counts disagree with the closed form")
     return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form, order_bound=order_bound)
 
@@ -568,7 +686,7 @@ class Construction:
     """
 
     order_bound: int
-    closed_form: Callable[[], RationalFunction]
+    closed_form: Callable[[], FactoredForm]
     count: Callable[[int], int]
     weight: int | None
     routes: Callable[[], dict[str, Fraction]]
@@ -591,8 +709,9 @@ def regularize(construction: Construction, terms: int | None = None) -> Regulari
     series = closed_series(coefficient, closed, order_bound, terms, construction.grading)
     routes = construction.routes()
     label, formula = routes.popitem()
-    routes |= {"series_regularization": series.regularized_value(), label: formula}
-    return Regularized.of(series, routes, () if weight is None else counts)
+    value = closed.value_at_one()
+    routes |= {"series_regularization": value, label: formula}
+    return Regularized.of(series, routes, () if weight is None else counts, value)
 
 
 def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
@@ -655,25 +774,21 @@ def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> Eul
     )
 
 
-def binomial_closed_form(m: int, lam, scale=1) -> RationalFunction:
-    """scale * (1 + lam*t)^m: a polynomial for m >= 0, and
-    scale / (1 + lam*t)^(-m) for m < 0.  The power's coefficients are
-    binom(|m|, i) * lam^i, built in one pass with a running binomial."""
-    n, lam = abs(m), as_fraction(lam)
-    binoms = itertools.accumulate(range(n), lambda b, i: b * (n - i) // (i + 1), initial=1)
-    power = Polynomial(tuple(b * lam ** i for i, b in enumerate(binoms)))
+def binomial_closed_form(m: int, lam: int, constant: int = 1) -> FactoredForm:
+    """constant * (1 + lam*t)^m: a polynomial for m >= 0, and
+    constant / (1 + lam*t)^(-m) for m < 0."""
     if m >= 0:
-        return RationalFunction(power.scale(scale), Polynomial.constant(1))
-    return RationalFunction(Polynomial.constant(scale), power)
+        return FactoredForm(tuple(constant * c for c in _binomial_power(lam, m)))
+    return FactoredForm((constant,), 1, ((lam, -m),))
 
 
 def binomial_prefix(
     m: int, lam, terms: int, grading: str = "rank"
 ) -> tuple[SeriesPrefix, RationalFunction]:
-    """Prefix and closed form of (1 + lam*t)^m.
+    """Prefix and closed form of (1 + lam*t)^m for a rational lam.
 
     Coefficients are generalized binomials binom(m, k) * lam^k; the
-    closed form is binomial_closed_form(m, lam).
+    closed form goes through RationalFunction's normalizing constructor.
     """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
@@ -682,4 +797,6 @@ def binomial_prefix(
     coeffs = [Fraction(1)]
     for k in range(terms):
         coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
-    return SeriesPrefix(tuple(coeffs), grading), binomial_closed_form(m, lam)
+    power, one = Polynomial(tuple(_binomial_power(lam, abs(m)))), Polynomial.constant(1)
+    closed = RationalFunction(power, one) if m >= 0 else RationalFunction(one, power)
+    return SeriesPrefix(tuple(coeffs), grading), closed

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
 from .errors import ResourceLimitError
-from .exact_series import Construction, Polynomial, RationalFunction, Regularized, regularize
+from .exact_series import Construction, FactoredForm, Regularized, regularize
 from .interval_sets import Point, PolyhedralSet1D
 
 DEFAULT_STRATA_CAP = 10
@@ -149,9 +149,9 @@ def fibonacci_measure(P: PolyhedralSet1D, terms: int | None = None) -> Regulariz
     """
     coeffs: list[int] = []
 
-    def closed_form() -> RationalFunction:
+    def closed_form() -> FactoredForm:
         coeffs.extend(parity_polynomial(P))
-        return RationalFunction(Polynomial(tuple(coeffs)), Polynomial.constant(1))
+        return FactoredForm(tuple(coeffs))
 
     return regularize(Construction(
         order_bound=parity_length(P), closed_form=closed_form,

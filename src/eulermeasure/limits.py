@@ -16,12 +16,14 @@ The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi has J = prod(k_i) exponential bases
 2^j - 1; its size is max(-chi, 1) * J(J+1)/2, the bit size of the larger
 of two denominators, prod_j (1 + (2^j - 1)t)^(-chi) of its closed form
-and prod_j (2^j - 1) of the exponential fit.  exact_series.RationalFunction
-proves a closed form reduced by Euclid modulo the prime 2^61 - 1.  From
-J = 61 on the base 2^61 - 1 is 0 modulo that prime, the proof fails,
-and the fallback gcd over the rationals (poly_gcd) did not finish within
-100 s for --ks 61 on (0,1).  The ceiling is the size of --ks 60 on
-(0,1); it is checked before the support counts.
+and prod_j (2^j - 1) of the exponential fit.  The ceiling is the size of
+--ks 60 on (0,1); it is checked before the support counts.  It was set
+when every closed form was proven reduced by Euclid modulo 2^61 - 1,
+a proof that fails from J = 61 on.  No construction runs that proof any
+more (its closed forms are exact_series.FactoredForm records, reduced by
+construction), so the ceiling no longer has that reason; it is kept
+unchanged until a scaling run of the counts and the certificate sets a
+ceiling for every verb (ROADMAP item 2).
 """
 
 import math

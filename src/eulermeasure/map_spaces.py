@@ -31,14 +31,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, UnsupportedDomainError
-from .exact_series import (
-    Construction,
-    Polynomial,
-    RationalFunction,
-    Regularized,
-    binomial_closed_form,
-    regularize,
-)
+from .exact_series import Construction, FactoredForm, Regularized, binomial_closed_form, regularize
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP
@@ -154,12 +147,12 @@ def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     return distinct_ordered // 2
 
 
-def _pair_closed_form(bsize: int) -> RationalFunction:
+def _pair_closed_form(bsize: int) -> FactoredForm:
     """(1/2)(b^2/(1 + (b^4-1)t) - b/(1 + (b^2-1)t)), from the two
-    geometric sequences of finite_pair_count."""
+    geometric sequences of finite_pair_count; for b = 1 it is 0."""
     wide, narrow = bsize ** 4 - 1, bsize ** 2 - 1
-    num = (Fraction(bsize ** 2 - bsize, 2), Fraction(bsize ** 2 * narrow - bsize * wide, 2))
-    return RationalFunction(Polynomial(num), Polynomial((1, wide)) * Polynomial((1, narrow)))
+    num = (bsize ** 2 - bsize, bsize ** 2 * narrow - bsize * wide)
+    return FactoredForm(num, 2, ((wide, 1), (narrow, 1)))
 
 
 def map_pair_measure(bsize: int, terms: int | None = None) -> Regularized:

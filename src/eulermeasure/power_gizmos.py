@@ -36,12 +36,14 @@ from fractions import Fraction
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
     Construction,
+    FactoredForm,
     Polynomial,
-    RationalFunction,
     Regularized,
     binomial_closed_form,
     clear_denominators,
+    convolve,
     regularize,
+    times_factors,
 )
 from .interval_sets import PolyhedralSet1D
 from .limits import DEFAULT_ENUM_CAP, check_gizmo_size
@@ -169,19 +171,9 @@ def iterated_binomial_polynomial(ks) -> Polynomial:
     for k in ks:
         product = [1]
         for i in range(k):
-            product = _convolve(product, [poly[0] - i * scale] + poly[1:])
+            product = convolve(product, [poly[0] - i * scale] + poly[1:])
         poly, scale = product, scale ** k * math.factorial(k)
     return Polynomial(tuple(Fraction(c, scale) for c in poly))
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two integer polynomials, ascending coefficients."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Fraction]:
@@ -276,31 +268,26 @@ class GizmoMeasureResult(Regularized):
     route_series = property(lambda self: self.routes["series_regularization"])
 
 
-def _closed_form(fit: ExponentialFit, chi: int) -> RationalFunction:
+def _closed_form(fit: ExponentialFit, chi: int) -> FactoredForm:
     """sum_j a_j (1 + b_j t)^chi over the fit's weights a_j and bases b_j.
 
     Its t^k coefficient is binom(chi, k) sum_j a_j b_j^k = binom(chi, k) n_k.
     It is built over the integers, from the weights W_j / D.  For chi < 0
     it is sum_j W_j prod_{i != j} (1 + b_i t)^-chi over
-    D prod_j (1 + b_j t)^-chi, with zero weights left out: the bases are
-    distinct, so that numerator is nonzero at every pole -1/b_j and the
-    fraction is already reduced.
+    D prod_j (1 + b_j t)^-chi, with zero weights left out, and the
+    numerator is built by linear passes: the bases are distinct, so it is
+    nonzero at every pole -1/b_j and the form is reduced.
     """
     weights, scale = clear_denominators(fit.weights)
+    terms = [(w, b) for w, b in zip(weights, fit.bases) if w]
     if chi >= 0:
-        num = [math.comb(chi, k) * sum(w * b ** k for w, b in zip(weights, fit.bases))
-               for k in range(chi + 1)]
-        den = [1]
-    else:
-        num, den = [0], [1]
-        for w, b in zip(weights, fit.bases):
-            if w:
-                power = [math.comb(-chi, i) * b ** i for i in range(1 - chi)]
-                num = [x + w * y for x, y in
-                       itertools.zip_longest(_convolve(num, power), den, fillvalue=0)]
-                den = _convolve(den, power)
-    return RationalFunction(Polynomial(tuple(Fraction(c, scale) for c in num)),
-                            Polynomial(tuple(den)))
+        return FactoredForm(tuple(math.comb(chi, k) * sum(w * b ** k for w, b in terms)
+                                  for k in range(chi + 1)), scale)
+    num, den, pad = [0], [1], [0] * -chi
+    for w, b in terms:  # num / den += w / (1 + b t)^-chi
+        num = [x + w * y for x, y in zip(times_factors(num + pad, ((b, -chi),)), den + pad)]
+        den = times_factors(den + pad, ((b, -chi),))
+    return FactoredForm(tuple(num), scale, tuple((b, -chi) for _, b in terms))
 
 
 def gizmo_measure(
@@ -316,7 +303,7 @@ def gizmo_measure(
     totals: list[int] = []
     fit = None
 
-    def closed_form() -> RationalFunction:
+    def closed_form() -> FactoredForm:
         nonlocal fit
         check_gizmo_size(chi, spec.ks)
         fit = gizmo_fit(spec, totals=totals)

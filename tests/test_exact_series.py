@@ -25,6 +25,7 @@ from eulermeasure.errors import (
 from eulermeasure.exact_series import (
     Construction,
     EulerSeries,
+    FactoredForm,
     Polynomial,
     RationalFunction,
     Recurrence,
@@ -40,13 +41,14 @@ from eulermeasure.exact_series import (
     regularize,
     series_window,
     solve_linear_system,
+    times_factors,
     to_rational_function,
 )
 from eulermeasure.interval_sets import points
 from eulermeasure.limits import MAX_TERMS
 from eulermeasure.partition_combinatorics import gen_binomial
 from eulermeasure.setparse import parse_set_expression as parse
-from eulermeasure.verify import random_rational_function, set_with_chi
+from eulermeasure.verify import random_piece_set, random_rational_function, set_with_chi
 
 F = Fraction
 
@@ -323,7 +325,8 @@ class TestClosedSeries:
             return (-1) ** k * (k + 1)
 
         series = closed_series(coefficient, closed, 2)
-        assert series.closed_form == closed and series.order_bound == 2
+        assert series.continuation == closed and series.order_bound == 2
+        assert series.closed_form == rf([1], [1, 2, 1])
         assert asked == list(range(4))  # the certificate, L + d = 2 + 2 coefficients
         assert len(closed_series(coefficient, closed, 5).prefix) == 7  # L + d = 2 + 5
         assert closed_series(coefficient, closed, 2, 0).prefix.coefficients == (1,)
@@ -335,10 +338,12 @@ class TestClosedSeries:
 
     def test_zero_series_shows_one_coefficient_at_least(self):
         # order 0 against bound 0 still shows c_0
-        assert closed_series(lambda k: 0, rf([], [1]), 0).prefix.coefficients == (0,)
+        assert closed_series(lambda k: 0, FactoredForm(()), 0).prefix.coefficients == (0,)
 
     def test_fraction_coefficients(self):
-        prefix, closed = binomial_prefix(-1, F(1, 3), 5)
+        # (1/3) / (1 + t): the scale makes the coefficients Fractions
+        prefix = SeriesPrefix(tuple(F((-1) ** k, 3) for k in range(6)))
+        closed = FactoredForm((1,), 3, ((1, 1),))
         series = closed_series(prefix.coefficients.__getitem__, closed, 1, 5)
         assert series.prefix == prefix
 
@@ -414,6 +419,99 @@ class TestConstructionRunner:
     def test_no_weight_keeps_no_counts(self):
         record = regularize(self._geometric([], weight=None), 0)
         assert record.counts == () and record.series.prefix.coefficients == (2,)
+
+
+class TestFactoredForm:
+    def test_pole_at_one(self):
+        # 1 / (1 - t): lam = -1 with a nonzero numerator has no value at t=1
+        form = FactoredForm((1,), 1, ((-1, 1),))
+        assert form.rational_function() == rf([1], [1, -1]) and form.order == 1
+        with pytest.raises(RegularizationError, match="pole at t=1"):
+            form.value_at_one()
+        with pytest.raises(RegularizationError, match="pole at t=1"):
+            regularize(Construction(1, lambda: form, lambda k: 1, None, lambda: {"f": F(0)}))
+
+    def test_lam_zero_factors_are_dropped(self):
+        form = FactoredForm((2,), 1, ((0, 3), (3, 1)))
+        assert form.factors == ((3, 1),) and form.order == 1
+        assert form.rational_function() == rf([2], [1, 3]) and form.value_at_one() == F(1, 2)
+
+    def test_zero_numerator_is_zero_over_one(self):
+        form = FactoredForm((0, 0), 5, ((2, 1), (-1, 4)))
+        assert (form.numerator, form.scale, form.factors, form.order) == ((), 1, (), 0)
+        assert form.rational_function() == rf([], [1]) and form.value_at_one() == 0
+        assert form.certifies([0, 0, 0]) and not form.certifies([0, 1])
+
+    def test_numerator_vanishing_at_a_pole_is_a_bug(self):
+        # (2 + 4t) / ((1 + 2t)(1 + 3t)) would need reducing by 1 + 2t
+        with pytest.raises(InternalCheckError, match="numerator vanishes at -1/2"):
+            FactoredForm((2, 4), 1, ((2, 1), (3, 1)))
+        # the same test over the integers at a higher power of lam: 1 - 4t^2 at -1/2
+        with pytest.raises(InternalCheckError, match="vanishes at -1/-2"):
+            FactoredForm((1, 0, -4), 7, ((-2, 3),))
+        assert FactoredForm((1, 0, -4), 7, ((3, 3),)).order == 3
+
+    def test_malformed_forms_are_a_bug(self):
+        for scale, factors in ((0, ((1, 1),)), (1, ((2, 1), (2, 1))), (1, ((2, 0),))):
+            with pytest.raises(InternalCheckError, match="malformed closed form"):
+                FactoredForm((1,), scale, factors)
+
+    def test_certificate_is_linear_passes(self):
+        # (1 + t) / (3 (1 - 2t)^2): s * (1 - 2t)^2 * series = 1 + t
+        form = FactoredForm((1, 1), 3, ((-2, 2),))
+        oracle = RationalFunction(poly(F(1, 3), F(1, 3)), poly(1, -4, 4))
+        coeffs = list(oracle.expand(9))
+        assert form.certifies(coeffs) and form.rational_function() == oracle
+        for k in range(10):
+            wrong = coeffs[:k] + [coeffs[k] + F(1, 3)] + coeffs[k + 1:]
+            assert not form.certifies(wrong)
+        assert times_factors([1, 0, 0, 0], ((-2, 2),)) == [1, -4, 4, 0]
+
+
+def _normalized_oracle(form: FactoredForm) -> RationalFunction:
+    """The record through the old path: N/s over the denominator expanded
+    by Polynomial products, normalized by RationalFunction's constructor."""
+    den = Polynomial.constant(1)
+    for lam, m in form.factors:
+        den = den * poly(1, lam) ** m
+    return RationalFunction(Polynomial(tuple(F(c, form.scale) for c in form.numerator)), den)
+
+
+def _factored_cases():
+    for chi in range(-8, 9):
+        yield f"powerset-{chi}", lambda chi=chi: power_gizmos.powerset_series(set_with_chi(chi))
+    for ks in ((1,), (2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        for chi in range(-4, 4):
+            yield (f"gizmo-{chi}-{ks}", lambda chi=chi, ks=ks: power_gizmos.gizmo_measure(
+                set_with_chi(chi), power_gizmos.GizmoSpec(ks)))
+    for b in range(1, 5):
+        for p in range(7):
+            yield (f"finite-{b}-{p}", lambda b=b, p=p: map_spaces.hedral_map_measure(
+                set_with_chi(-p), b))
+        yield f"pairs-{b}", lambda b=b: map_spaces.map_pair_measure(b)
+    for chi_b in range(-3, 4):
+        yield f"chib-{chi_b}", lambda chi_b=chi_b: map_spaces.schanuel_measure(chi_b)
+    rng = random.Random(27)
+    for i in range(12):
+        piece_set = random_piece_set(rng, 6)
+        yield f"fib-{i}", lambda s=piece_set: fibonacci_subsets.fibonacci_measure(s)
+
+
+FACTORED_CASES = list(_factored_cases())
+
+
+@pytest.mark.parametrize("construct", [c for _, c in FACTORED_CASES],
+                         ids=[i for i, _ in FACTORED_CASES])
+def test_factored_form_matches_the_normalizing_constructor(construct):
+    # the old path as oracle: the normalizing constructor, eval_at_one and
+    # the RationalFunction's own expansion of the counted prefix
+    record = construct()
+    form = record.series.continuation
+    oracle = _normalized_oracle(form)
+    assert record.series.closed_form == oracle and form.order == oracle.order
+    assert record.value == form.value_at_one() == eval_at_one(oracle)
+    prefix = record.series.prefix.coefficients
+    assert oracle.expand(len(prefix) - 1) == prefix
 
 
 # The gizmo selection sizes of the benchmark's regularize workload.

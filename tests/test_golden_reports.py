@@ -16,6 +16,7 @@ import pathlib
 
 import pytest
 
+from eulermeasure import exact_series
 from eulermeasure.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_reports.json"
@@ -65,6 +66,18 @@ def _golden() -> dict:
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_report_matches_golden(argv):
     assert record(argv) == _golden()[" ".join(argv)]
+
+
+def test_reports_never_reach_the_gcd(monkeypatch):
+    # every closed form on the CLI path is a FactoredForm, reduced by
+    # construction: neither the mod-p proof nor the rational gcd runs
+    def unreachable(*args):
+        raise AssertionError("the CLI path reached RationalFunction's reduction")
+
+    monkeypatch.setattr(exact_series, "_coprime_mod_p", unreachable)
+    monkeypatch.setattr(exact_series, "poly_gcd", unreachable)
+    golden = _golden()
+    assert [record(argv) for argv in CASES] == [golden[" ".join(argv)] for argv in CASES]
 
 
 def test_golden_file_lists_exactly_the_cases():
