@@ -7,19 +7,20 @@ function, whose value at t=1 is the regularized measure.
 By Theorem 1 the k-subsets of a set A have Euler measure
 binom(chi(A), k), so each series here is sum_k binom(m, k) n_k t^k for
 the count n_k over one fixed k-subset.  A construction declares it as a
-``Construction`` and ``regularize`` runs it: it sizes the window
-(``series_window``), so a window that is too large is refused before
-any work, then builds the closed form, holds the counts against it
-(``closed_series``) and returns one ``Regularized`` record: the series,
-its value at t=1, the routes that value was held against, and the
-graded counts behind the prefix, built in one place, ``Regularized.of``.
+``Construction`` and ``regularize`` runs it, the whole runner: it sizes
+the window (``series_window``), so a window that is too large is
+refused before any work, builds the closed form, certifies the counts
+against it, computes the value at t=1 once and returns one
+``Regularized`` record: the series, its value, the routes that value
+was held against, and the graded counts behind the prefix.
 
 Each construction proves a bound d on its series' order.  Two rational
 functions of orders L and <= d that agree on L + d coefficients are
-equal, so by default closed_series computes exactly L + d coefficients,
+equal, so by default regularize computes exactly L + d coefficients,
 L the closed form's order: that agreement is a certificate, not a
-guess.  An explicit ``terms`` sets how much of the prefix is shown; the
-default window 2d - 1 is the most a certificate needs (L <= d).
+guess.  A closed form with L > d is a library bug, refused before any
+count, so the default prefix never passes the window 2d - 1, the most a
+certificate needs; an explicit ``terms`` sets how much is shown.
 
 Every closed form a construction builds is a ``FactoredForm``, an
 integer numerator N over a positive integer scale s and a product of
@@ -608,20 +609,17 @@ class EulerSeries:
         form = self.continuation
         return form if isinstance(form, RationalFunction) else form.rational_function()
 
-    def regularized_value(self) -> Fraction:
-        form = self.continuation
-        return eval_at_one(form) if isinstance(form, RationalFunction) else form.value_at_one()
-
 
 @dataclass(frozen=True)
 class Regularized:
     """A construction's series, its value at t=1 and the evidence for it.
 
-    ``routes`` (route label -> value) all equal ``value``; each
-    construction lists its independent formula last.  ``counts`` are the
-    graded counts the coefficients were built from (support, breakpoint
-    or pair counts), one per prefix coefficient; they are empty where the
-    coefficients are the counts themselves.
+    Only ``regularize`` builds one.  ``routes`` (route label -> value)
+    all equal ``value``; each construction lists its independent formula
+    last.  ``counts`` are the graded counts the coefficients were built
+    from (support, breakpoint or pair counts), one per prefix
+    coefficient; they are empty where the coefficients are the counts
+    themselves.
     """
 
     series: EulerSeries
@@ -629,50 +627,10 @@ class Regularized:
     routes: dict[str, Fraction]
     counts: tuple[int, ...]
 
-    @classmethod
-    def of(
-        cls, series: EulerSeries, routes: dict[str, Fraction], counts=(), value: Fraction | None = None
-    ) -> "Regularized":
-        """The record of the series' value at t=1, which every route must
-        equal exactly: a disagreement is a library bug.  ``value`` is that
-        value when the caller has it already.  Counts past the prefix's
-        end are dropped."""
-        if value is None:
-            value = series.regularized_value()
-        if any(route != value for route in routes.values()):
-            named = ", ".join(f"{label} gives {route}" for label, route in routes.items())
-            raise InternalCheckError(f"route disagreement: {named}")
-        return cls(series, value, routes, tuple(counts[:len(series.prefix)]))
-
     @property
     def expected(self) -> Fraction:
         """The value of the independent formula, the last route."""
         return next(reversed(self.routes.values()))
-
-
-def closed_series(
-    coefficient: Callable[[int], object],
-    closed_form: FactoredForm,
-    order_bound: int,
-    terms: int | None = None,
-    grading: str = "rank",
-) -> EulerSeries:
-    """The prefix c_0..c_terms of a series whose closed form is known.
-
-    ``coefficient(k)`` is called once for each k in order.  By default
-    the prefix holds the certificate, L + d coefficients for the closed
-    form's order L and d = order_bound; an explicit terms sets the prefix
-    shown (see series_window).  It must expand the closed form exactly
-    (FactoredForm.certifies).
-    """
-    if terms is None:
-        terms = check_terms(max(closed_form.order + order_bound, 1) - 1, order_bound)
-    else:
-        terms = series_window(order_bound, terms)
-    coeffs = [coefficient(k) for k in range(terms + 1)]
-    if not closed_form.certifies(coeffs):
-        raise InternalCheckError("counts disagree with the closed form")
-    return EulerSeries(SeriesPrefix(tuple(coeffs), grading), closed_form, order_bound=order_bound)
 
 
 @dataclass(frozen=True)
@@ -694,24 +652,37 @@ class Construction:
 
 
 def regularize(construction: Construction, terms: int | None = None) -> Regularized:
-    """Run a construction: the window, the closed form, the counts held
-    against it, then the record, whose route ``series_regularization``
-    comes just before the independent formula."""
-    order_bound, weight = construction.order_bound, construction.weight
-    series_window(order_bound, terms)
+    """Run a construction: the window, the closed form, the counts
+    certified against it, the routes, then the value at t=1, which every
+    route must equal exactly.  The route ``series_regularization`` comes
+    just before the independent formula.  By default the prefix is the
+    certificate, L + d coefficients; a closed form of order L > d is a
+    bug, refused before any count, so c_(L+d-1) lies inside the window
+    2d - 1 checked first.
+    """
+    bound, weight = construction.order_bound, construction.weight
+    last = series_window(bound, terms)
     closed = construction.closed_form()
-    counts: list[int] = []
-
-    def coefficient(k: int):
-        counts.append(construction.count(k))
-        return counts[k] if weight is None else integer_binomial(weight, k) * counts[k]
-
-    series = closed_series(coefficient, closed, order_bound, terms, construction.grading)
+    if closed.order > bound:
+        raise InternalCheckError(
+            f"closed form of order {closed.order} above the proven order bound {bound}"
+        )
+    if terms is None:
+        last = max(closed.order + bound, 1) - 1
+    counts = tuple(construction.count(k) for k in range(last + 1))
+    coeffs = counts if weight is None else tuple(
+        integer_binomial(weight, k) * n for k, n in enumerate(counts))
+    if not closed.certifies(coeffs):
+        raise InternalCheckError("counts disagree with the closed form")
     routes = construction.routes()
     label, formula = routes.popitem()
     value = closed.value_at_one()
     routes |= {"series_regularization": value, label: formula}
-    return Regularized.of(series, routes, () if weight is None else counts, value)
+    if any(route != value for route in routes.values()):
+        named = ", ".join(f"{name} gives {route}" for name, route in routes.items())
+        raise InternalCheckError(f"route disagreement: {named}")
+    series = EulerSeries(SeriesPrefix(coeffs, construction.grading), closed, order_bound=bound)
+    return Regularized(series, value, routes, () if weight is None else counts)
 
 
 def continue_series(prefix: SeriesPrefix, order_bound: int | None = None) -> EulerSeries:
@@ -782,14 +753,9 @@ def binomial_closed_form(m: int, lam: int, constant: int = 1) -> FactoredForm:
     return FactoredForm((constant,), 1, ((lam, -m),))
 
 
-def binomial_prefix(
-    m: int, lam, terms: int, grading: str = "rank"
-) -> tuple[SeriesPrefix, RationalFunction]:
-    """Prefix and closed form of (1 + lam*t)^m for a rational lam.
-
-    Coefficients are generalized binomials binom(m, k) * lam^k; the
-    closed form goes through RationalFunction's normalizing constructor.
-    """
+def binomial_prefix(m: int, lam, terms: int, grading: str = "rank") -> SeriesPrefix:
+    """Prefix c_0..c_terms of (1 + lam*t)^m for a rational lam: the
+    generalized binomials binom(m, k) * lam^k."""
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
     check_terms(terms)
@@ -797,6 +763,4 @@ def binomial_prefix(
     coeffs = [Fraction(1)]
     for k in range(terms):
         coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
-    power, one = Polynomial(tuple(_binomial_power(lam, abs(m)))), Polynomial.constant(1)
-    closed = RationalFunction(power, one) if m >= 0 else RationalFunction(one, power)
-    return SeriesPrefix(tuple(coeffs), grading), closed
+    return SeriesPrefix(tuple(coeffs), grading)

@@ -261,8 +261,7 @@ def _binomial_ratio():
     for trial in range(30):
         m = rng.randint(-6, 6)
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        prefix, _ = binomial_prefix(m, lam, 12)
-        c = prefix.coefficients
+        c = binomial_prefix(m, lam, 12).coefficients
         for k in range(len(c) - 1):
             if c[k + 1] * (k + 1) != c[k] * lam * (m - k):
                 return f"trial {trial}: m={m} lam={lam} k={k}"
@@ -277,7 +276,7 @@ def _binomial_value():
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         if lam == -1:
             continue
-        prefix, _ = binomial_prefix(m, lam, 4 * (-m) + 2)
+        prefix = binomial_prefix(m, lam, 4 * (-m) + 2)
         rec = min_recurrence(prefix, -m)
         if rec is None:
             return f"trial {trial}: m={m} lam={lam}: no recurrence"

@@ -7,7 +7,7 @@ line per criterion.
 from fractions import Fraction
 
 from eulermeasure.choose_construction import choose_cells
-from eulermeasure.exact_series import Polynomial, RationalFunction, continue_series
+from eulermeasure.exact_series import Polynomial, RationalFunction, continue_series, eval_at_one
 from eulermeasure.fibonacci_subsets import extended_fibonacci, fibonacci_measure
 from eulermeasure.map_spaces import (
     affine_pair_space,
@@ -62,7 +62,7 @@ def test_criterion_2_powerset_of_interval():
         fitted = continue_series(ps.series.prefix)
         assert fitted.closed_form == rf([1], [1, 1]) == ps.series.closed_form
         assert ps.value == F(1, 2)
-        assert fitted.regularized_value() == F(1, 2)
+        assert eval_at_one(fitted.closed_form) == F(1, 2)
 
     _report(2, "power set of (0,1): 1,-1,1,... continues to 1/(1+t), value 1/2", check)
 

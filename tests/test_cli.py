@@ -502,11 +502,12 @@ class TestMain:
             "finite-default", "finite-terms", "pairs-terms", "chib-terms", "fib-default", "fib-terms"])
     def test_window_before_any_work(self, argv, origin, builders, capsys, monkeypatch):
         # every construction sizes its window before it builds its closed form
-        # or counts anything; every count goes through closed_series
+        # or counts anything; the runner weighs every weighted count with
+        # exact_series.integer_binomial
         def refuse(*args, **kwargs):
             raise AssertionError("built or counted above the terms ceiling")
 
-        for module, name in builders + [(exact_series, "closed_series")]:
+        for module, name in builders + [(exact_series, "integer_binomial")]:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 3
         assert origin in capsys.readouterr().err

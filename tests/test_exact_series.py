@@ -29,11 +29,9 @@ from eulermeasure.exact_series import (
     Polynomial,
     RationalFunction,
     Recurrence,
-    Regularized,
     SeriesPrefix,
     binomial_closed_form,
     binomial_prefix,
-    closed_series,
     continue_series,
     eval_at_one,
     min_recurrence,
@@ -116,19 +114,13 @@ class TestSeriesPrefix:
 
 class TestBinomialPrefix:
     def test_alternating(self):
-        prefix, closed = binomial_prefix(-1, 1, 6)
-        assert prefix.coefficients == (1, -1, 1, -1, 1, -1, 1)
-        assert closed == rf([1], [1, 1])
+        assert binomial_prefix(-1, 1, 6).coefficients == (1, -1, 1, -1, 1, -1, 1)
 
     def test_scaled_geometric(self):
-        prefix, closed = binomial_prefix(-1, 3, 4)
-        assert prefix.coefficients == (1, -3, 9, -27, 81)
-        assert closed == rf([1], [1, 3])
+        assert binomial_prefix(-1, 3, 4).coefficients == (1, -3, 9, -27, 81)
 
     def test_positive_power_is_polynomial(self):
-        prefix, closed = binomial_prefix(2, 1, 4)
-        assert prefix.coefficients == (1, 2, 1, 0, 0)
-        assert closed == rf([1, 2, 1], [1])
+        assert binomial_prefix(2, 1, 4).coefficients == (1, 2, 1, 0, 0)
 
 
 class TestMinRecurrence:
@@ -253,7 +245,7 @@ class TestRoundTrip:
         # no order bound: all 12 coefficients are used by the order-1 fit
         assert series.recurrence.order == 1 and len(series.prefix) == 12
         assert series.order_bound is None
-        assert series.regularized_value() == F(1, 2)
+        assert eval_at_one(series.closed_form) == F(1, 2)
 
     def test_continue_series_failure(self):
         with pytest.raises(RegularizationError):
@@ -274,7 +266,7 @@ class TestRoundTrip:
         # which bound 1 cannot certify on one coefficient and bound 0 forbids
         series = continue_series(SeriesPrefix((0,)), 1)
         assert series.closed_form == rf([], [1]) and series.order_bound == 1
-        assert series.regularized_value() == 0
+        assert eval_at_one(series.closed_form) == 0
         with pytest.raises(RegularizationError, match="an order-1 recurrence needs 2 coefficients"):
             continue_series(SeriesPrefix((5,)), 1)
         with pytest.raises(InternalCheckError, match="above the proven order bound 0"):
@@ -316,43 +308,69 @@ class TestFitSeries:
 
 
 class TestClosedSeries:
+    """The prefix regularize counts: the window and the certificate."""
+
     def test_window(self):
-        closed = binomial_closed_form(-2, 1)  # 1/(1+t)^2, order 2
         asked = []
 
-        def coefficient(k):
-            asked.append(k)
-            return (-1) ** k * (k + 1)
+        def construction(bound):
+            # 1/(1+t)^2, order 2, against the bound given
+            return Construction(bound, lambda: binomial_closed_form(-2, 1),
+                                lambda k: asked.append(k) or (-1) ** k * (k + 1), None,
+                                lambda: {"formula": F(1, 4)})
 
-        series = closed_series(coefficient, closed, 2)
-        assert series.continuation == closed and series.order_bound == 2
-        assert series.closed_form == rf([1], [1, 2, 1])
+        record = regularize(construction(2))
+        assert record.series.continuation == binomial_closed_form(-2, 1)
+        assert record.series.order_bound == 2 and record.value == F(1, 4)
+        assert record.series.closed_form == rf([1], [1, 2, 1])
         assert asked == list(range(4))  # the certificate, L + d = 2 + 2 coefficients
-        assert len(closed_series(coefficient, closed, 5).prefix) == 7  # L + d = 2 + 5
-        assert closed_series(coefficient, closed, 2, 0).prefix.coefficients == (1,)
+        assert len(regularize(construction(5)).series.prefix) == 7  # L + d = 2 + 5
+        assert regularize(construction(2), 0).series.prefix.coefficients == (1,)
         with pytest.raises(InputError, match="terms must be at least 0"):
-            closed_series(coefficient, closed, 2, -1)
+            regularize(construction(2), -1)
         with pytest.raises(ResourceLimitError, match="terms"):
-            closed_series(coefficient, closed, 2, MAX_TERMS + 1)
+            regularize(construction(2), MAX_TERMS + 1)
         assert asked == list(range(4)) + list(range(7)) + [0]
 
     def test_zero_series_shows_one_coefficient_at_least(self):
         # order 0 against bound 0 still shows c_0
-        assert closed_series(lambda k: 0, FactoredForm(()), 0).prefix.coefficients == (0,)
+        record = regularize(Construction(0, lambda: FactoredForm(()), lambda k: 0, None,
+                                         lambda: {"formula": F(0)}))
+        assert record.series.prefix.coefficients == (0,) and record.value == 0
 
     def test_fraction_coefficients(self):
         # (1/3) / (1 + t): the scale makes the coefficients Fractions
         prefix = SeriesPrefix(tuple(F((-1) ** k, 3) for k in range(6)))
         closed = FactoredForm((1,), 3, ((1, 1),))
-        series = closed_series(prefix.coefficients.__getitem__, closed, 1, 5)
-        assert series.prefix == prefix
+        record = regularize(Construction(1, lambda: closed, prefix.coefficients.__getitem__,
+                                         None, lambda: {"formula": F(1, 6)}), 5)
+        assert record.series.prefix == prefix and record.value == F(1, 6)
+
+    def test_closed_form_above_its_bound_is_refused_before_counting(self):
+        # 1/(1+t)^2 has order 2, above the declared bound 1
+        counted = []
+        construction = Construction(1, lambda: binomial_closed_form(-2, 1),
+                                    lambda k: counted.append(k) or (-1) ** k * (k + 1), None,
+                                    lambda: {"formula": F(1, 4)})
+        for terms in (None, 3):
+            with pytest.raises(InternalCheckError,
+                               match="closed form of order 2 above the proven order bound 1"):
+                regularize(construction, terms)
+        assert counted == []
 
 
 class TestRegularize:
+    @staticmethod
+    def _half(routes):
+        """1/(1+t) against bound 1, with the routes given."""
+        return Construction(1, lambda: binomial_closed_form(-1, 1), lambda k: (-1) ** k, None,
+                            lambda: dict(routes))
+
     def test_agreeing_routes_return_the_value(self):
-        series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
-        assert Regularized.of(series, {"closed": F(1, 2), "formula": F(1, 2)}).value == F(1, 2)
-        assert Regularized.of(series, {}).value == F(1, 2)
+        record = regularize(self._half({"closed": F(1, 2), "formula": F(1, 2)}))
+        assert record.value == F(1, 2)
+        assert record.expected == record.routes["formula"] == record.value
+        assert regularize(self._half({"formula": F(1, 2)})).value == F(1, 2)
 
     def test_short_uncertified_fit_asks_for_terms(self):
         # 1, 1 fits order 1, which bound 4 cannot certify on 2 coefficients
@@ -361,22 +379,16 @@ class TestRegularize:
                            "to verify, but terms allows 2; raise terms"):
             continue_series(SeriesPrefix((1, 1)), 4)
 
-    def test_record_trims_counts_and_names_the_formula_last(self):
-        series = EulerSeries(SeriesPrefix((1, -1, 1), "rank"), rf([1], [1, 1]))
-        record = Regularized.of(series, {"series": F(1, 2), "formula": F(1, 2)}, [1, 1, 1, 1])
-        assert record.counts == (1, 1, 1)
-        assert record.expected == record.routes["formula"] == record.value
-
-    @pytest.mark.parametrize("order_bound", [None, 1])
-    def test_other_disagreement_names_every_route(self, order_bound):
-        # 1/(1+t), certified by bound 1 or accepted by the length contract:
-        # a disagreement is a library bug either way
-        series = continue_series(SeriesPrefix((1, -1, 1, -1)), order_bound)
-        assert series.order_bound == order_bound
+    @pytest.mark.parametrize("terms", [None, 1])
+    def test_other_disagreement_names_every_route(self, terms):
+        # 1/(1+t) on the certificate or on an explicit window: a
+        # disagreement is a library bug either way
+        routes = {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)}
         with pytest.raises(InternalCheckError) as err:
-            Regularized.of(series, {"series": F(1, 2), "formula": F(1, 3), "other": F(1, 2)})
+            regularize(self._half(routes), terms)
         assert str(err.value) == (
-            "route disagreement: series gives 1/2, formula gives 1/3, other gives 1/2"
+            "route disagreement: series gives 1/2, formula gives 1/3, "
+            "series_regularization gives 1/2, other gives 1/2"
         )
 
 
@@ -873,6 +885,26 @@ def test_construction_scaling_tool_runs():
         ("gizmo --ks 1", 2, 0)]
 
 
+def test_line_count_tool_runs(tmp_path):
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "line_count.py"
+    src = pathlib.Path(exact_series.__file__).parent
+    out = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True,
+                         timeout=120, check=True)
+    report = json.loads(out.stdout)
+    assert set(report["modules"]) == {path.name for path in src.glob("*.py")}
+    for name, row in report["modules"].items():
+        assert row["lines"] == (src / name).read_text().count("\n") >= row["code_lines"] > 0
+    assert report["total"]["lines"] == sum(row["lines"] for row in report["modules"].values())
+    # a docstring, a comment, a blank line and a code line with a trailing
+    # comment: the code lines are the def, the three-line call and the return
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n\n# comment\ndef f():\n    """One."""\n'
+        '    x = max(1,\n            2,  # two\n            3)\n    return x\n')
+    out = subprocess.run([sys.executable, str(tool), "--src", str(tmp_path)],
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout)["modules"] == {"m.py": {"lines": 10, "code_lines": 5}}
+
+
 FIT_NAMES = {"continue_series", "min_recurrence"}
 
 
@@ -893,7 +925,7 @@ def test_only_exact_series_and_verify_name_the_fit():
     assert {name: used & FIT_NAMES for name, used in modules.items() if used & FIT_NAMES} == {}
 
 
-RUNNER_STEPS = {"closed_series", "series_window", "of"}
+RUNNER_STEPS = {"series_window", "Regularized"}
 
 
 def _calls(path):
@@ -904,7 +936,7 @@ def _calls(path):
 
 
 def test_only_the_runner_calls_its_steps():
-    # closed_series, series_window and Regularized.of run inside exact_series.regularize;
+    # series_window and the Regularized record run inside exact_series.regularize;
     # every construction declares an exact_series.Construction instead
     src = pathlib.Path(exact_series.__file__).parent
     modules = {path.stem: _calls(path) for path in src.glob("*.py")}

@@ -11,10 +11,11 @@ from eulermeasure.errors import (
     UnsupportedDomainError,
 )
 from eulermeasure.exact_series import (
+    Construction,
     Polynomial,
     RationalFunction,
     binomial_closed_form,
-    closed_series,
+    regularize,
 )
 from eulermeasure.map_spaces import (
     affine_pair_space,
@@ -222,5 +223,7 @@ class TestSchanuelMeasure:
 
     def test_counts_must_expand_the_closed_form(self):
         closed = binomial_closed_form(-1, 3, 2)  # 2 / (1 + 3t)
-        with pytest.raises(InternalCheckError, match="closed form"):
-            closed_series(lambda k: (-1) ** k * 2 * 5 ** k, closed, 1, 3)
+        counts = Construction(1, lambda: closed, lambda k: (-1) ** k * 2 * 5 ** k, None,
+                              lambda: {"formula": Fraction(1, 2)})
+        with pytest.raises(InternalCheckError, match="counts disagree with the closed form"):
+            regularize(counts, 3)

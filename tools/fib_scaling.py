@@ -7,7 +7,7 @@ Times two paths to the same value:
 * the enumeration path before the transfer matrix: continue_series, with
   order bound d = pieces + 1, on the 2d coefficients of the default
   window counted by parity_strata_coefficient (its strata cap raised to
-  the window), and the same Regularized record.
+  the window), whose value at t=1 must equal the Fibonacci formula.
 
 The fit of the polynomial's own coefficients, the path between the two,
 is timed in BENCH_transfer_matrix_fib.json.
@@ -34,9 +34,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eulermeasure.exact_series import (  # noqa: E402
-    Regularized,
     SeriesPrefix,
     continue_series,
+    eval_at_one,
     series_window,
 )
 from eulermeasure.fibonacci_subsets import (  # noqa: E402
@@ -68,9 +68,11 @@ def enumeration_value(P: PolyhedralSet1D) -> Fraction:
     last = series_window(order_bound)
     counts = tuple(parity_strata_coefficient(P, k, cap=max(last, 10)) for k in range(last + 1))
     series = continue_series(SeriesPrefix(counts), order_bound)
-    routes = {"series_regularization": series.regularized_value(),
-              "extended_fibonacci": extended_fibonacci(P.euler_measure() + 1)}
-    return Regularized.of(series, routes).value
+    value, formula = eval_at_one(series.closed_form), extended_fibonacci(P.euler_measure() + 1)
+    if value != formula:
+        raise AssertionError(f"route disagreement: series_regularization gives {value}, "
+                             f"extended_fibonacci gives {formula}")
+    return value
 
 
 def best_of(fn, repeats: int = REPEATS) -> float:

@@ -41,7 +41,7 @@ def main(argv=None) -> int:
 
     rows = []
     for order in map(int, args.orders.split(",")):
-        prefix, _ = binomial_prefix(-order, LAM, 4 * order + 1)
+        prefix = binomial_prefix(-order, LAM, 4 * order + 1)
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
