@@ -143,14 +143,13 @@ def mobius_bottom(pi: SetPartition) -> int:
 
 
 def falling_factorial(x, k: int) -> Fraction:
-    """x (x-1) ... (x-k+1) at an arbitrary rational x."""
+    """x (x-1) ... (x-k+1) at an arbitrary rational x = p/q, over the
+    integers: prod_{i<k} (p - i q) over q^k, one Fraction at the end."""
     if k < 0:
         raise InputError(f"k must be at least 0, got {k}")
     x = as_fraction(x)
-    value = Fraction(1)
-    for i in range(k):
-        value *= x - i
-    return value
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(p - i * q for i in range(k)), q ** k)
 
 
 def gen_binomial(x, k: int) -> Fraction:

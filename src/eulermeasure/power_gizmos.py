@@ -12,11 +12,13 @@ depends only on k, and is a fixed rational combination
 n_k = sum_j a_j (2^j - 1)^k of the pure exponentials for j = 1..J,
 J = prod(k_i).  gizmo_fit solves the weights a_j from a Vandermonde
 system, verifies them on held-out counts and holds them against the
-iterated binomial polynomial.  Two routes produce the regularized
-measure from them:
+iterated binomial polynomial.  The weights depend on the k_i alone, never
+on A, so gizmo_measure fits and verifies them once per ks per process,
+in a bounded cache, with the weights over one denominator and the totals
+the fit counted.  Two routes produce the regularized measure from them:
 
 * exponential fit: the weights' polynomial sum_j a_j x^j evaluated
-  directly at 2^chi(A);
+  directly at 2^chi(A), over the integers;
 * series regularization: the closed form sum_j a_j (1 + (2^j - 1)t)^chi(A),
   whose t^k coefficient is binom(chi(A), k) * n_k.
 
@@ -26,12 +28,14 @@ Both routes must agree with the iterated binomial coefficient of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError, ResourceLimitError
 from .exact_series import (
@@ -51,6 +55,17 @@ from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
 
 
+def _selection_size(k) -> int:
+    """k as an int; 2.0 or Fraction(4, 2) pass, 2.5, "2" or None do not."""
+    try:
+        size = int(k)
+    except (TypeError, ValueError, OverflowError):
+        size = None
+    if size is None or size != k:
+        raise InputError(f"--ks sizes must be integers, got {k!r}")
+    return size
+
+
 @dataclass(frozen=True)
 class GizmoSpec:
     """Selection sizes k_1..k_r of an iterated-choice gizmo over 2^A."""
@@ -58,7 +73,7 @@ class GizmoSpec:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(map(_selection_size, self.ks))
         if not ks:
             raise InputError("a gizmo needs at least one selection size (--ks)")
         for k in ks:
@@ -268,26 +283,59 @@ class GizmoMeasureResult(Regularized):
     route_series = property(lambda self: self.routes["series_regularization"])
 
 
-def _closed_form(fit: ExponentialFit, chi: int) -> FactoredForm:
-    """sum_j a_j (1 + b_j t)^chi over the fit's weights a_j and bases b_j.
+FIT_CACHE_SIZE = 128
+
+
+class _SpecFit(NamedTuple):
+    """A verified fit with its weights W_j over their common denominator D,
+    and the totals total(0..J + held-out) that its counts used."""
+
+    fit: ExponentialFit
+    weights: tuple[int, ...]
+    scale: int
+    totals: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=FIT_CACHE_SIZE)
+def _fit_for(ks: tuple[int, ...]) -> _SpecFit:
+    """gizmo_fit for the selection sizes ks, kept per ks: nothing in it
+    depends on the set.  A fit that raises is not kept."""
+    totals: list[int] = []
+    fit = gizmo_fit(GizmoSpec(ks), totals=totals)
+    weights, scale = clear_denominators(fit.weights)
+    return _SpecFit(fit, tuple(weights), scale, tuple(totals))
+
+
+def _exponential_value(spec_fit: _SpecFit, chi: int) -> Fraction:
+    """The fit's polynomial sum_j a_j x^j at x = 2^chi over the integers:
+    sum_j W_j 2^(chi j) / D, and for chi < 0 both sides times 2^(-chi J)."""
+    weights, scale = spec_fit.weights, spec_fit.scale
+    if chi >= 0:
+        return Fraction(sum(w << chi * j for j, w in enumerate(weights, 1)), scale)
+    j_dim = len(weights)
+    return Fraction(sum(w << -chi * (j_dim - j) for j, w in enumerate(weights, 1)),
+                    scale << -chi * j_dim)
+
+
+def _closed_form(spec_fit: _SpecFit, chi: int) -> FactoredForm:
+    """sum_j a_j (1 + b_j t)^chi over the fit's weights a_j = W_j / D and bases b_j.
 
     Its t^k coefficient is binom(chi, k) sum_j a_j b_j^k = binom(chi, k) n_k.
-    It is built over the integers, from the weights W_j / D.  For chi < 0
-    it is sum_j W_j prod_{i != j} (1 + b_i t)^-chi over
+    It is built over the integers.  For chi < 0 it is
+    sum_j W_j prod_{i != j} (1 + b_i t)^-chi over
     D prod_j (1 + b_j t)^-chi, with zero weights left out, and the
     numerator is built by linear passes: the bases are distinct, so it is
     nonzero at every pole -1/b_j and the form is reduced.
     """
-    weights, scale = clear_denominators(fit.weights)
-    terms = [(w, b) for w, b in zip(weights, fit.bases) if w]
+    terms = [(w, b) for w, b in zip(spec_fit.weights, spec_fit.fit.bases) if w]
     if chi >= 0:
         return FactoredForm(tuple(math.comb(chi, k) * sum(w * b ** k for w, b in terms)
-                                  for k in range(chi + 1)), scale)
+                                  for k in range(chi + 1)), spec_fit.scale)
     num, den, pad = [0], [1], [0] * -chi
     for w, b in terms:  # num / den += w / (1 + b t)^-chi
         num = [x + w * y for x, y in zip(times_factors(num + pad, ((b, -chi),)), den + pad)]
         den = times_factors(den + pad, ((b, -chi),))
-    return FactoredForm(tuple(num), scale, tuple((b, -chi) for _, b in terms))
+    return FactoredForm(tuple(num), spec_fit.scale, tuple((b, -chi) for _, b in terms))
 
 
 def gizmo_measure(
@@ -296,23 +344,26 @@ def gizmo_measure(
     """Regularized Euler measure of G(2^A; k_1..k_r), by three routes.
 
     The closed form comes from gizmo_fit's weights; its builder checks
-    the size ceiling first, so after the window.
+    the size ceiling first, so after the window.  The fit, its integer
+    weights and the totals it counted are computed and verified once per
+    ks (_fit_for); every call still counts its own prefix from those
+    totals, certifies it against the closed form and compares the routes.
     """
     chi = A.euler_measure()
-    two_chi = Fraction(2) ** chi
     totals: list[int] = []
-    fit = None
+    spec_fit = None
 
     def closed_form() -> FactoredForm:
-        nonlocal fit
+        nonlocal spec_fit
         check_gizmo_size(chi, spec.ks)
-        fit = gizmo_fit(spec, totals=totals)
-        return _closed_form(fit, chi)
+        spec_fit = _fit_for(spec.ks)
+        totals.extend(spec_fit.totals)
+        return _closed_form(spec_fit, chi)
 
     record = regularize(Construction(
         order_bound=_order_bound(chi, spec.fit_dimension), closed_form=closed_form,
         count=lambda k: gizmo_support_count(spec, k, totals), weight=chi,
-        routes=lambda: {"exponential_fit": fit.value_at(two_chi),
-                        "iterated_binomial": iterated_binomial(two_chi, spec.ks)},
+        routes=lambda: {"exponential_fit": _exponential_value(spec_fit, chi),
+                        "iterated_binomial": iterated_binomial(Fraction(2) ** chi, spec.ks)},
     ), terms)
-    return GizmoMeasureResult(**vars(record), fit=fit)
+    return GizmoMeasureResult(**vars(record), fit=spec_fit.fit)

@@ -507,6 +507,7 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("built or counted above the terms ceiling")
 
+        power_gizmos._fit_for.cache_clear()
         for module, name in builders + [(exact_series, "integer_binomial")]:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 3

@@ -8,6 +8,7 @@ import pytest
 from eulermeasure.errors import InputError, ResourceLimitError
 from eulermeasure.partition_combinatorics import (
     SetPartition,
+    falling_factorial,
     gen_binomial,
     iterated_binomial,
     mobius_bottom,
@@ -112,6 +113,26 @@ class TestGenBinomial:
     def test_negative_k(self):
         with pytest.raises(InputError):
             gen_binomial(1, -1)
+
+
+def _fraction_falling_factorial(x, k):
+    """The product x (x-1) ... (x-k+1) taken step by step in Fractions."""
+    value = F(1)
+    for i in range(k):
+        value *= x - i
+    return value
+
+
+GRID = sorted({F(p, q) for p in range(-9, 10) for q in (1, 2, 3, 4, 7, 12)})
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_falling_factorial_matches_the_fraction_product(k):
+    for x in GRID:
+        value = falling_factorial(x, k)
+        assert type(value) is Fraction and value == _fraction_falling_factorial(x, k)
+    assert falling_factorial(5, k) == _fraction_falling_factorial(F(5), k)
+    assert falling_factorial("-7/3", k) == _fraction_falling_factorial(F(-7, 3), k)
 
 
 class TestIteratedBinomial:

@@ -1,3 +1,8 @@
+import importlib
+import json
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +31,7 @@ from eulermeasure.setparse import parse_set_expression as parse
 from eulermeasure.verify import set_with_chi
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def rf(num, den):
@@ -72,6 +78,23 @@ class TestSupportCounts:
     def test_bad_spec(self):
         with pytest.raises(InputError, match="--ks sizes must be at least 1, got 0"):
             GizmoSpec((2, 0))
+
+    @pytest.mark.parametrize("size", [2.5, "2.5", "2", None, F(5, 2), float("inf"),
+                                      float("nan")], ids=repr)
+    def test_non_integral_size_refused(self, size):
+        with pytest.raises(InputError, match="--ks sizes must be integers"):
+            GizmoSpec((2, size))
+
+    def test_non_integral_size_never_truncated(self):
+        # int(2.5) would be 2 and give binom(1/2, 2) = -1/8
+        with pytest.raises(InputError, match="--ks"):
+            gizmo_measure(parse("(0,1)"), GizmoSpec((2.5,)))
+
+    @pytest.mark.parametrize("size", [2.0, F(4, 2), 2], ids=repr)
+    def test_integral_size_normalized(self, size):
+        spec = GizmoSpec((size,))
+        assert spec == GizmoSpec((2,)) and type(spec.ks[0]) is int
+        assert gizmo_measure(parse("(0,1)"), spec).value == F(-1, 8)
 
 
 class TestGizmoFit:
@@ -207,6 +230,7 @@ class TestGizmoMeasure:
         def refuse(*args, **kwargs):
             raise AssertionError("counted a gizmo above the size ceiling")
 
+        power_gizmos._fit_for.cache_clear()
         monkeypatch.setattr(power_gizmos, "gizmo_fit", refuse)
         monkeypatch.setattr(power_gizmos, "gizmo_support_count", refuse)
         for expr, ks in (("(0,1)", (61,)), ("(0,1) u (2,3)", (6, 8)), ("{0}", (8, 8))):
@@ -239,3 +263,70 @@ class TestGizmoMeasure:
         res = gizmo_measure(parse("(0,1)"), GizmoSpec((2, 2)), terms=1)
         assert res.value == F(9, 128)
         assert res.series.prefix.coefficients == (0, 0) and res.counts == (0, 0)
+
+
+@pytest.fixture
+def cold_fit_cache():
+    """The per-ks fit cache, empty before the test and after it."""
+    power_gizmos._fit_for.cache_clear()
+    yield power_gizmos._fit_for
+    power_gizmos._fit_for.cache_clear()
+
+
+class TestFitCache:
+    def test_one_fit_per_ks(self, cold_fit_cache, monkeypatch):
+        fits = []
+        fit = power_gizmos.gizmo_fit
+        monkeypatch.setattr(power_gizmos, "gizmo_fit",
+                            lambda *args, **kwargs: fits.append(args) or fit(*args, **kwargs))
+        for expr in ("(0,1)", "{0,1}", "(0,1) u (2,3)", "(0,1)"):
+            gizmo_measure(parse(expr), GizmoSpec((2, 2)))
+        gizmo_measure(parse("{0}"), GizmoSpec((2.0, F(2))))
+        assert len(fits) == 1
+        gizmo_measure(parse("(0,1)"), GizmoSpec((2,)))
+        assert len(fits) == 2
+        assert cold_fit_cache.cache_info().maxsize == power_gizmos.FIT_CACHE_SIZE
+
+    def test_failed_fit_is_not_kept(self, cold_fit_cache, monkeypatch):
+        _corrupt_counts(monkeypatch, lambda k: k >= 1)
+        with pytest.raises(InternalCheckError, match="iterated binomial polynomial"):
+            gizmo_measure(parse("(0,1)"), GizmoSpec((2,)))
+        assert cold_fit_cache.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert gizmo_measure(parse("(0,1)"), GizmoSpec((2,))).value == F(-1, 8)
+
+    def test_cold_and_warm_records_agree(self, cold_fit_cache, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        cases = importlib.import_module("workloads").regularize_gizmo_cases()
+        assert len(cases) == 44
+        for chi, ks in cases:
+            spec = GizmoSpec(ks)
+            cold_fit_cache.cache_clear()
+            cold = gizmo_measure(set_with_chi(chi), spec)
+            warm = gizmo_measure(set_with_chi(chi), spec)
+            assert cold_fit_cache.cache_info().hits >= 1
+            assert cold.value == warm.value and cold.routes == warm.routes
+            assert cold.counts == warm.counts
+            assert cold.series.prefix == warm.series.prefix
+            assert cold.series.continuation == warm.series.continuation
+            assert cold.fit == warm.fit == gizmo_fit(spec)
+
+
+@pytest.mark.parametrize("ks", [ks for ks in FIT_KS if GizmoSpec(ks).fit_dimension <= 12], ids=str)
+def test_integer_route_is_the_fit_polynomial(ks):
+    spec_fit = power_gizmos._fit_for(GizmoSpec(ks).ks)
+    for chi in range(-8, 9):
+        expected = spec_fit.fit.value_at(F(2) ** chi)
+        assert power_gizmos._exponential_value(spec_fit, chi) == expected
+
+
+def test_gizmo_fit_scaling_tool_runs():
+    tool = ROOT / "tools" / "gizmo_fit_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--dims", "2,4", "--repeats", "1"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [row["J"] for row in rows] == [2, 4]
+    for row in rows:
+        assert row["fit_cold_ms"] > 0
+        assert [m["chi"] for m in row["measure"]] == [-1, 2]
+        assert all(m["cold_ms"] > 0 and m["warm_ms"] > 0 for m in row["measure"])
