@@ -8,7 +8,8 @@ a single open cell whose dimension is the number of interval-placed
 points.  Summing (-1)^dim over the strata gives the measure of the
 whole selection set, which equals binom(chi(A), k).  cell_counts counts
 the cells of each dimension (compositions, Stanley, EC1 section 1.2);
-choose_cells lists them, the oracle the verify suite holds it against.
+choose_cells lists them, the oracle the verify suite holds it against,
+within the enumeration ceiling of limits.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .interval_sets import OpenInterval, Point, PolyhedralSet1D
-from .partition_combinatorics import DEFAULT_PARTITION_CAP, mobius_by_sizes, partition_types
-
-DEFAULT_CHOOSE_CAP = 12
+from .limits import check_enumeration
+from .partition_combinatorics import mobius_by_sizes, partition_types
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,18 @@ class PlacementDescriptor:
 
 
 def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescriptor]:
-    """All ways to split k points over the pieces, 0/1 on point pieces."""
+    """All ways to split k points over the pieces, 0/1 on point pieces.
+
+    They are the cells cell_counts(P, k) counts, each one count per piece;
+    that many entries are checked against the enumeration ceiling before
+    the first placement is built.
+    """
     pieces = P.pieces
+    check_enumeration(
+        sum(cell_counts(P, k).values()) * len(pieces),
+        f"the placements of {k} points on {len(pieces)} pieces "
+        "(cell_counts and parity_polynomial count them)",
+    )
 
     def descend(i: int, remaining: int, acc: list[int]):
         if i == len(pieces):
@@ -75,15 +85,12 @@ def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescri
             yield from descend(i + 1, remaining - c, acc)
             acc.pop()
 
-    yield from descend(0, k, [])
+    return descend(0, k, [])
 
 
-def choose_cells(A: PolyhedralSet1D, k: int, cap: int = DEFAULT_CHOOSE_CAP) -> CellSketch:
-    """Stratify the k-element selections from A into open cells."""
-    if cap < 0:
-        raise InputError(f"cap must be at least 0, got {cap}")
-    if k > cap:
-        raise ResourceLimitError(f"cell enumeration capped at k <= {cap} (requested {k})")
+def choose_cells(A: PolyhedralSet1D, k: int) -> CellSketch:
+    """Stratify the k-element selections from A into open cells, one per
+    placement (enumerate_placements checks their number first)."""
     cells = sorted(
         (placement.interval_points(A.pieces), placement.counts)
         for placement in enumerate_placements(A, k)
@@ -107,18 +114,17 @@ def cell_counts(A: PolyhedralSet1D, k: int) -> dict[int, int]:
     }
 
 
-def ordered_distinct_measure(
-    A: PolyhedralSet1D, k: int, cap: int = DEFAULT_PARTITION_CAP
-) -> int:
+def ordered_distinct_measure(A: PolyhedralSet1D, k: int) -> int:
     """Measure of the set of k-tuples of pairwise-distinct points of A.
 
     Computed by Mobius inversion over the partition lattice:
     sum over pi of mu(0, pi) * chi(A)^(number of blocks).  Both factors
     depend only on the block sizes of pi, so the sum runs over integer
-    partitions of k, each weighted by its number of set partitions.
+    partitions of k, each weighted by its number of set partitions
+    (partition_types, which checks their number first).
     """
     chi = A.euler_measure()
     return sum(
         ways * mobius_by_sizes(sizes) * chi ** len(sizes)
-        for sizes, ways in partition_types(k, cap)
+        for sizes, ways in partition_types(k)
     )

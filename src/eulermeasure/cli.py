@@ -4,14 +4,15 @@ Subcommands: measure, choose, powerset, gizmo, mapspace, fib, verify.
 Every exact value is printed as a "p/q" string, never a float; --json
 emits one JSON object (schema 1) per invocation.  Reported values carry
 the label of the route that produced them; every regularized value comes
-with its "routes", and the agreement check under "checks" is computed
-from them.
+with its "routes", which the library has already compared (a
+disagreement exits 5 before any report exists), so no check repeats it.
 
 Each verb is an entry of ``_VERBS``.  A set verb's builder returns only
-its own inputs, results and checks, laying out a ``Regularized`` record
-through ``_regularized``; ``_frame`` parses ``set`` once, puts ``set``
-and ``canonical`` first and builds the report.  ``verify`` takes no set
-and builds its own.  The exit status is 1 when a check failed, else 0.
+its own inputs, results and checks (``choose`` alone has one), laying
+out a ``Regularized`` record through ``_regularized``; ``_frame`` parses
+``set`` once, puts ``set`` and ``canonical`` first and builds the
+report.  ``verify`` takes no set and builds its own.  The exit status is
+1 when a check failed, else 0.
 
 Set expressions follow the grammar in setparse; operator binding from
 tightest to loosest is ``!``, ``&``, ``\\``, ``u``/``|``.
@@ -140,14 +141,11 @@ def _check_entry(name: str, passed: bool, detail: str = "") -> dict:
     return entry
 
 
-def _regularized(
-    results: dict, res: Regularized, route: str, check: str = "route-agreement", **trailing
-) -> tuple[dict, list]:
-    """A construction's results and checks: the given results, then its
-    series, its value labelled with route, its routes and the trailing
-    fields; the agreement check is computed from the routes."""
+def _regularized(results: dict, res: Regularized, route: str, **trailing) -> dict:
+    """A construction's results: the given results, then its series, its
+    value labelled with route, its routes and the trailing fields."""
     prefix = res.series.prefix
-    results |= {
+    return results | {
         "series": {
             "grading": prefix.grading,
             "coefficients": [str(c) for c in prefix.coefficients],
@@ -157,8 +155,6 @@ def _regularized(
         "routes": {label: str(value) for label, value in res.routes.items()},
         **trailing,
     }
-    agree = all(value == res.value for value in res.routes.values())
-    return results, [_check_entry(check, agree)]
 
 
 def _require_unit_domain(a: PolyhedralSet1D, what: str):
@@ -214,7 +210,7 @@ def _choose(a: PolyhedralSet1D, options: dict):
 
 def _powerset(a: PolyhedralSet1D, options: dict):
     ps = powerset_series(a, options.get("terms"))
-    return {}, *_regularized({"euler_measure": _chi(a)}, ps, "binomial-closed-form")
+    return {}, _regularized({"euler_measure": _chi(a)}, ps, "binomial-closed-form"), []
 
 
 def _gizmo(a: PolyhedralSet1D, options: dict):
@@ -227,7 +223,7 @@ def _gizmo(a: PolyhedralSet1D, options: dict):
     }
     fit = {"bases": list(res.fit.bases), "weights": [str(w) for w in res.fit.weights]}
     inputs = {"ks": ",".join(str(k) for k in spec.ks)}
-    return inputs, *_regularized(results, res, "exponential-fit", fit=fit)
+    return inputs, _regularized(results, res, "exponential-fit", fit=fit), []
 
 
 def _mapspace(a: PolyhedralSet1D, options: dict):
@@ -274,14 +270,15 @@ def _mapspace(a: PolyhedralSet1D, options: dict):
             "subset_breakpoint_counts": [str(chi_b ** (2 * k + 1)) for k in range(len(res.counts))],
             "breakpoint_counts": [str(n) for n in res.counts],
         }
-    return inputs, *_regularized(results, res, "breakpoint-series")
+    return inputs, _regularized(results, res, "breakpoint-series"), []
 
 
 def _fib(a: PolyhedralSet1D, options: dict):
     res = fibonacci_measure(a, options.get("terms"))
     expected = _labeled(res.expected, "extended-recurrence")
-    return {}, *_regularized({"euler_measure": _chi(a)}, res, "series-regularization",
-                             "fibonacci-agreement", expected_fibonacci=expected)
+    results = _regularized({"euler_measure": _chi(a)}, res, "series-regularization",
+                           expected_fibonacci=expected)
+    return {}, results, []
 
 
 def _frame(build):

@@ -30,18 +30,16 @@ polynomial in t.  Reading left to right from (even, odd) = (1, 0):
 The series is the even state after the last piece: a polynomial of
 degree at most the number of pieces, in O(pieces^2) integer steps, and
 its own closed form.  Enumerating every placement (enumerate_placements,
-placement_gap_measures, parity_strata_coefficient) is the bounded oracle
-the tests and the verify suite hold the automaton against.
+placement_gap_measures, parity_strata_coefficient) is the oracle the
+tests and the verify suite hold the automaton against, within the
+enumeration ceiling of limits.
 """
 
 from __future__ import annotations
 
 from .choose_construction import PlacementDescriptor, enumerate_placements
-from .errors import ResourceLimitError
 from .exact_series import Construction, FactoredForm, Regularized, regularize
 from .interval_sets import Point, PolyhedralSet1D
-
-DEFAULT_STRATA_CAP = 10
 
 
 def extended_fibonacci(n: int) -> int:
@@ -85,18 +83,13 @@ def placement_gap_measures(P: PolyhedralSet1D, placement: PlacementDescriptor) -
     return gaps
 
 
-def parity_strata_coefficient(
-    P: PolyhedralSet1D, k: int, cap: int = DEFAULT_STRATA_CAP
-) -> int:
+def parity_strata_coefficient(P: PolyhedralSet1D, k: int) -> int:
     """Signed count of the k-point strata whose gap measures are all even.
 
     Two points in one open interval leave an odd gap between them, so
-    no valid placement has more points than P has pieces.
+    no valid placement has more points than P has pieces; otherwise every
+    placement is enumerated, within the enumeration ceiling.
     """
-    if k > cap:
-        raise ResourceLimitError(
-            f"stratum enumeration capped at k <= {cap} (requested {k})"
-        )
     if k > len(P.pieces):
         return 0
     total = 0

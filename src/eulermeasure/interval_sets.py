@@ -38,8 +38,9 @@ Costs, with n and k the coordinate counts of the operands, k <= n:
 - A literal (``segment``, ``open_interval``) costs O(1): once its ends
   are checked (lower < upper, closed ends finite) it is written straight
   into cell form.
-- ``from_pieces`` takes pieces in any order and costs O(n log n): it
-  sorts the distinct endpoints, indexes them once, and sweeps.
+- ``PolyhedralSet1D(pieces)``, and ``from_pieces``, take pieces in any
+  order, overlapping or not, and cost O(n log n): they sort the distinct
+  endpoints, index them once, and sweep.
 - ``union`` splices: it bisects the smaller operand's first and last
   coordinate into the larger one's, merges the window between them
   (widened to the end of the line on a side where the smaller operand
@@ -244,13 +245,12 @@ class Classification:
 #
 # _merge walks the cells of two sets together, as the merge step of merge
 # sort, flags the cells of the merged coordinates and drops a coordinate
-# as soon as its three cells agree.  Raw pieces from outside (from_pieces)
-# come in any order: _critical_coordinates sorts their distinct ends, and
-# _cell_flags marks the cells in one sweep: a point marks its own cell, an
-# open interval (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1
-# after cell 2b (after the last cell at +inf), and a running sum of these
-# differences counts the intervals over each cell.  _cells reads the cells
-# of pieces that are canonical already, for the raw constructor.
+# as soon as its three cells agree.  Raw pieces from outside (the
+# constructor) come in any order: _critical_coordinates sorts their
+# distinct ends, and _cell_flags marks the cells in one sweep: a point
+# marks its own cell, an open interval (x_a, x_b) adds +1 at cell 2a+2
+# (cell 0 at -inf) and -1 after cell 2b (after the last cell at +inf), and
+# a running sum of these differences counts the intervals over each cell.
 # _cell_in tests one cell against every piece, O(n) per cell; with
 # _elementary_cells, which spells the cells out, it is the reference the
 # sweeps and the merge are tested against.
@@ -284,35 +284,6 @@ def _cell_flags(pieces: Sequence[Piece], coords: Sequence[Fraction]) -> list[boo
             diff[2 * index[piece.left.value] + 2 if piece.left.is_finite else 0] += 1
             diff[2 * index[piece.right.value] + 1 if piece.right.is_finite else last + 1] -= 1
     return [m or depth > 0 for m, depth in zip(marked, accumulate(diff))]
-
-
-def _cells(pieces: Sequence[Piece]) -> tuple[list[Fraction], list[bool]]:
-    """The coordinates of canonical pieces and the membership of their cells.
-
-    A coordinate repeats only where one piece ends and the next begins,
-    so comparing each end with the last coordinate seen is enough.
-    """
-    coords: list[Fraction] = []
-    flags = [False]
-    for piece in pieces:
-        if isinstance(piece, Point):
-            x = piece.at
-            if coords and (coords[-1] is x or coords[-1] == x):
-                flags[-2] = True  # x closes the interval just read
-            else:
-                coords.append(x)
-                flags += (True, False)
-            continue
-        left = piece.left
-        if left.rank or coords and (coords[-1] is left.value or coords[-1] == left.value):
-            flags[-1] = True  # the gap above the last coordinate, or below all
-        else:
-            coords.append(left.value)
-            flags += (False, True)
-        if not piece.right.rank:
-            coords.append(piece.right.value)
-            flags += (False, False)
-    return coords, flags
 
 
 def _merge(xa: Sequence[Fraction], fa: Sequence[bool], xb: Sequence[Fraction],
@@ -431,19 +402,24 @@ class PolyhedralSet1D:
     """Canonical finite union of rational points and open intervals.
 
     The stored state is the cell index ``coords``/``flags``, canonical
-    as the module docstring defines it.  Construct through
-    :meth:`from_pieces`, :func:`canonicalize` or the module-level
-    constructors; the raw constructor ``PolyhedralSet1D(pieces)`` trusts
-    its pieces to be canonical already.
+    as the module docstring defines it.  ``PolyhedralSet1D(pieces)``
+    canonicalizes any points and open intervals, in any order and
+    overlapping or not; :meth:`from_pieces`, :func:`canonicalize` and the
+    module-level constructors build the same sets.
     """
 
     coords: tuple[Fraction, ...]
     flags: tuple[bool, ...]
 
     def __init__(self, pieces: Iterable[Piece] = ()):
-        pieces = tuple(pieces)
-        coords, flags = _cells(pieces)
-        self.__dict__.update(coords=tuple(coords), flags=tuple(flags), pieces=pieces)
+        raw = list(pieces)
+        for piece in raw:
+            if not isinstance(piece, (Point, OpenInterval)):
+                raise InputError(f"not a piece: {piece!r}")
+        coords = _critical_coordinates([raw])
+        # merging with the empty set drops the coordinates that change nothing
+        coords, flags = _merge(coords, _cell_flags(raw, coords), (), (False,), or_)
+        self.__dict__.update(coords=tuple(coords), flags=tuple(flags))
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
@@ -453,14 +429,7 @@ class PolyhedralSet1D:
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[Piece]) -> "PolyhedralSet1D":
-        raw = list(pieces)
-        for piece in raw:
-            if not isinstance(piece, (Point, OpenInterval)):
-                raise InputError(f"not a piece: {piece!r}")
-        coords = _critical_coordinates([raw])
-        # merging with the empty set drops the coordinates that change nothing
-        coords, flags = _merge(coords, _cell_flags(raw, coords), (), (False,), or_)
-        return _from_cells(tuple(coords), tuple(flags))
+        return cls(pieces)
 
     @classmethod
     def empty(cls) -> "PolyhedralSet1D":

@@ -1,16 +1,27 @@
-"""Shared caps: brute-force oracles, the series length and the gizmo size.
+"""Shared ceilings: brute-force oracles, the series length and the gizmo size.
 
-DEFAULT_ENUM_CAP bounds the exhaustive enumerations that serve as test
-oracles (gizmo_support_census, brute_map_count, map_pair_count); each
-takes an explicit cap argument with this default.  No CLI verb
-enumerates, so none reaches it.  The series ceiling MAX_TERMS is fixed:
-it sits above the default window of every documented input (terms =
-2d - 1 for order bound d, the most a certificate needs; see
-exact_series.series_window), and is checked before the closed form is
-built or any coefficient counted (exact_series.regularize).  fib's bound
-is the length of its polynomial, found in O(pieces) (2000 points: terms
-4001; from 5000 points on the window is above the ceiling).  It also
-bounds the selection size of choose.
+MAX_ENUMERATION bounds every exhaustive enumeration, the test oracles of
+the closed-form counts: the placements behind choose_cells,
+parity_strata_coefficient and verify's gap lemma, set and integer
+partitions, the gizmo census, value sequences of maps and verify's
+subsets of points.  Each computes its size in entries, candidates times
+the length of each, and calls check_enumeration before it builds its
+first candidate; the refusal names the closed form that counts without
+enumerating.  The ceiling is read at call time, so a test may lower it.
+tools/oracle_scaling.py measures every oracle up to it: the costliest
+call it admits there, choose_cells on 12 open intervals at k = 13
+(3.0e7 entries), took 14 s and 575 MB of peak RSS (Python 3.11, 2-core
+machine), and it admits map_pair_count(3, 6), 2.1e7 entries, the largest
+enumeration the tests make.  No CLI verb enumerates, so none reaches it.
+
+The series ceiling MAX_TERMS is fixed: it sits above the default window
+of every documented input (terms = 2d - 1 for order bound d, the most a
+certificate needs; see exact_series.series_window), and is checked
+before the closed form is built or any coefficient counted
+(exact_series.regularize).  fib's bound is the length of its
+polynomial, found in O(pieces) (2000 points: terms 4001; from 5000
+points on the window is above the ceiling).  It also bounds the
+selection size of choose.
 
 The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi has J = prod(k_i) exponential bases
@@ -30,9 +41,19 @@ import math
 
 from .errors import ResourceLimitError
 
-DEFAULT_ENUM_CAP = 10_000_000
+MAX_ENUMERATION = 30_000_000
 MAX_TERMS = 10_000
 MAX_GIZMO_BITS = 60 * 61 // 2
+
+
+def check_enumeration(entries: int, what: str) -> None:
+    """Refuse an enumeration of more than MAX_ENUMERATION entries; what
+    names it and the closed form that counts it instead."""
+    if entries > MAX_ENUMERATION:
+        raise ResourceLimitError(
+            f"{what}: {entries} entries or more, above the enumeration ceiling "
+            f"of {MAX_ENUMERATION}"
+        )
 
 
 def check_terms(terms: int, default_for: int | None = None) -> int:

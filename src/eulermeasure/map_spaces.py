@@ -22,7 +22,8 @@ exact_series.Construction declaration, whose counts are the
 exact-breakpoint (or, for pairs, union-breakpoint) counts.
 
 Every count and every series here is a closed form; brute_map_count and
-map_pair_count enumerate value sequences, as bounded test oracles only.
+map_pair_count enumerate value sequences, as test oracles only, within
+the enumeration ceiling of limits.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import InputError, InternalCheckError, ResourceLimitError, UnsupportedDomainError
+from .errors import InputError, InternalCheckError, UnsupportedDomainError
 from .exact_series import Construction, FactoredForm, Regularized, binomial_closed_form, regularize
 from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
-from .limits import DEFAULT_ENUM_CAP
+from .limits import check_enumeration
 from .partition_combinatorics import gen_binomial
 
 GRADING = "breakpoints"
@@ -64,12 +65,12 @@ def finite_pair_count(bsize: int, k: int) -> int:
     return (finite_map_count(bsize ** 2, k) - finite_map_count(bsize, k)) // 2
 
 
-def brute_map_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def brute_map_count(bsize: int, k: int) -> int:
     """finite_map_count by enumeration, its test oracle: every value
     sequence whose every nominal breakpoint is a real one (the full-mask
     bucket of _breakpoint_mask_counts)."""
     _check_map_count_args(bsize, k)
-    return _breakpoint_mask_counts(bsize, k, cap)[(1 << k) - 1]
+    return _breakpoint_mask_counts(bsize, k)[(1 << k) - 1]
 
 
 def _check_map_count_args(bsize: int, k: int) -> None:
@@ -106,13 +107,18 @@ def hedral_map_measure(
     ), terms)
 
 
-def _breakpoint_mask_counts(bsize: int, k: int, cap: int) -> list[int]:
-    """Number of value sequences per exact breakpoint mask (bit i = x_{i+1})."""
-    total = bsize ** (2 * k + 1)
-    if total > cap:
-        raise ResourceLimitError(
-            f"brute enumeration of {total} maps exceeds cap {cap}"
-        )
+def _breakpoint_mask_counts(bsize: int, k: int) -> list[int]:
+    """Number of value sequences per exact breakpoint mask (bit i = x_{i+1}).
+
+    The b^(2k+1) sequences of 2k + 1 values each, and the 2^k masks, are
+    checked against the enumeration ceiling before any is built.
+    """
+    length = 2 * k + 1
+    check_enumeration(
+        bsize ** length * length + (1 << k),
+        f"the value sequences of maps into {bsize} points with {k} breakpoints "
+        "(finite_map_count and finite_pair_count count them)",
+    )
     counts = [0] * (1 << k)
     for seq in itertools.product(range(bsize), repeat=2 * k + 1):
         mask = 0
@@ -124,7 +130,7 @@ def _breakpoint_mask_counts(bsize: int, k: int, cap: int) -> list[int]:
     return counts
 
 
-def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def map_pair_count(bsize: int, k: int) -> int:
     """finite_pair_count by enumeration, its test oracle.
 
     Every map over the k nominal breakpoints is enumerated and bucketed
@@ -132,7 +138,7 @@ def map_pair_count(bsize: int, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     result is an exhaustive count, not a closed-form shortcut.
     """
     _check_map_count_args(bsize, k)
-    counts = _breakpoint_mask_counts(bsize, k, cap)
+    counts = _breakpoint_mask_counts(bsize, k)
     full = (1 << k) - 1
     ordered = 0
     for m1, c1 in enumerate(counts):

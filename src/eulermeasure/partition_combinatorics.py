@@ -9,15 +9,15 @@ the degree-k polynomial x(x-1)...(x-k+1)/k! at any rational x.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
+from .limits import check_enumeration
 from .rationals import as_fraction
-
-DEFAULT_PARTITION_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,46 @@ class SetPartition:
         return sum(len(b) for b in self.blocks)
 
 
-def _check_ground_size(k: int, cap: int) -> None:
+def _bell_numbers() -> Iterator[int]:
+    """Bell(0), Bell(1), ..: the first entries of the rows of the Bell triangle."""
+    row = [1]
+    while True:
+        yield row[0]
+        row = list(itertools.accumulate(row, initial=row[-1]))
+
+
+def _partition_numbers() -> Iterator[int]:
+    """p(0), p(1), .. by Euler's pentagonal number theorem:
+    p(n) = sum_{j >= 1} (-1)^(j+1) (p(n - j(3j-1)/2) + p(n - j(3j+1)/2))."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n, total, j = len(p), 0, 1
+        while j * (3 * j - 1) // 2 <= n:
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= n:
+                    total += p[n - g] if j % 2 else -p[n - g]
+            j += 1
+        p.append(total)
+
+
+def _check_partitions(k: int, counts: Iterator[int], what: str) -> None:
+    """Refuse k < 0, and the k * c(k) entries of an enumeration of c(k)
+    partitions of k above the enumeration ceiling.  The counts c(0), c(1), ..
+    never decrease, so k * c(n) is checked for each n <= k in turn: a large
+    k is refused after a few dozen counts."""
     if k < 0:
         raise InputError(f"k must be at least 0, got {k}")
-    if k > cap:
-        raise ResourceLimitError(
-            f"partition enumeration capped at k <= {cap} (requested {k})"
-        )
+    for count in itertools.islice(counts, k + 1):
+        check_enumeration(k * count, what)
 
 
-def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition]:
-    """All set partitions of {1..k}, via restricted-growth strings."""
-    _check_ground_size(k, cap)
+def partitions_of(k: int) -> list[SetPartition]:
+    """All set partitions of {1..k}, via restricted-growth strings; the
+    Bell(k) partitions of k entries each are checked against the
+    enumeration ceiling first."""
+    _check_partitions(k, _bell_numbers(),
+                      f"the set partitions of {k} elements (falling_factorial is their Mobius sum)")
     if k == 0:
         return [SetPartition(())]
     out: list[SetPartition] = []
@@ -99,17 +127,16 @@ def partitions_of(k: int, cap: int = DEFAULT_PARTITION_CAP) -> list[SetPartition
     return out
 
 
-def partition_types(
-    k: int, cap: int = DEFAULT_PARTITION_CAP
-) -> list[tuple[tuple[int, ...], int]]:
+def partition_types(k: int) -> list[tuple[tuple[int, ...], int]]:
     """The block sizes of the set partitions of {1..k}, grouped by type.
 
     Each integer partition sizes of k comes with the number of set
     partitions whose blocks have exactly those sizes,
-    k! / (prod size! * prod multiplicity!).  The same cap as
-    partitions_of applies.
+    k! / (prod size! * prod multiplicity!).  The p(k) integer partitions
+    of k entries each are checked against the enumeration ceiling first.
     """
-    _check_ground_size(k, cap)
+    _check_partitions(k, _partition_numbers(),
+                      f"the integer partitions of {k} (falling_factorial is their weighted sum)")
     out: list[tuple[tuple[int, ...], int]] = []
 
     def descend(remaining: int, largest: int, sizes: list[int]):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError, InternalCheckError, ResourceLimitError
+from .errors import InputError, InternalCheckError
 from .exact_series import (
     Construction,
     FactoredForm,
@@ -50,7 +50,7 @@ from .exact_series import (
     times_factors,
 )
 from .interval_sets import PolyhedralSet1D
-from .limits import DEFAULT_ENUM_CAP, check_gizmo_size
+from .limits import check_enumeration, check_gizmo_size
 from .partition_combinatorics import integer_binomial, iterated_binomial
 from .rationals import as_fraction
 
@@ -139,9 +139,7 @@ def support_count_table(spec: GizmoSpec, last: int) -> tuple[int, ...]:
     return tuple(gizmo_support_count(spec, k, totals) for k in range(last + 1))
 
 
-def gizmo_support_census(
-    spec: GizmoSpec, ground_size: int, cap: int = DEFAULT_ENUM_CAP
-) -> dict[frozenset, int]:
+def gizmo_support_census(spec: GizmoSpec, ground_size: int) -> dict[frozenset, int]:
     """Exhaustive construction over {1..ground_size}: counts by exact support.
 
     Subsets are ordered by "S < T iff min(S symdiff T) lies in S", which
@@ -149,30 +147,39 @@ def gizmo_support_census(
     Each selection level forms strictly increasing tuples of the previous
     level's elements; since those are kept in sorted order, the tuples
     are plain index combinations and inherit the lexicographic order.
+
+    Nothing is built before the candidates are counted: the 2^ground_size
+    subsets and binom(previous level, k_i) tuples per level, each with a
+    support of up to ground_size elements.  The count is checked against
+    the enumeration ceiling level by level, so a deep spec is refused
+    before its levels grow large.  Every support is one of the subsets, so
+    a level keeps the subset equal to each union, not a copy of it.
     """
+    what = (f"the gizmo census of --ks {','.join(map(str, spec.ks))} over {ground_size} "
+            "points (gizmo_support_count counts it)")
+    candidates = level = 2 ** ground_size
+    for k_i in spec.ks:
+        check_enumeration(candidates * ground_size, what)
+        level = math.comb(level, k_i)
+        candidates += level
+    check_enumeration(candidates * ground_size, what)
     ground = tuple(range(1, ground_size + 1))
     subsets = [frozenset(c) for n in range(ground_size + 1)
                for c in itertools.combinations(ground, n)]
     subsets.sort(key=lambda s: tuple(0 if g in s else 1 for g in ground))
+    same = {s: s for s in subsets}
     supports: list[frozenset] = subsets
-    candidates = len(supports)
     for k_i in spec.ks:
-        candidates += math.comb(len(supports), k_i)
-        if candidates > cap:
-            raise ResourceLimitError(
-                f"gizmo enumeration needs more than {cap} candidate tuples; "
-                "use gizmo_support_count instead"
-            )
         supports = [
-            frozenset().union(*(supports[i] for i in combo))
+            same[frozenset().union(*(supports[i] for i in combo))]
             for combo in itertools.combinations(range(len(supports)), k_i)
         ]
     return dict(Counter(supports))
 
 
-def gizmo_brute_force(spec: GizmoSpec, k: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def gizmo_brute_force(spec: GizmoSpec, k: int) -> int:
     """n_k by exhaustive construction over the ground set {1..k}."""
-    census = gizmo_support_census(spec, k, cap)
+    census = gizmo_support_census(spec, k)
     return census.get(frozenset(range(1, k + 1)), 0)
 
 

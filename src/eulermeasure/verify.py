@@ -49,6 +49,7 @@ from .interval_sets import (
     ext,
     points,
 )
+from .limits import check_enumeration
 from .map_spaces import (
     brute_map_count,
     finite_map_count,
@@ -586,8 +587,18 @@ def _cassini():
 
 
 def valid_subsets_by_all_pairs(p: PolyhedralSet1D) -> dict[int, int]:
-    """Exhaustive oracle: check every pair from S u {-inf, +inf} with set ops."""
+    """Exhaustive oracle: check every pair from S u {-inf, +inf} with set ops.
+
+    P is finite, of n points.  A subset of r points is checked on
+    binom(r + 2, 2) pairs, each a restriction of the n points; those
+    entries are checked against the enumeration ceiling first.
+    """
     pts = [piece.at for piece in p.pieces]
+    n = len(pts)
+    check_enumeration(
+        sum(math.comb(n, r) * math.comb(r + 2, 2) for r in range(n + 1)) * n,
+        f"the subsets of {n} points (parity_polynomial counts the valid ones)",
+    )
     by_size: dict[int, int] = {}
     for r in range(len(pts) + 1):
         for chosen in itertools.combinations(pts, r):

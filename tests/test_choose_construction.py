@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eulermeasure import choose_construction, limits
 from eulermeasure.choose_construction import (
     CellSketch,
     cell_counts,
@@ -24,6 +25,11 @@ from eulermeasure.setparse import parse_set_expression as parse
 from eulermeasure.verify import random_piece_set, random_polyhedral_set
 
 F = Fraction
+
+
+def _unbuilt(*args):
+    raise AssertionError("a placement was built")
+
 
 FAMILY = [
     "{}",
@@ -77,14 +83,14 @@ class TestChooseCells:
         for counts in choose_cells(a, 3).provenance:
             assert counts[0] <= 1 and counts[1] <= 1
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            choose_cells(parse("(0,1)"), 13)
-        assert choose_cells(parse("(0,1)"), 13, cap=13).measure == gen_binomial(-1, 13)
-
-    def test_negative_cap_is_input_error(self):
-        with pytest.raises(InputError, match="cap must be at least 0, got -1"):
-            choose_cells(parse("(0,1)"), 0, cap=-1)
+    def test_cap(self, monkeypatch):
+        # the ceiling counts cells, not k: one cell at k = 13 is listed, the
+        # 17,383,860 cells of 16 intervals at k = 12 are refused unlisted
+        assert choose_cells(parse("(0,1)"), 13).measure == gen_binomial(-1, 13)
+        monkeypatch.setattr(choose_construction, "PlacementDescriptor", _unbuilt)
+        sixteen = parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(16)))
+        with pytest.raises(ResourceLimitError, match="cell_counts"):
+            choose_cells(sixteen, 12)
 
 
 class TestCellCounts:
@@ -166,8 +172,10 @@ class TestOrderedDistinct:
                 by_partition = sum(mobius_bottom(pi) * chi ** pi.block_count for pi in pis)
                 assert ordered_distinct_measure(a, k) == by_partition
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            ordered_distinct_measure(parse("(0,1)"), 11)
-        with pytest.raises(ResourceLimitError):
-            ordered_distinct_measure(parse("(0,1)"), 5, cap=4)
+    def test_cap(self, monkeypatch):
+        # 56 integer partitions of 11, far below the ceiling
+        assert ordered_distinct_measure(parse("(0,1)"), 11) == falling_factorial(-1, 11)
+        # p(5) = 7 partitions of 5 entries each: 35 entries
+        monkeypatch.setattr(limits, "MAX_ENUMERATION", 34)
+        with pytest.raises(ResourceLimitError, match="falling_factorial"):
+            ordered_distinct_measure(parse("(0,1)"), 5)

@@ -563,7 +563,7 @@ def _fib_case(p):
         assert series.closed_form == fibonacci_subsets.fibonacci_measure(p).series.closed_form
         return series
 
-    return lambda k: fibonacci_subsets.parity_strata_coefficient(p, k, cap=100), fit
+    return lambda k: fibonacci_subsets.parity_strata_coefficient(p, k), fit
 
 
 # Brute-force pair counts of the 4d-2 window take seconds for b = 3; both

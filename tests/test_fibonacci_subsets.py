@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from eulermeasure import fibonacci_subsets
+from eulermeasure import choose_construction, fibonacci_subsets
 from eulermeasure.errors import ResourceLimitError
 from eulermeasure.exact_series import Polynomial, RationalFunction
 from eulermeasure.fibonacci_subsets import (
@@ -29,6 +29,10 @@ from eulermeasure.verify import (
 )
 
 F = Fraction
+
+
+def _unbuilt(*args):
+    raise AssertionError("a placement was built")
 
 
 class TestExtendedFibonacci:
@@ -76,9 +80,17 @@ class TestParityStrata:
         assert placement_gap_measures(p, right) == [0, 0]
         assert parity_strata_coefficient(p, 1) == 1 + 1 - 1
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            parity_strata_coefficient(parse("(0,1)"), 11)
+    def test_cap(self, monkeypatch):
+        # the ceiling counts placements, not k: 12 points at k = 11 have 12
+        # placements, and k beyond the pieces has none
+        twelve = points(range(12))
+        assert parity_strata_coefficient(twelve, 11) == parity_polynomial(twelve)[11]
+        assert parity_strata_coefficient(parse("(0,1)"), 11) == 0
+        # 30 intervals at k = 10: 635,745,396 placements, refused unbuilt
+        monkeypatch.setattr(choose_construction, "PlacementDescriptor", _unbuilt)
+        thirty = parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(30)))
+        with pytest.raises(ResourceLimitError, match="parity_polynomial"):
+            parity_strata_coefficient(thirty, 10)
 
     def test_no_valid_placement_beyond_piece_count(self):
         # the oracle behind parity_strata_coefficient returning 0 for k > pieces

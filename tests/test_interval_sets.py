@@ -43,6 +43,7 @@ from eulermeasure.interval_sets import (
     _cell_in,
     _critical_coordinates,
     _elementary_cells,
+    _from_cells,
     _runs,
 )
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression
@@ -81,6 +82,18 @@ class TestCanonicalize:
     def test_overlapping_intervals_merge(self):
         s = canonicalize([iv(0, 2), iv(1, 3)])
         assert s.pieces == (iv(0, 3),)
+
+    def test_raw_constructor_canonicalizes(self):
+        # overlapping, unsorted and redundant pieces: the raw constructor
+        # sweeps them as from_pieces does
+        for raw in ([iv(0, 2), iv(1, 3)], [iv(1, 3), Point(2), iv(0, 2)],
+                    [Point(1), iv(0, 1), Point(1), iv(1, 2)]):
+            s = PolyhedralSet1D(raw)
+            assert s == PolyhedralSet1D.from_pieces(raw)
+            assert s.pieces in ((iv(0, 3),), (iv(0, 2),))
+            assert s.coords in ((0, 3), (0, 2)) and s.euler_measure() == -1
+        with pytest.raises(InputError, match="not a piece"):
+            PolyhedralSet1D([(0, 1)])
 
     def test_interior_point_absorbed(self):
         s = canonicalize([iv(0, 1), Point(1), iv(1, 2)])
@@ -303,6 +316,13 @@ def scan_components(coords, flags):
 
 
 def scan_set(coords, flags):
+    """The set of the cells, built without the sweep or the merge: the
+    coordinates whose three cells agree are dropped, and the pieces read
+    off the scan's components are stored as the set's pieces."""
+    keep = [i for i in range(len(coords))
+            if not flags[2 * i] == flags[2 * i + 1] == flags[2 * i + 2]]
+    cells = [flags[0]] + [f for i in keep for f in (flags[2 * i + 1], flags[2 * i + 2])]
+    s = _from_cells(tuple(coords[i] for i in keep), tuple(cells))
     pieces = []
     for c in scan_components(coords, flags):
         if c.is_point:
@@ -313,7 +333,8 @@ def scan_set(coords, flags):
         pieces.append(OpenInterval(c.lower, c.upper))
         if c.closed_upper:
             pieces.append(Point(c.upper.value))
-    return PolyhedralSet1D(tuple(pieces))
+    s.__dict__["pieces"] = tuple(pieces)
+    return s
 
 
 # A small grid of halves makes shared endpoints, duplicate points and
@@ -572,8 +593,8 @@ class TestRestrictOpenSlice:
 #
 # A set stores its canonical cells, coords and flags; its pieces are built
 # from them on first read.  Each result here is held against scan_set,
-# which builds the set from pieces through the raw constructor, so equal
-# values must also hash alike.
+# which stores the scan's cells and pieces, so equal values must also
+# hash alike and the pieces built on read must be the scan's.
 
 
 def assert_canonical_cells(s):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,10 @@ from eulermeasure.partition_combinatorics import gen_binomial
 from eulermeasure.setparse import parse_set_expression as parse
 
 F = Fraction
+
+
+def _unbuilt(*args):
+    raise AssertionError("a value sequence was built")
 
 
 def rf(num, den):
@@ -70,9 +75,13 @@ class TestFiniteMapCount:
     def test_three_valued_one_breakpoint(self):
         assert brute_map_count(3, 1) == 24
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            brute_map_count(10, 5, cap=1000)
+    def test_cap(self, monkeypatch):
+        # 10^11 sequences of 11 values; one map into one point, but 2^40
+        # breakpoint masks: each refused before a sequence is built
+        monkeypatch.setattr(map_spaces, "itertools", SimpleNamespace(product=_unbuilt))
+        for bsize, k in ((10, 5), (1, 40)):
+            with pytest.raises(ResourceLimitError, match="finite_map_count"):
+                brute_map_count(bsize, k)
 
 
 class TestHedralMapMeasure:
@@ -152,9 +161,11 @@ class TestMapPairs:
         assert res.value == F(-1, 8)
         assert asked == list(range(terms + 1)) and res.counts[:4] == (1, 27, 441, 6723)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            map_pair_count(2, 12, cap=1000)
+    def test_cap(self, monkeypatch):
+        # 2^25 sequences of 25 values each
+        monkeypatch.setattr(map_spaces, "itertools", SimpleNamespace(product=_unbuilt))
+        with pytest.raises(ResourceLimitError, match="finite_pair_count"):
+            map_pair_count(2, 12)
 
 
 class TestAffinePairSpace:

@@ -3,8 +3,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import pytest
 
+from eulermeasure import limits, partition_combinatorics
 from eulermeasure.errors import InputError, ResourceLimitError
 from eulermeasure.partition_combinatorics import (
     SetPartition,
@@ -18,6 +21,10 @@ from eulermeasure.partition_combinatorics import (
 )
 
 F = Fraction
+
+
+def _unbuilt(*args):
+    raise AssertionError("a partition was built")
 
 
 def naive_partitions(k):
@@ -47,13 +54,21 @@ class TestPartitionsOf:
         for pi in partitions_of(4):
             assert pi.block_count == len(pi.blocks)
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            partitions_of(11)
-        # the boundary: k == cap is built, k == cap + 1 is refused
-        assert len(partitions_of(4, cap=4)) == 15
-        with pytest.raises(ResourceLimitError):
-            partitions_of(5, cap=4)
+    def test_cap(self, monkeypatch):
+        # the boundary: Bell(4) = 15 partitions of 4 entries, 60 entries in
+        # all, are built under a ceiling of 60 and refused under 59
+        monkeypatch.setattr(limits, "MAX_ENUMERATION", 60)
+        assert len(partitions_of(4)) == 15
+        monkeypatch.setattr(limits, "MAX_ENUMERATION", 59)
+        with pytest.raises(ResourceLimitError, match="falling_factorial"):
+            partitions_of(4)
+        # Bell(12) * 12 = 50,122,368 entries: refused at the real ceiling,
+        # and so is any larger k, before a partition is built
+        monkeypatch.undo()
+        monkeypatch.setattr(SetPartition, "_canonical", _unbuilt)
+        for k in (12, 13, 10 ** 6):
+            with pytest.raises(ResourceLimitError):
+                partitions_of(k)
 
     @pytest.mark.parametrize("k", range(8))
     def test_generated_blocks_are_canonical(self, k):
@@ -77,11 +92,19 @@ class TestPartitionTypes:
         for pi in partitions_of(k):
             assert mobius_by_sizes(len(b) for b in pi.blocks) == mobius_bottom(pi)
 
-    def test_same_checks_as_partitions_of(self):
-        with pytest.raises(ResourceLimitError):
-            partition_types(11)
+    def test_same_checks_as_partitions_of(self, monkeypatch):
+        # 56 integer partitions of 11 are listed; p(k) * k entries are refused
+        # above the ceiling before any is built
+        assert len(partition_types(11)) == 56
+        assert sum(ways for _, ways in partition_types(11)) == 678_570  # Bell(11)
+        monkeypatch.setattr(partition_combinatorics, "math", SimpleNamespace())
+        for k in (100, 10 ** 6):
+            with pytest.raises(ResourceLimitError):
+                partition_types(k)
         with pytest.raises(InputError):
             partition_types(-1)
+        with pytest.raises(InputError):
+            partitions_of(-1)
 
 
 class TestMobiusBottom:

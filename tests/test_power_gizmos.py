@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,10 @@ from eulermeasure.verify import set_with_chi
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _unbuilt(*args):
+    raise AssertionError("a subset was built")
 
 
 def rf(num, den):
@@ -70,10 +75,15 @@ class TestSupportCounts:
                 census = gizmo_support_census(GizmoSpec(ks), m)
                 assert sum(census.values()) == iterated_binomial(2 ** m, ks)
 
-    def test_brute_cap(self):
-        with pytest.raises(ResourceLimitError) as err:
-            gizmo_brute_force(GizmoSpec((2, 2)), 8, cap=1000)
-        assert "gizmo_support_count" in str(err.value)
+    def test_brute_cap(self, monkeypatch):
+        # 256 subsets, then 32,640 pairs, then 532,684,880 pairs of pairs:
+        # refused before a subset is built, and a deep spec before its
+        # levels grow
+        monkeypatch.setattr(power_gizmos, "itertools", SimpleNamespace(combinations=_unbuilt))
+        for ks in ((2, 2), (2,) * 40):
+            with pytest.raises(ResourceLimitError) as err:
+                gizmo_brute_force(GizmoSpec(ks), 8)
+            assert "gizmo_support_count" in str(err.value)
 
     def test_bad_spec(self):
         with pytest.raises(InputError, match="--ks sizes must be at least 1, got 0"):

@@ -6,16 +6,17 @@ Times two paths to the same value:
   taken as its own closed form;
 * the enumeration path before the transfer matrix: continue_series, with
   order bound d = pieces + 1, on the 2d coefficients of the default
-  window counted by parity_strata_coefficient (its strata cap raised to
-  the window), whose value at t=1 must equal the Fibonacci formula.
+  window counted by parity_strata_coefficient, whose value at t=1 must
+  equal the Fibonacci formula.
 
 The fit of the polynomial's own coefficients, the path between the two,
 is timed in BENCH_transfer_matrix_fib.json.
 
 Sets are disjoint pieces: points only, open intervals only, or
 alternating point and interval.  Each enumeration case runs in its own
-process, is stopped after LIMIT_S seconds, and stops its kind once it
-has passed LIMIT_S.  Prints one JSON object.
+process, is stopped after LIMIT_S seconds or refused above the
+enumeration ceiling (limits.MAX_ENUMERATION), and stops its kind once
+it has been stopped or refused.  Prints one JSON object.
 
     python3 tools/fib_scaling.py                 # the full table
     python3 tools/fib_scaling.py --sizes 8,12    # other sizes
@@ -33,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from eulermeasure.errors import ResourceLimitError  # noqa: E402
 from eulermeasure.exact_series import (  # noqa: E402
     SeriesPrefix,
     continue_series,
@@ -66,7 +68,7 @@ def enumeration_value(P: PolyhedralSet1D) -> Fraction:
     certified fit of the enumerated stratum counts."""
     order_bound = len(P.pieces) + 1  # the series is a polynomial of degree <= pieces
     last = series_window(order_bound)
-    counts = tuple(parity_strata_coefficient(P, k, cap=max(last, 10)) for k in range(last + 1))
+    counts = tuple(parity_strata_coefficient(P, k) for k in range(last + 1))
     series = continue_series(SeriesPrefix(counts), order_bound)
     value, formula = eval_at_one(series.closed_form), extended_fibonacci(P.euler_measure() + 1)
     if value != formula:
@@ -89,12 +91,16 @@ def ms(seconds: float) -> float:
 
 
 def time_enumeration(kind: str, n: int) -> float | None:
-    """Seconds of one enumeration-path call in a child process; None past LIMIT_S."""
+    """Seconds of one enumeration-path call in a child process; None past
+    LIMIT_S, or when the child exits 3 above the enumeration ceiling."""
     try:
         out = subprocess.run([sys.executable, __file__, "--enumerate", kind, str(n)],
-                             capture_output=True, text=True, timeout=LIMIT_S, check=True)
+                             capture_output=True, text=True, timeout=LIMIT_S)
     except subprocess.TimeoutExpired:
         return None
+    if out.returncode == ResourceLimitError.exit_code:
+        return None
+    out.check_returncode()
     return float(out.stdout)
 
 
@@ -106,7 +112,11 @@ def main(argv=None) -> int:
     if args.enumerate:
         P = build(args.enumerate[0], int(args.enumerate[1]))
         start = time.perf_counter()
-        enumeration_value(P)
+        try:
+            enumeration_value(P)
+        except ResourceLimitError as exc:
+            print(exc, file=sys.stderr)
+            return exc.exit_code
         print(time.perf_counter() - start)
         return 0
     rows = []

@@ -5,10 +5,11 @@ Times two paths for codomain sizes b:
 * map_pair_measure(b) with default knobs: the certified fit (order
   bound 2, so k = 0..3) of the closed counts finite_pair_count;
 * the enumeration oracle map_pair_count(b, 3), the largest of the four
-  counts the fit reads, which scans all b^7 value sequences.  It runs
-  only where b^7 fits under limits.DEFAULT_ENUM_CAP (b <= 10); the
-  measure used to take its counts from this oracle, so the oracle's time
-  is close to what the measure cost before the closed counts.
+  counts the fit reads, which scans all b^7 value sequences of 7 values
+  each, and 2^3 breakpoint masks: 7 b^7 + 8 entries.  It runs only where
+  those fit under limits.MAX_ENUMERATION (b <= 8); the measure used to
+  take its counts from this oracle, so the oracle's time is close to what
+  the measure cost before the closed counts.
 
 Each row checks the value against binom(1/b, 2) and, where the oracle
 runs, the two counts against each other.  Prints one JSON object.
@@ -28,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eulermeasure.limits import DEFAULT_ENUM_CAP  # noqa: E402
+from eulermeasure.limits import MAX_ENUMERATION  # noqa: E402
 from eulermeasure.map_spaces import finite_pair_count, map_pair_count, map_pair_measure  # noqa: E402
 from eulermeasure.partition_combinatorics import gen_binomial  # noqa: E402
 
@@ -58,9 +59,10 @@ def main(argv=None) -> int:
     for bsize in map(int, args.sizes.split(",")):
         result = map_pair_measure(bsize)
         assert result.value == gen_binomial(Fraction(1, bsize), 2)
-        maps = bsize ** (2 * ORACLE_K + 1)
+        length = 2 * ORACLE_K + 1
+        entries = bsize ** length * length + 2 ** ORACLE_K
         oracle_ms = None
-        if maps <= DEFAULT_ENUM_CAP:
+        if entries <= MAX_ENUMERATION:
             start = time.perf_counter()
             assert map_pair_count(bsize, ORACLE_K) == finite_pair_count(bsize, ORACLE_K)
             oracle_ms = ms(time.perf_counter() - start)
@@ -69,11 +71,11 @@ def main(argv=None) -> int:
             "value": str(result.value),
             "counts_read": len(result.counts),
             "closed_measure_ms": ms(best_of(lambda: map_pair_measure(bsize))),
-            "oracle_maps": maps,
+            "oracle_entries": entries,
             "oracle_k3_ms": oracle_ms,
         })
         print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
-    print(json.dumps({"oracle_k": ORACLE_K, "cap": DEFAULT_ENUM_CAP, "rows": rows}, indent=1))
+    print(json.dumps({"oracle_k": ORACLE_K, "ceiling": MAX_ENUMERATION, "rows": rows}, indent=1))
     return 0
 
 
