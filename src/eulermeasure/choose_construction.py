@@ -65,7 +65,8 @@ def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescri
 
     They are the cells cell_counts(P, k) counts, each one count per piece;
     that many entries are checked against the enumeration ceiling before
-    the first placement is built.
+    the first placement is built.  They come in lexicographic order of
+    their counts, without recursion, so any number of pieces is walked.
     """
     pieces = P.pieces
     check_enumeration(
@@ -73,19 +74,35 @@ def enumerate_placements(P: PolyhedralSet1D, k: int) -> Iterator[PlacementDescri
         f"the placements of {k} points on {len(pieces)} pieces "
         "(cell_counts and parity_polynomial count them)",
     )
+    return _count_tuples([1 if isinstance(piece, Point) else k for piece in pieces], k)
 
-    def descend(i: int, remaining: int, acc: list[int]):
-        if i == len(pieces):
-            if remaining == 0:
-                yield PlacementDescriptor(tuple(acc))
+
+def _count_tuples(caps: list[int], k: int) -> Iterator[PlacementDescriptor]:
+    """The tuples of counts, each at most its cap, that sum to k, in
+    lexicographic order.  The least one with a given prefix puts as much as
+    fits as far right as it can; each next one raises the rightmost count
+    that has room and some count to its right, and refills the rest."""
+
+    def fill(start: int, remaining: int) -> bool:
+        for i in range(len(caps) - 1, start - 1, -1):
+            counts[i] = min(caps[i], remaining)
+            remaining -= counts[i]
+        return remaining == 0
+
+    counts = [0] * len(caps)
+    if not fill(0, k):
+        return
+    while True:
+        yield PlacementDescriptor(tuple(counts))
+        right = 0  # the counts right of i
+        for i in range(len(caps) - 1, -1, -1):
+            if right and counts[i] < caps[i]:
+                break
+            right += counts[i]
+        else:
             return
-        limit = 1 if isinstance(pieces[i], Point) else remaining
-        for c in range(min(limit, remaining) + 1):
-            acc.append(c)
-            yield from descend(i + 1, remaining - c, acc)
-            acc.pop()
-
-    return descend(0, k, [])
+        counts[i] += 1
+        fill(i + 1, right - 1)
 
 
 def choose_cells(A: PolyhedralSet1D, k: int) -> CellSketch:

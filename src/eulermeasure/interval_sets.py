@@ -36,8 +36,10 @@ measure -1, a closed one +1).
 Costs, with n and k the coordinate counts of the operands, k <= n:
 
 - A literal (``segment``, ``open_interval``) costs O(1): once its ends
-  are checked (lower < upper, closed ends finite) it is written straight
-  into cell form.
+  are checked (lower < upper, closed ends finite) ``_segment_cells``
+  writes it straight into cell form.  It is the one cell writer for
+  interval literals: the parser calls it on the ends it has checked
+  itself, so a parsed literal makes no ``ExtendedRational``.
 - ``PolyhedralSet1D(pieces)``, and ``from_pieces``, take pieces in any
   order, overlapping or not, and cost O(n log n): they sort the distinct
   endpoints, index them once, and sweep.
@@ -587,9 +589,18 @@ def segment(lower, upper, include_lower: bool = False, include_upper: bool = Fal
         raise InputError("cannot close an interval at -inf")
     if include_upper and not hi.is_finite:
         raise InputError("cannot close an interval at inf")
-    coords, flags = (), (True,)
-    if lo.is_finite:
-        coords, flags = (lo.value,), (False, bool(include_lower)) + flags
-    if hi.is_finite:
-        coords, flags = coords + (hi.value,), flags + (bool(include_upper), False)
-    return _from_cells(coords, flags)
+    return _segment_cells(lo.value if lo.is_finite else None, hi.value if hi.is_finite else None,
+                          bool(include_lower), bool(include_upper))
+
+
+def _segment_cells(lower, upper, include_lower: bool, include_upper: bool) -> PolyhedralSet1D:
+    """The cells of an interval literal whose checks have passed: lower <
+    upper, None for an infinite end, which adds no coordinate, and a closed
+    end only where it is finite.  The parser writes its literals here too."""
+    if lower is None:
+        if upper is None:
+            return _from_cells((), (True,))
+        return _from_cells((upper,), (True, include_upper, False))
+    if upper is None:
+        return _from_cells((lower,), (False, include_lower, True))
+    return _from_cells((lower, upper), (False, include_lower, True, include_upper, False))

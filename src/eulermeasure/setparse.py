@@ -17,23 +17,36 @@ parenthesized sub-expression.  Closed interval ends must be finite.
 At most MAX_NESTING_DEPTH '(' groups and operators may be pending at
 once.  Errors report the offending position.
 
-Tokens are plain strings, from one ``findall``, and the parser tells a
-number, an infinity and a one-character symbol apart by their text.
-Only a ParseError reports a position, so only the path that raises one
-scans the text again to find where its token starts.  On the 480
-expressions of 20 cycles of the ``sets`` benchmark (seed 1, about 460
-characters each), a scan that built a token object with its kind and
-position per match took 0.126 ms an expression, against 0.034 ms for the
-``findall`` and its check for unexpected characters, and the parse took
-0.418 ms against 0.293, with Python 3.11.7 on a 2-core x86-64 machine
-(``BENCH_token_scan.json``, token_scan).
+Tokens.  Tokens are plain strings, from one ``findall``.  Each
+well-formed interval literal or point set, whitespace inside it
+included, is one literal token, and every other character but whitespace
+is a token of its own, so a '(' token opens a group.  The parser reads a
+literal token's numbers with one more ``findall``, checks its ends
+(lower < upper, closed ends finite, no zero denominator, not too many
+digits) and writes its cells with ``_segment_cells``, the cell writer of
+``interval_sets.segment``; a point set goes through ``from_pieces``.  So
+a literal that parses makes no ``ExtendedRational``.  A text this parse
+refuses, by a syntax error or a literal's check, is parsed again on
+character tokens, where a number, an infinity and each other character
+are one token each.  That parse raises the error at its position; only
+it scans the text again to find where a token starts.  A text that
+parses is read once, and a refused one at most twice.  On the 480
+expressions of 20 cycles of the ``sets`` benchmark (seed 1, 456
+characters, 80 literal tokens and 226 character tokens each), the
+literal ``findall`` and its check that each one-character token is a
+symbol took 0.030 ms an expression against 0.052 ms for the character
+``findall`` and its check, and the parse took 0.37 ms against 0.46 ms on
+character tokens alone, with Python 3.11.7 on a 2-core x86-64 machine
+(``BENCH_literal_tokens.json``, literal_tokens, the fastest of three
+runs).  A malformed last literal in a chain of 50 to 800 costs 1.8 to
+1.9 times the time of the character parse alone (sets_scaling).
 
 Scaled integers.  The set algebra only compares coordinates, so scaling
 every number of one expression by the same positive D keeps every order
 exactly.  Before it parses, the parser reads the denominators of the
 number tokens as written and takes D, their lcm, and D // q for each
 distinct denominator q.  It then reads each rational p/q as the int
-p*(D // q), runs the kernel (``segment``, the boolean operations,
+p*(D // q), runs the kernel (the cell writer, the boolean operations,
 ``from_pieces``) on those ints, where each comparison is one C-level int
 compare instead of a ``Fraction`` comparison, and rebuilds the result
 once with ``Fraction(x, D)`` coordinates.  A refused interval is refused
@@ -68,18 +81,32 @@ from math import lcm
 
 from .errors import InputError, ParseError
 from .interval_sets import (
-    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _from_cells, _point, segment
+    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _from_cells, _point,
+    _segment_cells, segment
 )
 
 # Infinities, numbers, then any other character but whitespace, so that
 # findall skips whitespace and puts every other character in a token.
 # Digits are ASCII only, as the grammar says.
-_TOKEN_RE = re.compile(r"[+-]?inf|-?[0-9]+(?:/[0-9]+)?|\S")
-# The one-character tokens of the grammar; a longer token is a number or
-# an infinity, and "" is the end.
+_NUMBER = r"-?[0-9]+(?:/[0-9]+)?"
+_BOUND = rf"[+-]?inf|{_NUMBER}"
+_TOKEN_RE = re.compile(rf"{_BOUND}|\S")
+# The literal tokens: a well-formed interval literal or point set,
+# whitespace inside it included, is one token, and every other character
+# but whitespace is one.  A number is followed only by whitespace, ',',
+# ')', ']' or '}', so a shorter match of its digits fails at once and a
+# literal that does not match is scanned once: the time stays linear.
+_LITERAL_TOKEN_RE = re.compile(
+    rf"[(\[]\s*(?:{_BOUND})\s*,\s*(?:{_BOUND})\s*[)\]]"
+    rf"|\{{\s*(?:{_NUMBER}(?:\s*,\s*{_NUMBER})*\s*)?\}}"
+    r"|\S")
+_BOUND_RE = re.compile(_BOUND)
+# The one-character tokens of the grammar; a longer token is a number, an
+# infinity or a literal, and "" is the end.
 _SYMBOLS = frozenset("()[]{},|&\\!u")
 _ONE_CHARACTER = _SYMBOLS | frozenset("0123456789")
-# A grouping '(' is followed by one of these; an interval's, by a bound.
+# A grouping '(' is followed by a token that starts with one of these; an
+# interval's, by a bound.
 _NOT_A_BOUND = _SYMBOLS | {""}
 
 
@@ -135,13 +162,18 @@ def _scale_factors(text: str) -> dict[str, int] | None:
 
 
 class _Parser:
+    """The parser on character tokens: the error path, which reports every
+    error at its position."""
+
+    _tokenize = staticmethod(_tokenize)
+
     def __init__(self, text: str):
         self.text = text
         # what each numerator is multiplied by, or None to parse on Fractions;
         # read first, so that its strings are gone before the tokens exist
         self.factors = _scale_factors(text)
         self.scale = None if self.factors is None else self.factors[""]
-        self.tokens = _tokenize(text)
+        self.tokens = self._tokenize(text)
         self.index = 0
 
     def _position(self, index: int) -> int:
@@ -173,7 +205,7 @@ class _Parser:
         while True:
             # '!' and grouping '('; a '(' before a bound starts an interval
             while (token := tokens[self.index]) == "!" or (
-                token == "(" and tokens[self.index + 1] in _NOT_A_BOUND
+                token == "(" and tokens[self.index + 1][:1] in _NOT_A_BOUND
             ):
                 self._push(operators)
             operands.append(self._atom())
@@ -220,9 +252,11 @@ class _Parser:
 
     def _unscaled(self, value: PolyhedralSet1D) -> PolyhedralSet1D:
         """A set parsed on scaled ints, with its coordinates as Fractions."""
-        if self.scale is None:
-            return value
         scale = self.scale
+        if scale is None:
+            return value
+        if scale == 1:  # Fraction(x) takes an int without a gcd
+            return _from_cells(tuple(map(Fraction, value.coords)), value.flags)
         return _from_cells(tuple(Fraction(x, scale) for x in value.coords), value.flags)
 
     def _as_written(self, bound: ExtendedRational) -> ExtendedRational:
@@ -296,8 +330,66 @@ class _Parser:
         return PolyhedralSet1D.from_pieces([_point(v) for v in values])
 
 
+class _LiteralParser(_Parser):
+    """The parser on literal tokens, the fast path.  It refuses, by a
+    ParseError without a position, every text it cannot parse, and
+    parse_set_expression then parses that text on character tokens."""
+
+    @staticmethod
+    def _tokenize(text: str) -> list[str]:
+        """The tokens of text and the end token twice, or a refusal, before
+        any set is built, when a character token is no symbol."""
+        tokens = _LITERAL_TOKEN_RE.findall(text)
+        if not _SYMBOLS.issuperset(token for token in set(tokens) if len(token) == 1):
+            raise ParseError("expected a symbol or a literal")
+        tokens += ("", "")
+        return tokens
+
+    def _fail(self, expected: str):
+        raise ParseError(f"expected {expected}")
+
+    def _number(self, text: str) -> int | Fraction:
+        """A number as a scaled int or a Fraction.  An infinity, a zero
+        denominator or too many digits raises KeyError, ValueError or
+        ZeroDivisionError."""
+        numerator, _, denominator = text.partition("/")
+        if self.factors is not None:
+            return int(numerator) * self.factors[denominator]
+        if denominator:
+            return Fraction(int(numerator), int(denominator))
+        return Fraction(int(numerator))
+
+    def _atom(self) -> PolyhedralSet1D:
+        token = self.tokens[self.index]
+        if len(token) < 2:  # a symbol or the end; every longer token is a literal
+            self._fail("a set literal")
+        self.index += 1
+        bounds = _BOUND_RE.findall(token)
+        try:
+            if token[0] == "{":
+                if not bounds:
+                    return PolyhedralSet1D.empty()
+                return PolyhedralSet1D.from_pieces([_point(self._number(x)) for x in bounds])
+            lower, upper = bounds
+            lower = None if lower == "-inf" else self._number(lower)
+            upper = None if upper == "inf" or upper == "+inf" else self._number(upper)
+        except (KeyError, ValueError, ZeroDivisionError):
+            self._fail("a rational number")
+        include_lower, include_upper = token[0] == "[", token[-1] == "]"
+        if (lower is None and include_lower or upper is None and include_upper
+                or lower is not None and upper is not None and lower >= upper):
+            self._fail("lower < upper and finite closed ends")
+        return _segment_cells(lower, upper, include_lower, include_upper)
+
+
 def parse_set_expression(text: str) -> PolyhedralSet1D:
-    """Parse a set expression to its canonical polyhedral set."""
+    """Parse a set expression to its canonical polyhedral set.  A text the
+    literal tokens refuse is parsed again on character tokens, which raise
+    its ParseError at its position."""
+    try:
+        return _LiteralParser(text).parse()
+    except ParseError:
+        pass
     return _Parser(text).parse()
 
 

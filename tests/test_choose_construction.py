@@ -10,10 +10,11 @@ from eulermeasure.choose_construction import (
     CellSketch,
     cell_counts,
     choose_cells,
+    enumerate_placements,
     ordered_distinct_measure,
 )
 from eulermeasure.errors import InputError, ResourceLimitError
-from eulermeasure.interval_sets import points
+from eulermeasure.interval_sets import Point, points
 from eulermeasure.partition_combinatorics import (
     falling_factorial,
     gen_binomial,
@@ -91,6 +92,28 @@ class TestChooseCells:
         sixteen = parse(" u ".join(f"({2 * i},{2 * i + 1})" for i in range(16)))
         with pytest.raises(ResourceLimitError, match="cell_counts"):
             choose_cells(sixteen, 12)
+
+    def test_more_pieces_than_the_recursion_limit(self):
+        # 1200 placements of 1200 entries each, far under the ceiling
+        many = points(range(1200))
+        sketch = choose_cells(many, 1)
+        assert sketch.dimension_counts() == cell_counts(many, 1) == {0: 1200}
+        assert sketch.provenance[0] == (0,) * 1199 + (1,)
+        assert sketch.provenance[-1] == (1,) + (0,) * 1199
+
+
+class TestPlacementOrder:
+    def test_lexicographic_like_the_recursive_walk(self):
+        # the walk tried each piece's counts in ascending order, the later
+        # pieces' inside: the count tuples of product, filtered by their sum
+        rng = random.Random(31)
+        for _ in range(150):
+            a = random_piece_set(rng, 6)
+            k = rng.randint(0, 5)
+            caps = [1 if isinstance(piece, Point) else k for piece in a.pieces]
+            expected = [c for c in itertools.product(*(range(cap + 1) for cap in caps))
+                        if sum(c) == k]
+            assert [pd.counts for pd in enumerate_placements(a, k)] == expected
 
 
 class TestCellCounts:

@@ -92,6 +92,10 @@ class TestParityStrata:
         with pytest.raises(ResourceLimitError, match="parity_polynomial"):
             parity_strata_coefficient(thirty, 10)
 
+    def test_more_pieces_than_the_recursion_limit(self):
+        many = points(range(1200))
+        assert parity_strata_coefficient(many, 1) == parity_polynomial(many)[1] == 0
+
     def test_no_valid_placement_beyond_piece_count(self):
         # the oracle behind parity_strata_coefficient returning 0 for k > pieces
         rng = random.Random(61)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import FrozenInstanceError
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -1001,6 +1002,92 @@ class TestTokenScanAgainstReference:
 
         assert outcome(parse_set_expression) == outcome(setparse_reference.parse_set_expression)
 
+    # Shapes the literal tokens take whole, refuse as literals (reversed or
+    # closed at infinity, a zero denominator) or split into characters.
+    @pytest.mark.parametrize("text", [
+        "(1,0)", "[-inf,0]", "(0,+inf]", "(inf,0)",
+        "(0,1/0)", "{1/0}", "{1,,2}", "{ }",
+        "(0,1)(0,1)", "((0,1)", "(0,1", "((0,1))", "( (0,1) )",
+        "(0,1)u(2,3)", "( 0 , 1 ]", "!(0,1)",
+    ])
+    def test_literal_token_shapes(self, text):
+        self.check(text)
+        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
+            self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "(0,1{digits})", "{{{digits}}}", "(0,1/{digits})", "(-{digits}/7,0) u {{1/3}}",
+    ])
+    def test_numbers_past_the_digit_limit(self, text):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = text.format(digits="3" * 5000)
+            with pytest.raises(ParseError, match="too many digits"):
+                parse_set_expression(text)
+            self.check(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_character_tokens_only_for_refused_texts(self):
+        # a text that parses is read on literal tokens alone, and its
+        # literals are written without a bound object or segment
+        calls = []
+
+        def tokenize(text):
+            calls.append(text)
+            return setparse._tokenize(text)
+
+        def unused(*args):
+            raise AssertionError("built through the checked constructors")
+
+        text = "!([1/2, 3) u {0, 4/6} & (-inf, 2]) | (5,+inf) \\ {7}"
+        with mock.patch.object(setparse._Parser, "_tokenize", staticmethod(tokenize)):
+            with mock.patch.object(setparse, "segment", unused), \
+                    mock.patch.object(setparse, "_finite", unused):
+                assert parse_set_expression(text) == setparse_reference.parse_set_expression(text)
+            assert calls == []
+            with pytest.raises(ParseError, match="position 5"):
+                parse_set_expression("(0,1)(0,1)")
+            assert calls == ["(0,1)(0,1)"]
+
+
+POINT_SET = "{" + ", ".join(map(str, range(10_000))) + "}"
+
+
+class TestLiteralTokensAtScale:
+    """Long literals and long chains parse in time linear in their length:
+    the literal regex neither backtracks quadratically nor recurses."""
+
+    @staticmethod
+    def timed(text):
+        start = time.perf_counter()
+        try:
+            value = parse_set_expression(text)
+        except ParseError as exc:
+            value = str(exc), exc.position
+        assert time.perf_counter() - start < 2
+        return value
+
+    def test_ten_thousand_points(self):
+        expected = PolyhedralSet1D.from_pieces(Point(x) for x in range(10_000))
+        assert self.timed(POINT_SET) == expected
+
+    def test_ten_thousand_points_and_a_trailing_comma(self):
+        text = POINT_SET[:-1] + ",}"
+        with pytest.raises(ParseError) as err:
+            setparse_reference.parse_set_expression(text)
+        assert self.timed(text) == (str(err.value), err.value.position)
+
+    def test_chain_of_four_thousand_literals(self):
+        # each literal overlaps the next and closes its upper end
+        text = "".join(f"{' u ' if i % 3 else ' | ' if i else ''}({2 * i}/3, {2 * i + 3}/3]"
+                       for i in range(4000))
+        pieces = [piece for i in range(4000)
+                  for piece in (iv(Fraction(2 * i, 3), Fraction(2 * i + 3, 3)),
+                                  Point(Fraction(2 * i + 3, 3)))]
+        assert self.timed(text) == PolyhedralSet1D.from_pieces(pieces)
+
 
 def test_sets_scaling_tool_runs():
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "sets_scaling.py"
@@ -1008,6 +1095,7 @@ def test_sets_scaling_tool_runs():
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["kind"], row["literals"]) for row in rows] == [
-        (kind, n) for kind in ("plain", "combined", "fractional", "coprime", "long", "refused")
+        (kind, n) for kind in ("plain", "combined", "fractional", "coprime", "long", "refused",
+                               "malformed")
         for n in (8, 16)]
     assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)

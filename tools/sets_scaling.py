@@ -1,10 +1,11 @@
 """Scaling of the set front end: parse_set_expression on long expressions.
 
-Times parse_set_expression, best of REPEATS, on six kinds of expression
+Times parse_set_expression, best of REPEATS, on seven kinds of expression
 of n literals each:
 
 - ``plain``: one chain joined by 'u' and '|', on integers;
-- ``combined``: four sub-chains of near-equal length, some complemented
+- ``combined``: four sub-chains of near-equal length (one per literal
+  under four literals), some complemented
   with '!', joined by '&', '\\' and 'u' and fully parenthesized;
 - ``fractional``: a plain chain on a grid scaled by 7, as the ``sets``
   workload draws it with scale 7: every number is i/7 in lowest terms;
@@ -17,13 +18,17 @@ of n literals each:
   3 * LONG_BITS bits if the parser scales at all;
 - ``refused``: the ``plain`` chain with an unexpected character after its
   last literal, timed until its ParseError; its rows give 0 result
-  pieces.
+  pieces;
+- ``malformed``: the ``plain`` chain with its last literal replaced by
+  ``(5,2)``, timed until its ParseError, so the literal tokens read the
+  whole chain before the character tokens read it again for the error;
+  its rows give 0 result pieces.
 
 The literals lie at random places on a grid with as many unit cells as
 there are literals, so they touch and overlap: 15 % point sets, 4 % rays
 of each side, and open, closed and half-open intervals.  Each (kind, n)
-has its own fixed seed.  Every kind but ``combined`` and ``refused`` is
-checked against from_pieces of all its pieces.  Each row gives the bits
+has its own fixed seed.  Every kind but ``combined`` and the two refused
+ones is checked against from_pieces of all its pieces.  Each row gives the bits
 of the expression's common denominator and the peak memory tracemalloc
 sees during one parse.  --src picks the checkout whose library is timed,
 so one run per checkout compares two versions.  Prints one JSON object.
@@ -47,7 +52,8 @@ from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
 
-KINDS = ("plain", "combined", "fractional", "coprime", "long", "refused")
+KINDS = ("plain", "combined", "fractional", "coprime", "long", "refused", "malformed")
+REFUSED = ("refused", "malformed")
 SIZES = (50, 100, 200, 400, 800)
 REPEATS = 5
 GROUPS = 4
@@ -92,6 +98,10 @@ def over(q: int):
 def expression(kind: str, n: int) -> str:
     if kind == "refused":
         return expression("plain", n) + " x"
+    if kind == "malformed":
+        plain = expression("plain", n)
+        last = max(plain.rfind(" u "), plain.rfind(" | "))  # -1 for one literal
+        return plain[:last + 3 if last >= 0 else 0] + "(5,2)"
     rng = random.Random(f"{kind}:{n}")
     if kind == "plain":
         return chain(rng, n, n)
@@ -103,7 +113,8 @@ def expression(kind: str, n: int) -> str:
     if kind == "long":
         odd = 2 ** LONG_BITS + 1  # odd, so it, odd + 1 and odd + 2 are pairwise coprime
         return chain(rng, n, n, lambda k: over(odd + k) if k < 3 else str)
-    sizes = [n // GROUPS + (1 if i < n % GROUPS else 0) for i in range(GROUPS)]
+    groups = min(GROUPS, n)  # no empty sub-chain under GROUPS literals
+    sizes = [n // groups + (1 if i < n % groups else 0) for i in range(groups)]
     operands = [("!" if rng.random() < 0.3 else "") + f"({chain(rng, n, size)})" for size in sizes]
     while len(operands) > 1:
         i = rng.randrange(len(operands) - 1)
@@ -139,8 +150,8 @@ def main(argv=None) -> int:
         for n in map(int, args.sizes.split(",")):
             text = expression(kind, n)
             result = parse(text)
-            assert (result is None) == (kind == "refused"), text
-            if kind not in ("combined", "refused"):
+            assert (result is None) == (kind in REFUSED), text
+            if kind != "combined" and kind not in REFUSED:
                 literals = text.replace(" | ", " u ").split(" u ")
                 pieces = [p for lit in literals for p in parse_set_expression(lit).pieces]
                 assert result == PolyhedralSet1D.from_pieces(pieces), text
