@@ -43,8 +43,16 @@ series: the fit is the oracle that the verify suite and the tests hold
 every closed form against.  ``min_recurrence``, the slow oracle of the
 fit, solves one Hankel system per order instead, never Berlekamp-Massey;
 it scales the prefix to integers once and eliminates fraction-free
-(Bareiss), so it stays independent of the fit without Fraction
-arithmetic.
+(Bareiss) on those integers, so it stays independent of the fit without
+Fraction arithmetic.
+
+Polynomial arithmetic runs over cleared denominators the same way: the
+coefficients of each operand are scaled to integers over one scale
+(``clear_denominators``), products are integer convolutions, values are
+Horner's rule on p/q over the integers, and one Fraction is built per
+output coefficient.  ``RationalFunction.expand`` and ``binomial_prefix``
+keep running integers as well.  Every coefficient a caller sees is
+still an exact Fraction.
 
 Everything is immutable and pure.
 """
@@ -86,6 +94,18 @@ class Polynomial:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
+    def _over(cls, numerators: list[int], scale: int) -> "Polynomial":
+        """The polynomial with coefficients numerators[i] / scale, scale > 0:
+        trailing zeros dropped, one Fraction per coefficient."""
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        poly = object.__new__(cls)
+        coeffs = map(Fraction, numerators) if scale == 1 else (
+            Fraction(c, scale) for c in numerators)
+        object.__setattr__(poly, "coefficients", tuple(coeffs))
+        return poly
+
+    @classmethod
     def constant(cls, value) -> "Polynomial":
         return cls((as_fraction(value),))
 
@@ -108,45 +128,54 @@ class Polynomial:
         return Fraction(0)
 
     def evaluate(self, x) -> Fraction:
+        """Horner's rule on x = p/q over the integers: for the coefficients
+        C_i / s of degree n, sum_i C_i p^i q^(n-i) over s q^n."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        ints, scale = clear_denominators(self.coefficients)
+        acc, power = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            power *= q
+            acc = acc * p + c * power
+        return Fraction(acc, scale * power)
 
     def scale(self, factor) -> "Polynomial":
         f = as_fraction(factor)
-        return Polynomial(tuple(c * f for c in self.coefficients))
+        ints, scale = clear_denominators(self.coefficients)
+        return Polynomial._over([c * f.numerator for c in ints], scale * f.denominator)
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the two operands' common scale."""
+        ints, scale = clear_denominators(self.coefficients + other.coefficients)
+        n = len(self.coefficients)
+        return Polynomial._over(
+            [a + sign * b for a, b in itertools.zip_longest(ints[:n], ints[n:], fillvalue=0)],
+            scale)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return Polynomial(tuple(out))
+        a, s = clear_denominators(self.coefficients)
+        b, t = clear_denominators(other.coefficients)
+        return Polynomial._over(convolve(a, b), s * t)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise InputError("negative polynomial power; use RationalFunction")
-        result = Polynomial.constant(1)
+        ints, scale = clear_denominators(self.coefficients)
+        out = [1]
         for _ in range(n):
-            result = result * self
-        return result
+            out = convolve(out, ints)
+        return Polynomial._over(out, scale ** n)
 
     def text(self, var: str = "t") -> str:
         if self.is_zero:
@@ -276,8 +305,10 @@ class RationalFunction:
         c0 = den.coefficient(0)
         if c0 == 0:
             raise InputError("denominator vanishes at t=0; no power series there")
-        object.__setattr__(self, "numerator", num.scale(1 / c0))
-        object.__setattr__(self, "denominator", den.scale(1 / c0))
+        if c0 != 1:
+            num, den = num.scale(1 / c0), den.scale(1 / c0)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def from_reduced(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":
@@ -295,14 +326,24 @@ class RationalFunction:
         return max(self.denominator.degree, self.numerator.degree + 1)
 
     def expand(self, last_index: int) -> tuple[Fraction, ...]:
-        """Taylor coefficients c_0 .. c_last around t=0."""
-        den = self.denominator.coefficients
+        """Taylor coefficients c_0 .. c_last around t=0, over the integers.
+
+        With the numerator N / s and the denominator D / r in integers
+        (D_0 = r, as the denominator's constant term is 1), c_k is
+        g_k / (s r^k) for g_k = r^k N_k - sum_(i>=1) D_i r^(i-1) g_(k-i).
+        """
+        num, s = clear_denominators(self.numerator.coefficients)
+        den, r = clear_denominators(self.denominator.coefficients)
+        weights = [d * r ** i for i, d in enumerate(den[1:])]
+        num += [0] * (last_index + 1 - len(num))
+        lifted: list[int] = []
         out: list[Fraction] = []
+        power = 1  # r^k
         for k in range(last_index + 1):
-            acc = self.numerator.coefficient(k)
-            for i in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[i] * out[k - i]
-            out.append(acc)  # den[0] == 1 by normalization
+            g = power * num[k] - sum(map(operator.mul, weights, reversed(lifted)))
+            lifted.append(g)
+            out.append(Fraction(g, s * power))
+            power *= r
         return tuple(out)
 
     def text(self, var: str = "t") -> str:
@@ -470,16 +511,30 @@ def solve_linear_system(
 ) -> list[Fraction] | None:
     """Exact Gauss-Jordan solve; free variables are set to zero.
 
-    Returns None when the system is inconsistent.  Fraction-free (Bareiss
-    1968): each row of [A | b] is cleared of denominators with one lcm,
-    and each pivot step replaces every other row by (p * a - f * b) // prev,
-    where p is the new pivot and prev the one before it.  By Sylvester's
-    identity every entry is then a minor of the integer matrix, so each
-    division is exact, and every pivot row ends with the last pivot on its
-    diagonal: that is the one denominator of the solution.
+    Returns None when the system is inconsistent.  Each row of [A | b] is
+    cleared of denominators with one lcm and the integer matrix is solved
+    by _solve_integer_system.
     """
-    m = [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)]
     ncols = len(rows[0]) if rows else 0
+    solved = _solve_integer_system(
+        [clear_denominators([*row, b])[0] for row, b in zip(rows, rhs)], ncols)
+    if solved is None:
+        return None
+    numerators, denominator = solved
+    return [Fraction(x, denominator) for x in numerators]
+
+
+def _solve_integer_system(m: list[list[int]], ncols: int) -> tuple[list[int], int] | None:
+    """Solve the integer system [A | b] of the rows m, modified in place:
+    the numerators of a solution over one common denominator, or None when
+    the system is inconsistent.  Free variables are set to zero.
+
+    Fraction-free (Bareiss 1968): each pivot step replaces every other row
+    by (p * a - f * b) // prev, where p is the new pivot and prev the one
+    before it.  By Sylvester's identity every entry is then a minor of the
+    integer matrix, so each division is exact, and every pivot row ends
+    with the last pivot on its diagonal: that is the common denominator.
+    """
     pivots: list[int] = []
     r, prev = 0, 1
     for c in range(ncols):
@@ -498,10 +553,10 @@ def solve_linear_system(
             break
     if any(row[ncols] for row in m[r:]):
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for i, c in enumerate(pivots):
-        x[c] = Fraction(m[i][ncols], prev)
-    return x
+        x[c] = m[i][ncols]
+    return x, prev
 
 
 def series_window(order_bound: int, terms: int | None = None) -> int:
@@ -522,17 +577,19 @@ def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
     """Minimal-order recurrence fitted on the first half of the prefix.
 
     One fraction-free Gauss-Jordan solve of the Hankel system per order
-    (see solve_linear_system, which clears each row's denominators on its
-    own), never Berlekamp-Massey: the slow, independent oracle that the
-    tests and the verify suite hold continue_series against.
+    (see _solve_integer_system), never Berlekamp-Massey: the slow,
+    independent oracle that the tests and the verify suite hold
+    continue_series against.
 
-    The candidate is solved from coefficients c_0..c_{ceil(L/2)-1} and
-    must then predict every remaining supplied coefficient exactly;
-    otherwise the next order is tried.  That check runs over the
-    integers: a recurrence does not change when its sequence is scaled,
-    so the prefix is scaled to integers once, and the taps are taken
-    over their common denominator.  Returns None when no recurrence of
-    order <= max_order verifies.
+    A recurrence does not change when its sequence is scaled, so the
+    prefix is scaled to integers once, and every order's system is built
+    from and solved on those integers; the taps come out over one common
+    denominator.  The candidate is solved from coefficients
+    c_0..c_{ceil(L/2)-1} and must then predict every remaining supplied
+    coefficient exactly, a check over the same integers; otherwise the
+    next order is tried.  Only the recurrence returned is made of
+    Fractions.  Returns None when no recurrence of order <= max_order
+    verifies.
     """
     n = len(prefix)
     if n < 2 * max_order + 2:
@@ -540,17 +597,16 @@ def min_recurrence(prefix: SeriesPrefix, max_order: int) -> Recurrence | None:
             f"prefix of length {n} is too short for max_order {max_order}; "
             f"need at least {2 * max_order + 2} coefficients"
         )
-    values, fit_len = prefix.coefficients, (n + 1) // 2
-    coeffs, _ = clear_denominators(values)
+    coeffs, _ = clear_denominators(prefix.coefficients)
+    fit_len = (n + 1) // 2
     for order in range(max_order + 1):
-        solution = solve_linear_system(
-            [values[k - order:k][::-1] for k in range(order, fit_len)], values[order:fit_len]
-        )
-        if solution is None:
+        solved = _solve_integer_system(
+            [coeffs[k - order:k][::-1] + [coeffs[k]] for k in range(order, fit_len)], order)
+        if solved is None:
             continue
-        taps, scale = clear_denominators(solution)
+        taps, scale = solved
         if _recurrence_holds(coeffs, taps, scale):
-            return Recurrence(tuple(solution))
+            return Recurrence(tuple(Fraction(t, scale) for t in taps))
     return None
 
 
@@ -753,14 +809,39 @@ def binomial_closed_form(m: int, lam: int, constant: int = 1) -> FactoredForm:
     return FactoredForm((constant,), 1, ((lam, -m),))
 
 
-def binomial_prefix(m: int, lam, terms: int, grading: str = "rank") -> SeriesPrefix:
-    """Prefix c_0..c_terms of (1 + lam*t)^m for a rational lam: the
-    generalized binomials binom(m, k) * lam^k."""
+# Past this many bits in the running denominator, the gcd that builds a
+# fresh Fraction(N, D), quadratic in its size, costs more than Fraction's
+# own multiplication of the previous coefficient by the step.  Measured by
+# tools/binomial_prefix_scaling.py (Python 3.11, 2-core machine): without
+# the switch, 3,000 terms with a rational m or lam took 2.5-6.7x the time
+# of a per-step Fraction loop; with it, 0.14-0.64x at every length from
+# 12 to 3,000.
+_FRESH_FRACTION_BITS = 512
+
+
+def binomial_prefix(m, lam, terms: int, grading: str = "rank") -> SeriesPrefix:
+    """Prefix c_0..c_terms of (1 + lam*t)^m for rational m and lam: the
+    generalized binomials binom(m, k) * lam^k.
+
+    For m = a/b and lam = p/q, c_(k+1) = c_k u_k / v_k with the integers
+    u_k = (a - k b) p and v_k = b q (k + 1).  The running c_k is kept as
+    integers N / D in lowest terms: each step cancels gcd(N, v_k) and
+    gcd(u_k, D), gcds against small numbers, and one Fraction is built per
+    coefficient.  Once D has more than _FRESH_FRACTION_BITS bits, each
+    coefficient is the previous one times Fraction(u_k, v_k) instead.
+    """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
     check_terms(terms)
-    lam = as_fraction(lam)
-    coeffs = [Fraction(1)]
-    for k in range(terms):
-        coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
+    m, lam = as_fraction(m), as_fraction(lam)
+    a, b, p, q = m.numerator, m.denominator, lam.numerator, lam.denominator
+    coeffs, num, den, k = [Fraction(1)], 1, 1, 0
+    while k < terms and den.bit_length() <= _FRESH_FRACTION_BITS:
+        u, v = (a - k * b) * p, b * q * (k + 1)
+        g, h = math.gcd(num, v), math.gcd(u, den)
+        num, den = num // g * (u // h), den // h * (v // g)
+        coeffs.append(Fraction(num) if den == 1 else Fraction(num, den))
+        k += 1
+    for k in range(k, terms):
+        coeffs.append(coeffs[-1] * Fraction((a - k * b) * p, b * q * (k + 1)))
     return SeriesPrefix(tuple(coeffs), grading)

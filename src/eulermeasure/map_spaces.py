@@ -111,7 +111,12 @@ def _breakpoint_mask_counts(bsize: int, k: int) -> list[int]:
     """Number of value sequences per exact breakpoint mask (bit i = x_{i+1}).
 
     The b^(2k+1) sequences of 2k + 1 values each, and the 2^k masks, are
-    checked against the enumeration ceiling before any is built.
+    checked against the enumeration ceiling before any is built.  The
+    sequences are walked depth first, one breakpoint per level: a node is
+    the value of the last stretch so far and the mask so far, and each of
+    the b^2 pairs (u_i, v_i) sets bit i unless both equal that value.  A
+    sequence thus costs O(1), not O(k), and the stack holds at most
+    k b^2 nodes; every sequence is still visited once.
     """
     length = 2 * k + 1
     check_enumeration(
@@ -120,13 +125,19 @@ def _breakpoint_mask_counts(bsize: int, k: int) -> list[int]:
         "(finite_map_count and finite_pair_count count them)",
     )
     counts = [0] * (1 << k)
-    for seq in itertools.product(range(bsize), repeat=2 * k + 1):
-        mask = 0
-        for i in range(k):
-            prev, at_bp, after = seq[2 * i], seq[2 * i + 1], seq[2 * i + 2]
-            if not (at_bp == prev and after == prev):
-                mask |= 1 << i
-        counts[mask] += 1
+    steps = tuple(itertools.product(range(bsize), repeat=2))
+    stack = [(v, 0, 0) for v in range(bsize)]  # (last stretch value, breakpoints, mask)
+    while stack:
+        prev, i, mask = stack.pop()
+        if i == k:
+            counts[mask] += 1
+            continue
+        broken = mask | 1 << i
+        if i == k - 1:  # the last breakpoint: each pair ends one sequence
+            for u, v in steps:
+                counts[mask if u == v == prev else broken] += 1
+        else:
+            stack.extend((v, i + 1, mask if u == v == prev else broken) for u, v in steps)
     return counts
 
 

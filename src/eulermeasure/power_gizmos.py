@@ -152,8 +152,14 @@ def gizmo_support_census(spec: GizmoSpec, ground_size: int) -> dict[frozenset, i
     subsets and binom(previous level, k_i) tuples per level, each with a
     support of up to ground_size elements.  The count is checked against
     the enumeration ceiling level by level, so a deep spec is refused
-    before its levels grow large.  Every support is one of the subsets, so
-    a level keeps the subset equal to each union, not a copy of it.
+    before its levels grow large.
+
+    The levels run on int bitmasks, element g at bit ground_size - g, so
+    the order above is descending mask order and a tuple's support is the
+    OR of its members' masks.  A level keeps the one int object of each
+    mask, not a copy; the last level is counted as it is built, never
+    kept.  Only the census returned has frozenset keys, in the order each
+    support first occurs.
     """
     what = (f"the gizmo census of --ks {','.join(map(str, spec.ks))} over {ground_size} "
             "points (gizmo_support_count counts it)")
@@ -163,18 +169,17 @@ def gizmo_support_census(spec: GizmoSpec, ground_size: int) -> dict[frozenset, i
         level = math.comb(level, k_i)
         candidates += level
     check_enumeration(candidates * ground_size, what)
-    ground = tuple(range(1, ground_size + 1))
-    subsets = [frozenset(c) for n in range(ground_size + 1)
-               for c in itertools.combinations(ground, n)]
-    subsets.sort(key=lambda s: tuple(0 if g in s else 1 for g in ground))
-    same = {s: s for s in subsets}
-    supports: list[frozenset] = subsets
-    for k_i in spec.ks:
-        supports = [
-            same[frozenset().union(*(supports[i] for i in combo))]
-            for combo in itertools.combinations(range(len(supports)), k_i)
-        ]
-    return dict(Counter(supports))
+    full = 2 ** ground_size - 1
+    subsets = supports = list(range(full, -1, -1))  # subsets[full - mask] is mask
+    *inner, last = spec.ks
+    for k_i in inner:
+        supports = [subsets[full - functools.reduce(operator.or_, combo)]
+                    for combo in itertools.combinations(supports, k_i)]
+    census = Counter(functools.reduce(operator.or_, combo)
+                     for combo in itertools.combinations(supports, last))
+    bits = [(g, 1 << (ground_size - g)) for g in range(1, ground_size + 1)]
+    return {frozenset(g for g, bit in bits if mask & bit): count
+            for mask, count in census.items()}
 
 
 def gizmo_brute_force(spec: GizmoSpec, k: int) -> int:

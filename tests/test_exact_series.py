@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import series_reference
 from eulermeasure import exact_series, fibonacci_subsets, map_spaces, power_gizmos
 from eulermeasure.errors import (
     InputError,
@@ -121,6 +122,13 @@ class TestBinomialPrefix:
 
     def test_positive_power_is_polynomial(self):
         assert binomial_prefix(2, 1, 4).coefficients == (1, 2, 1, 0, 0)
+
+    def test_rational_exponent(self):
+        # binom(1/2, 2) = -1/8, the paper's check
+        assert binomial_prefix(F(1, 2), 1, 3).coefficients == (1, F(1, 2), F(-1, 8), F(1, 16))
+
+    def test_rational_base_of_a_polynomial(self):
+        assert binomial_prefix(2, F(3, 2), 3).coefficients == (1, 3, F(9, 4), 0)
 
 
 class TestMinRecurrence:
@@ -752,6 +760,76 @@ def test_mod_p_proof_matches_gcd_path(pair):
         assert not proven
 
 
+# -- the integer paths against their Fraction loops (tests/series_reference.py)
+
+_values = st.one_of(_rationals, st.integers(-6, 6))
+
+
+@st.composite
+def _raw_coefficients(draw):
+    """Ints and Fractions, the zero polynomial and trailing zeros included."""
+    return (draw(st.lists(_values, max_size=5))
+            + draw(st.lists(st.sampled_from([0, F(0)]), max_size=2)))
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_coefficients(), _raw_coefficients(), _values, _values, st.integers(0, 4))
+def test_polynomial_arithmetic_matches_the_fraction_loops(a, b, factor, x, n):
+    p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
+    ra, rb = series_reference.trim(a), series_reference.trim(b)
+    assert p.coefficients == ra and q.coefficients == rb
+    pairs = {
+        "*": (p * q, series_reference.mul(ra, rb)),
+        "+": (p + q, series_reference.add(ra, rb)),
+        "-": (p - q, series_reference.sub(ra, rb)),
+        "neg": (-p, series_reference.scale(ra, -1)),
+        "scale": (p.scale(factor), series_reference.scale(ra, factor)),
+        "**": (p ** n, series_reference.power(ra, n)),
+    }
+    for op, (got, want) in pairs.items():
+        assert got.coefficients == want, op
+        assert _all_fractions(got.coefficients), op
+    value = p.evaluate(x)
+    assert value == series_reference.evaluate(ra, F(x)) and type(value) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_pairs(), st.integers(0, 12))
+def test_expand_matches_the_fraction_loop(pair, last):
+    f = RationalFunction(*pair[:2])
+    got = f.expand(last)
+    assert got == series_reference.expand(f.numerator.coefficients, f.denominator.coefficients,
+                                          last)
+    assert _all_fractions(got)
+
+
+_exponents = st.one_of(st.integers(-8, 8),
+                       st.fractions(min_value=-8, max_value=8, max_denominator=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponents, _exponents, st.integers(0, 40), st.sampled_from([None, 0, 16]))
+def test_binomial_prefix_matches_the_fraction_loop(m, lam, terms, bits):
+    # bits moves the switch to the step loop: 0 takes it from the first
+    # coefficient on, 16 partway; None keeps the library's
+    bits = exact_series._FRESH_FRACTION_BITS if bits is None else bits
+    with mock.patch.object(exact_series, "_FRESH_FRACTION_BITS", bits):
+        got = binomial_prefix(m, lam, terms).coefficients
+    assert got == series_reference.binomial_prefix(m, lam, terms)
+    assert _all_fractions(got)
+
+
+@pytest.mark.parametrize("m,lam", [(F(1, 2), 1), (-5, F(3, 2)), (F(-7, 3), F(2, 5))])
+def test_long_binomial_prefix_switches_to_the_step_loop(m, lam):
+    got = binomial_prefix(m, lam, 600).coefficients
+    assert got[-1].denominator.bit_length() > exact_series._FRESH_FRACTION_BITS
+    assert got == series_reference.binomial_prefix(m, lam, 600)
+
+
 def _expand(num, den, n):
     """c_0..c_{n-1} of num/den, den[0] == 1."""
     out = []
@@ -873,6 +951,16 @@ def test_min_recurrence_scaling_tool_runs():
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [(row["order"], row["coefficients"]) for row in rows] == [(2, 10), (3, 14)]
+
+
+@pytest.mark.parametrize("bits", [[], ["--fresh-bits", "0"]])
+def test_binomial_prefix_scaling_tool_runs(bits):
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "binomial_prefix_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--lengths", "3,40", *bits],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [row["terms"] for row in rows] == [3, 40] * 4
+    assert all(row["ms"] >= 0 for row in rows)
 
 
 def test_construction_scaling_tool_runs():

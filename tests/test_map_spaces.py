@@ -64,6 +64,27 @@ def naive_pair_count(bsize, k):
     return count // 2
 
 
+def enumerated_mask_counts(bsize, k):
+    """map_spaces._breakpoint_mask_counts as it enumerated before its
+    depth-first walk: every value sequence from itertools.product, its
+    mask read off breakpoint by breakpoint."""
+    counts = [0] * (1 << k)
+    for seq in itertools.product(range(bsize), repeat=2 * k + 1):
+        mask = 0
+        for i in range(k):
+            prev, at_bp, after = seq[2 * i], seq[2 * i + 1], seq[2 * i + 2]
+            if not (at_bp == prev and after == prev):
+                mask |= 1 << i
+        counts[mask] += 1
+    return counts
+
+
+@pytest.mark.parametrize("bsize,k", [(b, k) for b in range(1, 5) for k in range(4)]
+                         + [(1, k) for k in range(4, 13)])
+def test_mask_walk_matches_the_enumeration(bsize, k):
+    assert map_spaces._breakpoint_mask_counts(bsize, k) == enumerated_mask_counts(bsize, k)
+
+
 class TestFiniteMapCount:
     def test_two_valued_counts(self):
         assert [finite_map_count(2, k) for k in range(4)] == [2, 6, 18, 54]

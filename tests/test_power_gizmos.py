@@ -1,8 +1,10 @@
 import importlib
+import itertools
 import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -41,6 +43,30 @@ def _unbuilt(*args):
 
 def rf(num, den):
     return RationalFunction(Polynomial(tuple(F(c) for c in num)), Polynomial(tuple(F(c) for c in den)))
+
+
+def enumerated_census(spec, ground_size):
+    """gizmo_support_census as it enumerated before its bitmasks: frozenset
+    subsets sorted by indicator string, each level's supports the union
+    of the chosen supports."""
+    ground = tuple(range(1, ground_size + 1))
+    subsets = [frozenset(c) for n in range(ground_size + 1)
+               for c in itertools.combinations(ground, n)]
+    subsets.sort(key=lambda s: tuple(0 if g in s else 1 for g in ground))
+    supports = subsets
+    for k_i in spec.ks:
+        supports = [frozenset().union(*(supports[i] for i in combo))
+                    for combo in itertools.combinations(range(len(supports)), k_i)]
+    return dict(Counter(supports))
+
+
+@pytest.mark.parametrize("ks", [(1,), (2,), (3,), (2, 2)])
+@pytest.mark.parametrize("ground_size", range(5))
+def test_bitmask_census_matches_the_enumeration(ks, ground_size):
+    census = gizmo_support_census(GizmoSpec(ks), ground_size)
+    expected = enumerated_census(GizmoSpec(ks), ground_size)
+    assert census == expected and list(census) == list(expected)
+    assert all(type(support) is frozenset for support in census)
 
 
 class TestSupportCounts:
