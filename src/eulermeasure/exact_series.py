@@ -50,8 +50,9 @@ Polynomial arithmetic runs over cleared denominators the same way: the
 coefficients of each operand are scaled to integers over one scale
 (``clear_denominators``), products are integer convolutions, values are
 Horner's rule on p/q over the integers, and one Fraction is built per
-output coefficient.  ``RationalFunction.expand`` and ``binomial_prefix``
-keep running integers as well.  Every coefficient a caller sees is
+output coefficient.  ``RationalFunction.expand`` keeps running integers
+as well, and ``binomial_prefix`` steps each coefficient from the last by
+an integer ratio.  Every coefficient a caller sees is
 still an exact Fraction.
 
 Everything is immutable and pure.
@@ -809,39 +810,20 @@ def binomial_closed_form(m: int, lam: int, constant: int = 1) -> FactoredForm:
     return FactoredForm((constant,), 1, ((lam, -m),))
 
 
-# Past this many bits in the running denominator, the gcd that builds a
-# fresh Fraction(N, D), quadratic in its size, costs more than Fraction's
-# own multiplication of the previous coefficient by the step.  Measured by
-# tools/binomial_prefix_scaling.py (Python 3.11, 2-core machine): without
-# the switch, 3,000 terms with a rational m or lam took 2.5-6.7x the time
-# of a per-step Fraction loop; with it, 0.14-0.64x at every length from
-# 12 to 3,000.
-_FRESH_FRACTION_BITS = 512
-
-
 def binomial_prefix(m, lam, terms: int, grading: str = "rank") -> SeriesPrefix:
     """Prefix c_0..c_terms of (1 + lam*t)^m for rational m and lam: the
     generalized binomials binom(m, k) * lam^k.
 
     For m = a/b and lam = p/q, c_(k+1) = c_k u_k / v_k with the integers
-    u_k = (a - k b) p and v_k = b q (k + 1).  The running c_k is kept as
-    integers N / D in lowest terms: each step cancels gcd(N, v_k) and
-    gcd(u_k, D), gcds against small numbers, and one Fraction is built per
-    coefficient.  Once D has more than _FRESH_FRACTION_BITS bits, each
-    coefficient is the previous one times Fraction(u_k, v_k) instead.
+    u_k = (a - k b) p and v_k = b q (k + 1): one exact multiplication per
+    coefficient, whose gcds run against the small u_k and v_k only.
     """
     if terms < 0:
         raise InputError(f"terms must be at least 0, got {terms}")
     check_terms(terms)
     m, lam = as_fraction(m), as_fraction(lam)
     a, b, p, q = m.numerator, m.denominator, lam.numerator, lam.denominator
-    coeffs, num, den, k = [Fraction(1)], 1, 1, 0
-    while k < terms and den.bit_length() <= _FRESH_FRACTION_BITS:
-        u, v = (a - k * b) * p, b * q * (k + 1)
-        g, h = math.gcd(num, v), math.gcd(u, den)
-        num, den = num // g * (u // h), den // h * (v // g)
-        coeffs.append(Fraction(num) if den == 1 else Fraction(num, den))
-        k += 1
-    for k in range(k, terms):
+    coeffs = [Fraction(1)]
+    for k in range(terms):
         coeffs.append(coeffs[-1] * Fraction((a - k * b) * p, b * q * (k + 1)))
     return SeriesPrefix(tuple(coeffs), grading)

@@ -1,11 +1,12 @@
 """The Fraction loops of ``eulermeasure.exact_series``, kept as a
 reference for its tests.
 
-The library's polynomial arithmetic, ``RationalFunction.expand`` and
-``binomial_prefix`` run over integers on cleared denominators and build
-one Fraction per output coefficient.  The functions here do the same
-work one Fraction operation at a time, as the library did before; on
-every input the two must give equal coefficients.  Polynomials are
+The library's polynomial arithmetic and ``RationalFunction.expand`` run
+over integers on cleared denominators and build one Fraction per output
+coefficient; its ``binomial_prefix`` steps by one integer ratio per
+coefficient.  The functions here do the same work one Fraction
+operation at a time, as the library did before; on every input the two
+must give equal coefficients.  Polynomials are
 plain tuples of Fractions in ascending degree, with trailing zeros
 dropped as the library drops them.
 """

@@ -812,21 +812,18 @@ _exponents = st.one_of(st.integers(-8, 8),
 
 
 @settings(max_examples=200, deadline=None)
-@given(_exponents, _exponents, st.integers(0, 40), st.sampled_from([None, 0, 16]))
-def test_binomial_prefix_matches_the_fraction_loop(m, lam, terms, bits):
-    # bits moves the switch to the step loop: 0 takes it from the first
-    # coefficient on, 16 partway; None keeps the library's
-    bits = exact_series._FRESH_FRACTION_BITS if bits is None else bits
-    with mock.patch.object(exact_series, "_FRESH_FRACTION_BITS", bits):
-        got = binomial_prefix(m, lam, terms).coefficients
+@given(_exponents, _exponents, st.integers(0, 40))
+def test_binomial_prefix_matches_the_fraction_loop(m, lam, terms):
+    got = binomial_prefix(m, lam, terms).coefficients
     assert got == series_reference.binomial_prefix(m, lam, terms)
     assert _all_fractions(got)
 
 
 @pytest.mark.parametrize("m,lam", [(F(1, 2), 1), (-5, F(3, 2)), (F(-7, 3), F(2, 5))])
-def test_long_binomial_prefix_switches_to_the_step_loop(m, lam):
+def test_long_binomial_prefix_matches_the_fraction_loop(m, lam):
+    # 600 terms carry denominators of hundreds to thousands of bits
     got = binomial_prefix(m, lam, 600).coefficients
-    assert got[-1].denominator.bit_length() > exact_series._FRESH_FRACTION_BITS
+    assert got[-1].denominator.bit_length() > 512
     assert got == series_reference.binomial_prefix(m, lam, 600)
 
 
@@ -953,10 +950,9 @@ def test_min_recurrence_scaling_tool_runs():
     assert [(row["order"], row["coefficients"]) for row in rows] == [(2, 10), (3, 14)]
 
 
-@pytest.mark.parametrize("bits", [[], ["--fresh-bits", "0"]])
-def test_binomial_prefix_scaling_tool_runs(bits):
+def test_binomial_prefix_scaling_tool_runs():
     tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "binomial_prefix_scaling.py"
-    out = subprocess.run([sys.executable, str(tool), "--lengths", "3,40", *bits],
+    out = subprocess.run([sys.executable, str(tool), "--lengths", "3,40"],
                          capture_output=True, text=True, timeout=120, check=True)
     rows = json.loads(out.stdout)["rows"]
     assert [row["terms"] for row in rows] == [3, 40] * 4

@@ -4,14 +4,10 @@ For each (m, lam) case and each length n, times binomial_prefix(m, lam, n),
 best of REPEATS, and checks the last coefficient against binom(m, n) lam^n
 from partition_combinatorics.gen_binomial.  --src picks the checkout whose
 library is timed, so one run per checkout compares two versions.
---fresh-bits sets the denominator size at which binomial_prefix stops
-building each coefficient afresh from its running integers and multiplies
-the previous one by the step instead: 0 takes the step loop from the
-first coefficient, a large value never does.  Prints one JSON object.
+Prints one JSON object.
 
     python3 tools/binomial_prefix_scaling.py                      # this checkout
     python3 tools/binomial_prefix_scaling.py --src ../parent/src  # another one
-    python3 tools/binomial_prefix_scaling.py --fresh-bits 0       # step loop only
     python3 tools/binomial_prefix_scaling.py --lengths 12,100     # other lengths
 """
 
@@ -33,14 +29,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--lengths", default=",".join(map(str, LENGTHS)))
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--fresh-bits", type=int, default=None)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from eulermeasure import exact_series
     from eulermeasure.partition_combinatorics import gen_binomial
 
-    if args.fresh_bits is not None:
-        exact_series._FRESH_FRACTION_BITS = args.fresh_bits
     rows = []
     for m, lam in CASES:
         for n in map(int, args.lengths.split(",")):
@@ -56,7 +49,7 @@ def main(argv=None) -> int:
                          "last_denominator_bits": last.denominator.bit_length(),
                          "ms": round(best * 1000, 3)})
             print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
-    print(json.dumps({"src": args.src, "fresh_bits": args.fresh_bits, "repeats": REPEATS,
+    print(json.dumps({"src": args.src, "repeats": REPEATS,
                       "rows": rows}, indent=1))
     return 0
 
