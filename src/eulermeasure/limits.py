@@ -27,8 +27,11 @@ The gizmo ceiling MAX_GIZMO_BITS is fixed too.  A gizmo with selection
 sizes k_i over a set of measure chi has J = prod(k_i) exponential bases
 2^j - 1; its size is max(-chi, 1) * J(J+1)/2, the bit size of the larger
 of two denominators, prod_j (1 + (2^j - 1)t)^(-chi) of its closed form
-and prod_j (2^j - 1) of the exponential fit.  The ceiling is the size of
---ks 60 on (0,1); it is checked before the support counts.  It was set
+and prod_j (2^j - 1) of the exponential fit.  gizmo reads its weights
+off the iterated binomial polynomial and runs no fit, so the second
+denominator is on no CLI path any more; the fit is an oracle.  The
+ceiling is the size of --ks 60 on (0,1); it is checked before the
+support counts.  It was set
 when every closed form was proven reduced by Euclid modulo 2^61 - 1,
 a proof that fails from J = 61 on.  No construction runs that proof any
 more (its closed forms are exact_series.FactoredForm records, reduced by

@@ -10,12 +10,18 @@ support (the union of all underlying subsets).
 The number n_k of gizmo elements over any fixed k-element support
 depends only on k, and is a fixed rational combination
 n_k = sum_j a_j (2^j - 1)^k of the pure exponentials for j = 1..J,
-J = prod(k_i).  gizmo_fit solves the weights a_j from a Vandermonde
-system, verifies them on held-out counts and holds them against the
-iterated binomial polynomial.  The weights depend on the k_i alone, never
-on A, so gizmo_measure fits and verifies them once per ks per process,
-in a bounded cache, with the weights over one denominator and the totals
-the fit counted.  Two routes produce the regularized measure from them:
+J = prod(k_i).  The weights a_j are the coefficients of the iterated
+binomial polynomial P(x) = binom(..binom(x, k_1).., k_r) = sum_j a_j x^j:
+P(2^g) counts the gizmo elements over a g-point ground set, and n_k is
+the Mobius inversion of those totals over sub-supports.  gizmo_measure
+reads the weights off P, built over the integers with one scale, and
+fits nothing; its support counts are that Mobius inversion of
+math.comb totals, and its certificate holds the whole prefix against
+the closed form built from the weights.  gizmo_fit, the oracle, solves
+the weights from a Vandermonde system on the counts, verifies them on
+held-out counts and holds them against P; the verify check
+power_gizmos.fit_is_the_polynomial runs it.
+Two routes produce the regularized measure from them:
 
 * exponential fit: the weights' polynomial sum_j a_j x^j evaluated
   directly at 2^chi(A), over the integers;
@@ -35,7 +41,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .exact_series import (
@@ -52,7 +57,6 @@ from .exact_series import (
 from .interval_sets import PolyhedralSet1D
 from .limits import check_enumeration, check_gizmo_size
 from .partition_combinatorics import integer_binomial, iterated_binomial
-from .rationals import as_fraction
 
 
 def _selection_size(k) -> int:
@@ -89,19 +93,29 @@ class GizmoSpec:
 
 @dataclass(frozen=True)
 class ExponentialFit:
-    """Weights a_j with n_k = sum a_j (2^j - 1)^k for all k.
+    """Weights a_j = W_j / D with n_k = sum_j a_j (2^j - 1)^k for all k.
 
-    The companion polynomial sum a_j x^j equals the iterated binomial
-    coefficient of x for the same selection sizes; that identity is
-    verified at construction time by gizmo_fit.
+    The integers W_1..W_J are kept over their common denominator D, in
+    lowest terms; the bases and the Fraction views are built when read.
+    The companion polynomial sum a_j x^j is the iterated binomial
+    coefficient of x for the same selection sizes: gizmo_measure reads
+    the weights off it, and gizmo_fit solves them and holds them against it.
     """
 
-    bases: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-    polynomial: Polynomial
+    integer_weights: tuple[int, ...]
+    scale: int
 
-    def value_at(self, x) -> Fraction:
-        return self.polynomial.evaluate(as_fraction(x))
+    @property
+    def bases(self) -> tuple[int, ...]:
+        return tuple(2 ** j - 1 for j in range(1, len(self.integer_weights) + 1))
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.scale) for w in self.integer_weights)
+
+    @property
+    def polynomial(self) -> Polynomial:
+        return Polynomial((Fraction(0),) + self.weights)
 
 
 def _iterated_total(spec: GizmoSpec, ground_size: int) -> int:
@@ -188,11 +202,13 @@ def gizmo_brute_force(spec: GizmoSpec, k: int) -> int:
     return census.get(frozenset(range(1, k + 1)), 0)
 
 
-def iterated_binomial_polynomial(ks) -> Polynomial:
-    """The polynomial x -> iterated_binomial(x, ks).
+def _polynomial_weights(ks) -> ExponentialFit:
+    """The weights a_j of x -> iterated_binomial(x, ks) = sum_j a_j x^j.
 
-    It is kept as integer coefficients P over one scale s: binom(P/s, k)
-    is prod_{i<k} (P - i*s) over s^k * k!, so only the last step divides.
+    The polynomial is built as integer coefficients P over one scale s:
+    binom(P/s, k) is prod_{i<k} (P - i*s) over s^k * k!, so only the last
+    step divides, and that once, to lowest terms.  P_0 = 0, since
+    binom(0, k) = 0 for k >= 1.
     """
     poly, scale = [0, 1], 1
     for k in ks:
@@ -200,7 +216,13 @@ def iterated_binomial_polynomial(ks) -> Polynomial:
         for i in range(k):
             product = convolve(product, [poly[0] - i * scale] + poly[1:])
         poly, scale = product, scale ** k * math.factorial(k)
-    return Polynomial(tuple(Fraction(c, scale) for c in poly))
+    common = math.gcd(scale, *poly)
+    return ExponentialFit(tuple(c // common for c in poly[1:]), scale // common)
+
+
+def iterated_binomial_polynomial(ks) -> Polynomial:
+    """The polynomial x -> iterated_binomial(x, ks)."""
+    return _polynomial_weights(ks).polynomial
 
 
 def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Fraction]:
@@ -230,10 +252,9 @@ def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Frac
     return weights
 
 
-def gizmo_fit(
-    spec: GizmoSpec, held_out: int = 4, totals: list[int] | None = None
-) -> ExponentialFit:
-    """Solve n_k = sum a_j (2^j-1)^k on k = 1..J and verify the result.
+def gizmo_fit(spec: GizmoSpec, held_out: int = 4) -> ExponentialFit:
+    """Solve n_k = sum a_j (2^j-1)^k on k = 1..J and verify the result:
+    the oracle of the weights gizmo_measure reads off the polynomial.
 
     The system is solved by Lagrange interpolation in O(J^2) integer
     operations (see _exponential_weights); the weights must then predict
@@ -241,14 +262,12 @@ def gizmo_fit(
     held-out check runs over the integers: sum W_j b_j^k = D * n_k for the
     weights W_j over their common denominator D.
     Verification failure here means a counting bug, not bad user input.
-    ``totals`` is the memo of gizmo_support_count.
     """
     j_dim = spec.fit_dimension
     bases = tuple(2 ** j - 1 for j in range(1, j_dim + 1))
-    totals = [] if totals is None else totals
+    totals: list[int] = []
     targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + held_out + 1)]
-    weights = _exponential_weights(bases, targets[:j_dim])
-    scaled, scale = clear_denominators(weights)
+    scaled, scale = clear_denominators(_exponential_weights(bases, targets[:j_dim]))
     powers = [b ** j_dim for b in bases]
     for k in range(j_dim + 1, j_dim + held_out + 1):
         powers = list(map(operator.mul, powers, bases))
@@ -256,8 +275,8 @@ def gizmo_fit(
             raise InternalCheckError(
                 f"exponential fit fails on held-out support count n_{k}"
             )
-    fit = ExponentialFit(bases, tuple(weights), Polynomial((Fraction(0),) + tuple(weights)))
-    if fit.polynomial != iterated_binomial_polynomial(spec.ks):
+    fit = ExponentialFit(tuple(scaled), scale)
+    if fit != _polynomial_weights(spec.ks):
         raise InternalCheckError(
             "fit weights disagree with the iterated binomial polynomial"
         )
@@ -286,8 +305,8 @@ def powerset_series(A: PolyhedralSet1D, terms: int | None = None) -> Regularized
 
 @dataclass(frozen=True)
 class GizmoMeasureResult(Regularized):
-    """The gizmo's record, with the exponential fit behind its first route;
-    counts are the support counts n_k of a fixed k-set."""
+    """The gizmo's record, with the exponential weights behind its first
+    route; counts are the support counts n_k of a fixed k-set."""
 
     fit: ExponentialFit
 
@@ -295,33 +314,10 @@ class GizmoMeasureResult(Regularized):
     route_series = property(lambda self: self.routes["series_regularization"])
 
 
-FIT_CACHE_SIZE = 128
-
-
-class _SpecFit(NamedTuple):
-    """A verified fit with its weights W_j over their common denominator D,
-    and the totals total(0..J + held-out) that its counts used."""
-
-    fit: ExponentialFit
-    weights: tuple[int, ...]
-    scale: int
-    totals: tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=FIT_CACHE_SIZE)
-def _fit_for(ks: tuple[int, ...]) -> _SpecFit:
-    """gizmo_fit for the selection sizes ks, kept per ks: nothing in it
-    depends on the set.  A fit that raises is not kept."""
-    totals: list[int] = []
-    fit = gizmo_fit(GizmoSpec(ks), totals=totals)
-    weights, scale = clear_denominators(fit.weights)
-    return _SpecFit(fit, tuple(weights), scale, tuple(totals))
-
-
-def _exponential_value(spec_fit: _SpecFit, chi: int) -> Fraction:
-    """The fit's polynomial sum_j a_j x^j at x = 2^chi over the integers:
+def _exponential_value(fit: ExponentialFit, chi: int) -> Fraction:
+    """The weights' polynomial sum_j a_j x^j at x = 2^chi over the integers:
     sum_j W_j 2^(chi j) / D, and for chi < 0 both sides times 2^(-chi J)."""
-    weights, scale = spec_fit.weights, spec_fit.scale
+    weights, scale = fit.integer_weights, fit.scale
     if chi >= 0:
         return Fraction(sum(w << chi * j for j, w in enumerate(weights, 1)), scale)
     j_dim = len(weights)
@@ -329,8 +325,8 @@ def _exponential_value(spec_fit: _SpecFit, chi: int) -> Fraction:
                     scale << -chi * j_dim)
 
 
-def _closed_form(spec_fit: _SpecFit, chi: int) -> FactoredForm:
-    """sum_j a_j (1 + b_j t)^chi over the fit's weights a_j = W_j / D and bases b_j.
+def _closed_form(fit: ExponentialFit, chi: int) -> FactoredForm:
+    """sum_j a_j (1 + b_j t)^chi over the weights a_j = W_j / D and bases b_j.
 
     Its t^k coefficient is binom(chi, k) sum_j a_j b_j^k = binom(chi, k) n_k.
     It is built over the integers.  For chi < 0 it is
@@ -339,15 +335,15 @@ def _closed_form(spec_fit: _SpecFit, chi: int) -> FactoredForm:
     numerator is built by linear passes: the bases are distinct, so it is
     nonzero at every pole -1/b_j and the form is reduced.
     """
-    terms = [(w, b) for w, b in zip(spec_fit.weights, spec_fit.fit.bases) if w]
+    terms = [(w, b) for w, b in zip(fit.integer_weights, fit.bases) if w]
     if chi >= 0:
         return FactoredForm(tuple(math.comb(chi, k) * sum(w * b ** k for w, b in terms)
-                                  for k in range(chi + 1)), spec_fit.scale)
+                                  for k in range(chi + 1)), fit.scale)
     num, den, pad = [0], [1], [0] * -chi
     for w, b in terms:  # num / den += w / (1 + b t)^-chi
         num = [x + w * y for x, y in zip(times_factors(num + pad, ((b, -chi),)), den + pad)]
         den = times_factors(den + pad, ((b, -chi),))
-    return FactoredForm(tuple(num), spec_fit.scale, tuple((b, -chi) for _, b in terms))
+    return FactoredForm(tuple(num), fit.scale, tuple((b, -chi) for _, b in terms))
 
 
 def gizmo_measure(
@@ -355,27 +351,27 @@ def gizmo_measure(
 ) -> GizmoMeasureResult:
     """Regularized Euler measure of G(2^A; k_1..k_r), by three routes.
 
-    The closed form comes from gizmo_fit's weights; its builder checks
-    the size ceiling first, so after the window.  The fit, its integer
-    weights and the totals it counted are computed and verified once per
-    ks (_fit_for); every call still counts its own prefix from those
-    totals, certifies it against the closed form and compares the routes.
+    The closed form comes from the weights read off the iterated binomial
+    polynomial; its builder checks the size ceiling first, so after the
+    window.  The support counts are computed apart from that polynomial,
+    by Mobius inversion of math.comb totals, and the whole prefix is
+    certified against the closed form before the routes are compared.
+    No fit runs: gizmo_fit is the weights' oracle.
     """
     chi = A.euler_measure()
     totals: list[int] = []
-    spec_fit = None
+    fit = None
 
     def closed_form() -> FactoredForm:
-        nonlocal spec_fit
+        nonlocal fit
         check_gizmo_size(chi, spec.ks)
-        spec_fit = _fit_for(spec.ks)
-        totals.extend(spec_fit.totals)
-        return _closed_form(spec_fit, chi)
+        fit = _polynomial_weights(spec.ks)
+        return _closed_form(fit, chi)
 
     record = regularize(Construction(
         order_bound=_order_bound(chi, spec.fit_dimension), closed_form=closed_form,
         count=lambda k: gizmo_support_count(spec, k, totals), weight=chi,
-        routes=lambda: {"exponential_fit": _exponential_value(spec_fit, chi),
+        routes=lambda: {"exponential_fit": _exponential_value(fit, chi),
                         "iterated_binomial": iterated_binomial(Fraction(2) ** chi, spec.ks)},
     ), terms)
-    return GizmoMeasureResult(**vars(record), fit=spec_fit.fit)
+    return GizmoMeasureResult(**vars(record), fit=fit)

@@ -21,7 +21,7 @@ Tokens.  Tokens are plain strings, from one ``findall``.  Each
 well-formed interval literal or point set, whitespace inside it
 included, is one literal token, and every other character but whitespace
 is a token of its own, so a '(' token opens a group.  The parser reads a
-literal token's numbers with one more ``findall``, checks its ends
+literal token's numbers by splitting it on ',', checks its ends
 (lower < upper, closed ends finite, no zero denominator, not too many
 digits) and writes its cells with ``_segment_cells``, the cell writer of
 ``interval_sets.segment``; a point set goes through ``from_pieces``.  So
@@ -100,7 +100,6 @@ _LITERAL_TOKEN_RE = re.compile(
     rf"[(\[]\s*(?:{_BOUND})\s*,\s*(?:{_BOUND})\s*[)\]]"
     rf"|\{{\s*(?:{_NUMBER}(?:\s*,\s*{_NUMBER})*\s*)?\}}"
     r"|\S")
-_BOUND_RE = re.compile(_BOUND)
 # The one-character tokens of the grammar; a longer token is a number, an
 # infinity or a literal, and "" is the end.
 _SYMBOLS = frozenset("()[]{},|&\\!u")
@@ -364,10 +363,12 @@ class _LiteralParser(_Parser):
         if len(token) < 2:  # a symbol or the end; every longer token is a literal
             self._fail("a set literal")
         self.index += 1
-        bounds = _BOUND_RE.findall(token)
+        # the literal's numbers hold no whitespace, so splitting on ',' and
+        # stripping gives them as written, and "{}" or "{ }" gives [""]
+        bounds = [bound.strip() for bound in token[1:-1].split(",")]
         try:
             if token[0] == "{":
-                if not bounds:
+                if bounds == [""]:
                     return PolyhedralSet1D.empty()
                 return PolyhedralSet1D.from_pieces([_point(self._number(x)) for x in bounds])
             lower, upper = bounds

@@ -68,9 +68,11 @@ from .partition_combinatorics import (
 from .power_gizmos import (
     GizmoSpec,
     gizmo_brute_force,
+    gizmo_fit,
     gizmo_measure,
     gizmo_support_census,
     gizmo_support_count,
+    iterated_binomial_polynomial,
     powerset_series,
 )
 from .setparse import parse_set_expression, to_expression
@@ -449,6 +451,17 @@ def _gizmo_cross_route():
             expected = iterated_binomial(Fraction(2) ** chi, ks)
             if not (result.route_exponential == result.route_series == expected):
                 return f"chi={chi} ks={ks}: routes {result.route_exponential}, {result.route_series} vs {expected}"
+    return None
+
+
+@_check("power_gizmos", "fit_is_the_polynomial")
+def _gizmo_fit_is_the_polynomial():
+    # gizmo reads its weights off the polynomial; the fit on the support
+    # counts, their oracle, must find them for every ks with J <= 8
+    products = (ks for r in (1, 2, 3) for ks in itertools.product(range(2, 9), repeat=r))
+    for ks in [(1,), *(ks for ks in products if math.prod(ks) <= 8)]:
+        if gizmo_fit(GizmoSpec(ks)).polynomial != iterated_binomial_polynomial(ks):
+            return f"ks={ks}: the fit's weights are not the polynomial's coefficients"
     return None
 
 

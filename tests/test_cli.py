@@ -481,10 +481,10 @@ class TestMain:
         (["powerset", "(0,1)", "--terms", "10001"], "terms 10001 exceeds",
          [(power_gizmos, "binomial_closed_form"), (power_gizmos, "integer_binomial")]),
         (["gizmo", OPEN_5001, "--ks", "1"], "terms 10001 (the default for order bound 5001)",
-         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "gizmo_fit"),
+         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "_polynomial_weights"),
           (power_gizmos, "_closed_form"), (power_gizmos, "gizmo_support_count")]),
         (["gizmo", "(0,1)", "--ks", "1", "--terms", "10001"], "terms 10001 exceeds",
-         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "gizmo_fit"),
+         [(power_gizmos, "check_gizmo_size"), (power_gizmos, "_polynomial_weights"),
           (power_gizmos, "_closed_form"), (power_gizmos, "gizmo_support_count")]),
         (["mapspace", OPEN_5001, "--finite", "2"], "terms 10001 (the default for order bound 5001)",
          [(map_spaces, "binomial_closed_form")]),
@@ -507,7 +507,6 @@ class TestMain:
         def refuse(*args, **kwargs):
             raise AssertionError("built or counted above the terms ceiling")
 
-        power_gizmos._fit_for.cache_clear()
         for module, name in builders + [(exact_series, "integer_binomial")]:
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 3

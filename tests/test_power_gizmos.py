@@ -266,8 +266,7 @@ class TestGizmoMeasure:
         def refuse(*args, **kwargs):
             raise AssertionError("counted a gizmo above the size ceiling")
 
-        power_gizmos._fit_for.cache_clear()
-        monkeypatch.setattr(power_gizmos, "gizmo_fit", refuse)
+        monkeypatch.setattr(power_gizmos, "_polynomial_weights", refuse)
         monkeypatch.setattr(power_gizmos, "gizmo_support_count", refuse)
         for expr, ks in (("(0,1)", (61,)), ("(0,1) u (2,3)", (6, 8)), ("{0}", (8, 8))):
             with pytest.raises(ResourceLimitError, match="--ks"):
@@ -301,68 +300,73 @@ class TestGizmoMeasure:
         assert res.series.prefix.coefficients == (0, 0) and res.counts == (0, 0)
 
 
-@pytest.fixture
-def cold_fit_cache():
-    """The per-ks fit cache, empty before the test and after it."""
-    power_gizmos._fit_for.cache_clear()
-    yield power_gizmos._fit_for
-    power_gizmos._fit_for.cache_clear()
+def _gizmo_cases(monkeypatch):
+    """The 44 (chi, ks) gizmo queries of the benchmark's regularize workload."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    cases = importlib.import_module("workloads").regularize_gizmo_cases()
+    assert len(cases) == 44
+    return cases
 
 
-class TestFitCache:
-    def test_one_fit_per_ks(self, cold_fit_cache, monkeypatch):
-        fits = []
-        fit = power_gizmos.gizmo_fit
-        monkeypatch.setattr(power_gizmos, "gizmo_fit",
-                            lambda *args, **kwargs: fits.append(args) or fit(*args, **kwargs))
-        for expr in ("(0,1)", "{0,1}", "(0,1) u (2,3)", "(0,1)"):
-            gizmo_measure(parse(expr), GizmoSpec((2, 2)))
-        gizmo_measure(parse("{0}"), GizmoSpec((2.0, F(2))))
-        assert len(fits) == 1
-        gizmo_measure(parse("(0,1)"), GizmoSpec((2,)))
-        assert len(fits) == 2
-        assert cold_fit_cache.cache_info().maxsize == power_gizmos.FIT_CACHE_SIZE
-
-    def test_failed_fit_is_not_kept(self, cold_fit_cache, monkeypatch):
-        _corrupt_counts(monkeypatch, lambda k: k >= 1)
-        with pytest.raises(InternalCheckError, match="iterated binomial polynomial"):
-            gizmo_measure(parse("(0,1)"), GizmoSpec((2,)))
-        assert cold_fit_cache.cache_info().currsize == 0
-        monkeypatch.undo()
-        assert gizmo_measure(parse("(0,1)"), GizmoSpec((2,))).value == F(-1, 8)
-
-    def test_cold_and_warm_records_agree(self, cold_fit_cache, monkeypatch):
-        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-        cases = importlib.import_module("workloads").regularize_gizmo_cases()
-        assert len(cases) == 44
-        for chi, ks in cases:
+class TestPolynomialWeights:
+    def test_record_fit_is_the_oracle_fit(self, monkeypatch):
+        for chi, ks in _gizmo_cases(monkeypatch):
             spec = GizmoSpec(ks)
-            cold_fit_cache.cache_clear()
-            cold = gizmo_measure(set_with_chi(chi), spec)
-            warm = gizmo_measure(set_with_chi(chi), spec)
-            assert cold_fit_cache.cache_info().hits >= 1
-            assert cold.value == warm.value and cold.routes == warm.routes
-            assert cold.counts == warm.counts
-            assert cold.series.prefix == warm.series.prefix
-            assert cold.series.continuation == warm.series.continuation
-            assert cold.fit == warm.fit == gizmo_fit(spec)
+            record = gizmo_measure(set_with_chi(chi), spec)
+            assert record.fit == gizmo_fit(spec)
+            expected = iterated_binomial(F(2) ** chi, ks)
+            assert record.value == expected and set(record.routes.values()) == {expected}
+            assert record.counts == support_count_table(spec, len(record.counts) - 1)
+            assert record.series.prefix.coefficients == tuple(
+                integer_binomial(chi, k) * n for k, n in enumerate(record.counts))
+
+    def test_no_fit_on_the_default_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gizmo_measure ran the fit")
+
+        cases = _gizmo_cases(monkeypatch)
+        expected = [gizmo_measure(set_with_chi(chi), GizmoSpec(ks)) for chi, ks in cases]
+        monkeypatch.setattr(power_gizmos, "gizmo_fit", refuse)
+        monkeypatch.setattr(power_gizmos, "_exponential_weights", refuse)
+        for (chi, ks), record in zip(cases, expected):
+            assert gizmo_measure(set_with_chi(chi), GizmoSpec(ks)) == record
+
+    @pytest.mark.parametrize("chi", [-2, -1, 0, 2])
+    @pytest.mark.parametrize("ks", [(2,), (3,), (2, 2)], ids=str)
+    def test_wrong_coefficient_fails_the_certificate(self, chi, ks, monkeypatch):
+        # the counts are Mobius-inverted totals, apart from the polynomial, so
+        # one wrong weight in the closed form is caught by the certificate
+        weights = power_gizmos._polynomial_weights
+
+        def wrong(ks):
+            fit = weights(ks)
+            return power_gizmos.ExponentialFit(
+                fit.integer_weights[:-1] + (fit.integer_weights[-1] + 1,), fit.scale)
+
+        monkeypatch.setattr(power_gizmos, "_polynomial_weights", wrong)
+        with pytest.raises(InternalCheckError, match="counts disagree with the closed form"):
+            gizmo_measure(set_with_chi(chi), GizmoSpec(ks))
 
 
 @pytest.mark.parametrize("ks", [ks for ks in FIT_KS if GizmoSpec(ks).fit_dimension <= 12], ids=str)
 def test_integer_route_is_the_fit_polynomial(ks):
-    spec_fit = power_gizmos._fit_for(GizmoSpec(ks).ks)
+    fit = power_gizmos._polynomial_weights(GizmoSpec(ks).ks)
+    polynomial = gizmo_fit(GizmoSpec(ks)).polynomial
     for chi in range(-8, 9):
-        expected = spec_fit.fit.value_at(F(2) ** chi)
-        assert power_gizmos._exponential_value(spec_fit, chi) == expected
+        expected = polynomial.evaluate(F(2) ** chi)
+        assert power_gizmos._exponential_value(fit, chi) == expected
 
 
 def test_gizmo_fit_scaling_tool_runs():
     tool = ROOT / "tools" / "gizmo_fit_scaling.py"
     out = subprocess.run([sys.executable, str(tool), "--dims", "2,4", "--repeats", "1"],
                          capture_output=True, text=True, timeout=120, check=True)
-    rows = json.loads(out.stdout)["rows"]
+    blob = json.loads(out.stdout)
+    rows = blob["rows"]
     assert [row["J"] for row in rows] == [2, 4]
     for row in rows:
-        assert row["fit_cold_ms"] > 0
+        assert row["fit_ms"] > 0 and row["polynomial_ms"] > 0
         assert [m["chi"] for m in row["measure"]] == [-1, 2]
-        assert all(m["cold_ms"] > 0 and m["warm_ms"] > 0 for m in row["measure"])
+        assert all(m["ms"] > 0 for m in row["measure"])
+    assert [(row["ks"], row["J"]) for row in blob["polynomial_only"]] == [([6, 9, 2], 108)]
+    assert blob["polynomial_only"][0]["polynomial_ms"] > 0

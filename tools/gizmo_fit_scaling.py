@@ -1,16 +1,20 @@
-"""Cost of the gizmo fit, and of gizmo_measure with a cold and a warm fit cache.
+"""Cost of the gizmo fit, the iterated binomial polynomial and gizmo_measure.
 
-For one selection size J (ks = (J,), so the fit has J exponential
+For one selection size J (ks = (J,), so the weights have J exponential
 bases) it times, in this process:
 
-* fit_cold_ms: gizmo_fit itself, which is never cached;
-* measure cold_ms and warm_ms at chi = -1 ("(0,1)") and chi = 2
-  ("{0,1}"): gizmo_measure right after clearing the per-ks fit cache,
-  and again with the fit already kept.
+* fit_ms: gizmo_fit, the Vandermonde fit on the support counts, which is
+  the oracle of the weights and runs on no CLI path;
+* polynomial_ms: iterated_binomial_polynomial, the polynomial whose
+  coefficients are the weights;
+* measure ms at chi = -1 ("(0,1)") and chi = 2 ("{0,1}"): gizmo_measure,
+  which reads the weights off the polynomial and keeps nothing between
+  calls.
 
-Each time is the best of --repeats runs.  J = 60 is the largest single
-selection size under the gizmo size ceiling at chi = -1.  Prints one
-JSON object.
+It also times the polynomial alone for each ks of POLYNOMIAL_ONLY, whose
+gizmo lies above the size ceiling (limits.MAX_GIZMO_BITS).  Each time is
+the best of --repeats runs.  J = 60 is the largest single selection size
+under that ceiling at chi = -1.  Prints one JSON object.
 
     python3 tools/gizmo_fit_scaling.py                  # J = 2, 4, 8, 16, 32, 60
     python3 tools/gizmo_fit_scaling.py --dims 2,4 --repeats 1
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,31 +36,32 @@ from eulermeasure import power_gizmos  # noqa: E402
 from eulermeasure.setparse import parse_set_expression  # noqa: E402
 
 DIMS = (2, 4, 8, 16, 32, 60)
+POLYNOMIAL_ONLY = ((6, 9, 2),)
 REPEATS = 5
 SETS = {-1: "(0,1)", 2: "{0,1}"}
 
 
-def best_ms(call, repeats: int, before=lambda: None) -> float:
-    """The fastest of ``repeats`` timed calls, each after ``before``."""
+def best_ms(call, repeats: int) -> float:
+    """The fastest of ``repeats`` timed calls."""
     times = []
     for _ in range(repeats):
-        before()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
     return round(min(times) * 1000, 3)
 
 
+def polynomial_ms(ks: tuple[int, ...], repeats: int) -> float:
+    return best_ms(functools.partial(power_gizmos.iterated_binomial_polynomial, ks), repeats)
+
+
 def row(j_dim: int, repeats: int) -> dict:
     spec = power_gizmos.GizmoSpec((j_dim,))
-    clear = power_gizmos._fit_for.cache_clear
-    measures = []
-    for chi, text in SETS.items():
-        call = functools.partial(power_gizmos.gizmo_measure, parse_set_expression(text), spec)
-        cold = best_ms(call, repeats, clear)  # leaves the fit cached
-        measures.append({"chi": chi, "cold_ms": cold, "warm_ms": best_ms(call, repeats)})
-    return {"J": j_dim, "fit_cold_ms": best_ms(lambda: power_gizmos.gizmo_fit(spec), repeats),
-            "measure": measures}
+    measures = [{"chi": chi, "ms": best_ms(functools.partial(
+        power_gizmos.gizmo_measure, parse_set_expression(text), spec), repeats)}
+        for chi, text in SETS.items()]
+    return {"J": j_dim, "fit_ms": best_ms(functools.partial(power_gizmos.gizmo_fit, spec), repeats),
+            "polynomial_ms": polynomial_ms(spec.ks, repeats), "measure": measures}
 
 
 def main(argv=None) -> int:
@@ -64,8 +70,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=REPEATS)
     args = parser.parse_args(argv)
     rows = [row(j_dim, args.repeats) for j_dim in map(int, args.dims.split(","))]
-    json.dump({"repeats": args.repeats, "python": sys.version.split()[0], "rows": rows},
-              sys.stdout, indent=1)
+    polynomial_only = [{"ks": list(ks), "J": math.prod(ks),
+                        "polynomial_ms": polynomial_ms(ks, args.repeats)} for ks in POLYNOMIAL_ONLY]
+    json.dump({"repeats": args.repeats, "python": sys.version.split()[0], "rows": rows,
+               "polynomial_only": polynomial_only}, sys.stdout, indent=1)
     print()
     return 0
 
