@@ -3,15 +3,20 @@
 A polyhedral subset of the real line is a finite union of rational
 points and open intervals with rational or infinite endpoints.
 
-Stored form.  A set is stored as its cell index: ``coords``, the sorted
-tuple of its finite critical coordinates x_0 < ... < x_{n-1}, and
-``flags``, one membership bool for each of the 2n+1 elementary cells
-(-inf,x_0), {x_0}, (x_0,x_1), ..., {x_{n-1}}, (x_{n-1},+inf).  Cell 2i+1
-is the point x_i and cell 2i the open gap below it, so the ends at
-infinity are ``flags[0]`` and ``flags[-1]``.  In canonical form no
-coordinate has equal flags on its gap below, its point and its gap
-above: such a coordinate changes nothing and is dropped.  That form is
-unique, so equality and hashing compare ``(coords, flags)``.
+Stored form.  A set is stored as its cell index over one denominator:
+``nums``, the sorted tuple of integer numerators n_0 < ... < n_{m-1} of
+its finite critical coordinates x_i = n_i / den, ``den``, the least
+positive integer that makes every x_i * den an integer, and ``flags``,
+one membership bool for each of the 2m+1 elementary cells (-inf,x_0),
+{x_0}, (x_0,x_1), ..., {x_{m-1}}, (x_{m-1},+inf).  Cell 2i+1 is the
+point x_i and cell 2i the open gap below it, so the ends at infinity are
+``flags[0]`` and ``flags[-1]``.  In canonical form no coordinate has
+equal flags on its gap below, its point and its gap above: such a
+coordinate changes nothing and is dropped.  A set without coordinates,
+``{}`` or the whole line, has den 1.  When the least denominator has
+more than MAX_SCALE_BITS bits, ``nums`` holds the coordinates themselves
+as Fractions and ``den`` is 0 (see Coordinates).  That form is unique,
+so equality and hashing compare ``(nums, den, flags)``.
 
 Pieces.  ``pieces`` is the same set as sorted, pairwise disjoint points
 and open intervals, with open intervals maximal: a point lying between
@@ -19,9 +24,10 @@ two open intervals that together span one interval is absorbed, so
 ``(0,1) u {1} u (1,2)`` is ``(0,2)``.  A point touching an interval on
 one side only is kept, so the half-open ``[0,1)`` is ``{0} u (0,1)``.
 Closed and half-open intervals exist only as constructor sugar:
-``[0,1]`` is ``{0} u (0,1) u {1}``.  The pieces are built from the cells
-on first read and cached; ``str`` and the constructions that walk the
-pieces read them, the set algebra never does.
+``[0,1]`` is ``{0} u (0,1) u {1}``.  The pieces, and ``coords``, the
+coordinates as Fractions, are views built from the stored form on first
+read and cached; ``str``, ``classify`` and the constructions that walk
+the pieces read them, the set algebra and the queries never do.
 
 The Euler measure is chi = sum of (-1)^dim over the member cells, which
 for canonical pieces is::
@@ -33,50 +39,76 @@ chi(A | B) = chi(A) + chi(B) - chi(A & B), coincides with cardinality on
 finite sets, and is *not* a homotopy invariant (an open interval has
 measure -1, a closed one +1).
 
-Costs, with n and k the coordinate counts of the operands, k <= n:
+Costs, with n and k the coordinate counts of the operands, k <= n, in
+Python steps on integers:
 
 - A literal (``segment``, ``open_interval``) costs O(1): once its ends
-  are checked (lower < upper, closed ends finite) ``_segment_cells``
-  writes it straight into cell form.  It is the one cell writer for
-  interval literals: the parser calls it on the ends it has checked
-  itself, so a parsed literal makes no ``ExtendedRational``.
+  are checked (lower < upper, closed ends finite) and scaled to their
+  least common denominator, ``_segment_cells`` writes it straight into
+  cell form.  It is the one cell writer for interval literals: the parser
+  calls it on the ends it has checked and scaled itself, so a parsed
+  literal makes no ``ExtendedRational``.
 - ``PolyhedralSet1D(pieces)``, and ``from_pieces``, take pieces in any
-  order, overlapping or not, and cost O(n log n): they sort the distinct
-  endpoints, index them once, and sweep.
+  order, overlapping or not, and cost O(n log n): they scale every end
+  to the least common denominator D of the ends once, as n*(D // q),
+  then sort the distinct numerators, index them once, and sweep.
 - ``union`` splices: it bisects the smaller operand's first and last
   coordinate into the larger one's, merges the window between them
   (widened to the end of the line on a side where the smaller operand
   reaches infinity) and concatenates the untouched prefix and suffix:
-  O(k + log n) Python steps plus one copy of the n coordinates.
+  O(k + log n) steps plus one copy of the n coordinates.
 - ``intersect`` and ``difference`` merge the two coordinate lists in one
   walk, as the merge step of merge sort: O(n + k).
-- ``complement`` flips the flags and ``shift`` adds to the coordinates,
-  O(n); ``contains`` bisects, O(log n); ``restrict_open`` slices the
-  cells between two bisects, O(log n + cells in the window);
+- The binary operations merge the numerators directly when the two dens
+  are equal; otherwise both operands are first rescaled to the lcm of the
+  dens, one multiplication per coordinate.  A result over den > 1 is
+  reduced to its least den by one C-level ``gcd`` of den and its
+  numerators, which stops at the first numerator that makes it 1.
+- ``complement`` flips the flags, O(n); ``shift`` rescales to the lcm of
+  den and the step's denominator and adds, O(n); ``contains`` bisects on
+  the exact integer floor of q*den, O(log n); ``restrict_open`` slices
+  the cells between two such bisects and rescales the window where one of
+  its ends becomes a coordinate, O(log n + cells in the window);
   ``euler_measure`` sums two slices of the flags, and ``classify`` reads
   the runs of member cells, O(n).
-- ``pieces`` costs O(n), once per set.
+- ``coords`` and ``pieces`` cost O(n), once per set: one ``Fraction``
+  per coordinate, then one piece per run of member cells.
 
-Coordinates.  The set algebra only compares coordinates; only
-``shift`` does arithmetic on them.  So the kernel runs unchanged on any
-exact numbers of one kind, and the parser runs it on integers: it scales
-every rational of an expression by their common denominator, where each
-comparison is a C-level int compare, and rebuilds its result once with
-Fraction coordinates (see ``setparse``).  Every piece the kernel emits
-takes its ends from ``coords``.  For every set the parser returns and
-every set built through the public constructors, those hold only exact
-Fractions from checked input, and an interval's left end comes before
-its right end in that sorted list, so the constructor checks (coercion
-to Fraction, left < right) cannot fail on it.  The kernel builds those
-pieces without the checks; the public constructors keep all of them for
-outside input.
+Coordinates.  The set algebra only compares coordinates; only ``shift``
+and ``restrict_open`` do arithmetic on them.  So the kernel runs
+unchanged on any exact numbers of one kind: on integer numerators, where
+each comparison is a C-level int compare and each hash an int hash, or
+on Fractions.  Each integer numerator is about as long as den, so past a
+point the long integers cost more than the comparisons save: a set whose
+least denominator has more than MAX_SCALE_BITS bits keeps its
+coordinates as Fractions (den 0), and an operation on it checks whether
+its result fits under the bound again, which the first coordinates past
+the bound settle.  The bound is set by the shape that gains least: a
+point set of 100 or 1000 integers next to three literals over long
+pairwise coprime denominators parsed on integers in 0.79 and 0.88 times
+the time of Fractions at 300 bits, 0.91 and 1.09 at 600, 1.14 and 1.34
+at 900, and 1.43 and 1.60 at 1,200.  Where every coordinate has a long
+denominator, integers stay faster well past it: a constructor, three
+boolean operations and a ``restrict_open`` on 50 to 800 pieces over 4 or
+16 primes took 0.11 to 0.29 times the time of Fractions at 1,024 bits
+and 0.15 to 0.49 at 2,048, with Python 3.11.7 on a 2-core x86-64
+machine (``BENCH_integer_kernel.json``, bound_crossover).  The parser
+scales an expression under the same bound (see ``setparse``).
+
+Every piece the kernel emits takes its ends from ``coords``.  For every
+set the parser returns and every set built through the public
+constructors, those hold only exact Fractions from checked input, and an
+interval's left end comes before its right end in that sorted list, so
+the constructor checks (coercion to Fraction, left < right) cannot fail
+on it.  The kernel builds those pieces without the checks; the public
+constructors keep all of them for outside input.
 
 All values here are immutable and every operation is pure, so instances
-may be shared freely across threads.  The one cached attribute,
-``pieces``, is a pure function of ``(coords, flags)``: threads that read
-it first at the same time each build an equal tuple, and the instance
-keeps one of them in a single dictionary store, so no reader sees a
-partial value and the set never changes.
+may be shared freely across threads.  The two cached views, ``coords``
+and ``pieces``, are pure functions of ``(nums, den, flags)``: threads
+that read one first at the same time each build an equal tuple, and the
+instance keeps one of them in a single dictionary store, so no reader
+sees a partial value and the set never changes.
 """
 
 from __future__ import annotations
@@ -86,6 +118,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate
+from math import gcd, lcm
 from operator import and_, gt, not_, or_
 from typing import Iterable, Sequence, Union
 
@@ -239,6 +272,65 @@ class Classification:
     has_isolated_points: bool
 
 
+# The most bits the least common denominator of a set's coordinates may
+# have for the set to be stored as integers over it; the parser scales the
+# numbers of an expression under the same bound (see the module docstring).
+MAX_SCALE_BITS = 1024
+
+
+def _fits(den: int) -> bool:
+    """Whether numbers over den are stored as integers; den 1 always is."""
+    return den == 1 or den.bit_length() <= MAX_SCALE_BITS
+
+
+def _scaled(values) -> tuple[tuple, int]:
+    """Exact numbers, ints or Fractions, as numerators over their least
+    common denominator, and that denominator; or the numbers as they are
+    and 0 when it does not fit, which the first numbers past the bound
+    show without reading the rest."""
+    ratios = []
+    den = 1
+    for x in values:
+        ratios.append(ratio := x.as_integer_ratio())
+        if den % ratio[1]:
+            den = lcm(den, ratio[1])
+            if not _fits(den):
+                return tuple(values), 0
+    if den == 1:
+        return tuple([p for p, _ in ratios]), 1
+    return tuple([p * (den // q) for p, q in ratios]), den
+
+
+def _wider(den: int, *dens: int) -> int:
+    """The least common multiple of den and dens, or 0 when den is 0 or
+    the multiple does not fit."""
+    if den:
+        den = lcm(den, *dens)
+        if _fits(den):
+            return den
+    return 0
+
+
+def _over(value, den: int):
+    """An exact number as a numerator over den, a multiple of its
+    denominator; for den 0, the number as it is."""
+    if not den:
+        return value
+    p, q = value.as_integer_ratio()
+    return p * (den // q)
+
+
+def _rescaled(nums, den: int, wide: int):
+    """Numerators over den as numerators over wide, a multiple of den, or
+    as Fractions for wide 0."""
+    if wide:
+        factor = wide // den
+        return nums if factor == 1 else tuple([x * factor for x in nums])
+    if not den:
+        return nums
+    return tuple(map(Fraction, nums)) if den == 1 else tuple([Fraction(x, den) for x in nums])
+
+
 # Elementary cells: the coordinates x_0 < ... < x_{n-1} split the line
 # into the 2n+1 cells of the stored form (see the module docstring).
 # Every piece of every operand is a union of the cells of the operands'
@@ -247,52 +339,60 @@ class Classification:
 #
 # _merge walks the cells of two sets together, as the merge step of merge
 # sort, flags the cells of the merged coordinates and drops a coordinate
-# as soon as its three cells agree.  Raw pieces from outside (the
-# constructor) come in any order: _critical_coordinates sorts their
-# distinct ends, and _cell_flags marks the cells in one sweep: a point
-# marks its own cell, an open interval (x_a, x_b) adds +1 at cell 2a+2
-# (cell 0 at -inf) and -1 after cell 2b (after the last cell at +inf), and
-# a running sum of these differences counts the intervals over each cell.
-# _cell_in tests one cell against every piece, O(n) per cell; with
-# _elementary_cells, which spells the cells out, it is the reference the
-# sweeps and the merge are tested against.
+# as soon as its three cells agree.  It only compares coordinates, so it
+# runs on the numerators of two sets over one denominator, or on
+# Fractions.  Raw pieces from outside (the constructor) come in any order:
+# _sweep scales their distinct ends, sorts and indexes them, and marks the
+# cells in one sweep: a point marks its own cell, an open interval
+# (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1 after cell 2b
+# (after the last cell at +inf), and a running sum of these differences
+# counts the intervals over each cell.  _cell_in tests one cell against
+# every piece, O(n) per cell; with _elementary_cells, which spells the
+# cells out, it is the reference the sweeps and the merge are tested
+# against.
 _CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
 
 
-def _critical_coordinates(piece_lists: Sequence[Sequence[Piece]]) -> list[Fraction]:
-    coords = set()
-    for pieces in piece_lists:
-        for piece in pieces:
-            if isinstance(piece, Point):
-                coords.add(piece.at)
-            else:
-                if piece.left.is_finite:
-                    coords.add(piece.left.value)
-                if piece.right.is_finite:
-                    coords.add(piece.right.value)
-    return sorted(coords)
-
-
-def _cell_flags(pieces: Sequence[Piece], coords: Sequence[Fraction]) -> list[bool]:
-    """Membership of every elementary cell of ``coords``, in one sweep."""
+def _sweep(raw: list) -> "PolyhedralSet1D":
+    """The canonical set of points and open intervals in any order."""
+    at, lows, highs = [], [], []
+    for piece in raw:
+        if isinstance(piece, Point):
+            at.append(piece.at)
+        elif isinstance(piece, OpenInterval):
+            lows.append(piece.left)
+            highs.append(piece.right)
+        else:
+            raise InputError(f"not a piece: {piece!r}")
+    values = at + [b.value for b in lows if b.rank == 0] + [b.value for b in highs if b.rank == 0]
+    nums, den = _scaled(values)
+    coords = sorted(set(nums))
     index = {x: i for i, x in enumerate(coords)}
     last = 2 * len(coords)
     marked = [False] * (last + 1)
+    for x in nums[:len(at)]:
+        marked[2 * index[x] + 1] = True
+    if not lows:  # points alone: every coordinate is kept, over den
+        return _from_cells(tuple(coords), den, tuple(marked))
+    ends = iter(nums[len(at):])
     diff = [0] * (last + 2)
-    for piece in pieces:
-        if isinstance(piece, Point):
-            marked[2 * index[piece.at] + 1] = True
-        else:
-            diff[2 * index[piece.left.value] + 2 if piece.left.is_finite else 0] += 1
-            diff[2 * index[piece.right.value] + 1 if piece.right.is_finite else last + 1] -= 1
-    return [m or depth > 0 for m, depth in zip(marked, accumulate(diff))]
+    for bound in lows:
+        diff[2 * index[next(ends)] + 2 if bound.rank == 0 else 0] += 1
+    for bound in highs:
+        diff[2 * index[next(ends)] + 1 if bound.rank == 0 else last + 1] -= 1
+    flags = [m or depth > 0 for m, depth in zip(marked, accumulate(diff))]
+    # merging with the empty set drops the coordinates that change nothing
+    kept, flags = _merge(coords, flags, (), (False,), or_)
+    if len(kept) < len(coords):  # a dropped coordinate may lower den
+        return _stored(tuple(kept), den, tuple(flags))
+    return _from_cells(tuple(kept), den, tuple(flags))
 
 
-def _merge(xa: Sequence[Fraction], fa: Sequence[bool], xb: Sequence[Fraction],
-           fb: Sequence[bool], keep) -> tuple[list[Fraction], list[bool]]:
+def _merge(xa: Sequence, fa: Sequence[bool], xb: Sequence, fb: Sequence[bool],
+           keep) -> tuple[list, list[bool]]:
     """The canonical cells of ``keep(in a, in b)``, given the cells of a and b."""
     na, nb = len(xa), len(xb)
-    coords: list[Fraction] = []
+    coords: list = []
     flags = [keep(fa[0], fb[0])]
     i = j = 0
     while i < na or j < nb:
@@ -392,36 +492,51 @@ def _assemble(coords: Sequence[Fraction], flags: Sequence[bool]) -> tuple[Piece,
     return tuple(pieces)
 
 
-def _from_cells(coords: tuple[Fraction, ...], flags: tuple[bool, ...]) -> "PolyhedralSet1D":
-    """The set of canonical cells, with its pieces left to the first read."""
+def _from_cells(nums: tuple, den: int, flags: tuple[bool, ...]) -> "PolyhedralSet1D":
+    """The set stored as nums, den and flags, which must already be its
+    stored form; its coords and pieces are left to the first read."""
     s = object.__new__(PolyhedralSet1D)
-    s.__dict__.update(coords=coords, flags=flags)
+    d = s.__dict__
+    d["nums"], d["den"], d["flags"] = nums, den, flags
     return s
+
+
+def _stored(nums: tuple, den: int, flags: tuple[bool, ...]) -> "PolyhedralSet1D":
+    """The set of canonical cells at nums / den, over its least
+    denominator: den divided by the gcd of den and every numerator, or for
+    den 0 the Fractions' least common denominator when it fits."""
+    if den != 1:
+        if den:
+            g = gcd(den, *nums)
+            if g > 1:
+                nums, den = tuple([x // g for x in nums]), den // g
+        else:
+            nums, den = _scaled(nums)
+    return _from_cells(nums, den, flags)
 
 
 @dataclass(frozen=True, init=False)
 class PolyhedralSet1D:
     """Canonical finite union of rational points and open intervals.
 
-    The stored state is the cell index ``coords``/``flags``, canonical
-    as the module docstring defines it.  ``PolyhedralSet1D(pieces)``
-    canonicalizes any points and open intervals, in any order and
-    overlapping or not; :meth:`from_pieces`, :func:`canonicalize` and the
-    module-level constructors build the same sets.
+    The stored state is the cell index ``nums``/``den``/``flags``,
+    canonical as the module docstring defines it, and ``coords`` its
+    coordinates as Fractions.  ``PolyhedralSet1D(pieces)`` canonicalizes
+    any points and open intervals, in any order and overlapping or not;
+    :meth:`from_pieces`, :func:`canonicalize` and the module-level
+    constructors build the same sets.
     """
 
-    coords: tuple[Fraction, ...]
+    nums: tuple
+    den: int
     flags: tuple[bool, ...]
 
     def __init__(self, pieces: Iterable[Piece] = ()):
-        raw = list(pieces)
-        for piece in raw:
-            if not isinstance(piece, (Point, OpenInterval)):
-                raise InputError(f"not a piece: {piece!r}")
-        coords = _critical_coordinates([raw])
-        # merging with the empty set drops the coordinates that change nothing
-        coords, flags = _merge(coords, _cell_flags(raw, coords), (), (False,), or_)
-        self.__dict__.update(coords=tuple(coords), flags=tuple(flags))
+        self.__dict__.update(vars(_sweep(list(pieces))))
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        return _rescaled(self.nums, self.den, 0)
 
     @cached_property
     def pieces(self) -> tuple[Piece, ...]:
@@ -431,17 +546,30 @@ class PolyhedralSet1D:
 
     @classmethod
     def from_pieces(cls, pieces: Iterable[Piece]) -> "PolyhedralSet1D":
-        return cls(pieces)
+        return _sweep(list(pieces))
 
     @classmethod
     def empty(cls) -> "PolyhedralSet1D":
-        return _from_cells((), (False,))
+        return _from_cells((), 1, (False,))
 
     # -- set operations ----------------------------------------------
 
+    def _aligned(self, other: "PolyhedralSet1D") -> tuple:
+        """The operands' coordinates over one denominator: the numerators
+        of both over the lcm of their dens, or both as Fractions (den 0)."""
+        da, db = self.den, other.den
+        if da == db:
+            return self.nums, other.nums, da
+        wide = _wider(da, db) if db else 0
+        return _rescaled(self.nums, da, wide), _rescaled(other.nums, db, wide), wide
+
     def _binary(self, other: "PolyhedralSet1D", keep) -> "PolyhedralSet1D":
-        coords, flags = _merge(self.coords, self.flags, other.coords, other.flags, keep)
-        return _from_cells(tuple(coords), tuple(flags))
+        if self.den == other.den:
+            xs, ys, den = self.nums, other.nums, self.den
+        else:
+            xs, ys, den = self._aligned(other)
+        coords, flags = _merge(xs, self.flags, ys, other.flags, keep)
+        return _stored(tuple(coords), den, tuple(flags))
 
     def union(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         """Splice the smaller operand into the larger one.
@@ -452,21 +580,26 @@ class PolyhedralSet1D:
         and the coordinates and flags on either side are reused as they
         are: their neighbouring gap flags keep their values, so they stay
         canonical.  With k <= n the operands' coordinate counts, that
-        costs O(k + log n) Python steps plus one copy of n entries.  The
-        result equals ``self._binary(other, or_)``, the full merge.
+        costs O(k + log n) Python steps plus one copy of n entries, and
+        one rescale of them where the operands' dens differ.  The result
+        equals ``self._binary(other, or_)``, the full merge.
         """
         big, small = self, other
-        if len(big.coords) < len(small.coords):
+        if len(big.nums) < len(small.nums):
             big, small = small, big
-        ys, fy = small.coords, small.flags
-        if not ys:
+        fy = small.flags
+        if not small.nums:
             return small if fy[0] else big  # the whole line, or nothing
-        xs, fx = big.coords, big.flags
+        if big.den == small.den:
+            xs, ys, den = big.nums, small.nums, big.den
+        else:
+            xs, ys, den = big._aligned(small)
+        fx = big.flags
         lo = 0 if fy[0] else bisect_left(xs, ys[0])
         hi = len(xs) if fy[-1] else bisect_right(xs, ys[-1], lo)
         coords, flags = _merge(xs[lo:hi], fx[2 * lo:2 * hi + 1], ys, fy, or_)
-        return _from_cells(xs[:lo] + tuple(coords) + xs[hi:],
-                           fx[:2 * lo] + tuple(flags) + fx[2 * hi + 1:])
+        return _stored(xs[:lo] + tuple(coords) + xs[hi:],
+                       den, fx[:2 * lo] + tuple(flags) + fx[2 * hi + 1:])
 
     def intersect(self, other: "PolyhedralSet1D") -> "PolyhedralSet1D":
         return self._binary(other, and_)
@@ -475,7 +608,7 @@ class PolyhedralSet1D:
         return self._binary(other, gt)  # on flags, a > b is a and not b
 
     def complement(self) -> "PolyhedralSet1D":
-        return _from_cells(self.coords, tuple(map(not_, self.flags)))
+        return _from_cells(self.nums, self.den, tuple(map(not_, self.flags)))
 
     __or__ = union
     __and__ = intersect
@@ -484,16 +617,24 @@ class PolyhedralSet1D:
 
     # -- queries -----------------------------------------------------
 
+    def _cut(self, q) -> tuple[int, bool]:
+        """How many coordinates are at most the exact number q, and whether
+        the last of them is q: a bisect on floor(q * den), exact in ints."""
+        nums, den = self.nums, self.den
+        if den:
+            p, r = q.as_integer_ratio()
+            q, rest = divmod(p * den, r)  # q * den, or its floor
+            if rest:
+                return bisect_right(nums, q), False
+        i = bisect_right(nums, q)
+        return i, i > 0 and nums[i - 1] == q
+
     def euler_measure(self) -> int:
         return sum(self.flags[1::2]) - sum(self.flags[0::2])
 
     def contains(self, value) -> bool:
-        q = as_fraction(value)
-        coords = self.coords
-        i = bisect_left(coords, q)
-        if i < len(coords) and coords[i] == q:
-            return self.flags[2 * i + 1]
-        return self.flags[2 * i]
+        i, on = self._cut(as_fraction(value))
+        return self.flags[2 * i - 1] if on else self.flags[2 * i]
 
     def classify(self) -> Classification:
         coords, flags = self.coords, self.flags
@@ -511,25 +652,40 @@ class PolyhedralSet1D:
         the cells from the gap just above lower to the gap just below
         upper are kept as they are.  A finite window end becomes a
         coordinate, outside the set, only where the set reaches it from
-        inside: O(log n + cells in the window).
+        inside; the window is then rescaled to a den that the end's
+        denominator divides: O(log n + cells in the window).
         """
         lo, hi = ext(lower), ext(upper)
         if not lo < hi:
             raise InputError(f"empty restriction window: {lo} >= {hi}")
-        coords, flags = self.coords, self.flags
-        i = bisect_right(coords, lo.value) if lo.is_finite else 0
-        j = bisect_left(coords, hi.value) if hi.is_finite else len(coords)
-        inner, cells = coords[i:j], flags[2 * i:2 * j + 1]
-        if lo.is_finite and cells[0]:
-            inner, cells = (lo.value,) + inner, (False, False) + cells
-        if hi.is_finite and cells[-1]:
-            inner, cells = inner + (hi.value,), cells + (False, False)
-        return _from_cells(inner, cells)
+        nums, flags, den = self.nums, self.flags, self.den
+        i = self._cut(lo.value)[0] if lo.is_finite else 0
+        j = len(nums)
+        if hi.is_finite:
+            j, on = self._cut(hi.value)
+            j -= on
+        inner, cells = nums[i:j], flags[2 * i:2 * j + 1]
+        below = lo.is_finite and cells[0]
+        above = hi.is_finite and cells[-1]
+        if below or above:
+            wide = _wider(den, lo.value.denominator if below else 1,
+                          hi.value.denominator if above else 1)
+            inner = _rescaled(inner, den, wide)
+            if below:
+                inner, cells = (_over(lo.value, wide),) + inner, (False, False) + cells
+            if above:
+                inner, cells = inner + (_over(hi.value, wide),), cells + (False, False)
+            den = wide
+        return _stored(inner, den, cells)
 
     def shift(self, delta) -> "PolyhedralSet1D":
-        """Translate by a fixed rational; canonical form is preserved."""
+        """Translate by a fixed rational; canonical form is preserved, and
+        the numerators move to the lcm of den and delta's denominator."""
         d = as_fraction(delta)
-        return _from_cells(tuple(x + d for x in self.coords), self.flags)
+        wide = _wider(self.den, d.denominator)
+        step = _over(d, wide)
+        return _stored(tuple([x + step for x in _rescaled(self.nums, self.den, wide)]),
+                       wide, self.flags)
 
     def __str__(self) -> str:
         if not self.pieces:
@@ -589,18 +745,22 @@ def segment(lower, upper, include_lower: bool = False, include_upper: bool = Fal
         raise InputError("cannot close an interval at -inf")
     if include_upper and not hi.is_finite:
         raise InputError("cannot close an interval at inf")
-    return _segment_cells(lo.value if lo.is_finite else None, hi.value if hi.is_finite else None,
-                          bool(include_lower), bool(include_upper))
+    nums, den = _scaled([bound.value for bound in (lo, hi) if bound.is_finite])
+    return _segment_cells(nums[0] if lo.is_finite else None, nums[-1] if hi.is_finite else None,
+                          bool(include_lower), bool(include_upper), den)
 
 
-def _segment_cells(lower, upper, include_lower: bool, include_upper: bool) -> PolyhedralSet1D:
+def _segment_cells(lower, upper, include_lower: bool, include_upper: bool,
+                   den: int = 1) -> PolyhedralSet1D:
     """The cells of an interval literal whose checks have passed: lower <
     upper, None for an infinite end, which adds no coordinate, and a closed
-    end only where it is finite.  The parser writes its literals here too."""
+    end only where it is finite; the ends are numerators over den, the
+    least common denominator of the literal.  The parser writes its
+    literals here too, over den 1 (see ``setparse``)."""
     if lower is None:
         if upper is None:
-            return _from_cells((), (True,))
-        return _from_cells((upper,), (True, include_upper, False))
+            return _from_cells((), 1, (True,))
+        return _from_cells((upper,), den, (True, include_upper, False))
     if upper is None:
-        return _from_cells((lower,), (False, include_lower, True))
-    return _from_cells((lower, upper), (False, include_lower, True, include_upper, False))
+        return _from_cells((lower,), den, (False, include_lower, True))
+    return _from_cells((lower, upper), den, (False, include_lower, True, include_upper, False))

@@ -46,30 +46,26 @@ every number of one expression by the same positive D keeps every order
 exactly.  Before it parses, the parser reads the denominators of the
 number tokens as written and takes D, their lcm, and D // q for each
 distinct denominator q.  It then reads each rational p/q as the int
-p*(D // q), runs the kernel (the cell writer, the boolean operations,
-``from_pieces``) on those ints, where each comparison is one C-level int
-compare instead of a ``Fraction`` comparison, and rebuilds the result
-once with ``Fraction(x, D)`` coordinates.  A refused interval is refused
-again on its bounds as written, so its message names them.
+p*(D // q) and runs the kernel (the cell writer, the boolean operations,
+``from_pieces``) on those ints as sets over den 1, where each comparison
+is one C-level int compare and no operation rescales.  The result is
+then stored with its D as its den: one C-level gcd of D and its
+numerators lowers D to the result's least denominator, and no
+``Fraction`` is built until its ``coords`` or ``pieces`` are read.  A
+refused interval is refused again on its bounds as written, so its
+message names them.
 
-Each scaled int is about as long as D, and the rebuild takes one gcd
-with D per coordinate, so past a point the big ints cost more than the
-comparisons save.  When the distinct denominators are more than
-MAX_SCALE_DIGITS digits long together, which bounds D from above and is
-about its length when they are pairwise coprime, the parser reads every
-number as a ``Fraction`` instead, through the same code.  The bound is
-set by the shape with the fewest comparisons per number, one point set
-of integers next to three literals over long pairwise coprime
-denominators: parsing it on scaled ints took 0.80 times the time of
-Fractions with D of 2,000 bits (602 digits), 0.87 at 3,000, 0.94 at
-4,000 and 1.33 at 10,000 with 100 points, 0.75, 0.93, 1.00 and 1.13
-with 1000, and 3.6 and 3.4 times at 42,000 bits, with Python 3.11.7 on
-a 2-core x86-64 machine (``BENCH_scaled_parse.json``, guard_crossover).
-Chains of unions compare each number more often and gain up to larger
-D.  Under the bound a scaled int is at most about 2,000 bits (250
-bytes) longer than its numerator as written.  The pre-pass converts no
-denominator when it stops at the bound, and raises nothing, so the
-first error reported is still the one at the earliest position.
+Each scaled int is about as long as D, so past a point the long ints
+cost more than the comparisons save.  When D would have more than
+``interval_sets.MAX_SCALE_BITS`` bits, the kernel's bound on a stored
+denominator, the parser reads every number as a ``Fraction`` instead and
+runs the kernel on Fractions over den 1, through the same code; a point
+set or a literal refused by the literal tokens, built canonical, joins
+them through its ``coords``.  The result is stored once at the end, as
+integers if its own least denominator fits under the bound.  The
+pre-pass converts no denominator longer than the bound allows, and
+stops at the first lcm past it; it raises nothing, so the first error
+reported is still the one at the earliest position.
 """
 
 from __future__ import annotations
@@ -79,10 +75,11 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
+from . import interval_sets
 from .errors import InputError, ParseError
 from .interval_sets import (
-    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _from_cells, _point,
-    _segment_cells, segment
+    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _fits, _from_cells, _point,
+    _segment_cells, _stored, segment
 )
 
 # Infinities, numbers, then any other character but whitespace, so that
@@ -116,10 +113,6 @@ _BINARY = {"u": "union", "|": "union", "\\": "difference", "&": "intersect"}
 # least one Python frame on each, so under the default recursion limit of
 # 1000 frames no expression it could accept is deeper than this.
 MAX_NESTING_DEPTH = 1000
-# The most digits the distinct denominators of an expression may have
-# together for the parser to scale by their lcm; above it the numbers are
-# read as Fractions (see the module docstring).
-MAX_SCALE_DIGITS = 600
 
 
 def _tokenize(text: str) -> list[str]:
@@ -147,14 +140,20 @@ _DENOMINATOR_RE = re.compile(r"/([0-9]+)")
 def _scale_factors(text: str) -> dict[str, int] | None:
     """By each denominator q written in a text that tokenizes, as its digits,
     D // q for D the lcm of them all, and D for "" (an integer); or None
-    when the distinct ones are more than MAX_SCALE_DIGITS digits long
-    together.  A zero denominator is left out: the parse reports it at
-    its own position."""
+    when D has more than ``interval_sets.MAX_SCALE_BITS`` bits.  A zero
+    denominator is left out: the parse reports it at its own position."""
     written = set(_DENOMINATOR_RE.findall(text))
-    if sum(map(len, written)) > MAX_SCALE_DIGITS:
+    # a number of d digits, the first not 0, is at least 10^(d - 1), above
+    # 2^(3(d - 1)): a longer denominator is past the bound unconverted
+    most = interval_sets.MAX_SCALE_BITS // 3 + 1
+    if any(len(digits.lstrip("0")) > most for digits in written):
         return None
     denominators = {digits: q for digits in written if (q := int(digits))}
-    scale = lcm(*denominators.values())
+    scale = 1
+    for q in set(denominators.values()):
+        scale = lcm(scale, q)
+        if not _fits(scale):
+            return None
     factors = {digits: scale // q for digits, q in denominators.items()}
     factors[""] = scale
     return factors
@@ -250,13 +249,16 @@ class _Parser:
         self._fail("a set literal")
 
     def _unscaled(self, value: PolyhedralSet1D) -> PolyhedralSet1D:
-        """A set parsed on scaled ints, with its coordinates as Fractions."""
-        scale = self.scale
-        if scale is None:
-            return value
-        if scale == 1:  # Fraction(x) takes an int without a gcd
-            return _from_cells(tuple(map(Fraction, value.coords)), value.flags)
-        return _from_cells(tuple(Fraction(x, scale) for x in value.coords), value.flags)
+        """The parsed set in its stored form: its numbers over D, the scale,
+        or as Fractions, over their least common denominator."""
+        return _stored(value.nums, 0 if self.scale is None else self.scale, value.flags)
+
+    def _literal(self, value: PolyhedralSet1D) -> PolyhedralSet1D:
+        """A literal's canonical set on the parser's numbers.  On scaled
+        ints it is one already: its numbers are integers, over den 1."""
+        if self.scale is None:
+            return _from_cells(value.coords, 1, value.flags)
+        return value
 
     def _as_written(self, bound: ExtendedRational) -> ExtendedRational:
         """A parsed bound with its value as a Fraction."""
@@ -304,7 +306,7 @@ class _Parser:
         self.index += 1
         include_upper = closer == "]"
         try:
-            return segment(lower, upper, include_lower, include_upper)
+            return self._literal(segment(lower, upper, include_lower, include_upper))
         except InputError:
             pass
         # refused again on the bounds as written, so that the message names them
@@ -326,7 +328,7 @@ class _Parser:
             self.index += 1
             values.append(self._rational())
         self._expect("}")
-        return PolyhedralSet1D.from_pieces([_point(v) for v in values])
+        return self._literal(PolyhedralSet1D.from_pieces([_point(v) for v in values]))
 
 
 class _LiteralParser(_Parser):
@@ -370,7 +372,8 @@ class _LiteralParser(_Parser):
             if token[0] == "{":
                 if bounds == [""]:
                     return PolyhedralSet1D.empty()
-                return PolyhedralSet1D.from_pieces([_point(self._number(x)) for x in bounds])
+                return self._literal(
+                    PolyhedralSet1D.from_pieces([_point(self._number(x)) for x in bounds]))
             lower, upper = bounds
             lower = None if lower == "-inf" else self._number(lower)
             upper = None if upper == "inf" or upper == "+inf" else self._number(upper)

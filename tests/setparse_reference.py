@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
-    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _from_cells, _point, segment
+    NEG_INF, POS_INF, ExtendedRational, PolyhedralSet1D, _finite, _point, _stored, segment
 )
 from eulermeasure.setparse import _BINARY, _BINDING, MAX_NESTING_DEPTH, _scale_factors
 
@@ -149,11 +149,11 @@ class _Parser:
         self._fail("a set literal", token)
 
     def _unscaled(self, value: PolyhedralSet1D) -> PolyhedralSet1D:
-        """A set parsed on scaled ints, with its coordinates as Fractions."""
+        """A set parsed on scaled ints, over the scale's least divisor.  On
+        Fractions every literal and every result is a canonical set already."""
         if self.scale is None:
             return value
-        scale = self.scale
-        return _from_cells(tuple(Fraction(x, scale) for x in value.coords), value.flags)
+        return _stored(value.nums, self.scale, value.flags)
 
     def _as_written(self, bound: ExtendedRational) -> ExtendedRational:
         """A parsed bound with its value as a Fraction."""

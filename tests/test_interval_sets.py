@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -20,8 +21,11 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import interval_reference
 import setparse_reference
-from eulermeasure import cli, setparse
+from interval_reference import cell_flags as _cell_flags
+from interval_reference import critical_coordinates as _critical_coordinates
+from eulermeasure import cli, interval_sets, setparse
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
     NEG_INF,
@@ -40,12 +44,10 @@ from eulermeasure.interval_sets import (
     segment,
 )
 from eulermeasure.interval_sets import (
-    _cell_flags,
     _cell_in,
-    _critical_coordinates,
     _elementary_cells,
-    _from_cells,
     _runs,
+    _stored,
 )
 from eulermeasure.setparse import MAX_NESTING_DEPTH, parse_set_expression
 from eulermeasure.verify import random_polyhedral_set
@@ -294,8 +296,9 @@ class TestValuationProperties:
 #
 # The scan tests each elementary cell against every piece with _cell_in
 # and rebuilds the components from the explicit cell list; it shares
-# nothing with the sweep or the merge but the coordinates, the cell order
-# and _runs.
+# nothing with the sweep or the merge but the coordinates, the cell order,
+# _runs and _stored, which stores Fraction coordinates over their least
+# denominator (assert_canonical_cells checks that form on its own).
 
 def scan_flags(pieces, coords):
     return [_cell_in(pieces, cell) for cell in _elementary_cells(coords)]
@@ -323,7 +326,7 @@ def scan_set(coords, flags):
     keep = [i for i in range(len(coords))
             if not flags[2 * i] == flags[2 * i + 1] == flags[2 * i + 2]]
     cells = [flags[0]] + [f for i in keep for f in (flags[2 * i + 1], flags[2 * i + 2])]
-    s = _from_cells(tuple(coords[i] for i in keep), tuple(cells))
+    s = _stored(tuple([coords[i] for i in keep]), 0, tuple(cells))
     pieces = []
     for c in scan_components(coords, flags):
         if c.is_point:
@@ -592,17 +595,26 @@ class TestRestrictOpenSlice:
 
 # -- the stored cell index against the cell scan --------------------------
 #
-# A set stores its canonical cells, coords and flags; its pieces are built
-# from them on first read.  Each result here is held against scan_set,
-# which stores the scan's cells and pieces, so equal values must also
-# hash alike and the pieces built on read must be the scan's.
+# A set stores its canonical cells, nums over den and flags; its coords
+# and pieces are built from them on first read.  Each result here is held
+# against scan_set, which stores the scan's cells and pieces, so equal
+# values must also hash alike and the pieces built on read must be the
+# scan's.
 
 
 def assert_canonical_cells(s):
     """Sorted distinct Fraction coordinates, one bool per cell, and no
-    coordinate whose gap below, point and gap above agree."""
+    coordinate whose gap below, point and gap above agree; stored as
+    integers over their least common denominator when it has at most
+    MAX_SCALE_BITS bits, as Fractions with den 0 when it has more."""
     coords, flags = s.coords, s.flags
-    assert type(coords) is tuple and type(flags) is tuple
+    assert type(coords) is tuple and type(flags) is tuple and type(s.nums) is tuple
+    least = math.lcm(*(x.denominator for x in coords))
+    if least == 1 or least.bit_length() <= interval_sets.MAX_SCALE_BITS:
+        assert s.den == least and all(type(n) is int for n in s.nums)
+        assert s.nums == tuple(x * least for x in coords)
+    else:
+        assert s.den == 0 and s.nums == coords
     assert len(flags) == 2 * len(coords) + 1
     assert all(type(x) is Fraction for x in coords)
     assert all(type(f) is bool for f in flags)
@@ -633,6 +645,19 @@ def edge_sets(draw):
     if kind in ("right", "both"):
         raw += [iv(y, POS_INF)] + ([Point(y)] if draw(st.booleans()) else [])
     return canonicalize(raw)
+
+
+# A prime above 2^88, so that a denominator over it has more than 64 bits.
+BIG_PRIME = 2 ** 89 - 1
+
+
+@st.composite
+def off_grid_values(draw):
+    q = draw(st.sampled_from([3, 5, 7, BIG_PRIME]))
+    return Fraction(draw(st.integers(-5 * q, 5 * q)), q)
+
+
+off_grid_or_on = st.one_of(off_grid_values(), window_end)
 
 
 def shifted_pieces(pieces, d):
@@ -735,6 +760,212 @@ class TestCellIndex:
         assert not any(t.is_alive() for t in threads)
         assert all(got == expected for got in reads)
         assert [s.pieces for s in shared] == expected
+
+    # Window ends, points and deltas off the sets' grid of halves: over 3,
+    # 5, 7 and a prime above 2^64, or on the grid, so that they also fall on
+    # the sets' coordinates.
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_sets, off_grid_or_on, off_grid_or_on, st.integers(0, 7), st.integers(0, 7))
+    def test_restrict_open_off_the_grid(self, a, x, y, lower_roll, upper_roll):
+        if x == y:
+            return
+        lo = NEG_INF if lower_roll == 0 else ext(min(x, y))
+        hi = POS_INF if upper_roll == 0 else ext(max(x, y))
+        window = [OpenInterval(lo, hi)]
+        coords = _critical_coordinates([a.pieces, window])
+        flags = [f and w for f, w in zip(scan_flags(a.pieces, coords), scan_flags(window, coords))]
+        assert_same_set(a.restrict_open(lo, hi), scan_set(coords, flags))
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets, off_grid_or_on)
+    def test_shift_off_the_grid(self, a, d):
+        raw = shifted_pieces(a.pieces, d)
+        coords = _critical_coordinates([raw])
+        assert_same_set(a.shift(d), scan_set(coords, scan_flags(raw, coords)))
+        assert_same_set(a.shift(d).shift(-d), a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_sets, st.lists(off_grid_or_on, max_size=20))
+    def test_contains_off_the_grid(self, a, queries):
+        for q in queries + [x + Fraction(1, BIG_PRIME) for x in a.coords]:
+            assert a.contains(q) is _cell_in(a.pieces, ("pt", q))
+
+    def test_window_end_rescales_the_result(self):
+        a = segment(0, 1, True, True)  # over den 1
+        got = a.restrict_open(Fraction(1, 3), Fraction(5, 7))
+        assert (got.nums, got.den, got.flags) == ((7, 15), 21, (False, False, True, False, False))
+        assert str(got) == "(1/3,5/7)"
+        half = open_interval(Fraction(-1, 2), Fraction(3, 2))  # over den 2
+        far = Fraction(1, BIG_PRIME)
+        got = half.restrict_open(far, POS_INF)
+        assert got.den == 2 * BIG_PRIME and got.nums == (2, 3 * BIG_PRIME)
+        assert_same_set(got, open_interval(far, Fraction(3, 2)))
+        # windows that keep, widen and cut away the den of (-1/2, 3/2)
+        assert half.restrict_open(1, 2).den == 2
+        assert half.restrict_open(1, Fraction(5, 4)).den == 4
+        assert half.restrict_open(0, 1).den == 1
+
+    def test_queries_leave_the_coordinate_view_unbuilt(self):
+        a = open_interval(Fraction(-1, 2), Fraction(3, 2)) | points([Fraction(5, 2)])
+        a.contains(Fraction(1, 3))
+        a.restrict_open(Fraction(1, 3), Fraction(9, 7))
+        a.restrict_open(NEG_INF, 1)
+        assert "coords" not in vars(a) and "pieces" not in vars(a)
+
+
+# -- the kernel against its Fraction-coordinate reference ----------------
+#
+# tests/interval_reference.py keeps the kernel as it was on Fraction
+# coordinates.  Sets here mix denominators 1, 2, 3 and 7, pairwise coprime
+# primes and values above 64 bits, with rays, the empty set and the whole
+# line; every operation must give the reference's coordinates, flags and
+# pieces, under the default bound on the common denominator and under
+# bounds that put most sets on the Fraction fallback.
+
+MIXED_DENOMINATORS = (1, 2, 3, 7, 5, 11, 13, 2 ** 61 - 1, BIG_PRIME)
+
+
+@st.composite
+def mixed_values(draw):
+    q = draw(st.sampled_from(MIXED_DENOMINATORS))
+    n = draw(st.integers(-6 * q, 6 * q))
+    if draw(st.integers(0, 9)) == 0:
+        n += draw(st.sampled_from([-1, 1])) * 2 ** 70 * q  # far out, above 64 bits
+    return Fraction(n, q)
+
+
+@st.composite
+def mixed_raw(draw):
+    """Raw pieces on mixed denominators, or the empty set or the whole line."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return []
+    if kind == 1:
+        return [iv(NEG_INF, POS_INF)]
+    values = st.one_of(grid, mixed_values())
+    return draw(st.lists(st.one_of(values.map(Point), raw_interval(values)), max_size=12))
+
+
+def assert_like_reference(got, cells):
+    coords, flags = cells
+    assert got.coords == coords and all(type(x) is Fraction for x in got.coords)
+    assert got.flags == flags
+    assert got.pieces == interval_reference.pieces(cells)
+    assert_canonical_cells(got)
+
+
+class TestKernelAgainstFractionReference:
+    @pytest.mark.parametrize("bound", [None, 64, 8, 0])
+    @settings(max_examples=120, deadline=None)
+    @given(mixed_raw(), mixed_raw(), st.one_of(grid, mixed_values()),
+           st.one_of(grid, mixed_values()), st.integers(0, 5), st.integers(0, 5))
+    def test_every_operation(self, bound, raw_a, raw_b, x, y, lower_roll, upper_roll):
+        with mock.patch.object(interval_sets, "MAX_SCALE_BITS",
+                               interval_sets.MAX_SCALE_BITS if bound is None else bound):
+            a, b = canonicalize(raw_a), PolyhedralSet1D(raw_b)
+            ra, rb = interval_reference.construct(raw_a), interval_reference.construct(raw_b)
+            assert_like_reference(a, ra)
+            assert_like_reference(b, rb)
+            assert_like_reference(a | b, interval_reference.union(ra, rb))
+            assert_like_reference(b | a, interval_reference.union(rb, ra))
+            assert_like_reference(a & b, interval_reference.intersect(ra, rb))
+            assert_like_reference(a - b, interval_reference.difference(ra, rb))
+            assert_like_reference(~a, interval_reference.complement(ra))
+            assert_like_reference(a.shift(x), interval_reference.shift(ra, x))
+            for q in (x, y, *a.coords):
+                assert a.contains(q) is interval_reference.contains(ra, q)
+            if x != y:
+                lo = NEG_INF if lower_roll == 0 else min(x, y)
+                hi = POS_INF if upper_roll == 0 else max(x, y)
+                assert_like_reference(a.restrict_open(lo, hi),
+                                      interval_reference.restrict_open(ra, lo, hi))
+
+    def test_many_coprime_denominators(self):
+        # 1600 points over distinct 60-bit primes, then a union and a
+        # difference: the common denominator would have about 96,000 bits, so
+        # the sets keep their coordinates as Fractions, and a result whose
+        # coordinates fit under the bound goes back to integers
+        primes = list(itertools.islice(sympy.primerange(2 ** 59, 2 ** 60), 3200))
+        rng = random.Random(1600)
+        mine, theirs = ([Fraction(rng.randrange(-p, p), p) for p in primes[k::2]] for k in (0, 1))
+        a, b = points(mine), points(theirs)
+        ra = interval_reference.construct(map(Point, mine))
+        rb = interval_reference.construct(map(Point, theirs))
+        u = a | b
+        ru = interval_reference.union(ra, rb)
+        assert_like_reference(u, ru)
+        assert_like_reference(u - a, interval_reference.difference(ru, ra))
+        assert (a.den, b.den, u.den) == (0, 0, 0) and len(u.nums) == 3200
+        low = min(mine)
+        window = low - Fraction(1, 10 ** 18), low + Fraction(1, 10 ** 18)
+        one = u.restrict_open(*window)
+        assert_like_reference(one, interval_reference.restrict_open(ru, *window))
+        assert one.coords == (low,) and one.den == low.denominator
+
+
+# -- one set by several routes: the same stored form ---------------------
+
+
+class TestCanonicalDenominator:
+    @staticmethod
+    def assert_one_form(*routes):
+        first = routes[0]
+        for s in routes:
+            assert s == first and hash(s) == hash(first)
+            assert (s.nums, s.den, s.flags) == (first.nums, first.den, first.flags)
+            assert_canonical_cells(s)
+
+    def test_intersection_over_6_and_4(self):
+        over_6 = open_interval(Fraction(-1, 6), Fraction(1, 2))
+        over_4 = open_interval(0, Fraction(3, 4))
+        assert (over_6.den, over_4.den) == (6, 4)
+        half = over_6 & over_4
+        assert (half.nums, half.den) == ((0, 1), 2)
+        self.assert_one_form(half, open_interval(0, Fraction(1, 2)),
+                             parse_set_expression("(0,1/2)"), parse_set_expression("(0,3/6)"),
+                             parse_set_expression("(-1/6,1/2) & (0,3/4)"))
+
+    @pytest.mark.parametrize("text", [
+        "(0,1/2)", "{1/3} u (1/2,5/7]", "(-inf,2/9) u {3}", "[0,1] \\ {1/2}", "{}", "(-inf,inf)",
+    ])
+    def test_shift_there_and_back(self, text):
+        a = parse_set_expression(text)
+        for d in (Fraction(1, 3), Fraction(-5, 6), Fraction(1, BIG_PRIME), Fraction(2)):
+            there = a.shift(d)
+            self.assert_one_form(there.shift(-d), a)
+
+    def test_pieces_round_trip(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            a = random_polyhedral_set(rng, 5).shift(Fraction(rng.randint(-9, 9), rng.choice([3, 7])))
+            b = random_polyhedral_set(rng, 5)
+            for s in (a, a | b, a & b, a - b, ~a):
+                self.assert_one_form(s, PolyhedralSet1D.from_pieces(s.pieces),
+                                     PolyhedralSet1D(s.pieces))
+
+    def test_the_bound_is_inclusive(self):
+        # a least denominator of MAX_SCALE_BITS bits is stored as integers,
+        # one bit more keeps Fractions; the parser scales under the same bound
+        bits = interval_sets.MAX_SCALE_BITS
+        at, past = 2 ** (bits - 1) + 1, 2 ** bits + 1
+        a, b = points([Fraction(1, at)]), points([Fraction(1, past)])
+        assert (a.nums, a.den) == ((1,), at)
+        assert (b.nums, b.den) == ((Fraction(1, past),), 0)
+        assert setparse._Parser(f"{{1/{at}}}").scale == at
+        assert setparse._Parser(f"{{1/{past}}}").scale is None
+        self.assert_one_form(a, parse_set_expression(f"{{1/{at}}}"), (a | b) - b)
+        self.assert_one_form(b, parse_set_expression(f"{{1/{past}}}"), (a | b) - a)
+        assert (a | b).den == 0
+
+    def test_empty_and_line(self):
+        line = parse_set_expression("(-inf,inf)")
+        for s in (PolyhedralSet1D.empty(), parse_set_expression("{}"), line,
+                  open_interval(0, Fraction(1, 2)) - open_interval(-1, 1),
+                  open_interval(NEG_INF, Fraction(1, 3)) | segment(0, POS_INF, True),
+                  ~PolyhedralSet1D.empty(), points([Fraction(1, 7)]) & points([Fraction(2, 7)])):
+            assert s.den == 1 and s.nums == ()
+        self.assert_one_form(line, ~PolyhedralSet1D.empty(), canonicalize([iv(NEG_INF, POS_INF)]))
 
 
 # -- the parser and kernel against a cell-bitmask model ------------------
@@ -893,14 +1124,14 @@ def assert_names_bounds_as_written(text: str, message: str):
 
 class TestGrammarAgainstCellModel:
     # Each example parses on both sides of the common-denominator guard: on
-    # scaled integers under MAX_SCALE_DIGITS, and on Fractions with the guard
+    # scaled integers under MAX_SCALE_BITS, and on Fractions with the guard
     # at 0, where every expression that writes a denominator passes it.
     @settings(max_examples=300, deadline=None)
     @given(expressions)
     def test_parse_and_measure_match_the_model(self, expression):
         text, mask = expression
         self.check(text, mask)
-        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
+        with mock.patch.object(interval_sets, "MAX_SCALE_BITS", 0):
             self.check(text, mask)
 
     @staticmethod
@@ -936,11 +1167,11 @@ class TestGrammarAgainstCellModel:
             assert_names_bounds_as_written(text, message.replace("2/3", "4/6"))
 
     def test_denominators_past_the_guard_parse_on_fractions(self):
-        # the k-th literal is written over the k-th prime above 2^64, 20
-        # digits long, so the denominators together pass the guard
+        # the k-th literal is written over the k-th prime above 2^64, so the
+        # denominators together, more than 64 bits each, pass the guard
         primes = list(itertools.islice(sympy.primerange(2 ** 64, 2 ** 65),
-                                       setparse.MAX_SCALE_DIGITS // 20 + 1))
-        assert sum(len(str(p)) for p in primes) > setparse.MAX_SCALE_DIGITS
+                                       interval_sets.MAX_SCALE_BITS // 64 + 1))
+        assert math.prod(primes).bit_length() > interval_sets.MAX_SCALE_BITS
         rng = random.Random(7)
         literals = []
         for p in primes:
@@ -987,7 +1218,7 @@ class TestTokenScanAgainstReference:
     @example("!" * (MAX_NESTING_DEPTH + 1) + "{0}")
     def test_same_set_or_same_error(self, text):
         self.check(text)
-        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
+        with mock.patch.object(interval_sets, "MAX_SCALE_BITS", 0):
             self.check(text)
 
     @staticmethod
@@ -1012,7 +1243,7 @@ class TestTokenScanAgainstReference:
     ])
     def test_literal_token_shapes(self, text):
         self.check(text)
-        with mock.patch.object(setparse, "MAX_SCALE_DIGITS", 0):
+        with mock.patch.object(interval_sets, "MAX_SCALE_BITS", 0):
             self.check(text)
 
     @pytest.mark.parametrize("text", [
@@ -1099,3 +1330,15 @@ def test_sets_scaling_tool_runs():
                                "malformed")
         for n in (8, 16)]
     assert all(row["parse_ms"] > 0 and row["result_pieces"] >= 0 for row in rows)
+
+
+def test_kernel_scaling_tool_runs():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "kernel_scaling.py"
+    out = subprocess.run([sys.executable, str(tool), "--sizes", "8,16"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    rows = json.loads(out.stdout)["rows"]
+    assert [(row["kind"], row["pieces"]) for row in rows] == [
+        (kind, n) for kind in ("den1", "den2", "den7", "mixed", "wide") for n in (8, 16)]
+    timed = ("from_pieces_ms", "union_ms", "intersect_ms", "difference_ms", "restrict_open_ms")
+    assert all(row[key] > 0 for row in rows for key in timed)
+    assert all(row["union_coordinates"] > 0 and row["denominator_bits"] >= 1 for row in rows)
