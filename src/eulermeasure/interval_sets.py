@@ -555,11 +555,10 @@ class PolyhedralSet1D:
     # -- set operations ----------------------------------------------
 
     def _aligned(self, other: "PolyhedralSet1D") -> tuple:
-        """The operands' coordinates over one denominator: the numerators
-        of both over the lcm of their dens, or both as Fractions (den 0)."""
+        """The coordinates of operands with unequal dens over one
+        denominator: the numerators of both over the lcm of their dens, or
+        both as Fractions (den 0)."""
         da, db = self.den, other.den
-        if da == db:
-            return self.nums, other.nums, da
         wide = _wider(da, db) if db else 0
         return _rescaled(self.nums, da, wide), _rescaled(other.nums, db, wide), wide
 
