@@ -50,10 +50,12 @@ Polynomial arithmetic runs over cleared denominators the same way: the
 coefficients of each operand are scaled to integers over one scale
 (``clear_denominators``), products are integer convolutions, values are
 Horner's rule on p/q over the integers, and one Fraction is built per
-output coefficient.  ``RationalFunction.expand`` keeps running integers
-as well, and ``binomial_prefix`` steps each coefficient from the last by
-an integer ratio.  Every coefficient a caller sees is
-still an exact Fraction.
+output coefficient.  A RationalFunction is reduced by the integer gcd of
+its two polynomials, the primitive remainder sequence, and exact integer
+quotients; ``RationalFunction.expand`` keeps running integers as well,
+and ``binomial_prefix`` steps each coefficient from the last by an
+integer ratio.  Every coefficient a caller sees is still an exact
+Fraction.
 
 Everything is immutable and pure.
 """
@@ -96,7 +98,7 @@ class Polynomial:
 
     @classmethod
     def _over(cls, numerators: list[int], scale: int) -> "Polynomial":
-        """The polynomial with coefficients numerators[i] / scale, scale > 0:
+        """The polynomial with coefficients numerators[i] / scale, scale != 0:
         trailing zeros dropped, one Fraction per coefficient."""
         while numerators and not numerators[-1]:
             numerators.pop()
@@ -197,83 +199,68 @@ class Polynomial:
         return " ".join(parts)
 
 
-def _poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if b.is_zero:
-        raise InputError("polynomial division by zero")
-    quot = [Fraction(0)] * max(a.degree - b.degree + 1, 0)
-    rem = list(a.coefficients)
-    lead = b.coefficients[-1]
-    while len(rem) >= len(b.coefficients):
-        f = rem[-1] / lead
-        shift = len(rem) - len(b.coefficients)
-        quot[shift] = f
-        for i, c in enumerate(b.coefficients):
-            rem[shift + i] -= f * c
-        while rem and rem[-1] == 0:
+def _primitive(p: list[int]) -> list[int]:
+    """p over its content, with a positive leading coefficient; [] for 0."""
+    content = math.gcd(*p)
+    if p and p[-1] < 0:
+        content = -content
+    return p if content == 1 else [c // content for c in p]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, for deg a >= deg b >= 1: each
+    step cancels a's top term against b, both sides divided by their gcd."""
+    rem, lead, n = list(a), b[-1], len(b)
+    while len(rem) >= n:
+        top = rem.pop()
+        g = math.gcd(lead, top)
+        keep, cut, shift = lead // g, top // g, len(rem) - n + 1
+        rem = [keep * c for c in rem]
+        for i, c in enumerate(b[:-1]):
+            rem[shift + i] -= cut * c
+        while rem and not rem[-1]:
             rem.pop()
-        if not rem:
-            break
-    return Polynomial(tuple(quot)), Polynomial(tuple(rem))
+    return rem
+
+
+def _integer_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, positive leading coefficient, of two integer
+    polynomials; [] when both are 0.
+
+    The primitive remainder sequence (Brown 1971; Knuth, TAOCP 4.6.1):
+    by Gauss's lemma a gcd over the rationals is, up to a constant, the
+    primitive gcd over the integers, and each pseudo-remainder divided by
+    its content stays a multiple of it, so no Fraction is built.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [1] if b else a
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers, for b != 0; a remainder is a library bug."""
+    rem, lead, n = list(a), b[-1], len(b)
+    quot = [0] * max(len(a) - n + 1, 0)
+    for shift in reversed(range(len(quot))):
+        f, r = divmod(rem[shift + n - 1], lead)
+        if r:
+            raise InternalCheckError("inexact polynomial division")
+        quot[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+    if any(rem):
+        raise InternalCheckError("inexact polynomial division")
+    return quot
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scale(1 / a.coefficients[-1])
-
-
-_PROOF_PRIME = 2 ** 61 - 1
-
-
-def _residues_mod_p(p: Polynomial) -> list[int] | None:
-    """Coefficients of p times the lcm of their denominators, reduced mod
-    _PROOF_PRIME; None when the prime divides the leading coefficient."""
-    scale = math.lcm(*(c.denominator for c in p.coefficients))
-    residues = [c.numerator * (scale // c.denominator) % _PROOF_PRIME for c in p.coefficients]
-    return residues if residues[-1] else None
-
-
-def _remainder_mod_p(a: list[int], b: list[int]) -> list[int]:
-    a = list(a)
-    inverse = pow(b[-1], -1, _PROOF_PRIME)
-    while len(a) >= len(b):
-        factor = a[-1] * inverse % _PROOF_PRIME
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % _PROOF_PRIME
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _coprime_mod_p(a: Polynomial, b: Polynomial) -> bool:
-    """True only if a and b are proven coprime over the rationals.
-
-    After clearing denominators, a common factor g of positive degree
-    over Q can be taken primitive with integer coefficients; when the
-    prime divides neither leading coefficient it does not divide lc(g)
-    either, so g mod p keeps its degree and divides both images.  A
-    constant gcd mod p therefore proves a constant gcd over Q.  False
-    means "not proven", never "not coprime".
-    """
-    if a.is_zero or b.is_zero:
-        return False
-    x, y = _residues_mod_p(a), _residues_mod_p(b)
-    if x is None or y is None:
-        return False
-    while y:
-        x, y = y, _remainder_mod_p(x, y)
-    return len(x) == 1
-
-
-def _poly_div_exact(a: Polynomial, b: Polynomial) -> Polynomial:
-    q, r = _poly_divmod(a, b)
-    if not r.is_zero:
-        raise InternalCheckError("inexact polynomial division")
-    return q
+    g = _integer_gcd(clear_denominators(a.coefficients)[0],
+                     clear_denominators(b.coefficients)[0])
+    return Polynomial._over(g, g[-1]) if g else Polynomial()
 
 
 @dataclass(frozen=True)
@@ -282,9 +269,10 @@ class RationalFunction:
 
     Normalization happens at construction, so equality of values is
     structural equality.  Functions without a power series at t=0
-    (denominator vanishing at 0 after reduction) are rejected.
-    Coprimality is first proven by Euclid modulo a prime, which is cheap;
-    only when that proof fails is the gcd taken over the rationals.
+    (denominator vanishing at 0 after reduction) are rejected.  Both
+    polynomials are cleared of denominators, divided exactly by their
+    integer gcd (``_integer_gcd``) and scaled by the denominator's constant
+    term, one Fraction per coefficient.
     """
 
     numerator: Polynomial
@@ -298,18 +286,17 @@ class RationalFunction:
             den = Polynomial(tuple(den))
         if den.is_zero:
             raise InputError("zero denominator")
-        if not _coprime_mod_p(num, den):
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = _poly_div_exact(num, g)
-                den = _poly_div_exact(den, g)
-        c0 = den.coefficient(0)
-        if c0 == 0:
+        # num / den = (a / s) / (b / r) = (r a) / (s b)
+        a, s = clear_denominators(num.coefficients)
+        b, r = clear_denominators(den.coefficients)
+        g = _integer_gcd(a, b)
+        if len(g) > 1:
+            a, b = _divide_exact(a, g), _divide_exact(b, g)
+        c0 = b[0]
+        if not c0:
             raise InputError("denominator vanishes at t=0; no power series there")
-        if c0 != 1:
-            num, den = num.scale(1 / c0), den.scale(1 / c0)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "numerator", Polynomial._over([r * c for c in a], s * c0))
+        object.__setattr__(self, "denominator", Polynomial._over(b, c0))
 
     @classmethod
     def from_reduced(cls, numerator: Polynomial, denominator: Polynomial) -> "RationalFunction":

@@ -346,11 +346,9 @@ def _rescaled(nums, den: int, wide: int):
 # cells in one sweep: a point marks its own cell, an open interval
 # (x_a, x_b) adds +1 at cell 2a+2 (cell 0 at -inf) and -1 after cell 2b
 # (after the last cell at +inf), and a running sum of these differences
-# counts the intervals over each cell.  _cell_in tests one cell against
-# every piece, O(n) per cell; with _elementary_cells, which spells the
-# cells out, it is the reference the sweeps and the merge are tested
-# against.
-_CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
+# counts the intervals over each cell.  The tests hold both against a
+# scan that spells the cells out and tests each against every piece
+# (tests/interval_reference.py).
 
 
 def _sweep(raw: list) -> "PolyhedralSet1D":
@@ -414,36 +412,6 @@ def _merge(xa: Sequence, fa: Sequence[bool], xb: Sequence, fb: Sequence[bool],
             coords.append(x)
             flags += (point, above)
     return coords, flags
-
-
-def _elementary_cells(coords: Sequence[Fraction]) -> _CellList:
-    if not coords:
-        return [("iv", NEG_INF, POS_INF)]
-    cells: _CellList = [("iv", NEG_INF, ext(coords[0]))]
-    for i, x in enumerate(coords):
-        cells.append(("pt", x))
-        hi = ext(coords[i + 1]) if i + 1 < len(coords) else POS_INF
-        cells.append(("iv", ext(x), hi))
-    return cells
-
-
-def _cell_in(pieces: Sequence[Piece], cell) -> bool:
-    if cell[0] == "pt":
-        q = ext(cell[1])
-        for piece in pieces:
-            if isinstance(piece, Point):
-                if piece.at == cell[1]:
-                    return True
-            elif piece.left < q < piece.right:
-                return True
-        return False
-    _, lo, hi = cell
-    # Cell endpoints are critical, so an interval piece either covers
-    # the whole cell or misses it.
-    for piece in pieces:
-        if isinstance(piece, OpenInterval) and piece.left <= lo and hi <= piece.right:
-            return True
-    return False
 
 
 def _runs(flags: Sequence[bool]):

@@ -32,12 +32,12 @@ off the iterated binomial polynomial and runs no fit, so the second
 denominator is on no CLI path any more; the fit is an oracle.  The
 ceiling is the size of --ks 60 on (0,1); it is checked before the
 support counts.  It was set
-when every closed form was proven reduced by Euclid modulo 2^61 - 1,
-a proof that fails from J = 61 on.  No construction runs that proof any
-more (its closed forms are exact_series.FactoredForm records, reduced by
-construction), so the ceiling no longer has that reason; it is kept
-unchanged until a scaling run of the counts and the certificate sets a
-ceiling for every verb (ROADMAP item 2).
+for a coprimality proof by Euclid modulo 2^61 - 1, which failed from
+J = 61 on.  That proof is gone: closed forms are
+exact_series.FactoredForm records, reduced by construction, and a
+RationalFunction is reduced by one integer gcd, so the ceiling has lost
+its reason; it is kept unchanged until a scaling run of the counts and
+the certificate sets a ceiling for every verb (ROADMAP item 2).
 """
 
 import math

@@ -37,6 +37,7 @@ from .choose_construction import CellSketch
 from .interval_sets import Point, PolyhedralSet1D
 from .limits import check_enumeration
 from .partition_combinatorics import gen_binomial
+from .rationals import as_integer
 
 GRADING = "breakpoints"
 # The pair counts are a difference of two geometric sequences (see
@@ -47,7 +48,7 @@ PAIR_ORDER_BOUND = 2
 def finite_map_count(bsize: int, k: int) -> int:
     """Maps from one open interval to a bsize-point set with k given
     breakpoints: bsize * (bsize^2 - 1)^k."""
-    _check_map_count_args(bsize, k)
+    bsize, k = _map_count_args(bsize, k)
     return bsize * (bsize ** 2 - 1) ** k
 
 
@@ -62,6 +63,7 @@ def finite_pair_count(bsize: int, k: int) -> int:
     finite_map_count(b^2, k) ordered pairs unite to the k-set, and
     finite_map_count(b, k) of them have f = g.
     """
+    bsize, k = _map_count_args(bsize, k)
     return (finite_map_count(bsize ** 2, k) - finite_map_count(bsize, k)) // 2
 
 
@@ -69,15 +71,24 @@ def brute_map_count(bsize: int, k: int) -> int:
     """finite_map_count by enumeration, its test oracle: every value
     sequence whose every nominal breakpoint is a real one (the full-mask
     bucket of _breakpoint_mask_counts)."""
-    _check_map_count_args(bsize, k)
+    bsize, k = _map_count_args(bsize, k)
     return _breakpoint_mask_counts(bsize, k)[(1 << k) - 1]
 
 
-def _check_map_count_args(bsize: int, k: int) -> None:
+def _codomain_size(bsize) -> int:
+    """A finite codomain's size (--finite): a positive integer."""
+    bsize = as_integer(bsize, "--finite must be an integer")
     if bsize < 1:
         raise InputError("codomain size must be positive")
+    return bsize
+
+
+def _map_count_args(bsize, k) -> tuple[int, int]:
+    bsize = _codomain_size(bsize)
+    k = as_integer(k, "breakpoint count must be an integer")
     if k < 0:
         raise InputError(f"breakpoint count must be at least 0, got {k}")
+    return bsize, k
 
 
 def hedral_map_measure(
@@ -91,8 +102,7 @@ def hedral_map_measure(
     the number p of intervals, or 1 for the constant series 1: on the
     empty domain, and for bsize = 1, where (bsize^2 - 1)^k = 0 for k >= 1.
     """
-    if bsize < 1:
-        raise InputError("codomain size must be positive")
+    bsize = _codomain_size(bsize)
     if any(isinstance(p, Point) for p in A.pieces):
         raise UnsupportedDomainError(
             "map-space domain must have no point pieces (isolated or endpoint "
@@ -148,7 +158,7 @@ def map_pair_count(bsize: int, k: int) -> int:
     by its exact breakpoint set; pairs are then combined exactly, so the
     result is an exhaustive count, not a closed-form shortcut.
     """
-    _check_map_count_args(bsize, k)
+    bsize, k = _map_count_args(bsize, k)
     counts = _breakpoint_mask_counts(bsize, k)
     full = (1 << k) - 1
     ordered = 0
@@ -179,8 +189,7 @@ def map_pair_measure(bsize: int, terms: int | None = None) -> Regularized:
     The value is binom(1/bsize, 2), the pairs of the map space of
     measure 1/bsize.
     """
-    if bsize < 1:
-        raise InputError("codomain size must be positive")
+    bsize = _codomain_size(bsize)
     return regularize(Construction(
         order_bound=PAIR_ORDER_BOUND, closed_form=lambda: _pair_closed_form(bsize),
         count=lambda k: finite_pair_count(bsize, k), weight=-1,
@@ -237,7 +246,7 @@ def schanuel_measure(
     if isinstance(codomain, PolyhedralSet1D):
         chi_b = affine_pair_space(codomain).measure
     else:
-        chi_b = int(codomain)
+        chi_b = as_integer(codomain, "--chib must be an integer")
     return regularize(Construction(
         order_bound=1, closed_form=lambda: binomial_closed_form(-1, chi_b ** 2 - 1, chi_b),
         count=lambda k: schanuel_count(chi_b, k), weight=-1,

@@ -57,17 +57,10 @@ from .exact_series import (
 from .interval_sets import PolyhedralSet1D
 from .limits import check_enumeration, check_gizmo_size
 from .partition_combinatorics import integer_binomial, iterated_binomial
+from .rationals import as_integer
 
-
-def _selection_size(k) -> int:
-    """k as an int; 2.0 or Fraction(4, 2) pass, 2.5, "2" or None do not."""
-    try:
-        size = int(k)
-    except (TypeError, ValueError, OverflowError):
-        size = None
-    if size is None or size != k:
-        raise InputError(f"--ks sizes must be integers, got {k!r}")
-    return size
+# gizmo_fit checks its weights on this many support counts past the J it solves on.
+HELD_OUT = 4
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ class GizmoSpec:
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        ks = tuple(map(_selection_size, self.ks))
+        ks = tuple(as_integer(k, "--ks sizes must be integers") for k in self.ks)
         if not ks:
             raise InputError("a gizmo needs at least one selection size (--ks)")
         for k in ks:
@@ -252,24 +245,25 @@ def _exponential_weights(bases: tuple[int, ...], counts: list[int]) -> list[Frac
     return weights
 
 
-def gizmo_fit(spec: GizmoSpec, held_out: int = 4) -> ExponentialFit:
+def gizmo_fit(spec: GizmoSpec) -> ExponentialFit:
     """Solve n_k = sum a_j (2^j-1)^k on k = 1..J and verify the result:
     the oracle of the weights gizmo_measure reads off the polynomial.
 
     The system is solved by Lagrange interpolation in O(J^2) integer
     operations (see _exponential_weights); the weights must then predict
-    the held-out counts and match the iterated binomial polynomial.  The
-    held-out check runs over the integers: sum W_j b_j^k = D * n_k for the
-    weights W_j over their common denominator D.
+    the HELD_OUT counts after those and match the iterated binomial
+    polynomial.  The held-out check runs over the integers:
+    sum W_j b_j^k = D * n_k for the weights W_j over their common
+    denominator D.
     Verification failure here means a counting bug, not bad user input.
     """
     j_dim = spec.fit_dimension
     bases = tuple(2 ** j - 1 for j in range(1, j_dim + 1))
     totals: list[int] = []
-    targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + held_out + 1)]
+    targets = [gizmo_support_count(spec, k, totals) for k in range(1, j_dim + HELD_OUT + 1)]
     scaled, scale = clear_denominators(_exponential_weights(bases, targets[:j_dim]))
     powers = [b ** j_dim for b in bases]
-    for k in range(j_dim + 1, j_dim + held_out + 1):
+    for k in range(j_dim + 1, j_dim + HELD_OUT + 1):
         powers = list(map(operator.mul, powers, bases))
         if sum(map(operator.mul, scaled, powers)) != scale * targets[k - 1]:
             raise InternalCheckError(

@@ -33,3 +33,15 @@ def as_fraction(value) -> Fraction:
             f"refusing float {value!r}: this library is exact, pass int, Fraction or 'p/q'"
         )
     raise InputError(f"cannot interpret {value!r} as a rational number")
+
+
+def as_integer(value, refusal: str) -> int:
+    """value as an int: 2.0 or Fraction(4, 2) pass as 2; 2.5, "2", True or
+    None are refused with an InputError that reads refusal, then the value."""
+    try:
+        size = None if isinstance(value, bool) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        size = None
+    if size is None or size != value:
+        raise InputError(f"{refusal}, got {value!r}")
+    return size

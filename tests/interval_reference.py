@@ -8,6 +8,10 @@ before: a set is a pair ``(coords, flags)`` of sorted distinct Fractions
 and one membership bool per elementary cell (see the library's module
 docstring).  On every input the two must give the same coordinates,
 flags and pieces.
+
+``elementary_cells`` spells the cells of a coordinate list out, and
+``cell_in`` tests one cell against every piece, O(n) per cell: the scan
+the library's sweeps and merge are tested against.
 """
 
 from __future__ import annotations
@@ -18,12 +22,43 @@ from itertools import accumulate
 from operator import and_, gt, not_, or_
 
 from eulermeasure.interval_sets import (
-    NEG_INF, POS_INF, Point, _finite, _open, _point, _runs, ext
+    NEG_INF, POS_INF, OpenInterval, Point, _finite, _open, _point, _runs, ext
 )
 from eulermeasure.rationals import as_fraction
 
 Cells = tuple  # (coords: tuple[Fraction, ...], flags: tuple[bool, ...])
 EMPTY: Cells = ((), (False,))
+CellList = list  # of ("pt", Fraction) | ("iv", ExtendedRational, ExtendedRational)
+
+
+def elementary_cells(coords) -> CellList:
+    if not coords:
+        return [("iv", NEG_INF, POS_INF)]
+    cells: CellList = [("iv", NEG_INF, ext(coords[0]))]
+    for i, x in enumerate(coords):
+        cells.append(("pt", x))
+        hi = ext(coords[i + 1]) if i + 1 < len(coords) else POS_INF
+        cells.append(("iv", ext(x), hi))
+    return cells
+
+
+def cell_in(pieces, cell) -> bool:
+    if cell[0] == "pt":
+        q = ext(cell[1])
+        for piece in pieces:
+            if isinstance(piece, Point):
+                if piece.at == cell[1]:
+                    return True
+            elif piece.left < q < piece.right:
+                return True
+        return False
+    _, lo, hi = cell
+    # Cell endpoints are critical, so an interval piece either covers
+    # the whole cell or misses it.
+    for piece in pieces:
+        if isinstance(piece, OpenInterval) and piece.left <= lo and hi <= piece.right:
+            return True
+    return False
 
 
 def critical_coordinates(piece_lists) -> list[Fraction]:

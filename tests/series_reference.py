@@ -1,14 +1,15 @@
 """The Fraction loops of ``eulermeasure.exact_series``, kept as a
 reference for its tests.
 
-The library's polynomial arithmetic and ``RationalFunction.expand`` run
-over integers on cleared denominators and build one Fraction per output
-coefficient; its ``binomial_prefix`` steps by one integer ratio per
-coefficient.  The functions here do the same work one Fraction
-operation at a time, as the library did before; on every input the two
-must give equal coefficients.  Polynomials are
-plain tuples of Fractions in ascending degree, with trailing zeros
-dropped as the library drops them.
+The library's polynomial arithmetic, ``RationalFunction``'s
+normalization and ``RationalFunction.expand`` run over integers on
+cleared denominators and build one Fraction per output coefficient; its
+``binomial_prefix`` steps by one integer ratio per coefficient.  The
+functions here do the same work one Fraction operation at a time, as the
+library did before (the gcd is Euclid's over the rationals); on every
+input the two must give equal coefficients.  Polynomials are plain
+tuples of Fractions in ascending degree, with trailing zeros dropped as
+the library drops them.
 """
 
 from __future__ import annotations
@@ -83,3 +84,34 @@ def binomial_prefix(m, lam, terms: int) -> tuple[Fraction, ...]:
     for k in range(terms):
         coeffs.append(coeffs[-1] * lam * (m - k) / (k + 1))
     return tuple(coeffs)
+
+
+def divmod_(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Quotient and remainder of a by b != 0, by long division."""
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem = list(trim(rem))
+    return trim(quot), tuple(rem)
+
+
+def gcd(a, b) -> tuple[Fraction, ...]:
+    """Monic gcd by Euclid over the rationals; () for two zeros."""
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return scale(a, 1 / a[-1]) if a else a
+
+
+def normal_form(num, den) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """num / den over their gcd, scaled so den(0) = 1; ZeroDivisionError
+    when den is 0 or vanishes at 0 after the reduction."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(num, den)
+    num, den = divmod_(num, g)[0], divmod_(den, g)[0]
+    return scale(num, 1 / den[0]), scale(den, 1 / den[0])

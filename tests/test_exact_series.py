@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy
@@ -723,41 +722,47 @@ def test_continue_series_agrees_with_gauss_oracle(prefix):
         assert series.closed_form == to_rational_function(prefix, rec)
 
 
-_PRIME = 2 ** 61 - 1
 _rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _nonzero = _rationals.filter(bool)
+# a leading coefficient far above every other one, as a multiple of the
+# Mersenne prime 2^61 - 1
+_BIG = 2 ** 61 - 1
 
 
 @st.composite
 def _polynomial_pairs(draw):
     num = Polynomial(tuple(draw(st.lists(_rationals, min_size=1, max_size=4))))
     den = Polynomial((draw(_nonzero),) + tuple(draw(st.lists(_rationals, max_size=3))))
-    kind = draw(st.sampled_from(["plain", "common-factor", "lead-divisible-by-p"]))
+    kind = draw(st.sampled_from(
+        ["plain", "common-factor", "big-lead", "zero-numerator", "scaled"]))
     if kind == "common-factor":
         g = Polynomial((draw(_nonzero),) + tuple(draw(st.lists(_rationals, max_size=1))) + (draw(_nonzero),))
         num, den = num * g, den * g
-    elif kind == "lead-divisible-by-p":
-        lead = Fraction(_PRIME * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    elif kind == "big-lead":
+        lead = Fraction(_BIG * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
         if draw(st.booleans()):
             num = Polynomial(num.coefficients + (lead,))
         else:
             den = Polynomial(den.coefficients + (lead,))
+    elif kind == "zero-numerator":
+        num = Polynomial()
+    elif kind == "scaled":
+        # a negative, non-unit constant term on both sides
+        factor = -draw(st.sampled_from([F(2), F(3, 2), F(7, 4), F(6)]))
+        num, den = num.scale(factor), den.scale(factor)
     return num, den, kind
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_polynomial_pairs())
-def test_mod_p_proof_matches_gcd_path(pair):
-    num, den, kind = pair
-    fast = RationalFunction(num, den)
-    with mock.patch.object(exact_series, "_coprime_mod_p", return_value=False):
-        slow = RationalFunction(num, den)
-    assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator)
-    proven = exact_series._coprime_mod_p(num, den)
-    if kind == "plain":
-        assert proven == (not num.is_zero and poly_gcd(num, den).degree == 0)
-    else:
-        assert not proven
+def test_normalization_matches_the_fraction_euclid(pair):
+    num, den, _ = pair
+    a, b = num.coefficients, den.coefficients
+    want_num, want_den = series_reference.normal_form(a, b)
+    f = RationalFunction(num, den)
+    assert (f.numerator.coefficients, f.denominator.coefficients) == (want_num, want_den)
+    assert _all_fractions(f.numerator.coefficients + f.denominator.coefficients)
+    assert poly_gcd(num, den).coefficients == series_reference.gcd(a, b)
 
 
 # -- the integer paths against their Fraction loops (tests/series_reference.py)
@@ -834,10 +839,6 @@ def _expand(num, den, n):
         acc = num[k] if k < len(num) else 0
         out.append(acc - sum(den[i] * out[k - i] for i in range(1, min(k, len(den) - 1) + 1)))
     return out
-
-
-def test_proof_prime_is_prime():
-    assert exact_series._PROOF_PRIME == _PRIME and sympy.isprime(_PRIME)
 
 
 def test_integer_to_rational_function():

@@ -70,11 +70,11 @@ def test_report_matches_golden(argv):
 
 def test_reports_never_reach_the_gcd(monkeypatch):
     # every closed form on the CLI path is a FactoredForm, reduced by
-    # construction: neither the mod-p proof nor the rational gcd runs
+    # construction: no polynomial gcd is taken
     def unreachable(*args):
         raise AssertionError("the CLI path reached RationalFunction's reduction")
 
-    monkeypatch.setattr(exact_series, "_coprime_mod_p", unreachable)
+    monkeypatch.setattr(exact_series, "_integer_gcd", unreachable)
     monkeypatch.setattr(exact_series, "poly_gcd", unreachable)
     golden = _golden()
     assert [record(argv) for argv in CASES] == [golden[" ".join(argv)] for argv in CASES]

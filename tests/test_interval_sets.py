@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 import interval_reference
 import setparse_reference
 from interval_reference import cell_flags as _cell_flags
+from interval_reference import cell_in as _cell_in
 from interval_reference import critical_coordinates as _critical_coordinates
+from interval_reference import elementary_cells as _elementary_cells
 from eulermeasure import cli, interval_sets, setparse
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.interval_sets import (
@@ -44,8 +46,6 @@ from eulermeasure.interval_sets import (
     segment,
 )
 from eulermeasure.interval_sets import (
-    _cell_in,
-    _elementary_cells,
     _runs,
     _stored,
 )

@@ -7,6 +7,7 @@ import pytest
 
 from eulermeasure import map_spaces
 from eulermeasure.errors import (
+    InputError,
     InternalCheckError,
     ResourceLimitError,
     UnsupportedDomainError,
@@ -259,3 +260,42 @@ class TestSchanuelMeasure:
                               lambda: {"formula": Fraction(1, 2)})
         with pytest.raises(InternalCheckError, match="counts disagree with the closed form"):
             regularize(counts, 3)
+
+
+# Map-space sizes are integers: a non-integral size is refused with the
+# knob it would come from, never truncated or turned into a float.
+_DOMAIN = "(0,1) u (2,3)"
+_SIZE_CALLS = {
+    "schanuel_measure": ("--chib", lambda n: schanuel_measure(n).value),
+    "hedral_map_measure": ("--finite", lambda n: hedral_map_measure(parse(_DOMAIN), n).value),
+    "map_pair_measure": ("--finite", lambda n: map_pair_measure(n).value),
+    "finite_map_count": ("--finite", lambda n: finite_map_count(n, 1)),
+    "finite_pair_count": ("--finite", lambda n: finite_pair_count(n, 1)),
+    "brute_map_count": ("--finite", lambda n: brute_map_count(n, 1)),
+    "map_pair_count": ("--finite", lambda n: map_pair_count(n, 1)),
+}
+
+
+@pytest.mark.parametrize("call", _SIZE_CALLS)
+@pytest.mark.parametrize("size", [F(1, 2), F(5, 2), 2.5, 2.7, "3", "2", None, True,
+                                  float("inf"), float("nan")], ids=repr)
+def test_non_integral_size_refused(call, size):
+    knob, run = _SIZE_CALLS[call]
+    with pytest.raises(InputError, match=f"^{knob} must be an integer, got "):
+        run(size)
+
+
+@pytest.mark.parametrize("call", _SIZE_CALLS)
+@pytest.mark.parametrize("size", [2.0, F(4, 2)], ids=repr)
+def test_integral_size_accepted_as_int(call, size):
+    _, run = _SIZE_CALLS[call]
+    got = run(size)
+    assert got == run(2) and type(got) is type(run(2))
+
+
+@pytest.mark.parametrize("count", [finite_map_count, finite_pair_count, brute_map_count,
+                                   map_pair_count])
+def test_non_integral_breakpoint_count_refused(count):
+    with pytest.raises(InputError, match="breakpoint count must be an integer, got 1.5"):
+        count(2, 1.5)
+    assert count(2, 1.0) == count(2, 1)

@@ -116,7 +116,7 @@ class TestSupportCounts:
             GizmoSpec((2, 0))
 
     @pytest.mark.parametrize("size", [2.5, "2.5", "2", None, F(5, 2), float("inf"),
-                                      float("nan")], ids=repr)
+                                      float("nan"), True], ids=repr)
     def test_non_integral_size_refused(self, size):
         with pytest.raises(InputError, match="--ks sizes must be integers"):
             GizmoSpec((2, size))
@@ -171,7 +171,7 @@ class TestGizmoFitChecks:
     """A corrupted support count or weight is refused by each fit check."""
 
     def test_corrupted_held_out_count(self, ks, monkeypatch):
-        k_bad = GizmoSpec(ks).fit_dimension + 3
+        k_bad = GizmoSpec(ks).fit_dimension + power_gizmos.HELD_OUT  # the last one
         _corrupt_counts(monkeypatch, lambda k: k == k_bad)
         with pytest.raises(InternalCheckError, match=f"held-out support count n_{k_bad}"):
             gizmo_fit(GizmoSpec(ks))
