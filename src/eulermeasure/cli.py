@@ -20,33 +20,61 @@ tightest to loosest is ``!``, ``&``, ``\\``, ``u``/``|``.
 The argument parser is built once per process, on the first call of
 ``main``, and reused: ``parse_args`` keeps no state between calls, so a
 later call sees none of an earlier call's options.
+
+A verb loads only the library modules it runs, since a CLI call is a
+fresh process whose cost is mostly its imports.  Importing ``cli``
+executes ``cli`` and ``errors``; every other module the verbs call is
+registered by ``_lazy`` and executes on the first read of one of its
+attributes, when a handler calls ``setparse.parse_set_expression`` and
+so on.  Handlers read those attributes at call time, so a patched module
+attribute reaches them.  ``measure`` executes ``setparse``,
+``interval_sets`` and ``rationals``; ``choose`` adds ``limits``,
+``choose_construction`` and ``partition_combinatorics``; ``powerset``,
+``gizmo``, ``mapspace`` and ``fib`` add their construction module and
+``exact_series`` instead.  Only ``verify`` executes ``verify``, which
+imports every module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import sys
 from dataclasses import dataclass, field
 
-from .choose_construction import cell_counts
 from .errors import EulerMeasureError, InputError, UnsupportedDomainError
-from .exact_series import RationalFunction, Regularized
-from .fibonacci_subsets import fibonacci_measure
-from .interval_sets import OpenInterval, PolyhedralSet1D
-from .limits import check_selection_size
-from .map_spaces import (
-    affine_pair_space,
-    hedral_map_measure,
-    map_pair_measure,
-    schanuel_measure,
-)
-from .partition_combinatorics import integer_binomial
-from .power_gizmos import GizmoSpec, gizmo_measure, powerset_series
-from .setparse import parse_set_expression
-from .verify import run_verify
+
+
+def _lazy(name: str):
+    """The package's module ``name``, registered in ``sys.modules`` and as
+    an attribute of the package the way an import binds it, but executed
+    only on its first attribute read (``importlib.util.LazyLoader``).  A
+    module already imported is returned as it is."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+choose_construction = _lazy("choose_construction")
+exact_series = _lazy("exact_series")
+fibonacci_subsets = _lazy("fibonacci_subsets")
+interval_sets = _lazy("interval_sets")
+limits = _lazy("limits")
+map_spaces = _lazy("map_spaces")
+partition_combinatorics = _lazy("partition_combinatorics")
+power_gizmos = _lazy("power_gizmos")
+setparse = _lazy("setparse")
+verify = _lazy("verify")
 
 SCHEMA_VERSION = 1
 
@@ -122,11 +150,11 @@ def _labeled(value, route: str) -> dict:
     return {"value": str(value), "route": route}
 
 
-def _chi(a: PolyhedralSet1D) -> dict:
+def _chi(a: interval_sets.PolyhedralSet1D) -> dict:
     return _labeled(a.euler_measure(), "piece-count")
 
 
-def _rf_dict(rf: RationalFunction) -> dict:
+def _rf_dict(rf: exact_series.RationalFunction) -> dict:
     return {
         "numerator": [str(c) for c in rf.numerator.coefficients],
         "denominator": [str(c) for c in rf.denominator.coefficients],
@@ -141,7 +169,7 @@ def _check_entry(name: str, passed: bool, detail: str = "") -> dict:
     return entry
 
 
-def _regularized(results: dict, res: Regularized, route: str, **trailing) -> dict:
+def _regularized(results: dict, res: exact_series.Regularized, route: str, **trailing) -> dict:
     """A construction's results: the given results, then its series, its
     value labelled with route, its routes and the trailing fields."""
     prefix = res.series.prefix
@@ -157,11 +185,11 @@ def _regularized(results: dict, res: Regularized, route: str, **trailing) -> dic
     }
 
 
-def _require_unit_domain(a: PolyhedralSet1D, what: str):
+def _require_unit_domain(a: interval_sets.PolyhedralSet1D, what: str):
     pieces = a.pieces
     ok = (
         len(pieces) == 1
-        and isinstance(pieces[0], OpenInterval)
+        and isinstance(pieces[0], interval_sets.OpenInterval)
         and pieces[0].left.is_finite
         and pieces[0].right.is_finite
     )
@@ -174,7 +202,7 @@ def _require_unit_domain(a: PolyhedralSet1D, what: str):
 # -- verb builders: (set, options) -> (inputs, results, checks) ---------
 
 
-def _measure(a: PolyhedralSet1D, options: dict):
+def _measure(a: interval_sets.PolyhedralSet1D, options: dict):
     cls = a.classify()
     results = {
         "euler_measure": _chi(a),
@@ -189,12 +217,12 @@ def _measure(a: PolyhedralSet1D, options: dict):
     return {}, results, []
 
 
-def _choose(a: PolyhedralSet1D, options: dict):
-    k = check_selection_size(int(options["k"]))
-    counts = cell_counts(a, k)
+def _choose(a: interval_sets.PolyhedralSet1D, options: dict):
+    k = limits.check_selection_size(int(options["k"]))
+    counts = choose_construction.cell_counts(a, k)
     measure = sum(-n if d % 2 else n for d, n in counts.items())
     chi = a.euler_measure()
-    binom = integer_binomial(chi, k)
+    binom = partition_combinatorics.integer_binomial(chi, k)
     results = {
         "euler_measure": _labeled(chi, "piece-count"),
         "measure": _labeled(measure, "cell-enumeration"),
@@ -208,14 +236,14 @@ def _choose(a: PolyhedralSet1D, options: dict):
     return {"k": str(k)}, results, [_check_entry("binomial-identity", measure == binom)]
 
 
-def _powerset(a: PolyhedralSet1D, options: dict):
-    ps = powerset_series(a, options.get("terms"))
+def _powerset(a: interval_sets.PolyhedralSet1D, options: dict):
+    ps = power_gizmos.powerset_series(a, options.get("terms"))
     return {}, _regularized({"euler_measure": _chi(a)}, ps, "binomial-closed-form"), []
 
 
-def _gizmo(a: PolyhedralSet1D, options: dict):
-    spec = GizmoSpec(tuple(options["ks"]))
-    res = gizmo_measure(a, spec, options.get("terms"))
+def _gizmo(a: interval_sets.PolyhedralSet1D, options: dict):
+    spec = power_gizmos.GizmoSpec(tuple(options["ks"]))
+    res = power_gizmos.gizmo_measure(a, spec, options.get("terms"))
     results = {
         "ks": list(spec.ks),
         "euler_measure": _chi(a),
@@ -226,7 +254,7 @@ def _gizmo(a: PolyhedralSet1D, options: dict):
     return inputs, _regularized(results, res, "exponential-fit", fit=fit), []
 
 
-def _mapspace(a: PolyhedralSet1D, options: dict):
+def _mapspace(a: interval_sets.PolyhedralSet1D, options: dict):
     modes = [name for name in ("finite", "b", "chib") if options.get(name) is not None]
     if len(modes) != 1:
         raise InputError("choose exactly one of --finite N, --b SET, --chib N")
@@ -239,12 +267,12 @@ def _mapspace(a: PolyhedralSet1D, options: dict):
             raise InputError("--pairs is only defined for --finite codomains")
         _require_unit_domain(a, "the distinct-pair map space")
         bsize = int(options["finite"])
-        res = map_pair_measure(bsize, terms)
+        res = map_spaces.map_pair_measure(bsize, terms)
         inputs["pairs"] = "true"
         results |= {"codomain_size": bsize, "pair_counts": [str(n) for n in res.counts]}
     elif modes == ["finite"]:
         bsize = int(options["finite"])
-        res = hedral_map_measure(a, bsize, terms)
+        res = map_spaces.hedral_map_measure(a, bsize, terms)
         inputs["finite"] = str(bsize)
         results |= {
             "codomain_size": bsize,
@@ -254,8 +282,8 @@ def _mapspace(a: PolyhedralSet1D, options: dict):
     else:
         _require_unit_domain(a, "the piecewise-affine map space")
         if modes == ["b"]:
-            codomain = parse_set_expression(options["b"])
-            chi_b = affine_pair_space(codomain).measure
+            codomain = setparse.parse_set_expression(options["b"])
+            chi_b = map_spaces.affine_pair_space(codomain).measure
             inputs["b"] = options["b"]
             results |= {
                 "codomain": str(codomain),
@@ -264,7 +292,7 @@ def _mapspace(a: PolyhedralSet1D, options: dict):
         else:
             chi_b = int(options["chib"])
             inputs["chib"] = str(options["chib"])
-        res = schanuel_measure(chi_b, terms)
+        res = map_spaces.schanuel_measure(chi_b, terms)
         results |= {
             "codomain_measure": _labeled(chi_b, "component-count"),
             "subset_breakpoint_counts": [str(chi_b ** (2 * k + 1)) for k in range(len(res.counts))],
@@ -273,8 +301,8 @@ def _mapspace(a: PolyhedralSet1D, options: dict):
     return inputs, _regularized(results, res, "breakpoint-series"), []
 
 
-def _fib(a: PolyhedralSet1D, options: dict):
-    res = fibonacci_measure(a, options.get("terms"))
+def _fib(a: interval_sets.PolyhedralSet1D, options: dict):
+    res = fibonacci_subsets.fibonacci_measure(a, options.get("terms"))
     expected = _labeled(res.expected, "extended-recurrence")
     results = _regularized({"euler_measure": _chi(a)}, res, "series-regularization",
                            expected_fibonacci=expected)
@@ -290,7 +318,7 @@ def _frame(build):
         text = command.options.get("set")
         if not text:
             raise InputError("missing set expression")
-        a = parse_set_expression(text)
+        a = setparse.parse_set_expression(text)
         inputs, results, checks = build(a, command.options)
         return Report(command.verb, {"set": text} | inputs, {"canonical": str(a)} | results, checks)
 
@@ -299,7 +327,7 @@ def _frame(build):
 
 def _verify(command: Command) -> Report:
     scope = command.options.get("scope", "all")
-    outcomes = run_verify(scope)
+    outcomes = verify.run_verify(scope)
     checks = [
         _check_entry(f"{r.scope}.{r.name}", r.passed, r.detail) | {"ms": r.ms} for r in outcomes
     ]

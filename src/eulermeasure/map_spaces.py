@@ -79,7 +79,7 @@ def _codomain_size(bsize) -> int:
     """A finite codomain's size (--finite): a positive integer."""
     bsize = as_integer(bsize, "--finite must be an integer")
     if bsize < 1:
-        raise InputError("codomain size must be positive")
+        raise InputError(f"--finite must be at least 1, got {bsize}")
     return bsize
 
 

@@ -8,7 +8,10 @@ breaks them fails here before a benchmark run aborts on it.
 """
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,36 @@ def test_result_attributes_read_by_workloads(build, attributes):
         for name in path.split("."):
             value = getattr(value, name)
         assert value is not None, path
+
+
+TRACE_FROM_CLI_ONLY = """
+import sys
+from eulermeasure import cli
+
+sys.path.insert(0, {perfbench!r})
+import layers
+import tracer
+
+assert "workloads" not in sys.modules
+parse_before = cli.setparse.parse_set_expression
+with tracer.Tracer(layers.targets()) as t:
+    t.begin_query(0)
+    assert cli.main(["measure", "(0,1) u {{2}}", "--json"]) == 0
+    assert cli.main(["verify", "--scope", "cli", "--json"]) == 0
+names = {{span[tracer.NAME] for span in t.spans}}
+assert {{"cli.main", "setparse.parse_set_expression", "verify.run_verify"}} <= names, names
+assert cli.setparse.parse_set_expression is parse_before
+print("ok")
+"""
+
+
+def test_tracer_installs_and_restores_on_cli_alone():
+    # a --trace 1 run of sets, regularize or cli_mix imports cli and no
+    # verify: every traced module must still resolve, and restore cleanly
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(PERFBENCH.parent / "src")
+    code = TRACE_FROM_CLI_ONLY.format(perfbench=str(PERFBENCH))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"

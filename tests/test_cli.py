@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulermeasure import cli, exact_series, fibonacci_subsets, map_spaces, power_gizmos, verify
+from eulermeasure import (
+    choose_construction,
+    cli,
+    exact_series,
+    fibonacci_subsets,
+    map_spaces,
+    power_gizmos,
+    verify,
+)
 from eulermeasure.cli import Command, build_parser, main, run
 from eulermeasure.errors import InputError, ParseError
 from eulermeasure.exact_series import SeriesPrefix, continue_series
@@ -364,6 +372,12 @@ class TestMain:
             assert main(argv) == 2
             assert knob in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs", [[], ["--pairs"]], ids=["maps", "pairs"])
+    def test_empty_codomain_names_finite(self, capsys, pairs):
+        # the message names the knob, as --ks 0 does
+        assert main(["mapspace", "(0,1)", "--finite", "0", *pairs]) == 2
+        assert capsys.readouterr().err == "error [input]: --finite must be at least 1, got 0\n"
+
     @pytest.mark.parametrize("text, position, char", [
         ("{٣} u (١,٢)", 1, "٣"),  # Arabic-Indic 3, 1, 2
         ("(1٣,2)", 2, "٣"),
@@ -383,7 +397,7 @@ class TestMain:
     def test_powerset_refuses_negative_max_order_before_any_work(self, capsys, monkeypatch):
         # the parser refuses the option, with or without --json; test_knob_sweep
         # holds every other verb to the same refusal
-        monkeypatch.setattr(cli, "powerset_series", None)
+        monkeypatch.setattr(power_gizmos, "powerset_series", None)
         for argv in (["powerset", "(0,1)", "--max-order", "-1"],
                      ["powerset", "(0,1)", "--max-order", "-1", "--json"]):
             with pytest.raises(SystemExit) as exc:
@@ -626,13 +640,13 @@ class TestChooseContract:
         def refuse(*args):
             raise AssertionError("cells counted above the -k ceiling")
 
-        monkeypatch.setattr(cli, "cell_counts", refuse)
+        monkeypatch.setattr(choose_construction, "cell_counts", refuse)
         assert main(["choose", "(0,1)", "-k", "10001"]) == 3
         assert "use a smaller -k" in capsys.readouterr().err
 
     def test_failed_binomial_identity_exits_1(self, capsys, monkeypatch):
         # a wrong count table: one 0-cell where binom(-1, 2) = 1 needs one 2-cell
-        monkeypatch.setattr(cli, "cell_counts", lambda a, k: {0: 1, 2: 1})
+        monkeypatch.setattr(choose_construction, "cell_counts", lambda a, k: {0: 1, 2: 1})
         assert main(["choose", "(0,1)", "-k", "2"]) == 1
         assert "check binomial-identity: fail" in capsys.readouterr().out.splitlines()
         assert main(["choose", "(0,1)", "-k", "2", "--json"]) == 1
@@ -673,7 +687,7 @@ class TestMapPairsContract:
             assert len(blob["results"]["pair_counts"]) == (default if terms is None else terms + 1)
             return
         message = blob["error"]["message"]
-        bad = {"codomain size": bsize < 1, "terms": terms is not None and terms < 0}
+        bad = {"--finite": bsize < 1, "terms": terms is not None and terms < 0}
         assert any(knob in message for knob, is_bad in bad.items() if is_bad)
 
 

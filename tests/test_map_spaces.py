@@ -293,6 +293,15 @@ def test_integral_size_accepted_as_int(call, size):
     assert got == run(2) and type(got) is type(run(2))
 
 
+@pytest.mark.parametrize("call", [c for c in _SIZE_CALLS if _SIZE_CALLS[c][0] == "--finite"])
+@pytest.mark.parametrize("size", [0, -1, F(-3)], ids=repr)
+def test_empty_codomain_refused_by_its_knob(call, size):
+    # hedral_map_measure(A, 0) and map_pair_measure(0) name --finite, as --ks does
+    _, run = _SIZE_CALLS[call]
+    with pytest.raises(InputError, match=f"^--finite must be at least 1, got {int(size)}$"):
+        run(size)
+
+
 @pytest.mark.parametrize("count", [finite_map_count, finite_pair_count, brute_map_count,
                                    map_pair_count])
 def test_non_integral_breakpoint_count_refused(count):
